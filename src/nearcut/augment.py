@@ -37,6 +37,7 @@ from .family_cover import (
 from .multigraph import (
     EdgeRecord,
     Multigraph,
+    cut_masks,
     cut_value_array,
     is_k_edge_connected,
     min_cut_value,
@@ -118,17 +119,15 @@ class AugmentResult:
 def deficient_family(g_current: Multigraph, k: int) -> SetFamily:
     """Canonical cuts of capacity-weighted value < k."""
     vals = cut_value_array(g_current, "all", weighted=True)
-    return SetFamily(g_current.n, tuple(
-        i << 1 for i in range(1, len(vals)) if int(vals[i]) < k))
+    return SetFamily(g_current.n, cut_masks(vals < k))
 
 
 def level_family(g_current: Multigraph, lam: int,
                  include_plus_one: bool = True) -> SetFamily:
     """Canonical cuts of capacity-weighted value lam (and lam+1 by default)."""
-    wanted = {lam, lam + 1} if include_plus_one else {lam}
+    top = lam + 1 if include_plus_one else lam
     vals = cut_value_array(g_current, "all", weighted=True)
-    return SetFamily(g_current.n, tuple(
-        i << 1 for i in range(1, len(vals)) if int(vals[i]) in wanted))
+    return SetFamily(g_current.n, cut_masks((vals >= lam) & (vals <= top)))
 
 
 def _stage_plan(lam0: int, k: int) -> list[tuple[int, str]]:
@@ -182,9 +181,11 @@ def near_min_cuts_cover(inst: AugmentInstance,
     chosen: set[int] = set()
     stages: list[StageLog] = []
     bound = Fraction(0)
+    # The graph built for each stage's connectivity check is the next
+    # stage's input, so its cached cut table is read once per stage.
+    g_cur = inst.current_graph(chosen)
 
     for level, kind in plan:
-        g_cur = inst.current_graph(chosen)
         fam = level_family(g_cur, level, include_plus_one=(kind == "pair"))
         slot = even if kind == "pair" else single
         bound += slot.guarantee
@@ -209,13 +210,13 @@ def near_min_cuts_cover(inst: AugmentInstance,
         stages.append(StageLog(level, kind, len(fam), sol.method, sol.cost,
                                slot.guarantee, tuple(sorted(sol.chosen))))
         target = level + (2 if kind == "pair" else 1)
-        new_conn = min_cut_value(inst.current_graph(chosen), "all", weighted=True)
+        g_cur = inst.current_graph(chosen)
+        new_conn = min_cut_value(g_cur, "all", weighted=True)
         if new_conn < min(target, k):
             raise InvariantError(
                 f"stage at level {level} left connectivity {new_conn} < {target}")
 
-    final = inst.current_graph(chosen)
-    if plan and not is_k_edge_connected(final, k, "all", weighted=True):
+    if plan and not is_k_edge_connected(g_cur, k, "all", weighted=True):
         raise InvariantError("cover finished but the graph is not k-connected")
     cost = sum(inst.graph.edges[i].cost for i in chosen)
     expected = implemented_ratio_bound(lam0, k, even.guarantee, single.guarantee)

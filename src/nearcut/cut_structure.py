@@ -35,6 +35,7 @@ from .multigraph import (
     Multigraph,
     canonical_mask,
     complement_mask,
+    cut_masks,
     cut_value_array,
     full_mask,
     is_proper_subset,
@@ -640,8 +641,8 @@ def decompose_plus_cuts(g: Multigraph, lam: int,
     if min_cut_value(g, filt) < lam:
         raise PreconditionError(f"graph is not {lam}-edge-connected")
     vals = cut_value_array(g, filt)
-    plus = tuple(int(i) << 1 for i in range(1, len(vals)) if int(vals[i]) == lam + 1)
-    lam_cuts = tuple(int(i) << 1 for i in range(1, len(vals)) if int(vals[i]) == lam)
+    plus = cut_masks(vals == lam + 1)
+    lam_cuts = cut_masks(vals == lam)
     if not plus:
         return DecompositionResult(lam=lam, parts=(), diagnostics=())
 
@@ -716,13 +717,12 @@ def decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) -> F2Decompo
         raise PreconditionError(f"subgraph is not {k}-edge-connected")
     d_arr = cut_value_array(h, "all")
     u_arr = cut_value_array(h, "unsafe")
-    for i in range(1, len(d_arr)):
-        if int(d_arr[i]) == k and int(u_arr[i]) >= 1:
-            raise PreconditionError(
-                "subgraph has a k-cut with an unsafe edge (not (k,1)-flex-connected)",
-                witness=i << 1)
-    f2 = tuple(i << 1 for i in range(1, len(d_arr))
-               if int(d_arr[i]) == k + 1 and int(u_arr[i]) >= 2)
+    bad = cut_masks((d_arr == k) & (u_arr >= 1))
+    if bad:
+        raise PreconditionError(
+            "subgraph has a k-cut with an unsafe edge (not (k,1)-flex-connected)",
+            witness=bad[0])
+    f2 = cut_masks((d_arr == k + 1) & (u_arr >= 2))
 
     decomp = decompose_plus_cuts(h, k)
     diagnostics = list(decomp.diagnostics)

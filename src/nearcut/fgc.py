@@ -49,6 +49,7 @@ from .family_cover import (
 )
 from .multigraph import (
     Multigraph,
+    cut_masks,
     cut_value_array,
     edge_crosses,
     min_cut_value,
@@ -110,11 +111,8 @@ def is_flex_connected(g: Multigraph, edge_ids: Iterable[int], k: int,
     if g.n < 2:
         return True, None
     d_arr, u_arr = _flex_arrays(g, edge_ids)
-    for i in range(1, len(d_arr)):
-        need = k + min(int(u_arr[i]), q)
-        if int(d_arr[i]) < need:
-            return False, i << 1
-    return True, None
+    bad = cut_masks(d_arr < k + np.minimum(u_arr, q))
+    return (False, bad[0]) if bad else (True, None)
 
 
 def flex_connected_by_removal(g: Multigraph, edge_ids: Iterable[int], k: int,
@@ -149,9 +147,7 @@ def enumerate_Fq(g: Multigraph, edge_ids: Iterable[int], k: int,
         raise PreconditionError(
             f"subgraph is not (k={k}, q={q - 1})-flex-connected", witness=wit)
     d_arr, u_arr = _flex_arrays(g, ids)
-    members = tuple(i << 1 for i in range(1, len(d_arr))
-                    if int(d_arr[i]) == k + q - 1 and int(u_arr[i]) >= q)
-    fam = SetFamily(g.n, members)
+    fam = SetFamily(g.n, cut_masks((d_arr == k + q - 1) & (u_arr >= q)))
     logger.debug("blocking family at level %d: %d members (n^4 = %d)",
                  q, len(fam), g.n ** 4)
     return fam

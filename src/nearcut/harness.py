@@ -49,6 +49,7 @@ from .fgc import (
 from .multigraph import (
     EdgeRecord,
     Multigraph,
+    cut_masks,
     cut_value_array,
     is_connected,
     min_cut_value,
@@ -337,8 +338,7 @@ def make_uncrossable_cover_corpus(count: int, seed: int, n_min: int = 5,
         if lam < 2 or lam % 2:
             continue
         vals = cut_value_array(g)
-        fam = SetFamily(n, tuple(i << 1 for i in range(1, len(vals))
-                                 if int(vals[i]) in (lam, lam + 1)))
+        fam = SetFamily(n, cut_masks((vals == lam) | (vals == lam + 1)))
         if len(fam) == 0:
             continue
         ok, _ = is_uncrossable(fam)
@@ -404,7 +404,7 @@ def _near_min_pairs(g: Multigraph):
     """Yield (lam, A, B) for strongly crossing near-minimum cut pairs."""
     lam = min_cut_value(g)
     vals = cut_value_array(g)
-    near = [i << 1 for i in range(1, len(vals)) if int(vals[i]) in (lam, lam + 1)]
+    near = cut_masks((vals == lam) | (vals == lam + 1))
     for i in range(len(near)):
         for j in range(i + 1, len(near)):
             if crosses_strongly(near[i], near[j], g.n):
@@ -492,8 +492,7 @@ def _suite_uncrossable(cfg: dict) -> dict:
             skipped_odd += 1
             continue
         vals = cut_value_array(g)
-        fam = SetFamily(g.n, tuple(i << 1 for i in range(1, len(vals))
-                                   if int(vals[i]) in (lam, lam + 1)))
+        fam = SetFamily(g.n, cut_masks((vals == lam) | (vals == lam + 1)))
         checked += 1
         ok, wit = is_uncrossable(fam)
         if not ok:
@@ -609,11 +608,10 @@ def _suite_decompose(cfg: dict) -> dict:
         for part in res.parts:
             shape_hist[part.shape.value] = shape_hist.get(part.shape.value, 0) + 1
         coverage = res.coverage()
-        vals = cut_value_array(g)
-        for i in range(1, len(vals)):
-            if int(vals[i]) == lam + 1 and coverage.get(i << 1, 0) < 1:
+        for mask in cut_masks(cut_value_array(g) == lam + 1):
+            if coverage.get(mask, 0) < 1:
                 violations.append(
-                    f"graph {graphs_checked}: cut {_mask_nodes(i << 1)} not in any part")
+                    f"graph {graphs_checked}: cut {_mask_nodes(mask)} not in any part")
     return {
         "suite": "decompose",
         "config": dict(cfg),

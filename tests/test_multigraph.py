@@ -17,7 +17,7 @@ from nearcut import (
     quotient,
     subgraph,
 )
-from nearcut.multigraph import cut_value_array, is_connected
+from nearcut.multigraph import cut_value_array, exhaustive_limit, is_connected
 
 from conftest import (
     brute_cut_value,
@@ -220,6 +220,15 @@ def test_exhaustive_limit_enforced(monkeypatch):
         min_cut_value(g)
     monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "8")
     assert min_cut_value(g) == 1
+
+
+@pytest.mark.parametrize("raw", ["-5", "0", "seven"])
+def test_exhaustive_limit_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", raw)
+    with pytest.raises(InputError, match="NEARCUT_EXHAUSTIVE_LIMIT"):
+        exhaustive_limit()
+    with pytest.raises(InputError, match="NEARCUT_EXHAUSTIVE_LIMIT"):
+        min_cut_value(c4())
 
 
 def test_subgraph_selects_ids():
