@@ -521,7 +521,7 @@ def _is_cube(qg: QuotientGraph) -> bool:
         adj[e.b].add(e.a)
     if any(len(s) != 3 for s in adj):
         return False
-    target = [set(j for j in range(8) if bin(i ^ j).count("1") == 1) for i in range(8)]
+    target = [set(j for j in range(8) if (i ^ j).bit_count() == 1) for i in range(8)]
 
     mapping = [-1] * 8
     used = [False] * 8

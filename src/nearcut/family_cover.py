@@ -157,6 +157,7 @@ def exact_min_cover(inst: CoverInstance,
 
     best_bits, best_cost = greedy_upper()
     explored = 0
+    sorted_by_cost = sorted(range(len(cands)), key=lambda p: (costs[p], p))
 
     def lower_bound(chosen: int, avail: int) -> int:
         used = 0
@@ -167,8 +168,7 @@ def exact_min_cover(inst: CoverInstance,
             opts = cross[mi] & avail
             if opts & used:
                 continue
-            cheapest = min(costs[p] for p in range(len(cands)) if (opts >> p) & 1)
-            lb += cheapest
+            lb += next(costs[p] for p in sorted_by_cost if (opts >> p) & 1)
             used |= opts
         return lb
 

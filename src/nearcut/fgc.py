@@ -51,7 +51,6 @@ from .multigraph import (
     Multigraph,
     cut_masks,
     cut_value_array,
-    edge_crosses,
     min_cut_value,
     subgraph,
 )
@@ -105,14 +104,20 @@ def _flex_arrays(g: Multigraph, edge_ids: Iterable[int]) -> tuple[np.ndarray, np
     return cut_value_array(h, "all"), cut_value_array(h, "unsafe")
 
 
+def _first_bad_cut(d_arr: np.ndarray, u_arr: np.ndarray, k: int,
+                   q: int) -> Optional[int]:
+    """First canonical cut with d(S) < k + min(d_U(S), q), or None."""
+    bad = cut_masks(d_arr < k + np.minimum(u_arr, q))
+    return bad[0] if bad else None
+
+
 def is_flex_connected(g: Multigraph, edge_ids: Iterable[int], k: int,
                       q: int) -> tuple[bool, Optional[int]]:
     """Per-cut check of d(S) >= k + min(d_U(S), q); witness = first bad cut."""
     if g.n < 2:
         return True, None
-    d_arr, u_arr = _flex_arrays(g, edge_ids)
-    bad = cut_masks(d_arr < k + np.minimum(u_arr, q))
-    return (False, bad[0]) if bad else (True, None)
+    wit = _first_bad_cut(*_flex_arrays(g, edge_ids), k, q)
+    return (True, None) if wit is None else (False, wit)
 
 
 def flex_connected_by_removal(g: Multigraph, edge_ids: Iterable[int], k: int,
@@ -141,12 +146,11 @@ def enumerate_Fq(g: Multigraph, edge_ids: Iterable[int], k: int,
     """
     if q < 1:
         raise InputError(f"blocking families are defined for q >= 1, got {q}")
-    ids = sorted(set(edge_ids))
-    ok, wit = is_flex_connected(g, ids, k, q - 1)
-    if not ok:
+    d_arr, u_arr = _flex_arrays(g, edge_ids)
+    wit = _first_bad_cut(d_arr, u_arr, k, q - 1)
+    if wit is not None:
         raise PreconditionError(
             f"subgraph is not (k={k}, q={q - 1})-flex-connected", witness=wit)
-    d_arr, u_arr = _flex_arrays(g, ids)
     fam = SetFamily(g.n, cut_masks((d_arr == k + q - 1) & (u_arr >= q)))
     logger.debug("blocking family at level %d: %d members (n^4 = %d)",
                  q, len(fam), g.n ** 4)
@@ -173,36 +177,54 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
     violated cut and tries each undecided crossing edge as the first
     chosen one; the bound adds, over violated cuts with disjoint
     undecided support, the cheapest completions of their deficits.
+
+    Edge sets are bitsets over edge positions (Python ints, so there is
+    no edge-count limit).  ``cross[i]`` holds the edges crossing the
+    canonical cut ``i << 1``.  Per node, one scan lists the cuts that
+    the included edges violate, with their deficits; the deficit never
+    grows as edges are added, so the scan only visits the parent's
+    violated cuts.  That one list serves the whole node: a cut whose
+    deficit exceeds its undecided crossing edges kills the subtree (the
+    included edges sit inside the available ones, so a cut they satisfy
+    needs no check), the cut with the fewest undecided crossing edges
+    becomes the branching target, and the bound takes the ``need``
+    cheapest undecided crossing edges of each cut by walking the edges
+    in cost order, stopping as soon as the node is pruned.
     """
     if g.n < 2:
         return ExactSubgraphResult((), 0, 0)
     m = g.m
-    n_cuts = (1 << (g.n - 1)) - 1
-    cross = [0] * (n_cuts + 1)
-    ucross = [0] * (n_cuts + 1)
+    # adding node v to a side toggles exactly the edges incident to v
+    incident = [0] * g.n
     for pos, e in enumerate(g.edges):
-        for i in range(1, n_cuts + 1):
-            mask = i << 1
-            if edge_crosses(e.u, e.v, mask):
-                cross[i] |= 1 << pos
-                if e.unsafe:
-                    ucross[i] |= 1 << pos
+        incident[e.u] |= 1 << pos
+        incident[e.v] |= 1 << pos
+    cross = [0]
+    for v in range(1, g.n):
+        inc = incident[v]
+        cross += [c ^ inc for c in cross]
+    unsafe_bits = sum(1 << pos for pos, e in enumerate(g.edges) if e.unsafe)
+    ucross = [c & unsafe_bits for c in cross]
     costs = [e.cost for e in g.edges]
     all_bits = (1 << m) - 1
 
     def deficit(i: int, bits: int) -> int:
-        d = bin(cross[i] & bits).count("1")
-        du = bin(ucross[i] & bits).count("1")
-        return k + min(du, q) - d
+        need = k - (cross[i] & bits).bit_count()
+        if q:
+            need += min((ucross[i] & bits).bit_count(), q)
+        return need
 
-    def feasible(bits: int) -> Optional[int]:
-        """Index of the first violated cut, or None."""
-        for i in range(1, n_cuts + 1):
-            if deficit(i, bits) > 0:
-                return i
-        return None
+    def violated(cuts: Iterable[int], bits: int) -> list[tuple[int, int]]:
+        """(cut, deficit) of every listed cut that ``bits`` violates."""
+        if q == 0:
+            return [(i, need) for i in cuts
+                    if (need := k - (cross[i] & bits).bit_count()) > 0]
+        return [(i, need) for i in cuts if (need := deficit(i, bits)) > 0]
 
-    first_bad = feasible(all_bits)
+    def first_violated(bits: int) -> Optional[int]:
+        return next((i for i in range(1, len(cross)) if deficit(i, bits) > 0), None)
+
+    first_bad = first_violated(all_bits)
     if first_bad is not None:
         raise InfeasibleError(
             "graph itself is not flex-connected at the requested level",
@@ -212,7 +234,7 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
     best_bits = all_bits
     for pos in sorted(range(m), key=lambda p: (-costs[p], -p)):
         trial = best_bits & ~(1 << pos)
-        if feasible(trial) is None:
+        if first_violated(trial) is None:
             best_bits = trial
     best_cost = sum(costs[p] for p in range(m) if (best_bits >> p) & 1)
     best = [best_cost, best_bits]
@@ -220,50 +242,58 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
 
     sorted_by_cost = sorted(range(m), key=lambda p: (costs[p], p))
 
-    def lower_bound(included: int, avail: int) -> int:
+    def pruned(viol: list[tuple[int, int]], free: int, slack: int) -> bool:
+        """Whether the lower bound on the remaining cost reaches ``slack``."""
         lb = 0
         used = 0
-        for i in range(1, n_cuts + 1):
-            need = deficit(i, included)
-            if need <= 0:
-                continue
-            opts = cross[i] & avail & ~included
+        for i, need in viol:
+            opts = cross[i] & free
             if opts & used:
                 continue
-            opt_costs = sorted(costs[p] for p in range(m) if (opts >> p) & 1)
-            lb += sum(opt_costs[:need])
             used |= opts
-        return lb
+            for pos in sorted_by_cost:
+                if (opts >> pos) & 1:
+                    lb += costs[pos]
+                    need -= 1
+                    if not need:
+                        break
+            if lb >= slack:
+                return True
+        return False
 
-    def search(included: int, excluded: int, cost_now: int):
+    def search(included: int, excluded: int, cost_now: int, cuts: Iterable[int]):
         explored[0] += 1
         if explored[0] > node_budget:
             raise BudgetError(f"exact search exceeded {node_budget} nodes")
         avail = all_bits & ~excluded
-        if feasible(avail) is not None:
-            return
+        free = avail & ~included
+        viol = violated(cuts, included)
         target = None
         best_fanout = None
-        for i in range(1, n_cuts + 1):
-            if deficit(i, included) > 0:
-                fanout = bin(cross[i] & avail & ~included).count("1")
-                if best_fanout is None or fanout < best_fanout:
-                    best_fanout, target = fanout, i
+        for i, need in viol:
+            fanout = (cross[i] & free).bit_count()
+            short = need - fanout if q == 0 else deficit(i, avail)
+            if short > 0:
+                return
+            if best_fanout is None or fanout < best_fanout:
+                best_fanout, target = fanout, i
         if target is None:
             if cost_now < best[0]:
                 best[0], best[1] = cost_now, included
             return
-        if cost_now + lower_bound(included, avail) >= best[0]:
+        if pruned(viol, free, best[0] - cost_now):
             return
-        opts = cross[target] & avail & ~included
+        opts = cross[target] & free
+        child_cuts = [i for i, _ in viol]
         tried = 0
         for pos in sorted_by_cost:
             if not (opts >> pos) & 1:
                 continue
-            search(included | (1 << pos), excluded | tried, cost_now + costs[pos])
+            search(included | (1 << pos), excluded | tried, cost_now + costs[pos],
+                   child_cuts)
             tried |= 1 << pos
 
-    search(0, 0, 0)
+    search(0, 0, 0, range(1, len(cross)))
     ids = tuple(p for p in range(m) if (best[1] >> p) & 1)
     return ExactSubgraphResult(edge_ids=ids, cost=best[0], nodes_explored=explored[0])
 

@@ -255,7 +255,7 @@ def test_verify_part_shape_examples():
 
 def test_verify_part_shape_cube():
     edges = [(i, j) for i in range(8) for j in range(i + 1, 8)
-             if bin(i ^ j).count("1") == 1]
+             if (i ^ j).bit_count() == 1]
     g = g_from(8, edges)
     fam = SetFamily(8, tuple(r.mask for r in enumerate_cuts_at_most(g, 4)
                              if r.size == 4))

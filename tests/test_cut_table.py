@@ -160,6 +160,39 @@ def test_flex_witness_and_Fq_match_loops():
     assert min(seen.values()) > 10, seen
 
 
+def test_enumerate_Fq_builds_one_subgraph(monkeypatch):
+    """One subgraph (so one pair of tables) per call serves both the
+    (k, q-1) precondition and the family."""
+    import nearcut.fgc as fgc
+    calls = []
+    real = fgc.subgraph
+
+    def counting(g, ids):
+        calls.append(1)
+        return real(g, ids)
+
+    monkeypatch.setattr(fgc, "subgraph", counting)
+    rng = random.Random(23)
+    seen = {"Fq": 0, "witness": 0}
+    for _ in range(100):
+        g = random_flagged_multigraph(rng, rng.randint(1, 8))
+        ids = [i for i in range(g.m) if rng.random() < 0.8]
+        for k in (1, 2):
+            for q in (1, 2):
+                calls.clear()
+                wit = loop_flex_witness(g, ids, k, q - 1)
+                if wit is None:
+                    assert enumerate_Fq(g, iter(ids), k, q).members == loop_Fq(g, ids, k, q)
+                    seen["Fq"] += 1
+                else:
+                    with pytest.raises(PreconditionError) as err:
+                        enumerate_Fq(g, iter(ids), k, q)
+                    assert err.value.witness == wit
+                    seen["witness"] += 1
+                assert len(calls) == 1
+    assert min(seen.values()) > 10, seen
+
+
 # ---------------------------------------------------------------------------
 # Property over random multigraphs
 

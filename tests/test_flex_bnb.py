@@ -1,0 +1,395 @@
+"""The exact branch and bound searches against their first versions.
+
+``minimum_flex_subgraph`` (the oracle and the kecss seed) and
+``exact_min_cover`` compute their nodes differently from how they were
+first written: one violated-cut list per node, carried down the tree,
+and bounds that walk the edges in cost order.  The search tree must not
+change.  The first versions are copied here verbatim as slow references,
+and every result, ``nodes_explored`` included, must equal theirs; so
+must the witness of an infeasible instance and the node count at which
+the budget stops a search.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from typing import Optional
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import nearcut.family_cover as family_cover
+import nearcut.fgc as fgc
+from nearcut import (
+    BudgetError,
+    CoverInstance,
+    CoverSolution,
+    EdgeRecord,
+    InfeasibleError,
+    Multigraph,
+    SetFamily,
+    deficient_family,
+    exact_min_cover,
+    minimum_flex_subgraph,
+)
+from nearcut.family_cover import Candidate, _crossing_candidates
+from nearcut.fgc import ExactSubgraphResult
+from nearcut.harness import make_augment_corpus, make_uncrossable_cover_corpus
+from nearcut.multigraph import edge_crosses
+
+
+# ---------------------------------------------------------------------------
+# Slow references (verbatim bodies)
+
+
+def reference_minimum_flex_subgraph(g: Multigraph, k: int, q: int,
+                                    node_budget: int = fgc.DEFAULT_NODE_BUDGET) -> ExactSubgraphResult:
+    """The search as first written: three full cut scans per node."""
+    if g.n < 2:
+        return ExactSubgraphResult((), 0, 0)
+    m = g.m
+    n_cuts = (1 << (g.n - 1)) - 1
+    cross = [0] * (n_cuts + 1)
+    ucross = [0] * (n_cuts + 1)
+    for pos, e in enumerate(g.edges):
+        for i in range(1, n_cuts + 1):
+            mask = i << 1
+            if edge_crosses(e.u, e.v, mask):
+                cross[i] |= 1 << pos
+                if e.unsafe:
+                    ucross[i] |= 1 << pos
+    costs = [e.cost for e in g.edges]
+    all_bits = (1 << m) - 1
+
+    def deficit(i: int, bits: int) -> int:
+        d = bin(cross[i] & bits).count("1")
+        du = bin(ucross[i] & bits).count("1")
+        return k + min(du, q) - d
+
+    def feasible(bits: int) -> Optional[int]:
+        """Index of the first violated cut, or None."""
+        for i in range(1, n_cuts + 1):
+            if deficit(i, bits) > 0:
+                return i
+        return None
+
+    first_bad = feasible(all_bits)
+    if first_bad is not None:
+        raise InfeasibleError(
+            "graph itself is not flex-connected at the requested level",
+            witness=first_bad << 1)
+
+    # deterministic greedy upper bound: strip expensive edges first
+    best_bits = all_bits
+    for pos in sorted(range(m), key=lambda p: (-costs[p], -p)):
+        trial = best_bits & ~(1 << pos)
+        if feasible(trial) is None:
+            best_bits = trial
+    best_cost = sum(costs[p] for p in range(m) if (best_bits >> p) & 1)
+    best = [best_cost, best_bits]
+    explored = [0]
+
+    sorted_by_cost = sorted(range(m), key=lambda p: (costs[p], p))
+
+    def lower_bound(included: int, avail: int) -> int:
+        lb = 0
+        used = 0
+        for i in range(1, n_cuts + 1):
+            need = deficit(i, included)
+            if need <= 0:
+                continue
+            opts = cross[i] & avail & ~included
+            if opts & used:
+                continue
+            opt_costs = sorted(costs[p] for p in range(m) if (opts >> p) & 1)
+            lb += sum(opt_costs[:need])
+            used |= opts
+        return lb
+
+    def search(included: int, excluded: int, cost_now: int):
+        explored[0] += 1
+        if explored[0] > node_budget:
+            raise BudgetError(f"exact search exceeded {node_budget} nodes")
+        avail = all_bits & ~excluded
+        if feasible(avail) is not None:
+            return
+        target = None
+        best_fanout = None
+        for i in range(1, n_cuts + 1):
+            if deficit(i, included) > 0:
+                fanout = bin(cross[i] & avail & ~included).count("1")
+                if best_fanout is None or fanout < best_fanout:
+                    best_fanout, target = fanout, i
+        if target is None:
+            if cost_now < best[0]:
+                best[0], best[1] = cost_now, included
+            return
+        if cost_now + lower_bound(included, avail) >= best[0]:
+            return
+        opts = cross[target] & avail & ~included
+        tried = 0
+        for pos in sorted_by_cost:
+            if not (opts >> pos) & 1:
+                continue
+            search(included | (1 << pos), excluded | tried, cost_now + costs[pos])
+            tried |= 1 << pos
+
+    search(0, 0, 0)
+    ids = tuple(p for p in range(m) if (best[1] >> p) & 1)
+    return ExactSubgraphResult(edge_ids=ids, cost=best[0], nodes_explored=explored[0])
+
+
+def reference_exact_min_cover(inst: CoverInstance,
+                              node_budget: int = family_cover.DEFAULT_NODE_BUDGET) -> CoverSolution:
+    """The cover search as first written: ``min`` over every position."""
+    cands = inst.candidates
+    members = inst.family.members
+    cross: list[int] = []  # member -> candidate-position bitmask
+    for mask in members:
+        bits = 0
+        for pos in _crossing_candidates(cands, mask):
+            bits |= 1 << pos
+        if bits == 0:
+            raise InfeasibleError("family member crossed by no candidate",
+                                  witness=mask)
+        cross.append(bits)
+    if not members:
+        return CoverSolution(chosen=(), cost=0, method="exact", guarantee=Fraction(1))
+
+    costs = [c.cost for c in cands]
+    all_bits = (1 << len(cands)) - 1
+
+    def greedy_upper() -> tuple[int, int]:
+        chosen = 0
+        uncovered = list(range(len(members)))
+        while uncovered:
+            best_pos, best_gain = -1, (-1, 0, 0)
+            for pos in range(len(cands)):
+                if (chosen >> pos) & 1:
+                    continue
+                gain = sum(1 for mi in uncovered if (cross[mi] >> pos) & 1)
+                if gain == 0:
+                    continue
+                key = (gain, -costs[pos], -pos)
+                if key > best_gain:
+                    best_gain, best_pos = key, pos
+            chosen |= 1 << best_pos
+            uncovered = [mi for mi in uncovered if not (cross[mi] >> best_pos) & 1]
+        # prune to a minimal cover, most expensive first
+        for pos in sorted(range(len(cands)), key=lambda p: (-costs[p], -p)):
+            if not (chosen >> pos) & 1:
+                continue
+            trial = chosen & ~(1 << pos)
+            if all(cross[mi] & trial for mi in range(len(members))):
+                chosen = trial
+        return chosen, sum(costs[p] for p in range(len(cands)) if (chosen >> p) & 1)
+
+    best_bits, best_cost = greedy_upper()
+    explored = 0
+
+    def lower_bound(chosen: int, avail: int) -> int:
+        used = 0
+        lb = 0
+        for mi in range(len(members)):
+            if cross[mi] & chosen:
+                continue
+            opts = cross[mi] & avail
+            if opts & used:
+                continue
+            cheapest = min(costs[p] for p in range(len(cands)) if (opts >> p) & 1)
+            lb += cheapest
+            used |= opts
+        return lb
+
+    def search(chosen: int, excluded: int, cost_now: int):
+        nonlocal best_bits, best_cost, explored
+        explored += 1
+        if explored > node_budget:
+            raise BudgetError(f"exact cover exceeded {node_budget} nodes")
+        avail = all_bits & ~excluded
+        target = None
+        for mi in range(len(members)):
+            if cross[mi] & chosen:
+                continue
+            if not cross[mi] & avail:
+                return  # member can no longer be covered in this subtree
+            if target is None:
+                target = mi
+        if target is None:
+            if cost_now < best_cost:
+                best_cost, best_bits = cost_now, chosen
+            return
+        if cost_now + lower_bound(chosen, avail) >= best_cost:
+            return
+        opts = cross[target] & avail
+        tried = 0
+        pos = 0
+        rem = opts
+        while rem:
+            if rem & 1:
+                search(chosen | (1 << pos), excluded | tried, cost_now + costs[pos])
+                tried |= 1 << pos
+            rem >>= 1
+            pos += 1
+
+    search(0, 0, 0)
+    chosen_ids = tuple(sorted(cands[p].ident for p in range(len(cands))
+                              if (best_bits >> p) & 1))
+    return CoverSolution(chosen=chosen_ids, cost=best_cost, method="exact",
+                         guarantee=Fraction(1), nodes_explored=explored)
+
+
+# ---------------------------------------------------------------------------
+# Helpers
+
+
+def outcome(search, *args, **kw):
+    """The result, or the error kind with its witness, as one comparable value."""
+    try:
+        return "ok", search(*args, **kw)
+    except InfeasibleError as exc:
+        return "infeasible", exc.witness
+    except BudgetError:
+        return "budget", None
+
+
+def random_cycle(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    order = list(range(n))
+    rng.shuffle(order)
+    return [(order[i], order[(i + 1) % n]) for i in range(n)]
+
+
+def flex_graph(rng: random.Random, n: int, k: int, q: int, unit: bool) -> Multigraph:
+    """(k + q + 1) // 2 random spanning cycles plus up to three extra edges,
+    so the graph itself is (k, q)-flex-connected."""
+    pairs = []
+    for _ in range((k + q + 1) // 2):
+        pairs += random_cycle(rng, n)
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(n), 2)
+        pairs.append((u, v))
+    return Multigraph(n, tuple(
+        EdgeRecord(u, v, 1 if unit else rng.randint(1, 9), 1, rng.random() < 0.35)
+        for u, v in pairs))
+
+
+FLEX_CELLS = [(k, q, n, unit) for k in (1, 2, 3, 4) for q in (0, 1, 2)
+              for n in (5, 6, 7) for unit in (False, True)]
+
+
+def flex_corpus(seed: int):
+    rng = random.Random(seed)
+    return [(flex_graph(rng, n, k, q, unit), k, q) for k, q, n, unit in FLEX_CELLS]
+
+
+# ---------------------------------------------------------------------------
+# minimum_flex_subgraph
+
+
+@pytest.fixture(scope="module")
+def flex_reference():
+    """The seeded corpus with the reference search's result for each case."""
+    return [(g, k, q, reference_minimum_flex_subgraph(g, k, q))
+            for g, k, q in flex_corpus(3101)]
+
+
+def test_flex_search_matches_reference_on_seeded_corpus(flex_reference):
+    for g, k, q, ref in flex_reference:
+        assert minimum_flex_subgraph(g, k, q) == ref, (g, k, q)
+    assert sum(ref.nodes_explored for *_, ref in flex_reference) > 10 * len(FLEX_CELLS)
+
+
+@st.composite
+def flex_cases(draw):
+    n = draw(st.integers(2, 6))
+    node = st.integers(0, n - 1)
+    specs = draw(st.lists(st.tuples(node, node, st.integers(0, 5), st.booleans()),
+                          max_size=3 * n))
+    g = Multigraph(n, tuple(EdgeRecord(u, v, cost, 1, unsafe)
+                            for u, v, cost, unsafe in specs if u != v))
+    return g, draw(st.integers(1, 3)), draw(st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(flex_cases())
+def test_property_flex_search_matches_reference(case):
+    g, k, q = case
+    assert outcome(minimum_flex_subgraph, g, k, q, node_budget=3000) == \
+        outcome(reference_minimum_flex_subgraph, g, k, q, node_budget=3000)
+
+
+def test_infeasible_witness_is_the_first_violated_cut():
+    rng = random.Random(3102)
+    seen = 0
+    for _ in range(80):
+        n = rng.randint(2, 7)
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, n))]
+        g = Multigraph(n, tuple(EdgeRecord(u, v, rng.randint(1, 5), 1, rng.random() < 0.5)
+                                for u, v in pairs))
+        for k in (1, 2, 3):
+            for q in (0, 1, 2):
+                got = outcome(minimum_flex_subgraph, g, k, q)
+                assert got == outcome(reference_minimum_flex_subgraph, g, k, q)
+                seen += got[0] == "infeasible"
+    assert seen > 100
+
+
+def test_budget_stops_at_the_same_node(flex_reference):
+    picked = 0
+    for g, k, q, ref in flex_reference:
+        n_nodes = ref.nodes_explored
+        if n_nodes < 2:
+            continue
+        picked += 1
+        assert minimum_flex_subgraph(g, k, q, node_budget=n_nodes) == ref
+        with pytest.raises(BudgetError):
+            minimum_flex_subgraph(g, k, q, node_budget=n_nodes - 1)
+        if n_nodes <= 200:
+            with pytest.raises(BudgetError):
+                reference_minimum_flex_subgraph(g, k, q, node_budget=n_nodes - 1)
+    assert picked > len(FLEX_CELLS) // 2
+
+
+# ---------------------------------------------------------------------------
+# exact_min_cover
+
+
+def augment_cover(inst) -> CoverInstance:
+    """The cover instance exact_augment solves."""
+    g = inst.graph
+    base = Multigraph(g.n, tuple(e for e in g.edges if e.base))
+    cands = tuple(Candidate(i, g.edges[i].u, g.edges[i].v, g.edges[i].cost)
+                  for i in inst.candidate_ids)
+    return CoverInstance(g.n, cands, deficient_family(base, inst.k))
+
+
+def test_cover_search_matches_reference_on_seeded_corpora():
+    covers = [augment_cover(inst) for _, inst in make_augment_corpus(40, 3104)]
+    covers += [inst for _, inst in make_uncrossable_cover_corpus(30, 3105)]
+    nodes = 0
+    for inst in covers:
+        got = exact_min_cover(inst)
+        assert got == reference_exact_min_cover(inst)
+        nodes += got.nodes_explored
+    assert nodes > 10 * len(covers)
+
+
+@st.composite
+def cover_cases(draw):
+    n = draw(st.integers(3, 7))
+    masks = draw(st.sets(st.integers(1, (1 << (n - 1)) - 1), min_size=1, max_size=12))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node, st.integers(0, 6)), max_size=12))
+    cands = tuple(Candidate(j, u, v, cost) for j, (u, v, cost) in enumerate(pairs)
+                  if u != v)
+    return CoverInstance(n, cands, SetFamily(n, tuple(sorted(m << 1 for m in masks))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_cases())
+def test_property_cover_search_matches_reference(inst):
+    assert outcome(exact_min_cover, inst, node_budget=3000) == \
+        outcome(reference_exact_min_cover, inst, node_budget=3000)
