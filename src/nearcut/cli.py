@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import InvariantError, NearcutError
@@ -20,17 +19,15 @@ from .augment import AugmentInstance, near_min_cuts_cover
 from .fgc import FlexInstance, is_flex_connected, solve_fgc
 from .harness import (
     GenSpec,
-    RatioReport,
+    _frac,
+    augment_record,
     exact_augment,
     exact_fgc,
+    fgc_record,
     generate,
     run_suite,
 )
 from .io import Instance, load_instance, save_instance
-
-
-def _frac(x: Fraction) -> list[int]:
-    return [x.numerator, x.denominator]
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -153,34 +150,11 @@ def _cmd_bench(args) -> int:
         inst = load_instance(path)
         has_base = any(e.base for e in inst.graph.edges)
         kind = args.kind if args.kind != "auto" else ("augment" if has_base else "fgc")
-        t0 = time.perf_counter()
         if kind == "augment":
-            aug = AugmentInstance(inst.graph, inst.k)
-            res = near_min_cuts_cover(aug)
-            oracle = exact_augment(aug)
-            ratio = Fraction(res.cost, oracle.cost) if oracle.cost else Fraction(0)
-            rec = RatioReport(
-                instance_id=path.name, kind="augment", n=inst.graph.n,
-                m=inst.graph.m, k=inst.k, q=0, lam0=res.lam0,
-                algorithm_cost=res.cost, oracle_cost=oracle.cost, ratio=ratio,
-                bound=res.bound, kecss_ratio=None, feasible=True,
-                stage_costs=tuple(s.cost for s in res.stages),
-                oracle_nodes=oracle.nodes_explored,
-                wall_ms=int((time.perf_counter() - t0) * 1000))
+            rec = augment_record(path.name, AugmentInstance(inst.graph, inst.k))
         else:
-            flex = FlexInstance(inst.graph, inst.k, inst.q)
-            sol = solve_fgc(flex, unit_cost=args.unit_cost)
-            oracle = exact_fgc(flex)
-            feas, _ = is_flex_connected(inst.graph, sol.edge_ids, inst.k, inst.q)
-            ratio = Fraction(sol.cost, oracle.cost) if oracle.cost else Fraction(0)
-            rec = RatioReport(
-                instance_id=path.name, kind="fgc", n=inst.graph.n,
-                m=inst.graph.m, k=inst.k, q=inst.q, lam0=None,
-                algorithm_cost=sol.cost, oracle_cost=oracle.cost, ratio=ratio,
-                bound=sol.guarantee, kecss_ratio=sol.phases[0].guarantee,
-                feasible=feas, stage_costs=tuple(p.cost for p in sol.phases),
-                oracle_nodes=oracle.nodes_explored,
-                wall_ms=int((time.perf_counter() - t0) * 1000))
+            rec = fgc_record(path.name, FlexInstance(inst.graph, inst.k, inst.q),
+                             args.unit_cost)
         records.append(rec)
         if rec.violated:
             violations.append(rec.instance_id)

@@ -31,6 +31,7 @@ from typing import Iterable, Optional
 
 from .errors import InputError, InvariantError, PreconditionError
 from .multigraph import (
+    DisjointSets,
     EdgeFilter,
     Multigraph,
     canonical_mask,
@@ -109,10 +110,6 @@ class SetFamily:
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
         return cls(n, tuple(mask_from_nodes(s) for s in sets))
 
-    @classmethod
-    def from_masks(cls, n: int, masks: Iterable[int]) -> "SetFamily":
-        return cls(n, tuple(masks))
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -143,9 +140,6 @@ class SetFamily:
                 seen.add(c)
                 out.append(c)
         return SetFamily(self.n, tuple(out))
-
-    def member_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(nodes_from_mask(m)) for m in self.members)
 
 
 def is_laminar(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -604,24 +598,14 @@ class DecompositionResult:
 
 def _component_split(masks: tuple[int, ...], n: int) -> list[list[int]]:
     """Connected components of the strong-crossing graph on the masks."""
-    idx = {m: i for i, m in enumerate(masks)}
-    parent = list(range(len(masks)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = DisjointSets(len(masks))
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             if crosses_strongly(masks[i], masks[j], n):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+                sets.union(i, j)
     groups: dict[int, list[int]] = {}
     for i, m in enumerate(masks):
-        groups.setdefault(find(i), []).append(m)
+        groups.setdefault(sets.find(i), []).append(m)
     return [sorted(g) for g in sorted(groups.values(), key=lambda g: min(g))]
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BudgetError, InfeasibleError, InvariantError, PreconditionError
 from .cut_structure import SetFamily, is_symmetric_proper_crossing, is_uncrossable
-from .multigraph import edge_crosses
+from .multigraph import DisjointSets, edge_crosses
 
 logger = logging.getLogger(__name__)
 
@@ -336,6 +336,10 @@ def minimal_cover(edges: Sequence, family: SetFamily) -> list:
             pairs.append((c.u, c.v))
         else:
             pairs.append((c[0], c[1]))
+    for u, v in pairs:
+        if not (0 <= u < family.n and 0 <= v < family.n):
+            raise PreconditionError("edge endpoint outside the ground set",
+                                    witness=(u, v))
     ok, wit = covers(pairs, family)
     if not ok:
         raise PreconditionError("edge set does not cover the family", witness=wit)
@@ -356,23 +360,10 @@ def minimal_cover(edges: Sequence, family: SetFamily) -> list:
                 cover_count[mi] -= 1
     result = [edges[i] for i in range(len(edges)) if keep[i]]
 
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = DisjointSets(family.n)
     for i, kept in enumerate(keep):
-        if not kept:
-            continue
-        u, v = pairs[i]
-        ru, rv = find(u), find(v)
-        if ru == rv:
+        if kept and not sets.union(*pairs[i]):
             raise InvariantError("minimal cover contains a cycle", witness=pairs[i])
-        parent[ru] = rv
     return result
 
 

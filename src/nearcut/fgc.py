@@ -4,14 +4,32 @@ A subgraph H is (k, q)-flex-connected when every cut keeps k safe edges
 or k + q edges in total, i.e. ``d(S) >= k + min(d_U(S), q)``.  When H is
 already (k, q-1)-flex-connected, exactly the cuts with ``d(S) = k+q-1``
 and ``d_U(S) >= q`` block the next level, and covering that family is
-the whole step - which is what the iterative solvers do after seeding H
-with a k-edge-connected spanning subgraph.
+the whole step.
 
-Structure drives the solver choice: the blocking family at level 1 is
-laminar for odd k and uncrossable for even k; at level 2 it is
-uncrossable for even k, while for odd k it splits into an uncrossable
-part and a symmetric proper crossing part (see
-:func:`nearcut.cut_structure.decompose_F2_odd`).  Guarantees compose
+Every solver here runs one driver: seed H with a k-edge-connected
+spanning subgraph (phase ``kecss``), then for each level L = 1..q
+enumerate F_L (which first checks that phase L-1 cleared its family),
+check the structure the plan names, cover F_L from the edges outside H,
+and finally check (k, q)-flex-connectivity.  The plan for each level is
+the structure table:
+
+    plan        level  check                  cover -> phase
+    unit        any    none                   minimal cover, <= n-1 edges,
+                                              guarantee 2/k -> F{L}
+    structured  1      laminar (odd k),       ring_cover_solver (odd k),
+                       uncrossable (even k)   pd2 (even k) -> F1
+    structured  2      uncrossable (even k)   pd2 -> F2
+    structured  2      decompose_F2_odd       pd2 -> F2-uncrossable, then the
+                       (odd k; skipped when   symmetric crossing cover,
+                       F2 is empty)           guarantee 2 -> F2-symmetric;
+                                              both from the edges outside
+                                              H before the phase
+    generic     any    uncrossable decides    pd2, else exact
+                                              ("exact-fallback") -> F{L}
+
+A weighted solve at q = 0 is the spanning step alone; at q = 1 and
+q = 2 it follows the structured plan, at q >= 3 (and
+:func:`iterative_cover` at every q) the generic one.  Guarantees compose
 additively and every structural claim is asserted at runtime.
 """
 
@@ -325,7 +343,7 @@ def kecss(g: Multigraph, k: int, mode: str = "approx2",
 
 
 # ---------------------------------------------------------------------------
-# Cover phases
+# Cover phases: one driver, one plan per level
 
 
 def _candidates_outside(g: Multigraph, h_ids: set[int]) -> tuple[Candidate, ...]:
@@ -337,242 +355,155 @@ def _added_cost(g: Multigraph, new_ids: Iterable[int]) -> int:
     return sum(g.edges[i].cost for i in new_ids)
 
 
-def _cover_with(slot: SolverSlot, g: Multigraph, h_ids: set[int],
-                fam: SetFamily) -> CoverSolution:
-    inst = CoverInstance(g.n, _candidates_outside(g, h_ids), fam)
-    return slot.solve(inst)
-
-
-def iterative_cover(inst: FlexInstance, kecss_mode: str = "approx2",
-                    cover_slot: SolverSlot | str = "pd2") -> FlexSolution:
-    """Seed with a k-edge-connected subgraph, then cover each blocking
-    family in turn.  The cover solver falls back to the exact oracle
-    when a phase family is not uncrossable."""
-    g, k, q = inst.graph, inst.k, inst.q
-    slot = resolve_slot(cover_slot)
+def _seed(g: Multigraph, k: int, kecss_mode: str) -> tuple[set[int], list[PhaseLog]]:
+    """H starts as a k-edge-connected spanning subgraph."""
     base = kecss(g, k, kecss_mode)
-    h: set[int] = set(base.edge_ids)
-    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
-                       base.edge_ids)]
-    for level in range(1, q + 1):
-        fam = enumerate_Fq(g, h, k, level)
-        if len(fam) == 0:
-            phases.append(PhaseLog(f"F{level}", 0, "none", 0, slot.guarantee, ()))
-            continue
-        ok, _ = is_uncrossable(fam)
-        use = slot if ok else resolve_slot("exact")
-        sol = _cover_with(use, g, h, fam)
-        new_ids = tuple(i for i in sol.chosen if i not in h)
-        h.update(new_ids)
-        phases.append(PhaseLog(f"F{level}", len(fam),
-                               sol.method if ok else "exact-fallback",
-                               _added_cost(g, new_ids), use.guarantee, new_ids))
-        left = enumerate_Fq(g, h, k, level)
-        if len(left):
-            raise InvariantError(f"phase {level} did not clear its blocking family",
-                                 witness=left.members[0])
-    ok, wit = is_flex_connected(g, h, k, q)
-    if not ok:
-        raise InvariantError("iterative cover finished infeasible", witness=wit)
-    ids = tuple(sorted(h))
-    return FlexSolution(edge_ids=ids, cost=_added_cost(g, ids), phases=tuple(phases),
-                        guarantee=sum((p.guarantee for p in phases), Fraction(0)))
+    return set(base.edge_ids), [PhaseLog("kecss", 0, base.mode, base.cost,
+                                         base.guarantee, base.edge_ids)]
 
 
-def solve_k1(inst: FlexInstance, kecss_mode: str = "approx2",
-             single_slot: SolverSlot | str | None = None) -> FlexSolution:
-    """One cover phase after the spanning step; q must be 1.
-
-    The blocking family is asserted laminar for odd k and uncrossable
-    for even k before the cover runs.
-    """
-    from .family_cover import ring_cover_solver
-    if inst.q != 1:
-        raise InputError(f"solve_k1 needs q = 1, got q = {inst.q}")
-    g, k = inst.graph, inst.k
-    slot = resolve_slot(single_slot) if single_slot is not None else ring_cover_solver
-    base = kecss(g, k, kecss_mode)
-    h: set[int] = set(base.edge_ids)
-    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
-                       base.edge_ids)]
-    fam = enumerate_Fq(g, h, k, 1)
-    if k % 2 == 1:
-        ok, wit = is_laminar(fam)
-        if not ok:
-            raise InvariantError("level-1 family is not laminar for odd k",
-                                 witness=wit)
-        use = slot
-    else:
-        ok, wit = is_uncrossable(fam)
-        if not ok:
-            raise InvariantError("level-1 family is not uncrossable for even k",
-                                 witness=wit)
-        use = resolve_slot("pd2")
-    if len(fam):
-        sol = _cover_with(use, g, h, fam)
-        new_ids = tuple(i for i in sol.chosen if i not in h)
-        h.update(new_ids)
-        phases.append(PhaseLog("F1", len(fam), sol.method,
-                               _added_cost(g, new_ids), use.guarantee, new_ids))
-    else:
-        phases.append(PhaseLog("F1", 0, "none", 0, use.guarantee, ()))
-    ok, wit = is_flex_connected(g, h, k, 1)
-    if not ok:
-        raise InvariantError("solve_k1 produced an infeasible subgraph", witness=wit)
+def _solution(g: Multigraph, h: set[int], phases: list[PhaseLog]) -> FlexSolution:
     ids = tuple(sorted(h))
     return FlexSolution(ids, _added_cost(g, ids), tuple(phases),
                         sum((p.guarantee for p in phases), Fraction(0)))
+
+
+def _cover_phase(name: str, g: Multigraph, h: set[int], fam: SetFamily,
+                 slot: SolverSlot, pool: Optional[set[int]] = None,
+                 solver: Optional[str] = None) -> PhaseLog:
+    """Cover ``fam`` from the edges outside ``pool`` (default: H), add the
+    chosen edges H lacks, and log them."""
+    if not len(fam):
+        return PhaseLog(name, 0, "none", 0, slot.guarantee, ())
+    cands = _candidates_outside(g, h if pool is None else pool)
+    sol = slot.solve(CoverInstance(g.n, cands, fam))
+    new_ids = tuple(i for i in sol.chosen if i not in h)
+    h.update(new_ids)
+    return PhaseLog(name, len(fam), solver or sol.method, _added_cost(g, new_ids),
+                    slot.guarantee, new_ids)
+
+
+def _minimal_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
+                   level: int) -> list[PhaseLog]:
+    """Unit cost: an inclusion-minimal cover is a forest, so at most n-1
+    edges against opt >= kn/2, a 2/k fraction of the optimum."""
+    def solve(inst: CoverInstance) -> CoverSolution:
+        pruned = minimal_cover(inst.candidates, inst.family)
+        ids = tuple(sorted(c.ident for c in pruned))
+        if len(ids) > g.n - 1:
+            raise InvariantError(
+                f"phase {level} added {len(ids)} edges > n - 1 = {g.n - 1}")
+        return CoverSolution(ids, len(ids), "minimal-cover", Fraction(2, k))
+    slot = SolverSlot("minimal-cover", Fraction(2, k), solve)
+    return [_cover_phase(f"F{level}", g, h, fam, slot)]
+
+
+def _structured_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
+                      level: int) -> list[PhaseLog]:
+    """Laminar for odd k (level 1 only), uncrossable for even k."""
+    if k % 2:
+        from .family_cover import ring_cover_solver as slot  # pluggable: read now
+        ok, wit = is_laminar(fam)
+        shape = "laminar for odd k"
+    else:
+        slot = resolve_slot("pd2")
+        ok, wit = is_uncrossable(fam)
+        shape = "uncrossable for even k"
+    if not ok:
+        raise InvariantError(f"level-{level} family is not {shape}", witness=wit)
+    return [_cover_phase(f"F{level}", g, h, fam, slot)]
+
+
+def _split_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
+                 level: int) -> list[PhaseLog]:
+    """Odd k, level 2: both parts are covered from the edges outside H as
+    it was before the phase, and their union is added."""
+    parts = (fam, fam)
+    if len(fam):
+        split = decompose_F2_odd(g, h, k)
+        parts = (split.f_prime, split.f_dprime)
+    pool = set(h)
+    symmetric = SolverSlot("symmetric", Fraction(2), cover_symmetric_crossing)
+    return [_cover_phase("F2-uncrossable", g, h, parts[0], resolve_slot("pd2"), pool),
+            _cover_phase("F2-symmetric", g, h, parts[1], symmetric, pool)]
+
+
+def _fallback_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
+                    level: int) -> list[PhaseLog]:
+    if len(fam) and not is_uncrossable(fam)[0]:
+        return [_cover_phase(f"F{level}", g, h, fam, resolve_slot("exact"),
+                             solver="exact-fallback")]
+    return [_cover_phase(f"F{level}", g, h, fam, resolve_slot("pd2"))]
+
+
+def _level_plan(plan: str, k: int, level: int):
+    """The structure table: which check and which cover serve ``level``."""
+    if plan == "unit":
+        return _minimal_level
+    if plan == "generic":
+        return _fallback_level
+    return _split_level if k % 2 and level == 2 else _structured_level
+
+
+def _drive(inst: FlexInstance, kecss_mode: str, plan: str) -> FlexSolution:
+    """Seed H, then cover the blocking family of each level in turn.
+
+    ``enumerate_Fq`` at level L first checks that H is (k, L-1)-flex-
+    connected, which is exactly "phase L-1 cleared its family" (the
+    first bad cut is the first member left over); the final check does
+    the same for the last level.
+    """
+    g, k, q = inst.graph, inst.k, inst.q
+    h, phases = _seed(g, k, kecss_mode)
+    for level in range(1, q + 1):
+        try:
+            fam = enumerate_Fq(g, h, k, level)
+        except PreconditionError as exc:
+            if level == 1:
+                raise
+            raise InvariantError(f"phase {level - 1} did not clear its blocking family",
+                                 witness=exc.witness) from exc
+        phases += _level_plan(plan, k, level)(g, h, fam, k, level)
+    ok, wit = is_flex_connected(g, h, k, q)
+    if not ok:
+        raise InvariantError(f"subgraph is not (k={k}, q={q})-flex-connected "
+                             "after the last phase", witness=wit)
+    return _solution(g, h, phases)
+
+
+def iterative_cover(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexSolution:
+    """Generic plan: primal-dual per level, exact when a family is not
+    uncrossable."""
+    return _drive(inst, kecss_mode, "generic")
+
+
+def solve_k1(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexSolution:
+    """q = 1: level 1 laminar (odd k) or uncrossable (even k)."""
+    if inst.q != 1:
+        raise InputError(f"solve_k1 needs q = 1, got q = {inst.q}")
+    return _drive(inst, kecss_mode, "structured")
 
 
 def solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexSolution:
-    """Two cover phases; q must be 2.
-
-    For even k both blocking families are uncrossable.  For odd k the
-    level-2 family splits into an uncrossable part (primal-dual) and a
-    symmetric proper crossing part (rooted cover); the two covers are
-    computed against the same candidate pool and their union is added.
-    """
-    from .family_cover import ring_cover_solver
+    """q = 2: level 2 uncrossable (even k) or split (odd k)."""
     if inst.q != 2:
         raise InputError(f"solve_k2 needs q = 2, got q = {inst.q}")
-    g, k = inst.graph, inst.k
-    pd = resolve_slot("pd2")
-    base = kecss(g, k, kecss_mode)
-    h: set[int] = set(base.edge_ids)
-    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
-                       base.edge_ids)]
-
-    fam1 = enumerate_Fq(g, h, k, 1)
-    slot1 = ring_cover_solver if k % 2 == 1 else pd
-    if k % 2 == 1:
-        ok, wit = is_laminar(fam1)
-        if not ok:
-            raise InvariantError("level-1 family is not laminar for odd k", witness=wit)
-    else:
-        ok, wit = is_uncrossable(fam1)
-        if not ok:
-            raise InvariantError("level-1 family is not uncrossable for even k",
-                                 witness=wit)
-    if len(fam1):
-        sol = _cover_with(slot1, g, h, fam1)
-        new_ids = tuple(i for i in sol.chosen if i not in h)
-        h.update(new_ids)
-        phases.append(PhaseLog("F1", len(fam1), sol.method,
-                               _added_cost(g, new_ids), slot1.guarantee, new_ids))
-    else:
-        phases.append(PhaseLog("F1", 0, "none", 0, slot1.guarantee, ()))
-
-    ok, wit = is_flex_connected(g, h, k, 1)
-    if not ok:
-        raise InvariantError("subgraph not (k,1)-flex-connected after level 1",
-                             witness=wit)
-
-    fam2 = enumerate_Fq(g, h, k, 2)
-    if k % 2 == 0:
-        ok, wit = is_uncrossable(fam2)
-        if not ok:
-            raise InvariantError("level-2 family is not uncrossable for even k",
-                                 witness=wit)
-        if len(fam2):
-            sol = _cover_with(pd, g, h, fam2)
-            new_ids = tuple(i for i in sol.chosen if i not in h)
-            h.update(new_ids)
-            phases.append(PhaseLog("F2", len(fam2), sol.method,
-                                   _added_cost(g, new_ids), pd.guarantee, new_ids))
-        else:
-            phases.append(PhaseLog("F2", 0, "none", 0, pd.guarantee, ()))
-    else:
-        if len(fam2) == 0:
-            phases.append(PhaseLog("F2-uncrossable", 0, "none", 0, pd.guarantee, ()))
-            phases.append(PhaseLog("F2-symmetric", 0, "none", 0, Fraction(2), ()))
-        else:
-            split = decompose_F2_odd(g, h, k)
-            pool_h = set(h)
-            if len(split.f_prime):
-                sol_p = _cover_with(pd, g, pool_h, split.f_prime)
-                new_p = tuple(i for i in sol_p.chosen if i not in h)
-            else:
-                sol_p, new_p = None, ()
-            h.update(new_p)
-            phases.append(PhaseLog("F2-uncrossable", len(split.f_prime),
-                                   sol_p.method if sol_p else "none",
-                                   _added_cost(g, new_p), pd.guarantee, new_p))
-            if len(split.f_dprime):
-                inst2 = CoverInstance(g.n, _candidates_outside(g, pool_h),
-                                      split.f_dprime)
-                sol_s = cover_symmetric_crossing(inst2)
-                new_s = tuple(i for i in sol_s.chosen if i not in h)
-            else:
-                sol_s, new_s = None, ()
-            h.update(new_s)
-            phases.append(PhaseLog("F2-symmetric", len(split.f_dprime),
-                                   sol_s.method if sol_s else "none",
-                                   _added_cost(g, new_s), Fraction(2), new_s))
-
-    ok, wit = is_flex_connected(g, h, k, 2)
-    if not ok:
-        raise InvariantError("solve_k2 produced an infeasible subgraph", witness=wit)
-    ids = tuple(sorted(h))
-    return FlexSolution(ids, _added_cost(g, ids), tuple(phases),
-                        sum((p.guarantee for p in phases), Fraction(0)))
+    return _drive(inst, kecss_mode, "structured")
 
 
 def solve_unit_cost(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexSolution:
-    """Unit costs: min-size spanning step, then inclusion-minimal covers.
-
-    Each phase prunes an arbitrary feasible cover down to a forest, so
-    it adds at most n-1 edges; with opt >= kn/2 that is a 2/k fraction
-    of the optimum per phase, giving guarantee kecss + 2q/k.
-    """
-    g, k, q = inst.graph, inst.k, inst.q
+    """Unit costs: inclusion-minimal covers; guarantee kecss + 2q/k."""
     if not inst.unit_cost:
         raise InputError("solve_unit_cost requires every edge cost to be 1")
-    base = kecss(g, k, kecss_mode)
-    h: set[int] = set(base.edge_ids)
-    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
-                       base.edge_ids)]
-    phase_guarantee = Fraction(2, k)
-    for level in range(1, q + 1):
-        fam = enumerate_Fq(g, h, k, level)
-        if len(fam) == 0:
-            phases.append(PhaseLog(f"F{level}", 0, "none", 0, phase_guarantee, ()))
-            continue
-        cands = _candidates_outside(g, h)
-        pruned = minimal_cover(cands, fam)
-        new_ids = tuple(sorted(c.ident for c in pruned))
-        if len(new_ids) > g.n - 1:
-            raise InvariantError(
-                f"phase {level} added {len(new_ids)} edges > n - 1 = {g.n - 1}")
-        h.update(new_ids)
-        phases.append(PhaseLog(f"F{level}", len(fam), "minimal-cover",
-                               len(new_ids), phase_guarantee, new_ids))
-        left = enumerate_Fq(g, h, k, level)
-        if len(left):
-            raise InvariantError(f"phase {level} did not clear its blocking family",
-                                 witness=left.members[0])
-    ok, wit = is_flex_connected(g, h, k, q)
-    if not ok:
-        raise InvariantError("unit-cost solve produced an infeasible subgraph",
-                             witness=wit)
-    ids = tuple(sorted(h))
-    return FlexSolution(ids, len(ids), tuple(phases),
-                        base.guarantee + Fraction(2 * q, k))
+    return _drive(inst, kecss_mode, "unit")
 
 
 def solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
               unit_cost: bool = False) -> FlexSolution:
-    """Dispatch: q = 0 is the spanning step alone, q = 1 and q = 2 use the
-    structure-aware solvers, anything else the generic iteration."""
+    """Dispatch: q = 0 is the spanning step alone (not re-checked), q = 1
+    and q = 2 use the structured plan, anything else the generic one."""
     if unit_cost:
         return solve_unit_cost(inst, kecss_mode)
     if inst.q == 0:
-        base = kecss(inst.graph, inst.k, kecss_mode)
-        phase = PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
-                         base.edge_ids)
-        return FlexSolution(tuple(sorted(base.edge_ids)), base.cost, (phase,),
-                            base.guarantee)
-    if inst.q == 1:
-        return solve_k1(inst, kecss_mode)
-    if inst.q == 2:
-        return solve_k2(inst, kecss_mode)
-    return iterative_cover(inst, kecss_mode)
+        return _solution(inst.graph, *_seed(inst.graph, inst.k, kecss_mode))
+    return _drive(inst, kecss_mode, "structured" if inst.q <= 2 else "generic")

@@ -662,42 +662,46 @@ def _suite_forest(cfg: dict) -> dict:
     }
 
 
+def augment_record(iid: str, inst: AugmentInstance) -> RatioReport:
+    """Solve one augmentation instance and rate it against the oracle."""
+    t0 = time.perf_counter()
+    res = near_min_cuts_cover(inst)
+    oracle = exact_augment(inst)
+    wall = int((time.perf_counter() - t0) * 1000)
+    ratio = Fraction(res.cost, oracle.cost) if oracle.cost else Fraction(0)
+    return RatioReport(
+        instance_id=iid, kind="augment", n=inst.graph.n, m=inst.graph.m,
+        k=inst.k, q=0, lam0=res.lam0, algorithm_cost=res.cost,
+        oracle_cost=oracle.cost, ratio=ratio, bound=res.bound,
+        kecss_ratio=None, feasible=True,
+        stage_costs=tuple(s.cost for s in res.stages),
+        oracle_nodes=oracle.nodes_explored, wall_ms=wall)
+
+
+def fgc_record(iid: str, inst: FlexInstance, unit: bool) -> RatioReport:
+    """Solve one flex instance and rate it against the oracle."""
+    t0 = time.perf_counter()
+    sol = solve_fgc(inst, unit_cost=unit)
+    oracle = exact_fgc(inst)
+    wall = int((time.perf_counter() - t0) * 1000)
+    feas, _ = is_flex_connected(inst.graph, sol.edge_ids, inst.k, inst.q)
+    ratio = Fraction(sol.cost, oracle.cost) if oracle.cost else Fraction(0)
+    return RatioReport(
+        instance_id=iid, kind="fgc-unit" if unit else "fgc",
+        n=inst.graph.n, m=inst.graph.m, k=inst.k, q=inst.q, lam0=None,
+        algorithm_cost=sol.cost, oracle_cost=oracle.cost, ratio=ratio,
+        bound=sol.guarantee, kecss_ratio=sol.phases[0].guarantee,
+        feasible=feas, stage_costs=tuple(p.cost for p in sol.phases),
+        oracle_nodes=oracle.nodes_explored, wall_ms=wall)
+
+
 def _run_augment_records(count: int, seed: int) -> list[RatioReport]:
-    records = []
-    for iid, inst in make_augment_corpus(count, seed):
-        t0 = time.perf_counter()
-        res = near_min_cuts_cover(inst)
-        oracle = exact_augment(inst)
-        wall = int((time.perf_counter() - t0) * 1000)
-        ratio = Fraction(res.cost, oracle.cost) if oracle.cost else Fraction(0)
-        records.append(RatioReport(
-            instance_id=iid, kind="augment", n=inst.graph.n, m=inst.graph.m,
-            k=inst.k, q=0, lam0=res.lam0, algorithm_cost=res.cost,
-            oracle_cost=oracle.cost, ratio=ratio, bound=res.bound,
-            kecss_ratio=None, feasible=True,
-            stage_costs=tuple(s.cost for s in res.stages),
-            oracle_nodes=oracle.nodes_explored, wall_ms=wall))
-    return records
+    return [augment_record(iid, inst) for iid, inst in make_augment_corpus(count, seed)]
 
 
 def _run_fgc_records(count: int, seed: int, unit: bool) -> list[RatioReport]:
-    records = []
-    corpus = make_fgc_corpus(count, seed, unit_cost=unit)
-    for iid, inst in corpus:
-        t0 = time.perf_counter()
-        sol = solve_fgc(inst, unit_cost=unit)
-        oracle = exact_fgc(inst)
-        wall = int((time.perf_counter() - t0) * 1000)
-        feas, _ = is_flex_connected(inst.graph, sol.edge_ids, inst.k, inst.q)
-        ratio = Fraction(sol.cost, oracle.cost) if oracle.cost else Fraction(0)
-        records.append(RatioReport(
-            instance_id=iid, kind="fgc-unit" if unit else "fgc",
-            n=inst.graph.n, m=inst.graph.m, k=inst.k, q=inst.q, lam0=None,
-            algorithm_cost=sol.cost, oracle_cost=oracle.cost, ratio=ratio,
-            bound=sol.guarantee, kecss_ratio=sol.phases[0].guarantee,
-            feasible=feas, stage_costs=tuple(p.cost for p in sol.phases),
-            oracle_nodes=oracle.nodes_explored, wall_ms=wall))
-    return records
+    return [fgc_record(iid, inst, unit)
+            for iid, inst in make_fgc_corpus(count, seed, unit_cost=unit)]
 
 
 def _suite_ratios(cfg: dict) -> dict:

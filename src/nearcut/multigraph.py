@@ -316,27 +316,35 @@ def enumerate_cuts_at_most(g: Multigraph, threshold: int,
         for i in order)
 
 
-def is_connected(g: Multigraph, filt: EdgeFilter = "all") -> bool:
-    if g.n == 1:
-        return True
-    pred = resolve_filter(filt)
-    parent = list(range(g.n))
+class DisjointSets:
+    """Union-find over ``0 .. size-1`` with path halving."""
 
-    def find(x):
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
         return x
 
-    comps = g.n
-    for e in g.edges:
-        if not pred(e):
-            continue
-        ru, rv = find(e.u), find(e.v)
-        if ru != rv:
-            parent[ru] = rv
-            comps -= 1
-    return comps == 1
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of ``a`` and ``b``; False if they were one already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
+def is_connected(g: Multigraph, filt: EdgeFilter = "all") -> bool:
+    if g.n == 1:
+        return True
+    pred = resolve_filter(filt)
+    sets = DisjointSets(g.n)
+    merges = sum(sets.union(e.u, e.v) for e in g.edges if pred(e))
+    return merges == g.n - 1
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,12 @@ def test_minimal_cover_requires_cover():
         minimal_cover([(0, 2)], c4_two_cut_family())
 
 
+def test_minimal_cover_rejects_edges_off_the_ground_set():
+    with pytest.raises(PreconditionError) as err:
+        minimal_cover([(0, 2), (1, 3), (0, 9)], c4_two_cut_family())
+    assert err.value.witness == (0, 9)
+
+
 def test_minimal_cover_random_forest_property():
     rng = random.Random(31)
     for _ in range(300):

@@ -1,0 +1,485 @@
+"""The FGC phase driver against the four solver loops it replaced.
+
+``iterative_cover``, ``solve_k1``, ``solve_k2``, ``solve_unit_cost`` and
+``solve_fgc`` once each ran their own copy of the seed / enumerate /
+check / cover / re-check loop.  They now share one driver fed by a
+per-level plan.  The first versions are copied here verbatim (only the
+names carry a ``reference_`` prefix) and every solution, each phase log
+included, must equal theirs; so must the error and witness of a phase
+that fails to clear its family.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from fractions import Fraction
+from typing import Iterable
+
+import pytest
+
+import nearcut.family_cover as family_cover
+import nearcut.fgc as fgc
+from nearcut import (
+    CoverInstance,
+    CoverSolution,
+    EdgeRecord,
+    FlexInstance,
+    InputError,
+    InvariantError,
+    Multigraph,
+    PreconditionError,
+    SetFamily,
+    SolverSlot,
+    cover_symmetric_crossing,
+    decompose_F2_odd,
+    enumerate_Fq,
+    is_flex_connected,
+    is_laminar,
+    is_uncrossable,
+    iterative_cover,
+    kecss,
+    minimal_cover,
+    solve_fgc,
+    solve_k1,
+    solve_k2,
+    solve_unit_cost,
+)
+from nearcut.family_cover import Candidate, resolve_slot
+from nearcut.fgc import FlexSolution, PhaseLog
+
+
+# ---------------------------------------------------------------------------
+# References (verbatim bodies)
+
+
+def _candidates_outside(g: Multigraph, h_ids: set[int]) -> tuple[Candidate, ...]:
+    return tuple(Candidate(i, e.u, e.v, e.cost) for i, e in enumerate(g.edges)
+                 if i not in h_ids)
+
+
+def _added_cost(g: Multigraph, new_ids: Iterable[int]) -> int:
+    return sum(g.edges[i].cost for i in new_ids)
+
+
+def _cover_with(slot: SolverSlot, g: Multigraph, h_ids: set[int],
+                fam: SetFamily) -> CoverSolution:
+    inst = CoverInstance(g.n, _candidates_outside(g, h_ids), fam)
+    return slot.solve(inst)
+
+
+def reference_iterative_cover(inst: FlexInstance, kecss_mode: str = "approx2",
+                              cover_slot: SolverSlot | str = "pd2") -> FlexSolution:
+    """Seed with a k-edge-connected subgraph, then cover each blocking
+    family in turn.  The cover solver falls back to the exact oracle
+    when a phase family is not uncrossable."""
+    g, k, q = inst.graph, inst.k, inst.q
+    slot = resolve_slot(cover_slot)
+    base = kecss(g, k, kecss_mode)
+    h: set[int] = set(base.edge_ids)
+    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
+                       base.edge_ids)]
+    for level in range(1, q + 1):
+        fam = enumerate_Fq(g, h, k, level)
+        if len(fam) == 0:
+            phases.append(PhaseLog(f"F{level}", 0, "none", 0, slot.guarantee, ()))
+            continue
+        ok, _ = is_uncrossable(fam)
+        use = slot if ok else resolve_slot("exact")
+        sol = _cover_with(use, g, h, fam)
+        new_ids = tuple(i for i in sol.chosen if i not in h)
+        h.update(new_ids)
+        phases.append(PhaseLog(f"F{level}", len(fam),
+                               sol.method if ok else "exact-fallback",
+                               _added_cost(g, new_ids), use.guarantee, new_ids))
+        left = enumerate_Fq(g, h, k, level)
+        if len(left):
+            raise InvariantError(f"phase {level} did not clear its blocking family",
+                                 witness=left.members[0])
+    ok, wit = is_flex_connected(g, h, k, q)
+    if not ok:
+        raise InvariantError("iterative cover finished infeasible", witness=wit)
+    ids = tuple(sorted(h))
+    return FlexSolution(edge_ids=ids, cost=_added_cost(g, ids), phases=tuple(phases),
+                        guarantee=sum((p.guarantee for p in phases), Fraction(0)))
+
+
+def reference_solve_k1(inst: FlexInstance, kecss_mode: str = "approx2",
+                       single_slot: SolverSlot | str | None = None) -> FlexSolution:
+    """One cover phase after the spanning step; q must be 1.
+
+    The blocking family is asserted laminar for odd k and uncrossable
+    for even k before the cover runs.
+    """
+    from nearcut.family_cover import ring_cover_solver
+    if inst.q != 1:
+        raise InputError(f"solve_k1 needs q = 1, got q = {inst.q}")
+    g, k = inst.graph, inst.k
+    slot = resolve_slot(single_slot) if single_slot is not None else ring_cover_solver
+    base = kecss(g, k, kecss_mode)
+    h: set[int] = set(base.edge_ids)
+    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
+                       base.edge_ids)]
+    fam = enumerate_Fq(g, h, k, 1)
+    if k % 2 == 1:
+        ok, wit = is_laminar(fam)
+        if not ok:
+            raise InvariantError("level-1 family is not laminar for odd k",
+                                 witness=wit)
+        use = slot
+    else:
+        ok, wit = is_uncrossable(fam)
+        if not ok:
+            raise InvariantError("level-1 family is not uncrossable for even k",
+                                 witness=wit)
+        use = resolve_slot("pd2")
+    if len(fam):
+        sol = _cover_with(use, g, h, fam)
+        new_ids = tuple(i for i in sol.chosen if i not in h)
+        h.update(new_ids)
+        phases.append(PhaseLog("F1", len(fam), sol.method,
+                               _added_cost(g, new_ids), use.guarantee, new_ids))
+    else:
+        phases.append(PhaseLog("F1", 0, "none", 0, use.guarantee, ()))
+    ok, wit = is_flex_connected(g, h, k, 1)
+    if not ok:
+        raise InvariantError("solve_k1 produced an infeasible subgraph", witness=wit)
+    ids = tuple(sorted(h))
+    return FlexSolution(ids, _added_cost(g, ids), tuple(phases),
+                        sum((p.guarantee for p in phases), Fraction(0)))
+
+
+def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexSolution:
+    """Two cover phases; q must be 2.
+
+    For even k both blocking families are uncrossable.  For odd k the
+    level-2 family splits into an uncrossable part (primal-dual) and a
+    symmetric proper crossing part (rooted cover); the two covers are
+    computed against the same candidate pool and their union is added.
+    """
+    from nearcut.family_cover import ring_cover_solver
+    if inst.q != 2:
+        raise InputError(f"solve_k2 needs q = 2, got q = {inst.q}")
+    g, k = inst.graph, inst.k
+    pd = resolve_slot("pd2")
+    base = kecss(g, k, kecss_mode)
+    h: set[int] = set(base.edge_ids)
+    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
+                       base.edge_ids)]
+
+    fam1 = enumerate_Fq(g, h, k, 1)
+    slot1 = ring_cover_solver if k % 2 == 1 else pd
+    if k % 2 == 1:
+        ok, wit = is_laminar(fam1)
+        if not ok:
+            raise InvariantError("level-1 family is not laminar for odd k", witness=wit)
+    else:
+        ok, wit = is_uncrossable(fam1)
+        if not ok:
+            raise InvariantError("level-1 family is not uncrossable for even k",
+                                 witness=wit)
+    if len(fam1):
+        sol = _cover_with(slot1, g, h, fam1)
+        new_ids = tuple(i for i in sol.chosen if i not in h)
+        h.update(new_ids)
+        phases.append(PhaseLog("F1", len(fam1), sol.method,
+                               _added_cost(g, new_ids), slot1.guarantee, new_ids))
+    else:
+        phases.append(PhaseLog("F1", 0, "none", 0, slot1.guarantee, ()))
+
+    ok, wit = is_flex_connected(g, h, k, 1)
+    if not ok:
+        raise InvariantError("subgraph not (k,1)-flex-connected after level 1",
+                             witness=wit)
+
+    fam2 = enumerate_Fq(g, h, k, 2)
+    if k % 2 == 0:
+        ok, wit = is_uncrossable(fam2)
+        if not ok:
+            raise InvariantError("level-2 family is not uncrossable for even k",
+                                 witness=wit)
+        if len(fam2):
+            sol = _cover_with(pd, g, h, fam2)
+            new_ids = tuple(i for i in sol.chosen if i not in h)
+            h.update(new_ids)
+            phases.append(PhaseLog("F2", len(fam2), sol.method,
+                                   _added_cost(g, new_ids), pd.guarantee, new_ids))
+        else:
+            phases.append(PhaseLog("F2", 0, "none", 0, pd.guarantee, ()))
+    else:
+        if len(fam2) == 0:
+            phases.append(PhaseLog("F2-uncrossable", 0, "none", 0, pd.guarantee, ()))
+            phases.append(PhaseLog("F2-symmetric", 0, "none", 0, Fraction(2), ()))
+        else:
+            split = decompose_F2_odd(g, h, k)
+            pool_h = set(h)
+            if len(split.f_prime):
+                sol_p = _cover_with(pd, g, pool_h, split.f_prime)
+                new_p = tuple(i for i in sol_p.chosen if i not in h)
+            else:
+                sol_p, new_p = None, ()
+            h.update(new_p)
+            phases.append(PhaseLog("F2-uncrossable", len(split.f_prime),
+                                   sol_p.method if sol_p else "none",
+                                   _added_cost(g, new_p), pd.guarantee, new_p))
+            if len(split.f_dprime):
+                inst2 = CoverInstance(g.n, _candidates_outside(g, pool_h),
+                                      split.f_dprime)
+                sol_s = cover_symmetric_crossing(inst2)
+                new_s = tuple(i for i in sol_s.chosen if i not in h)
+            else:
+                sol_s, new_s = None, ()
+            h.update(new_s)
+            phases.append(PhaseLog("F2-symmetric", len(split.f_dprime),
+                                   sol_s.method if sol_s else "none",
+                                   _added_cost(g, new_s), Fraction(2), new_s))
+
+    ok, wit = is_flex_connected(g, h, k, 2)
+    if not ok:
+        raise InvariantError("solve_k2 produced an infeasible subgraph", witness=wit)
+    ids = tuple(sorted(h))
+    return FlexSolution(ids, _added_cost(g, ids), tuple(phases),
+                        sum((p.guarantee for p in phases), Fraction(0)))
+
+
+def reference_solve_unit_cost(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexSolution:
+    """Unit costs: min-size spanning step, then inclusion-minimal covers.
+
+    Each phase prunes an arbitrary feasible cover down to a forest, so
+    it adds at most n-1 edges; with opt >= kn/2 that is a 2/k fraction
+    of the optimum per phase, giving guarantee kecss + 2q/k.
+    """
+    g, k, q = inst.graph, inst.k, inst.q
+    if not inst.unit_cost:
+        raise InputError("solve_unit_cost requires every edge cost to be 1")
+    base = kecss(g, k, kecss_mode)
+    h: set[int] = set(base.edge_ids)
+    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
+                       base.edge_ids)]
+    phase_guarantee = Fraction(2, k)
+    for level in range(1, q + 1):
+        fam = enumerate_Fq(g, h, k, level)
+        if len(fam) == 0:
+            phases.append(PhaseLog(f"F{level}", 0, "none", 0, phase_guarantee, ()))
+            continue
+        cands = _candidates_outside(g, h)
+        pruned = minimal_cover(cands, fam)
+        new_ids = tuple(sorted(c.ident for c in pruned))
+        if len(new_ids) > g.n - 1:
+            raise InvariantError(
+                f"phase {level} added {len(new_ids)} edges > n - 1 = {g.n - 1}")
+        h.update(new_ids)
+        phases.append(PhaseLog(f"F{level}", len(fam), "minimal-cover",
+                               len(new_ids), phase_guarantee, new_ids))
+        left = enumerate_Fq(g, h, k, level)
+        if len(left):
+            raise InvariantError(f"phase {level} did not clear its blocking family",
+                                 witness=left.members[0])
+    ok, wit = is_flex_connected(g, h, k, q)
+    if not ok:
+        raise InvariantError("unit-cost solve produced an infeasible subgraph",
+                             witness=wit)
+    ids = tuple(sorted(h))
+    return FlexSolution(ids, len(ids), tuple(phases),
+                        base.guarantee + Fraction(2 * q, k))
+
+
+def reference_solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
+                        unit_cost: bool = False) -> FlexSolution:
+    """Dispatch: q = 0 is the spanning step alone, q = 1 and q = 2 use the
+    structure-aware solvers, anything else the generic iteration."""
+    if unit_cost:
+        return reference_solve_unit_cost(inst, kecss_mode)
+    if inst.q == 0:
+        base = kecss(inst.graph, inst.k, kecss_mode)
+        phase = PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
+                         base.edge_ids)
+        return FlexSolution(tuple(sorted(base.edge_ids)), base.cost, (phase,),
+                            base.guarantee)
+    if inst.q == 1:
+        return reference_solve_k1(inst, kecss_mode)
+    if inst.q == 2:
+        return reference_solve_k2(inst, kecss_mode)
+    return reference_iterative_cover(inst, kecss_mode)
+
+
+# ---------------------------------------------------------------------------
+# Seeded corpus: k 1..4 x q 0..3 x n 5..7, weighted and unit cost
+
+
+def random_cycle(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    order = list(range(n))
+    rng.shuffle(order)
+    return [(order[i], order[(i + 1) % n]) for i in range(n)]
+
+
+def flex_graph(rng: random.Random, n: int, k: int, q: int, unit: bool) -> Multigraph:
+    """(k + q + 1) // 2 random spanning cycles plus up to three extra edges,
+    so the graph itself is (k, q)-flex-connected."""
+    pairs = []
+    for _ in range((k + q + 1) // 2):
+        pairs += random_cycle(rng, n)
+    for _ in range(rng.randint(0, 3)):
+        u, v = rng.sample(range(n), 2)
+        pairs.append((u, v))
+    return Multigraph(n, tuple(
+        EdgeRecord(u, v, 1 if unit else rng.randint(1, 9), 1, rng.random() < 0.35)
+        for u, v in pairs))
+
+
+CELLS = [(k, q, n, unit) for k in (1, 2, 3, 4) for q in (0, 1, 2, 3)
+         for n in (5, 6, 7) for unit in (False, True)]
+MODES = ("approx2", "exact")
+
+
+def outcome(solve, *args, **kwargs):
+    """The solution, or the error type, message-free, with its witness."""
+    try:
+        return solve(*args, **kwargs)
+    except InvariantError as exc:
+        return ("InvariantError", exc.witness)
+
+
+def solver_pairs(inst: FlexInstance, unit: bool):
+    """(name, new solver, reference solver, kwargs) for every entry point
+    that accepts the instance."""
+    pairs = [("solve_fgc", solve_fgc, reference_solve_fgc, {}),
+             ("iterative_cover", iterative_cover, reference_iterative_cover, {})]
+    if unit:
+        pairs.append(("solve_fgc unit", solve_fgc, reference_solve_fgc,
+                      {"unit_cost": True}))
+        pairs.append(("solve_unit_cost", solve_unit_cost, reference_solve_unit_cost, {}))
+    if inst.q == 1:
+        pairs.append(("solve_k1", solve_k1, reference_solve_k1, {}))
+    if inst.q == 2:
+        pairs.append(("solve_k2", solve_k2, reference_solve_k2, {}))
+    return pairs
+
+
+@pytest.fixture
+def memo_search(monkeypatch):
+    """One kecss search per graph, shared by the driver, the references and
+    both kecss modes: the seed step is not what differs between them, and
+    its branch and bound has its own reference test in
+    ``test_flex_bnb.py``."""
+    memo = {}
+    search = fgc.minimum_flex_subgraph
+
+    def cached(g, k, q, node_budget=fgc.DEFAULT_NODE_BUDGET):
+        if (g, k, q) not in memo:
+            memo[g, k, q] = search(g, k, q, node_budget)
+        return memo[g, k, q]
+    monkeypatch.setattr(fgc, "minimum_flex_subgraph", cached)
+
+
+def test_driver_matches_reference_on_seeded_corpus(memo_search):
+    rng = random.Random(4101)
+    compared = set()
+    for k, q, n, unit in CELLS:
+        inst = FlexInstance(flex_graph(rng, n, k, q, unit), k, q)
+        for mode in MODES:
+            for name, new, ref, kwargs in solver_pairs(inst, unit):
+                got = outcome(new, inst, mode, **kwargs)
+                assert isinstance(got, FlexSolution), (name, k, q, n, unit, mode)
+                assert got == outcome(ref, inst, mode, **kwargs), \
+                    (name, k, q, n, unit, mode)
+                compared.add((name, q))
+    # every entry point ran at every level count it accepts
+    assert len(compared) == 4 * 4 + 2
+
+
+def test_phase_logs_follow_the_structure_table():
+    rng = random.Random(4102)
+    names = {}
+    for k, q, n, unit in CELLS:
+        if unit or q == 0:
+            continue
+        sol = solve_fgc(FlexInstance(flex_graph(rng, n, k, q, unit), k, q))
+        names[k % 2, min(q, 3)] = [p.name for p in sol.phases]
+    assert names[0, 2] == ["kecss", "F1", "F2"]
+    assert names[1, 2] == ["kecss", "F1", "F2-uncrossable", "F2-symmetric"]
+    assert names[0, 3] == names[1, 3] == ["kecss", "F1", "F2", "F3"]
+
+
+# ---------------------------------------------------------------------------
+# Forced fallback and uncleared families
+
+
+def nonempty_level1_instance(q: int) -> FlexInstance:
+    """A weighted instance whose level-1 family is not empty after kecss."""
+    rng = random.Random(4103)
+    while True:
+        g = flex_graph(rng, 6, 2, q, False)
+        h = kecss(g, 2).edge_ids
+        if len(enumerate_Fq(g, h, 2, 1)):
+            return FlexInstance(g, 2, q)
+
+
+def test_forced_fallback_labels_exact(monkeypatch):
+    inst = nonempty_level1_instance(2)
+    never = lambda fam: (False, None)  # noqa: E731
+    monkeypatch.setattr(fgc, "is_uncrossable", never)
+    monkeypatch.setattr(sys.modules[__name__], "is_uncrossable", never)
+    sol = iterative_cover(inst)
+    assert sol.phases[1].name == "F1"
+    assert sol.phases[1].solver == "exact-fallback"
+    assert sol.phases[1].guarantee == Fraction(1)
+    assert sol == reference_iterative_cover(inst)
+
+
+def test_ring_slot_is_read_at_call_time(monkeypatch):
+    rng = random.Random(4104)
+    while True:
+        g = flex_graph(rng, 6, 1, 1, False)
+        if len(enumerate_Fq(g, kecss(g, 1).edge_ids, 1, 1)):
+            break
+    inst = FlexInstance(g, 1, 1)
+    plugged = SolverSlot("ring", Fraction(3, 2), family_cover.exact_min_cover)
+    monkeypatch.setattr(family_cover, "ring_cover_solver", plugged)
+    sol = solve_fgc(inst)
+    assert sol.phases[1].guarantee == Fraction(3, 2)
+    assert sol == reference_solve_fgc(inst)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("entry", ["iterative_cover", "solve_fgc"])
+def test_uncleared_family_reports_its_first_member(monkeypatch, q, entry):
+    inst = nonempty_level1_instance(q)
+    h = kecss(inst.graph, inst.k).edge_ids
+    first = enumerate_Fq(inst.graph, h, inst.k, 1).members[0]
+    idle = SolverSlot("pd2", Fraction(2),
+                      lambda ci: CoverSolution((), 0, "idle", Fraction(2)))
+    monkeypatch.setitem(family_cover.SOLVER_SLOTS, "pd2", idle)
+    new = {"iterative_cover": iterative_cover, "solve_fgc": solve_fgc}[entry]
+    ref = {"iterative_cover": reference_iterative_cover,
+           "solve_fgc": reference_solve_fgc}[entry]
+    with pytest.raises(InvariantError) as err:
+        new(inst)
+    assert err.value.witness == first
+    with pytest.raises(InvariantError) as ref_err:
+        ref(inst)
+    assert ref_err.value.witness == first
+
+
+def test_seed_that_is_not_k_connected_raises_like_the_reference(monkeypatch):
+    inst = nonempty_level1_instance(2)
+    empty = fgc.KecssResult((), 0, Fraction(2), "approx2", 0)
+    monkeypatch.setattr(fgc, "kecss", lambda g, k, mode="approx2": empty)
+    monkeypatch.setattr(sys.modules[__name__], "kecss", fgc.kecss)
+    for new, ref in ((solve_fgc, reference_solve_fgc),
+                     (iterative_cover, reference_iterative_cover)):
+        with pytest.raises(PreconditionError) as err:
+            new(inst)
+        with pytest.raises(PreconditionError) as ref_err:
+            ref(inst)
+        assert err.value.witness == ref_err.value.witness is not None
+
+
+def test_entry_points_validate_their_level():
+    inst = nonempty_level1_instance(2)
+    with pytest.raises(InputError):
+        solve_k1(inst)
+    with pytest.raises(InputError):
+        solve_k2(FlexInstance(inst.graph, inst.k, 1))
+    with pytest.raises(InputError):
+        solve_unit_cost(inst)

@@ -170,6 +170,20 @@ def test_cli_bench(tmp_path, capsys):
     assert rep["summary"]["instances"] == 2 and rep["pass"]
 
 
+def test_cli_bench_unit_cost_record_kind(tmp_path):
+    # the same solve as the unit records of ``verify --suite ratios``
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    main(["gen", "--out", str(corpus / "01.txt"), "--nodes", "5",
+          "--density", "1.0", "--seed", "3", "--k", "2", "--q", "1",
+          "--unsafe-p", "0.4"])
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--corpus", str(corpus), "--unit-cost",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert [r["kind"] for r in rep["records"]] == ["fgc-unit"]
+
+
 def test_cli_missing_file_is_usage_error(capsys):
     assert main(["solve", "fgc", "--input", "/nonexistent/file"]) == 2
     assert "error" in capsys.readouterr().err

@@ -17,7 +17,12 @@ from nearcut import (
     quotient,
     subgraph,
 )
-from nearcut.multigraph import cut_value_array, exhaustive_limit, is_connected
+from nearcut.multigraph import (
+    DisjointSets,
+    cut_value_array,
+    exhaustive_limit,
+    is_connected,
+)
 
 from conftest import (
     brute_cut_value,
@@ -236,3 +241,28 @@ def test_subgraph_selects_ids():
     h = subgraph(g, [0, 2])
     assert [(e.u, e.v) for e in h.edges] == [(0, 1), (2, 3)]
     assert not is_connected(h)
+
+
+def test_disjoint_sets_merge_once():
+    sets = DisjointSets(5)
+    assert sets.union(0, 1) and sets.union(3, 4) and sets.union(1, 4)
+    assert not sets.union(0, 3)  # already joined through 1 and 4
+    assert len({sets.find(x) for x in range(5)}) == 2
+    assert sets.find(2) == 2
+
+
+def test_is_connected_matches_component_count():
+    rng = random.Random(11)
+    for _ in range(50):
+        n = rng.randint(2, 7)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 6))]
+        g = g_from(n, pairs)
+        reach, todo = {0}, [0]
+        while todo:
+            x = todo.pop()
+            for u, v in pairs:
+                for a, b in ((u, v), (v, u)):
+                    if a == x and b not in reach:
+                        reach.add(b)
+                        todo.append(b)
+        assert is_connected(g) == (len(reach) == n)
