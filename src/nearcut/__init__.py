@@ -19,6 +19,7 @@ from .multigraph import (
     CutRecord,
     EdgeRecord,
     Multigraph,
+    QuotientResult,
     canonical_mask,
     complement_mask,
     cut_degree,
@@ -35,7 +36,6 @@ from .cut_structure import (
     DecompositionResult,
     F2Decomposition,
     PartShape,
-    QuotientGraph,
     SetFamily,
     Square,
     SquareCase,

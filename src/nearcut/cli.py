@@ -20,6 +20,7 @@ from .fgc import FlexInstance, is_flex_connected, solve_fgc
 from .harness import (
     GenSpec,
     _frac,
+    _mask_nodes,
     augment_record,
     exact_augment,
     exact_fgc,
@@ -235,16 +236,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _describe(exc: NearcutError) -> str:
+    """The message, plus the node list of a cut-mask witness."""
+    witness = getattr(exc, "witness", None)
+    if type(witness) is int:
+        return f"{exc} (witness cut nodes {_mask_nodes(witness)})"
+    return str(exc)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except InvariantError as exc:
-        print(f"invariant failure: {exc}", file=sys.stderr)
+        print(f"invariant failure: {_describe(exc)}", file=sys.stderr)
         return 1
     except NearcutError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_describe(exc)}", file=sys.stderr)
         return 2
 
 

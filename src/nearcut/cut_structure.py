@@ -32,18 +32,19 @@ from typing import Iterable, Optional
 from .errors import InputError, InvariantError, PreconditionError
 from .multigraph import (
     DisjointSets,
-    EdgeFilter,
     Multigraph,
+    QuotientResult,
     canonical_mask,
     complement_mask,
     cut_masks,
     cut_value_array,
     full_mask,
+    is_connected,
     is_proper_subset,
     mask_from_nodes,
     min_cut_value,
     nodes_from_mask,
-    resolve_filter,
+    quotient,
     subgraph,
 )
 
@@ -273,34 +274,28 @@ _DIHEDRAL = (
 
 
 def build_square(g: Multigraph, a_mask: int, b_mask: int,
-                 filt: EdgeFilter = "all", weighted: bool = False,
                  lam: Optional[int] = None) -> Square:
     """Build the normalized square of two strongly crossing cuts.
 
-    Capacities are edge counts under the filter (or capacity sums when
-    ``weighted``).  Normalization picks, among the eight structure-
-    preserving corner labelings, those satisfying d1 <= d2,d3,d4,
-    d2 <= d4 and (a >= b when d1 == d2), breaking ties by the smallest
-    (degrees, diagonals, sides, corners) tuple.
+    Capacities are edge counts.  Normalization picks, among the eight
+    structure-preserving corner labelings, those satisfying
+    d1 <= d2,d3,d4, d2 <= d4 and (a >= b when d1 == d2), breaking ties
+    by the smallest (degrees, diagonals, sides, corners) tuple.
     """
     if not crosses_strongly(a_mask, b_mask, g.n):
         raise InputError("build_square requires strongly crossing sets")
     corners = corner_masks(a_mask, b_mask, g.n)
-    pred = resolve_filter(filt)
     where = [0] * g.n
     for ci, cm in enumerate(corners):
         for v in nodes_from_mask(cm):
             where[v] = ci
     mat = [[0] * 4 for _ in range(4)]
     for e in g.edges:
-        if not pred(e):
-            continue
         cu, cv = where[e.u], where[e.v]
         if cu == cv:
             continue
-        wgt = e.capacity if weighted else 1
-        mat[cu][cv] += wgt
-        mat[cv][cu] += wgt
+        mat[cu][cv] += 1
+        mat[cv][cu] += 1
     deg = [sum(mat[i]) for i in range(4)]
 
     best = None
@@ -329,7 +324,7 @@ def build_square(g: Multigraph, a_mask: int, b_mask: int,
     if alpha % 2:
         raise InvariantError(f"alpha = {alpha} is odd; counting identity violated")
     if lam is None:
-        lam = min_cut_value(g, filt, weighted)
+        lam = min_cut_value(g)
     return Square(corners=tuple(corners[p[i]] for i in range(4)), degrees=d,
                   x=sx, y=sy, z=sz, w=sw, a=diag_a, b=diag_b,
                   da=da, db=db, alpha=alpha, lam=lam)
@@ -373,98 +368,26 @@ def classify_square(sq: Square) -> SquareCase:
 # Family quotients
 
 
-@dataclass(frozen=True)
-class QuotientEdge:
-    a: int
-    b: int
-    capacity: int
-    unsafe_tally: int
+def family_quotient(g: Multigraph, fam: SetFamily) -> QuotientResult:
+    """Quotient of g by the classes no member of the family separates.
 
-    @property
-    def color(self) -> str:
-        if self.unsafe_tally >= 2:
-            return "red"
-        if self.unsafe_tally == 1:
-            return "blue"
-        return "black"
-
-
-@dataclass(frozen=True)
-class QuotientGraph:
-    """Contraction by the 'separated by no family member' equivalence.
-
-    Edge capacity counts merged parallel edges (or sums capacities when
-    built weighted); ``unsafe_tally`` counts merged unsafe edges, which
-    drives the red/blue/black coloring.
+    Nodes with equal membership signatures share a class, and classes
+    are numbered in order of their first node.  The merge is
+    :func:`~nearcut.multigraph.quotient`: ``edge_count`` counts the
+    original edges behind each merged edge and ``unsafe_tally`` the
+    unsafe ones among them, which :func:`decompose_F2_odd` reads as red
+    (two or more), blue (one) or black (none).
     """
-
-    n_classes: int
-    classes: tuple[int, ...]     # class index -> node mask
-    class_of: tuple[int, ...]    # node -> class index
-    edges: tuple[QuotientEdge, ...]
-
-    def compatible(self, mask: int) -> bool:
-        """True when the cut does not split any class."""
-        for cm in self.classes:
-            inter = mask & cm
-            if inter and inter != cm:
-                return False
-        return True
-
-    def class_mask(self, mask: int) -> int:
-        """Class-index bitmask of a compatible node mask."""
-        out = 0
-        for ci, cm in enumerate(self.classes):
-            if mask & cm:
-                if (mask & cm) != cm:
-                    raise InputError("mask splits a quotient class")
-                out |= 1 << ci
-        return out
-
-    def crossing_edges(self, mask: int) -> tuple[QuotientEdge, ...]:
-        cm = self.class_mask(mask)
-        return tuple(e for e in self.edges
-                     if ((cm >> e.a) & 1) != ((cm >> e.b) & 1))
-
-    def cut_value(self, class_bits: int) -> int:
-        return sum(e.capacity for e in self.edges
-                   if ((class_bits >> e.a) & 1) != ((class_bits >> e.b) & 1))
-
-
-def family_quotient(g: Multigraph, fam: SetFamily, filt: EdgeFilter = "all",
-                    weighted: bool = False) -> QuotientGraph:
-    """Quotient of g by the classes no member of the family separates."""
     if len(fam) == 0:
         raise InputError("family_quotient needs a non-empty family")
     if fam.n != g.n:
         raise InputError("family ground set does not match the graph")
-    sig_to_class: dict[tuple, int] = {}
-    class_of = []
+    classes: dict[tuple, int] = {}
     members = fam.members
     for v in range(g.n):
         sig = tuple((m >> v) & 1 for m in members)
-        if sig not in sig_to_class:
-            sig_to_class[sig] = len(sig_to_class)
-        class_of.append(sig_to_class[sig])
-    k = len(sig_to_class)
-    class_masks = [0] * k
-    for v, ci in enumerate(class_of):
-        class_masks[ci] |= 1 << v
-    pred = resolve_filter(filt)
-    merged: dict[tuple[int, int], list[int]] = {}
-    for e in g.edges:
-        ca, cb = class_of[e.u], class_of[e.v]
-        if ca == cb:
-            continue
-        key = (min(ca, cb), max(ca, cb))
-        acc = merged.setdefault(key, [0, 0])
-        if pred(e):
-            acc[0] += e.capacity if weighted else 1
-        acc[1] += 1 if e.unsafe else 0
-    edges = tuple(QuotientEdge(a, b, merged[(a, b)][0], merged[(a, b)][1])
-                  for (a, b) in sorted(merged))
-    return QuotientGraph(n_classes=k, classes=tuple(class_masks),
-                         class_of=tuple(class_of), edges=edges)
+        classes[sig] = classes.get(sig, 0) | 1 << v
+    return quotient(g, tuple(classes.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -478,41 +401,28 @@ class PartShape(enum.Enum):
     OTHER = "Other"
 
 
-def _is_single_cycle(qg: QuotientGraph) -> bool:
-    c = qg.n_classes
-    if len(qg.edges) != c or c < 3:
+def _is_single_cycle(qr: QuotientResult) -> bool:
+    qg = qr.graph
+    if qg.m != qg.n or qg.n < 3:
         return False
-    deg = [0] * c
+    deg = [0] * qg.n
     for e in qg.edges:
-        deg[e.a] += 1
-        deg[e.b] += 1
-    if any(d != 2 for d in deg):
-        return False
+        deg[e.u] += 1
+        deg[e.v] += 1
     # connected + all degrees 2 + |E| = |V|  =>  one cycle
-    seen = {0}
-    frontier = [0]
-    adj = [[] for _ in range(c)]
-    for e in qg.edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
-    while frontier:
-        u = frontier.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == c
+    return all(d == 2 for d in deg) and is_connected(qg)
 
 
-def _is_cube(qg: QuotientGraph) -> bool:
-    if qg.n_classes != 8 or len(qg.edges) != 12:
+def _is_cube(qr: QuotientResult) -> bool:
+    qg = qr.graph
+    if qg.n != 8 or qg.m != 12:
         return False
-    if any(e.capacity != 1 for e in qg.edges):
+    if any(c != 1 for c in qr.edge_count):
         return False
     adj = [set() for _ in range(8)]
     for e in qg.edges:
-        adj[e.a].add(e.b)
-        adj[e.b].add(e.a)
+        adj[e.u].add(e.v)
+        adj[e.v].add(e.u)
     if any(len(s) != 3 for s in adj):
         return False
     target = [set(j for j in range(8) if (i ^ j).bit_count() == 1) for i in range(8)]
@@ -539,21 +449,22 @@ def _is_cube(qg: QuotientGraph) -> bool:
     return extend(0)
 
 
-def verify_part_shape(qg: QuotientGraph, lam: int) -> PartShape:
+def verify_part_shape(qr: QuotientResult, lam: int) -> PartShape:
     """Match a part quotient against the admissible shapes for odd lam.
 
-    A two-class quotient is the degenerate length-2 cycle whose parallel
-    side edges merged into one capacitated edge of total lam+1; it is
+    Side sizes are merged multiplicities (``qr.edge_count``).  A
+    two-class quotient is the degenerate length-2 cycle whose parallel
+    side edges merged into one edge of multiplicity lam+1; it is
     reported as CycleUniform.
     """
     if lam < 1 or lam % 2 == 0:
         raise InputError(f"part shapes are defined for odd lam >= 1, got {lam}")
-    if qg.n_classes == 2:
-        if len(qg.edges) == 1 and qg.edges[0].capacity == lam + 1:
+    if qr.graph.n == 2:
+        if qr.graph.m == 1 and qr.edge_count[0] == lam + 1:
             return PartShape.CYCLE_UNIFORM
         return PartShape.OTHER
-    if _is_single_cycle(qg):
-        caps = sorted(e.capacity for e in qg.edges)
+    if _is_single_cycle(qr):
+        caps = sorted(qr.edge_count)
         uniform = (lam + 1) // 2
         if all(c == uniform for c in caps):
             return PartShape.CYCLE_UNIFORM
@@ -562,7 +473,7 @@ def verify_part_shape(qg: QuotientGraph, lam: int) -> PartShape:
                 and all(c == heavy for c in caps[1:])):
             return PartShape.CYCLE_ONE_LIGHT
         return PartShape.OTHER
-    if lam == 3 and _is_cube(qg):
+    if lam == 3 and _is_cube(qr):
         return PartShape.CUBE
     return PartShape.OTHER
 
@@ -578,7 +489,7 @@ class CutPart:
 
     members: SetFamily
     lambda_members: SetFamily
-    quotient: QuotientGraph
+    quotient: QuotientResult
     shape: PartShape
 
 
@@ -609,8 +520,7 @@ def _component_split(masks: tuple[int, ...], n: int) -> list[list[int]]:
     return [sorted(g) for g in sorted(groups.values(), key=lambda g: min(g))]
 
 
-def decompose_plus_cuts(g: Multigraph, lam: int,
-                        filt: EdgeFilter = "all") -> DecompositionResult:
+def decompose_plus_cuts(g: Multigraph, lam: int) -> DecompositionResult:
     """Group the (lam+1)-cuts into shape-verified parts.
 
     Grouping is the transitive closure of strong crossing; each group's
@@ -622,45 +532,45 @@ def decompose_plus_cuts(g: Multigraph, lam: int,
     """
     if lam < 1 or lam % 2 == 0:
         raise InputError(f"decomposition is defined for odd lam >= 1, got {lam}")
-    if min_cut_value(g, filt) < lam:
+    if min_cut_value(g) < lam:
         raise PreconditionError(f"graph is not {lam}-edge-connected")
-    vals = cut_value_array(g, filt)
+    vals = cut_value_array(g)
     plus = cut_masks(vals == lam + 1)
     lam_cuts = cut_masks(vals == lam)
     if not plus:
         return DecompositionResult(lam=lam, parts=(), diagnostics=())
 
     groups = _component_split(plus, g.n)
-    raw: list[tuple[tuple[int, ...], QuotientGraph]] = []
+    raw: list[tuple[tuple[int, ...], QuotientResult]] = []
     for group in groups:
-        qg = family_quotient(g, SetFamily(g.n, tuple(group)), filt)
-        widened = tuple(m for m in plus if qg.compatible(m))
-        raw.append((widened, qg))
+        qr = family_quotient(g, SetFamily(g.n, tuple(group)))
+        widened = tuple(m for m in plus if qr.compatible(m))
+        raw.append((widened, qr))
 
     # Absorb parts whose member set is contained in a larger part.
     raw.sort(key=lambda item: (-len(item[0]), item[0]))
-    kept: list[tuple[tuple[int, ...], QuotientGraph]] = []
+    kept: list[tuple[tuple[int, ...], QuotientResult]] = []
     kept_sets: list[frozenset] = []
-    for members, qg in raw:
+    for members, qr in raw:
         mset = frozenset(members)
         if any(mset <= other for other in kept_sets):
             continue
-        kept.append((members, qg))
+        kept.append((members, qr))
         kept_sets.append(mset)
 
     diagnostics: list[str] = []
     parts = []
-    for members, qg in kept:
-        shape = verify_part_shape(qg, lam)
+    for members, qr in kept:
+        shape = verify_part_shape(qr, lam)
         if shape is PartShape.OTHER:
             diagnostics.append(
                 f"part with {len(members)} members has unrecognized quotient shape "
-                f"({qg.n_classes} classes, {len(qg.edges)} edges)")
-        attached = tuple(m for m in lam_cuts if qg.compatible(m))
+                f"({qr.graph.n} classes, {qr.graph.m} edges)")
+        attached = tuple(m for m in lam_cuts if qr.compatible(m))
         parts.append(CutPart(
             members=SetFamily(g.n, members),
             lambda_members=SetFamily(g.n, attached),
-            quotient=qg,
+            quotient=qr,
             shape=shape))
 
     result = DecompositionResult(lam=lam, parts=tuple(parts),
@@ -689,10 +599,13 @@ def decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) -> F2Decompo
     """Split the (k+1)-cuts carrying >= 2 unsafe edges, k odd.
 
     A member goes to the uncrossable side when some containing part
-    (with a non-degenerate quotient) shows a red merged edge across it,
-    or when it strongly crosses no (k+1)-cut at all; the rest, closed
-    under complement, form the symmetric proper crossing side.  Both
-    structure predicates are verified before returning.
+    (with a non-degenerate quotient) has a red merged edge across it, one
+    whose ``unsafe_tally`` is two or more, or when it strongly crosses no
+    (k+1)-cut at all; the rest, closed under complement, form the
+    symmetric proper crossing side.  A member of that side is expected to
+    cross exactly two blue merged edges (tally one) in some part;
+    otherwise a diagnostic names it.  Both structure predicates are
+    verified before returning.
     """
     if k < 1 or k % 2 == 0:
         raise InputError(f"this decomposition needs odd k >= 1, got {k}")
@@ -716,7 +629,7 @@ def decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) -> F2Decompo
     rest = []
     for mask in f2:
         containing = [p for p, ms in zip(decomp.parts, part_members) if mask in ms]
-        informative = [p for p in containing if p.quotient.n_classes >= 3]
+        informative = [p for p in containing if p.quotient.graph.n >= 3]
         if not informative:
             # strongly crosses nothing: safe on the uncrossable side
             prime.append(mask)
@@ -724,12 +637,11 @@ def decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) -> F2Decompo
         red = False
         blue_profile_ok = False
         for p in informative:
-            crossing = p.quotient.crossing_edges(mask)
-            if any(e.unsafe_tally >= 2 for e in crossing):
+            tallies = p.quotient.crossing_tallies(mask)
+            if any(t >= 2 for t in tallies):
                 red = True
                 break
-            blues = [e for e in crossing if e.unsafe_tally == 1]
-            if len(blues) == 2:
+            if tallies.count(1) == 2:
                 blue_profile_ok = True
         if red:
             prime.append(mask)

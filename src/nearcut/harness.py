@@ -49,6 +49,7 @@ from .fgc import (
 from .multigraph import (
     EdgeRecord,
     Multigraph,
+    canonical_mask,
     cut_masks,
     cut_value_array,
     is_connected,
@@ -400,6 +401,21 @@ def make_flex_corpus(count: int, per_k_seed: int, k: int, n_min: int = 4,
 # Suites
 
 
+def _suite_report(name: str, cfg: dict, counts: dict, violations: list[str],
+                  **extra) -> dict:
+    """The report every suite returns; ``extra`` goes between counts and
+    violations (histogram, diagnostics, records)."""
+    return {
+        "suite": name,
+        "config": dict(cfg),
+        "counts": counts,
+        **extra,
+        "violations": violations[:10],
+        "first_counterexample": violations[0] if violations else None,
+        "pass": not violations,
+    }
+
+
 def _near_min_pairs(g: Multigraph):
     """Yield (lam, A, B) for strongly crossing near-minimum cut pairs."""
     lam = min_cut_value(g)
@@ -435,14 +451,8 @@ def _suite_squares(cfg: dict) -> dict:
             if bad:
                 violations.append(
                     f"graph {gi}: cuts {_mask_nodes(a)}/{_mask_nodes(b)}: " + "; ".join(bad))
-    return {
-        "suite": "squares",
-        "config": dict(cfg),
-        "counts": {"graphs": graphs, "pairs_checked": pairs_checked},
-        "violations": violations[:10],
-        "first_counterexample": violations[0] if violations else None,
-        "pass": not violations,
-    }
+    return _suite_report("squares", cfg,
+                         {"graphs": graphs, "pairs_checked": pairs_checked}, violations)
 
 
 def _suite_classify(cfg: dict) -> dict:
@@ -468,15 +478,9 @@ def _suite_classify(cfg: dict) -> dict:
                 if lam % 2 or (sq.a, sq.b) != (0, 0) or sq.sides != (half,) * 4:
                     violations.append(
                         f"graph {gi}: min-min square violates the even-lam pattern")
-    return {
-        "suite": "classify",
-        "config": dict(cfg),
-        "counts": {"graphs": graphs, "pairs_checked": pairs_checked},
-        "histogram": dict(sorted(histogram.items())),
-        "violations": violations[:10],
-        "first_counterexample": violations[0] if violations else None,
-        "pass": not violations,
-    }
+    return _suite_report("classify", cfg,
+                         {"graphs": graphs, "pairs_checked": pairs_checked}, violations,
+                         histogram=dict(sorted(histogram.items())))
 
 
 def _suite_uncrossable(cfg: dict) -> dict:
@@ -499,15 +503,9 @@ def _suite_uncrossable(cfg: dict) -> dict:
             violations.append(
                 f"graph {gi} (lam={lam}): witness "
                 f"{_mask_nodes(wit[0])}/{_mask_nodes(wit[1])}")
-    return {
-        "suite": "uncrossable",
-        "config": dict(cfg),
-        "counts": {"graphs": graphs, "even_lam_checked": checked,
-                   "odd_lam_skipped": skipped_odd},
-        "violations": violations[:10],
-        "first_counterexample": violations[0] if violations else None,
-        "pass": not violations,
-    }
+    return _suite_report("uncrossable", cfg,
+                         {"graphs": graphs, "even_lam_checked": checked,
+                          "odd_lam_skipped": skipped_odd}, violations)
 
 
 def _suite_c1(cfg: dict) -> dict:
@@ -522,17 +520,7 @@ def _suite_c1(cfg: dict) -> dict:
         for gid, g in corpus:
             graphs_checked += 1
             fam2 = enumerate_Fq(g, range(g.m), k, 2)
-            d_arr = cut_value_array(g)
             u_arr = cut_value_array(g, "unsafe")
-
-            def d(mask):
-                return int(d_arr[mask >> 1]) if not mask & 1 else \
-                    int(d_arr[(mask ^ ((1 << g.n) - 1)) >> 1])
-
-            def du(mask):
-                return int(u_arr[mask >> 1]) if not mask & 1 else \
-                    int(u_arr[(mask ^ ((1 << g.n) - 1)) >> 1])
-
             members = fam2.members
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
@@ -542,11 +530,12 @@ def _suite_c1(cfg: dict) -> dict:
                     pairs_checked += 1
                     sq = build_square(g, a, b, lam=k)
                     c1, c2, _c3, c4 = sq.corners
-                    if du(c1) >= 1:
-                        if d(c1) + d(c2) < 2 * k + q:
+                    if u_arr[canonical_mask(c1, g.n) >> 1] >= 1:
+                        d12 = sq.degrees[0] + sq.degrees[1]  # d(C1) + d(C2)
+                        if d12 < 2 * k + q:
                             violations.append(
                                 f"{gid}: crossing pair {_mask_nodes(a)}/{_mask_nodes(b)} "
-                                f"has unsafe corner but d(C1)+d(C2) = {d(c1) + d(c2)} "
+                                f"has unsafe corner but d(C1)+d(C2) = {d12} "
                                 f"< {2 * k + q}")
                     else:
                         if not (fam2.contains_cut(c2) and fam2.contains_cut(c4)):
@@ -565,15 +554,9 @@ def _suite_c1(cfg: dict) -> dict:
                     decompositions += 1
                 except Exception as exc:  # structure checks raise InvariantError
                     violations.append(f"{gid}: decomposition failed: {exc}")
-    return {
-        "suite": "c1",
-        "config": dict(cfg),
-        "counts": {"graphs": graphs_checked, "crossing_pairs": pairs_checked,
-                   "odd_k_decompositions": decompositions},
-        "violations": violations[:10],
-        "first_counterexample": violations[0] if violations else None,
-        "pass": not violations,
-    }
+    return _suite_report("c1", cfg,
+                         {"graphs": graphs_checked, "crossing_pairs": pairs_checked,
+                          "odd_k_decompositions": decompositions}, violations)
 
 
 def _suite_decompose(cfg: dict) -> dict:
@@ -612,17 +595,10 @@ def _suite_decompose(cfg: dict) -> dict:
             if coverage.get(mask, 0) < 1:
                 violations.append(
                     f"graph {graphs_checked}: cut {_mask_nodes(mask)} not in any part")
-    return {
-        "suite": "decompose",
-        "config": dict(cfg),
-        "counts": {"graphs": graphs_checked},
-        "histogram": dict(sorted(shape_hist.items())),
-        "diagnostics": diagnostics[:20],
-        "violations": violations[:10],
-        "first_counterexample": violations[0] if violations else None,
-        # unrecognized shapes are diagnostics (open heuristic), not failures
-        "pass": not violations,
-    }
+    # unrecognized shapes are diagnostics (open heuristic), not failures
+    return _suite_report("decompose", cfg, {"graphs": graphs_checked}, violations,
+                         histogram=dict(sorted(shape_hist.items())),
+                         diagnostics=diagnostics[:20])
 
 
 def _suite_forest(cfg: dict) -> dict:
@@ -652,14 +628,7 @@ def _suite_forest(cfg: dict) -> dict:
         ok, wit = covers(pruned, fam)
         if not ok:
             violations.append(f"case {_case}: pruned cover lost member {_mask_nodes(wit)}")
-    return {
-        "suite": "forest",
-        "config": dict(cfg),
-        "counts": {"pairs": checked},
-        "violations": violations[:10],
-        "first_counterexample": violations[0] if violations else None,
-        "pass": not violations,
-    }
+    return _suite_report("forest", cfg, {"pairs": checked}, violations)
 
 
 def augment_record(iid: str, inst: AugmentInstance) -> RatioReport:
@@ -741,15 +710,8 @@ def _suite_ratios(cfg: dict) -> dict:
             violations.append(
                 f"{rec.instance_id}: ratio {rec.ratio} exceeds bound {rec.bound}"
                 if rec.feasible else f"{rec.instance_id}: infeasible output")
-    return {
-        "suite": "ratios",
-        "config": dict(cfg),
-        "counts": {"records": len(records), **extra_checks},
-        "records": [r.to_json_obj() for r in records],
-        "violations": violations[:10],
-        "first_counterexample": violations[0] if violations else None,
-        "pass": not violations,
-    }
+    return _suite_report("ratios", cfg, {"records": len(records), **extra_checks},
+                         violations, records=[r.to_json_obj() for r in records])
 
 
 _SUITE_DEFAULTS: dict[str, dict] = {

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from .errors import InputError, LimitError
 
 DEFAULT_EXHAUSTIVE_LIMIT = 24
 _LIMIT_ENV = "NEARCUT_EXHAUSTIVE_LIMIT"
-
-EdgeFilter = Union[str, Callable[["EdgeRecord"], bool]]
 
 
 def exhaustive_limit() -> int:
@@ -148,7 +146,7 @@ class Multigraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def edge_ids(self, filt: EdgeFilter = "all") -> tuple[int, ...]:
+    def edge_ids(self, filt: str = "all") -> tuple[int, ...]:
         pred = resolve_filter(filt)
         return tuple(i for i, e in enumerate(self.edges) if pred(e))
 
@@ -166,9 +164,7 @@ FILTERS: dict[str, Callable[[EdgeRecord], bool]] = {
 }
 
 
-def resolve_filter(filt: EdgeFilter) -> Callable[[EdgeRecord], bool]:
-    if callable(filt):
-        return filt
+def resolve_filter(filt: str) -> Callable[[EdgeRecord], bool]:
     try:
         return FILTERS[filt]
     except KeyError:
@@ -206,7 +202,7 @@ class CutRecord:
 # Cut evaluation
 
 
-def cut_degree(g: Multigraph, mask: int, filt: EdgeFilter = "all",
+def cut_degree(g: Multigraph, mask: int, filt: str = "all",
                weighted: bool = False) -> int:
     """Number (or total capacity) of filtered edges crossing the cut."""
     if not is_proper_subset(mask, g.n):
@@ -219,13 +215,13 @@ def cut_degree(g: Multigraph, mask: int, filt: EdgeFilter = "all",
     return total
 
 
-def cut_value_array(g: Multigraph, filt: EdgeFilter = "all",
+def cut_value_array(g: Multigraph, filt: str = "all",
                     weighted: bool = False) -> np.ndarray:
     """Cut values for every canonical mask, indexed by ``mask >> 1``.
 
     Index 0 corresponds to the empty set and is not a cut; callers must
     skip it (:func:`cut_masks` does).  The table is read-only and cached
-    on the graph for string filters.
+    on the graph per ``(filt, weighted)``.
 
     Built by node doubling over the filtered adjacency matrix ``adj``:
     index bit ``j`` stands for node ``j + 1``, and for each node ``v``
@@ -240,8 +236,8 @@ def cut_value_array(g: Multigraph, filt: EdgeFilter = "all",
         raise LimitError(
             f"exhaustive enumeration limited to n <= {limit} nodes, got n = {g.n} "
             f"(override via {_LIMIT_ENV})")
-    key = (filt, weighted) if isinstance(filt, str) else None
-    if key is not None and key in g._cut_cache:
+    key = (filt, weighted)
+    if key in g._cut_cache:
         return g._cut_cache[key]
     pred = resolve_filter(filt)
     adj = [[0] * g.n for _ in range(g.n)]
@@ -265,8 +261,7 @@ def cut_value_array(g: Multigraph, filt: EdgeFilter = "all",
         wv += sum(row)
         np.add(vals[:half], wv, out=vals[half:2 * half])
     vals.flags.writeable = False
-    if key is not None:
-        g._cut_cache[key] = vals
+    g._cut_cache[key] = vals
     return vals
 
 
@@ -279,7 +274,7 @@ def cut_masks(hit: np.ndarray) -> tuple[int, ...]:
     return tuple(((np.flatnonzero(hit[1:]) + 1) << 1).tolist())
 
 
-def min_cut_value(g: Multigraph, filt: EdgeFilter = "all",
+def min_cut_value(g: Multigraph, filt: str = "all",
                   weighted: bool = False) -> int:
     """Global minimum cut value; 0 when the filtered graph is disconnected."""
     if g.n < 2:
@@ -288,7 +283,7 @@ def min_cut_value(g: Multigraph, filt: EdgeFilter = "all",
     return int(vals[1:].min())
 
 
-def is_k_edge_connected(g: Multigraph, k: int, filt: EdgeFilter = "all",
+def is_k_edge_connected(g: Multigraph, k: int, filt: str = "all",
                         weighted: bool = False) -> bool:
     if g.n < 2:
         return True
@@ -296,7 +291,7 @@ def is_k_edge_connected(g: Multigraph, k: int, filt: EdgeFilter = "all",
 
 
 def enumerate_cuts_at_most(g: Multigraph, threshold: int,
-                           filt: EdgeFilter = "all",
+                           filt: str = "all",
                            weighted: bool = False) -> tuple[CutRecord, ...]:
     """All canonical cuts with filtered value <= threshold.
 
@@ -338,7 +333,7 @@ class DisjointSets:
         return True
 
 
-def is_connected(g: Multigraph, filt: EdgeFilter = "all") -> bool:
+def is_connected(g: Multigraph, filt: str = "all") -> bool:
     if g.n == 1:
         return True
     pred = resolve_filter(filt)
@@ -365,6 +360,30 @@ class QuotientResult:
     class_of: tuple[int, ...]      # node -> class index
     unsafe_tally: tuple[int, ...]  # per merged edge
     edge_count: tuple[int, ...]    # original edge multiplicity per merged edge
+
+    def compatible(self, mask: int) -> bool:
+        """True when the node mask splits no class."""
+        for cm in self.classes:
+            inter = mask & cm
+            if inter and inter != cm:
+                return False
+        return True
+
+    def class_mask(self, mask: int) -> int:
+        """Class-index bitmask of a node mask that splits no class."""
+        out = 0
+        for ci, cm in enumerate(self.classes):
+            if mask & cm:
+                if (mask & cm) != cm:
+                    raise InputError("mask splits a quotient class")
+                out |= 1 << ci
+        return out
+
+    def crossing_tallies(self, mask: int) -> tuple[int, ...]:
+        """``unsafe_tally`` of each merged edge crossing a compatible node mask."""
+        cm = self.class_mask(mask)
+        return tuple(t for e, t in zip(self.graph.edges, self.unsafe_tally)
+                     if edge_crosses(e.u, e.v, cm))
 
 
 def quotient(g: Multigraph, partition: Sequence[int]) -> QuotientResult:

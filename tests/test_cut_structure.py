@@ -22,9 +22,9 @@ from nearcut import (
     mask_from_nodes,
     min_cut_value,
     nodes_from_mask,
+    quotient,
     verify_part_shape,
 )
-from nearcut.cut_structure import QuotientEdge, QuotientGraph
 from nearcut.multigraph import cut_value_array
 
 from conftest import c4, canonical_subsets, g_from, k4, random_multigraph
@@ -218,31 +218,24 @@ def test_symmetric_closure_and_canonical():
 def test_family_quotient_examples():
     g = c4()
     fam = SetFamily(4, tuple(r.mask for r in enumerate_cuts_at_most(g, 2)))
-    qg = family_quotient(g, fam)
-    assert qg.n_classes == 4  # every node pair separated by some 2-cut
-    assert sorted((e.a, e.b, e.capacity) for e in qg.edges) == \
+    qr = family_quotient(g, fam)
+    assert qr.graph.n == 4  # every node pair separated by some 2-cut
+    assert sorted((e.u, e.v, c) for e, c in zip(qr.graph.edges, qr.edge_count)) == \
         [(0, 1, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1)]
 
-    qg = family_quotient(g, SetFamily.from_sets(4, [[3]]))
-    assert qg.n_classes == 2
-    assert [(e.capacity, e.unsafe_tally) for e in qg.edges] == [(2, 0)]
+    qr = family_quotient(g, SetFamily.from_sets(4, [[3]]))
+    assert qr.graph.n == 2
+    assert list(zip(qr.edge_count, qr.unsafe_tally)) == [(2, 0)]
 
     with pytest.raises(InputError):
         family_quotient(g, SetFamily(4, ()))
 
 
-def test_quotient_edge_colors():
-    e = QuotientEdge(0, 1, 3, 0)
-    assert e.color == "black"
-    assert QuotientEdge(0, 1, 3, 1).color == "blue"
-    assert QuotientEdge(0, 1, 3, 2).color == "red"
-
-
 def cycle_quotient(caps):
+    """Cycle quotient whose i-th side merges caps[i] parallel edges."""
     n = len(caps)
-    edges = tuple(QuotientEdge(min(i, (i + 1) % n), max(i, (i + 1) % n), caps[i], 0)
-                  for i in range(n))
-    return QuotientGraph(n, tuple(1 << i for i in range(n)), tuple(range(n)), edges)
+    g = g_from(n, [(i, (i + 1) % n) for i in range(n) for _ in range(caps[i])])
+    return quotient(g, [1 << i for i in range(n)])
 
 
 def test_verify_part_shape_examples():
@@ -259,9 +252,9 @@ def test_verify_part_shape_cube():
     g = g_from(8, edges)
     fam = SetFamily(8, tuple(r.mask for r in enumerate_cuts_at_most(g, 4)
                              if r.size == 4))
-    qg = family_quotient(g, fam)
-    assert verify_part_shape(qg, 3) is PartShape.CUBE
-    assert verify_part_shape(qg, 5) is PartShape.OTHER
+    qr = family_quotient(g, fam)
+    assert verify_part_shape(qr, 3) is PartShape.CUBE
+    assert verify_part_shape(qr, 5) is PartShape.OTHER
 
 
 # ---------------------------------------------------------------------------

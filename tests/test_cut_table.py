@@ -41,7 +41,7 @@ def random_flagged_multigraph(rng: random.Random, n: int) -> Multigraph:
 
 
 def assert_table_matches_brute(g, filt, weighted):
-    pred = FILTERS[filt] if isinstance(filt, str) else filt
+    pred = FILTERS[filt]
     vals = cut_value_array(g, filt, weighted)
     assert vals.shape == (1 << (g.n - 1),)
     assert int(vals[0]) == 0
@@ -92,11 +92,10 @@ def loop_Fq(g, ids, k, q):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_table_equals_brute_force(n):
     rng = random.Random(100 + n)
-    unsafe_base = lambda e: e.unsafe and not e.base  # noqa: E731
     for _ in range(3):
         g = random_flagged_multigraph(rng, n)
         for weighted in (False, True):
-            for filt in (*FILTERS, unsafe_base):
+            for filt in FILTERS:
                 assert_table_matches_brute(g, filt, weighted)
 
 

@@ -16,6 +16,7 @@ from nearcut import (
     iterative_cover,
     kecss,
     mask_from_nodes,
+    min_cut_value,
     minimum_flex_subgraph,
     solve_fgc,
     solve_k1,
@@ -252,6 +253,37 @@ def test_solve_k2_exercises_decomposition():
     assert ok
     names = [p.name for p in sol.phases]
     assert "F2-uncrossable" in names and "F2-symmetric" in names
+
+
+def weighted_q3_corpus(count: int, seed: int) -> list[FlexInstance]:
+    """Weighted (k, 3) instances, k in {1, 2}, n 4..6, at most 22 edges,
+    feasible by construction: min cut >= k + 3."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        k, q = 1 + len(out) % 2, 3
+        n = rng.randint(4, 6)
+        pairs = []
+        for _ in range((k + q + 1) // 2):
+            perm = rng.sample(range(n), n)
+            pairs += [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+        for _ in range(rng.randint(0, min(3, 22 - len(pairs)))):
+            u, v = rng.sample(range(n), 2)
+            pairs.append((u, v))
+        g = g_from(n, [(u, v, rng.randint(1, 9), 1, rng.random() < 0.35)
+                       for (u, v) in pairs])
+        if min_cut_value(g) >= k + q:
+            out.append(FlexInstance(g, k, q))
+    return out
+
+
+def test_weighted_q3_generic_plan_bounds():
+    for inst in weighted_q3_corpus(24, 303):
+        sol = solve_fgc(inst)
+        assert [p.name for p in sol.phases] == ["kecss", "F1", "F2", "F3"]
+        assert flex_connected_by_removal(inst.graph, sol.edge_ids, inst.k, inst.q)
+        opt = exact_fgc(inst)
+        assert Fraction(sol.cost, opt.cost) <= sol.guarantee
 
 
 def test_solve_unit_cost_bounds():

@@ -189,6 +189,19 @@ def test_cli_missing_file_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_error_names_the_witness_cut(tmp_path, capsys):
+    # two triangles joined by one bridge: k = 2 exceeds the min cut, and
+    # the bridge cut {3, 4, 5} is the only one below it
+    g = g_from(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1),
+                   (2, 3, 1)])
+    path = tmp_path / "bridge.txt"
+    save_instance(Instance(g, 2, 0), path)
+    assert main(["oracle", "fgc", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph itself is not flex-connected")
+    assert "[3, 4, 5]" in err
+
+
 def test_cli_gen_json_format(tmp_path, capsys):
     out = tmp_path / "inst.json"
     assert main(["gen", "--out", str(out), "--nodes", "4", "--density", "1.0",
