@@ -15,11 +15,17 @@ and a >= b when d1 == d2; all claims about near-minimum cuts are stated
 against that labeling.  For cut values restricted to {lam, lam+1} the
 capacity patterns fall into a short, exhaustive case list.
 
-Families of cuts are stored as explicit member lists; the predicates
-here (laminar / uncrossable / symmetric proper crossing) quantify over
-strongly crossing pairs, since pairs with an empty corner satisfy them
-for free.  Membership is tested up to complement except where symmetry
-is itself the property under test.
+A :class:`SetFamily` is an immutable tuple of node-set bitmasks (Python
+ints).  The predicates here (laminar / uncrossable / symmetric proper
+crossing) quantify over strongly crossing pairs, since pairs with an
+empty corner satisfy them for free.  Each is one pair loop over the
+members, with the corners computed inline as bitmask operations and
+membership looked up in a set cached on the family: the set of members
+for the symmetric test, the set of canonical masks (membership up to
+complement) for the others.  A family never changes, so each verdict and
+its witness (the first failing pair in member order) is computed once
+and cached on the family; a caller's assertion and a solver's
+precondition check of the same family share one pass.
 """
 
 from __future__ import annotations
@@ -118,9 +124,19 @@ class SetFamily:
     def member_set(self) -> frozenset:
         return frozenset(self.members)
 
+    @cached_property
+    def canonical_set(self) -> frozenset:
+        """Members mapped to the side avoiding node 0."""
+        fm = full_mask(self.n)
+        return frozenset(m ^ fm if m & 1 else m for m in self.members)
+
+    @cached_property
+    def _verdicts(self) -> dict:
+        return {}
+
     def contains_cut(self, mask: int) -> bool:
         """Membership up to complement (a cut equals its complement)."""
-        return mask in self.member_set or complement_mask(mask, self.n) in self.member_set
+        return canonical_mask(mask, self.n) in self.canonical_set
 
     def canonical(self) -> "SetFamily":
         out = []
@@ -143,15 +159,17 @@ class SetFamily:
         return SetFamily(self.n, tuple(out))
 
 
+def _once(fam: SetFamily, key: str, scan) -> tuple:
+    """``scan(fam)``, computed once per family object."""
+    verdicts = fam._verdicts
+    if key not in verdicts:
+        verdicts[key] = scan(fam)
+    return verdicts[key]
+
+
 def is_laminar(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
     """No two members overlap without nesting; witness pair on failure."""
-    ms = fam.members
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            a, b = ms[i], ms[j]
-            if a & b and a & ~b and b & ~a:
-                return False, (a, b)
-    return True, None
+    return _once(fam, "laminar", _scan_laminar)
 
 
 def is_uncrossable(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -160,39 +178,65 @@ def is_uncrossable(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
     Membership is up to complement; pairs with an empty corner satisfy
     the condition automatically and are skipped.
     """
-    ms = fam.members
-    n = fam.n
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            a, b = ms[i], ms[j]
-            if not crosses_strongly(a, b, n):
-                continue
-            c1, c2, c3, c4 = corner_masks(a, b, n)
-            union = a | b
-            if fam.contains_cut(c1) and fam.contains_cut(union):
-                continue
-            if fam.contains_cut(c2) and fam.contains_cut(c4):
-                continue
-            return False, (a, b)
-    return True, None
+    return _once(fam, "uncrossable", _scan_uncrossable)
 
 
 def is_symmetric_proper_crossing(fam: SetFamily) -> tuple[bool, Optional[tuple]]:
     """Symmetric family, closed under crossing intersections/unions, and the
     symmetric difference of a strongly crossing pair is never a member."""
+    return _once(fam, "symmetric_proper_crossing", _scan_symmetric_proper_crossing)
+
+
+def _scan_laminar(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
     ms = fam.members
-    n = fam.n
-    for m in ms:
-        if complement_mask(m, n) not in fam.member_set:
-            return False, (m,)
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            a, b = ms[i], ms[j]
-            if not crosses_strongly(a, b, n):
-                continue
-            if (a & b) not in fam.member_set or (a | b) not in fam.member_set:
+    for i, a in enumerate(ms):
+        for b in ms[i + 1:]:
+            c1 = a & b
+            if c1 and c1 != a and c1 != b:
                 return False, (a, b)
-            if (a ^ b) in fam.member_set:
+    return True, None
+
+
+def _scan_uncrossable(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
+    ms = fam.members
+    fm = full_mask(fam.n)
+    canon = fam.canonical_set
+    for i, a in enumerate(ms):
+        for b in ms[i + 1:]:
+            # strongly crossing: A&B, A-B, B-A and V-(A|B) all non-empty
+            c1 = a & b
+            if not c1 or c1 == a or c1 == b:
+                continue
+            union = a | b
+            if union == fm:
+                continue
+            if ((c1 ^ fm if c1 & 1 else c1) in canon
+                    and (union ^ fm if union & 1 else union) in canon):
+                continue
+            c2, c4 = a ^ c1, b ^ c1
+            if ((c2 ^ fm if c2 & 1 else c2) in canon
+                    and (c4 ^ fm if c4 & 1 else c4) in canon):
+                continue
+            return False, (a, b)
+    return True, None
+
+
+def _scan_symmetric_proper_crossing(fam: SetFamily) -> tuple[bool, Optional[tuple]]:
+    ms = fam.members
+    fm = full_mask(fam.n)
+    present = fam.member_set
+    for m in ms:
+        if m ^ fm not in present:
+            return False, (m,)
+    for i, a in enumerate(ms):
+        for b in ms[i + 1:]:
+            c1 = a & b
+            if not c1 or c1 == a or c1 == b:
+                continue
+            union = a | b
+            if union == fm:
+                continue
+            if c1 not in present or union not in present or a ^ b in present:
                 return False, (a, b)
     return True, None
 

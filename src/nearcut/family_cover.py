@@ -7,25 +7,35 @@ solvers share the :class:`CoverInstance` surface:
   used as the denominator of every measured ratio;
 * :func:`primal_dual_uncrossable_cover` - the classic 2-approximation
   for uncrossable families (uniform dual growth on inclusion-minimal
-  violated members, tight-edge additions, reverse delete);
+  violated members, tight-edge additions, reverse delete), which checks
+  its own dual certificate before returning;
 * :func:`cover_symmetric_crossing` - covers a symmetric proper crossing
   family by rooting it away from node 0 and handing the rooted family,
   which is then uncrossable, to the primal-dual solver.
 
-Families are explicit member lists, so "minimal violated members" is a
-direct scan and every precondition is checkable at runtime.
+Every crossing test is a bitset operation.  :func:`_crossing_bits` turns
+the members and the edges into per-node incidence bitsets (Python ints):
+an edge (u, v) crosses the members ``inside[u] ^ inside[v]``, and the
+edges crossing a member are the XOR of the incidences of its nodes,
+since an edge with both ends inside toggles twice.  The solvers,
+:func:`covers` and :func:`minimal_cover` read these bitsets, so
+"minimal violated members", slacks and coverage are a few integer
+operations per member or candidate, and every precondition is still
+checkable at runtime.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetError, InfeasibleError, InvariantError, PreconditionError
 from .cut_structure import SetFamily, is_symmetric_proper_crossing, is_uncrossable
-from .multigraph import DisjointSets, edge_crosses
+from .multigraph import DisjointSets
 
 logger = logging.getLogger(__name__)
 
@@ -66,6 +76,11 @@ class CoverInstance:
         cands = tuple(Candidate(i, u, v, cost) for i, (u, v, cost) in enumerate(pairs))
         return cls(n, cands, family)
 
+    @cached_property
+    def crossings(self) -> "Crossings":
+        return _crossing_bits(self.n, self.family.members,
+                              [(c.u, c.v) for c in self.candidates])
+
 
 @dataclass(frozen=True)
 class CoverSolution:
@@ -77,8 +92,58 @@ class CoverSolution:
     nodes_explored: int = 0
 
 
-def _crossing_candidates(cands: Sequence[Candidate], mask: int) -> list[int]:
-    return [i for i, c in enumerate(cands) if edge_crosses(c.u, c.v, mask)]
+class Crossings(NamedTuple):
+    """Crossing bitsets of one family and one edge list (positions)."""
+
+    inside: list[int]        # node -> members containing it
+    edge_bits: list[int]     # edge -> members it crosses
+    member_bits: list[int]   # member -> edges crossing it
+
+
+def _crossing_bits(n: int, members: Sequence[int],
+                   edges: Sequence[tuple[int, int]]) -> Crossings:
+    """Both directions of the edge x member crossing relation.
+
+    Endpoints at or above ``n`` lie inside no member; a loop (u == u)
+    toggles its own incidence twice and so crosses nothing.
+    """
+    width = n
+    for u, v in edges:
+        if u < 0 or v < 0:
+            raise ValueError(f"negative node index in edge {(u, v)}")
+        width = max(width, u + 1, v + 1)
+    incident = [0] * width
+    for pos, (u, v) in enumerate(edges):
+        incident[u] ^= 1 << pos
+        incident[v] ^= 1 << pos
+    inside = [0] * width
+    member_bits = []
+    for j, m in enumerate(members):
+        bit = 1 << j
+        acc = 0
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            inside[v] |= bit
+            acc ^= incident[v]
+            m ^= low
+        member_bits.append(acc)
+    edge_bits = [inside[u] ^ inside[v] for u, v in edges]
+    return Crossings(inside, edge_bits, member_bits)
+
+
+def _pairs(edges: Iterable) -> list[tuple[int, int]]:
+    """Endpoints of Candidate objects or plain (u, v[, ...]) tuples."""
+    return [(c.u, c.v) if isinstance(c, Candidate) else (c[0], c[1]) for c in edges]
+
+
+def _first_uncovered(edge_bits: Iterable[int], count: int) -> Optional[int]:
+    """Position of the first of ``count`` members no edge crosses."""
+    covered = 0
+    for bits in edge_bits:
+        covered |= bits
+    left = ~covered & ((1 << count) - 1)
+    return (left & -left).bit_length() - 1 if left else None
 
 
 def covers(candidates: Iterable, family: SetFamily) -> tuple[bool, Optional[int]]:
@@ -86,16 +151,10 @@ def covers(candidates: Iterable, family: SetFamily) -> tuple[bool, Optional[int]
 
     Accepts Candidate objects or plain (u, v[, ...]) tuples.
     """
-    pairs = []
-    for c in candidates:
-        if isinstance(c, Candidate):
-            pairs.append((c.u, c.v))
-        else:
-            pairs.append((c[0], c[1]))
-    for mask in family.members:
-        if not any(edge_crosses(u, v, mask) for u, v in pairs):
-            return False, mask
-    return True, None
+    members = family.members
+    xs = _crossing_bits(family.n, members, _pairs(candidates))
+    j = _first_uncovered(xs.edge_bits, len(members))
+    return (True, None) if j is None else (False, members[j])
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +174,11 @@ def exact_min_cover(inst: CoverInstance,
     """
     cands = inst.candidates
     members = inst.family.members
-    cross: list[int] = []  # member -> candidate-position bitmask
-    for mask in members:
-        bits = 0
-        for pos in _crossing_candidates(cands, mask):
-            bits |= 1 << pos
+    cross = inst.crossings.member_bits  # member -> candidate-position bitmask
+    for mask, bits in zip(members, cross):
         if bits == 0:
             raise InfeasibleError("family member crossed by no candidate",
                                   witness=mask)
-        cross.append(bits)
     if not members:
         return CoverSolution(chosen=(), cost=0, method="exact", guarantee=Fraction(1))
 
@@ -218,72 +273,144 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
     """Uniform dual growth on minimal violated members + reverse delete.
 
     Requires an uncrossable family (checked, witness reported).  Duals
-    are exact rationals; the returned guarantee is 2.
+    are exact rationals; the returned guarantee is 2, and the dual
+    certificate behind it is checked by :func:`certify_primal_dual`
+    before the solution is returned.
+
+    Member and candidate sets are bitsets over their positions.  The
+    members strictly inside member j are precomputed, so j is minimal
+    among the uncovered members when none of those is uncovered, and
+    each candidate's ``paid`` (the duals of the members it crosses) is
+    kept up to date as the duals grow.
     """
     ok, wit = is_uncrossable(inst.family)
     if not ok:
         raise PreconditionError("family is not uncrossable", witness=wit)
     cands = inst.candidates
     members = inst.family.members
-    for mask in members:
-        if not _crossing_candidates(cands, mask):
+    inside, cand_bits, member_bits = inst.crossings
+    for mask, bits in zip(members, member_bits):
+        if not bits:
             raise InfeasibleError("family member crossed by no candidate",
                                   witness=mask)
 
-    duals: dict[int, Fraction] = {}
+    everyone = (1 << len(members)) - 1
+    strict_subsets = []  # member -> members strictly contained in it
+    for j, m in enumerate(members):
+        outside = 0  # members with a node outside m
+        rest = ~m & ((1 << len(inside)) - 1)
+        while rest:
+            low = rest & -rest
+            outside |= inside[low.bit_length() - 1]
+            rest ^= low
+        strict_subsets.append(everyone & ~outside & ~(1 << j))
+
+    # Duals and payments are exact rationals kept as integers over one
+    # shared denominator, which grows only when a step needs it.
+    denom = 1
+    duals: dict[int, int] = {}    # member position -> dual * denom
+    paid = [0] * len(cands)       # candidate position -> paid * denom
     chosen_order: list[int] = []  # candidate positions in addition order
     chosen_set: set[int] = set()
-
-    def covered(mask: int) -> bool:
-        return any(edge_crosses(cands[p].u, cands[p].v, mask) for p in chosen_set)
+    covered = 0
 
     while True:
-        uncovered = [m for m in members if not covered(m)]
+        uncovered = everyone & ~covered
         if not uncovered:
             break
         minimal = []
-        for m in uncovered:
-            if not any(o != m and (o & ~m) == 0 for o in uncovered):
-                minimal.append(m)
+        minimal_bits = 0
+        rest = uncovered
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            if not strict_subsets[j] & uncovered:
+                minimal.append(j)
+                minimal_bits |= low
+            rest ^= low
         # uniform growth: find the candidate whose slack/(active sets crossed)
-        # is smallest, with ident as tie-break
-        best = None  # (delta, ident, pos, crossing count)
-        for pos, c in enumerate(cands):
-            if pos in chosen_set:
+        # is smallest, with ident as tie-break; slack_b / active_b is the
+        # best delta so far, compared by cross-multiplication
+        pos = -1
+        slack_b = active_b = ident_b = 0
+        growing = []  # (pos, active sets crossed)
+        for p, c in enumerate(cands):
+            if p in chosen_set:
                 continue
-            active = [m for m in minimal if edge_crosses(c.u, c.v, m)]
+            active = (cand_bits[p] & minimal_bits).bit_count()
             if not active:
                 continue
-            paid = sum((d for m, d in duals.items()
-                        if edge_crosses(c.u, c.v, m)), Fraction(0))
-            slack = Fraction(c.cost) - paid
+            slack = c.cost * denom - paid[p]
             if slack < 0:
                 raise InvariantError("negative slack during dual growth")
-            delta = slack / len(active)
-            key = (delta, c.ident)
-            if best is None or key < best[0]:
-                best = (key, pos, len(active))
-        if best is None:
+            growing.append((p, active))
+            if pos < 0 or (slack * active_b, c.ident) < (slack_b * active, ident_b):
+                pos, slack_b, active_b, ident_b = p, slack, active, c.ident
+        if pos < 0:
             raise InfeasibleError("no candidate crosses an active set",
-                                  witness=minimal[0])
-        (delta, _), pos, _cnt = best
-        for m in minimal:
-            duals[m] = duals.get(m, Fraction(0)) + delta
+                                  witness=members[minimal[0]])
+        g = math.gcd(slack_b, active_b)
+        scale = active_b // g
+        if scale > 1:
+            denom *= scale
+            paid = [x * scale for x in paid]
+            duals = {j: y * scale for j, y in duals.items()}
+        delta = slack_b // g   # slack_b / active_b, over the new denom
+        for j in minimal:
+            duals[j] = duals.get(j, 0) + delta
+        if delta:
+            for p, active in growing:
+                paid[p] += delta * active
         chosen_set.add(pos)
         chosen_order.append(pos)
+        covered |= cand_bits[pos]
 
     # reverse delete
     for pos in reversed(chosen_order):
         trial = chosen_set - {pos}
-        if all(any(edge_crosses(cands[p].u, cands[p].v, m) for p in trial)
-               for m in members):
+        if _first_uncovered((cand_bits[p] for p in trial), len(members)) is None:
             chosen_set = trial
 
     chosen_ids = tuple(sorted(cands[p].ident for p in chosen_set))
     cost = sum(cands[p].cost for p in chosen_set)
-    dual_items = tuple(sorted(duals.items()))
-    return CoverSolution(chosen=chosen_ids, cost=cost, method="primal-dual",
-                         guarantee=Fraction(2), duals=dual_items)
+    dual_items = tuple(sorted((members[j], Fraction(y, denom))
+                              for j, y in duals.items()))
+    sol = CoverSolution(chosen=chosen_ids, cost=cost, method="primal-dual",
+                        guarantee=Fraction(2), duals=dual_items)
+    certify_primal_dual(inst, sol)
+    return sol
+
+
+def certify_primal_dual(inst: CoverInstance, sol: CoverSolution) -> None:
+    """Check the dual certificate of a primal-dual cover, in exact rationals.
+
+    Raises :class:`InvariantError` unless every dual sits on a family
+    member, every candidate pays at most its cost for the duals of the
+    members it crosses (witness: its endpoints), and ``cost <= 2 * sum
+    of duals`` (witness: the two sides), which is the factor-2 bound of
+    Williamson, Goemans, Mihail and Vazirani (Combinatorica 1995).
+    """
+    position = {m: j for j, m in enumerate(inst.family.members)}
+    denom = math.lcm(*(y.denominator for _, y in sol.duals))
+    scaled = {}  # member position -> dual * denom (an integer)
+    for mask, y in sol.duals:
+        if mask not in position:
+            raise InvariantError("dual on a set outside the family", witness=mask)
+        scaled[position[mask]] = y.numerator * (denom // y.denominator)
+    cand_bits = inst.crossings.edge_bits
+    for c, bits in zip(inst.candidates, cand_bits):
+        paid = 0
+        for j, y in scaled.items():
+            if bits >> j & 1:
+                paid += y
+        if paid > c.cost * denom:
+            raise InvariantError(
+                f"candidate {c.ident} pays {Fraction(paid, denom)} > cost {c.cost}",
+                witness=(c.u, c.v))
+    total = Fraction(sum(scaled.values()), denom)
+    if sol.cost > 2 * total:
+        raise InvariantError(f"cost {sol.cost} exceeds twice the dual sum {total}",
+                             witness=(sol.cost, 2 * total))
 
 
 # ---------------------------------------------------------------------------
@@ -330,34 +457,30 @@ def minimal_cover(edges: Sequence, family: SetFamily) -> list:
     uncovers some member, and it is always a forest; the forest property
     is asserted because it is a theorem, not a heuristic.
     """
-    pairs = []
-    for c in edges:
-        if isinstance(c, Candidate):
-            pairs.append((c.u, c.v))
-        else:
-            pairs.append((c[0], c[1]))
+    pairs = _pairs(edges)
     for u, v in pairs:
         if not (0 <= u < family.n and 0 <= v < family.n):
             raise PreconditionError("edge endpoint outside the ground set",
                                     witness=(u, v))
-    ok, wit = covers(pairs, family)
-    if not ok:
-        raise PreconditionError("edge set does not cover the family", witness=wit)
-
     members = family.members
-    cover_count = [0] * len(members)
-    crossing = []  # per edge, indices of members it crosses
-    for (u, v) in pairs:
-        hits = [mi for mi, m in enumerate(members) if edge_crosses(u, v, m)]
-        crossing.append(hits)
-        for mi in hits:
-            cover_count[mi] += 1
+    crossing = _crossing_bits(family.n, members, pairs).edge_bits
+    j = _first_uncovered(crossing, len(members))
+    if j is not None:
+        raise PreconditionError("edge set does not cover the family",
+                                witness=members[j])
+
+    # An edge goes when every member it crosses has another kept edge:
+    # the edges before it (all still kept) or the kept ones after it.
+    before = [0]
+    for bits in crossing:
+        before.append(before[-1] | bits)
+    kept_after = 0
     keep = [True] * len(pairs)
     for idx in range(len(pairs) - 1, -1, -1):
-        if all(cover_count[mi] >= 2 for mi in crossing[idx]):
+        if crossing[idx] & ~(before[idx] | kept_after):
+            kept_after |= crossing[idx]
+        else:
             keep[idx] = False
-            for mi in crossing[idx]:
-                cover_count[mi] -= 1
     result = [edges[i] for i in range(len(edges)) if keep[i]]
 
     sets = DisjointSets(family.n)

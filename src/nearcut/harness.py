@@ -363,8 +363,9 @@ def make_flex_corpus(count: int, per_k_seed: int, k: int, n_min: int = 4,
 
     Skeletons keep min cut just above k so the (k+1)-cuts are plentiful
     arc cuts: a cycle for k = 1, a cycle-and-a-half for k = 2, a doubled
-    cycle for k = 3.  Occasional extra edges perturb the structure; the
-    flex check filters anything the unsafe flags break.
+    cycle for k = 3 and 4, and ceil((k+1)/2) random cycles (min cut at
+    least k + 1) for k >= 5.  Occasional extra edges perturb the
+    structure; the flex check filters anything the unsafe flags break.
     """
     rng = random.Random(per_k_seed)
     out = []
@@ -377,8 +378,12 @@ def make_flex_corpus(count: int, per_k_seed: int, k: int, n_min: int = 4,
             pairs = list(cyc)
         elif k == 2:
             pairs = cyc + cyc[1:]
-        else:
+        elif k <= 4:
             pairs = cyc + list(_random_cycle_edges(rng, n))
+        else:
+            pairs = list(cyc)
+            for _ in range((k + 2) // 2 - 1):
+                pairs += _random_cycle_edges(rng, n)
         if rng.random() < 0.4:
             for _ in range(rng.randint(1, 2)):
                 u, v = rng.randrange(n), rng.randrange(n)

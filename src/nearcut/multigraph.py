@@ -23,6 +23,10 @@ from .errors import InputError, LimitError
 
 DEFAULT_EXHAUSTIVE_LIMIT = 24
 _LIMIT_ENV = "NEARCUT_EXHAUSTIVE_LIMIT"
+# Largest cut table plus scratch one build may allocate: 12 * 2^(n-1)
+# bytes, so 96 MiB at n = 24 and 192 MiB at n = 25 fit, 384 MiB at n = 26
+# does not.  A fixed constant, not a setting.
+TABLE_MEMORY_BUDGET = 256 << 20
 
 
 def exhaustive_limit() -> int:
@@ -229,13 +233,21 @@ def cut_value_array(g: Multigraph, filt: str = "all",
     one as ``vals[S | {v}] = vals[S] + deg(v) - 2 * w(v, S)``, where
     ``w(v, S) = sum(adj[v][u] for u in S)`` is itself built by doubling.
     Work is O(2^n + n^2); memory is the int64 table plus one reusable
-    scratch array of half its size (64 + 32 MiB at n = 24).
+    scratch array of half its size, 12 * 2^(n-1) bytes (64 + 32 MiB at
+    n = 24).  That estimate is checked before anything is allocated: a
+    build above :data:`TABLE_MEMORY_BUDGET` (256 MiB, so n <= 25) raises
+    :class:`LimitError` naming it, whatever the node limit allows.
     """
     limit = exhaustive_limit()
     if g.n > limit:
         raise LimitError(
             f"exhaustive enumeration limited to n <= {limit} nodes, got n = {g.n} "
             f"(override via {_LIMIT_ENV})")
+    estimate = 12 << (g.n - 1)
+    if estimate > TABLE_MEMORY_BUDGET:
+        raise LimitError(
+            f"cut table for n = {g.n} needs about {estimate >> 20} MiB, over the "
+            f"{TABLE_MEMORY_BUDGET >> 20} MiB table budget")
     key = (filt, weighted)
     if key in g._cut_cache:
         return g._cut_cache[key]

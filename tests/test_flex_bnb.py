@@ -34,7 +34,7 @@ from nearcut import (
     exact_min_cover,
     minimum_flex_subgraph,
 )
-from nearcut.family_cover import Candidate, _crossing_candidates
+from nearcut.family_cover import Candidate
 from nearcut.fgc import ExactSubgraphResult
 from nearcut.harness import make_augment_corpus, make_uncrossable_cover_corpus
 from nearcut.multigraph import edge_crosses
@@ -139,6 +139,10 @@ def reference_minimum_flex_subgraph(g: Multigraph, k: int, q: int,
     search(0, 0, 0)
     ids = tuple(p for p in range(m) if (best[1] >> p) & 1)
     return ExactSubgraphResult(edge_ids=ids, cost=best[0], nodes_explored=explored[0])
+
+
+def _crossing_candidates(cands, mask: int) -> list[int]:
+    return [i for i, c in enumerate(cands) if edge_crosses(c.u, c.v, mask)]
 
 
 def reference_exact_min_cover(inst: CoverInstance,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -231,3 +235,28 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
                                      "first_counterexample": "synthetic"})
     assert main(["verify", "--suite", "forest"]) == 1
     capsys.readouterr()
+
+
+def test_c1_suite_reaches_k5():
+    # k >= 5 gets a skeleton of ceil((k+1)/2) cycles, min cut at least k+1
+    assert main(["verify", "--suite", "c1", "--config",
+                 '{"k_values": [5], "per_k": 150}']) == 0
+    assert main(["verify", "--suite", "c1", "--config",
+                 '{"k_values": [1, 2, 3, 4, 5, 6, 7]}']) == 0
+
+
+def test_flex_corpus_k5_skeleton_clears_k():
+    from nearcut import min_cut_value
+    from nearcut.harness import make_flex_corpus
+    for _, g in make_flex_corpus(10, 99, 5, n_min=4, n_max=8):
+        assert min_cut_value(g) >= 6
+
+
+def test_python_dash_m_nearcut(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nearcut", "verify", "--suite", "forest"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["pass"]
