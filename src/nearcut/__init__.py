@@ -77,13 +77,9 @@ from .fgc import (
     enumerate_Fq,
     flex_connected_by_removal,
     is_flex_connected,
-    iterative_cover,
     kecss,
     minimum_flex_subgraph,
     solve_fgc,
-    solve_k1,
-    solve_k2,
-    solve_unit_cost,
 )
 from .harness import (
     GenSpec,

@@ -14,8 +14,9 @@ The schedule walks connectivity levels with parity-aware boundaries:
   connectivity by 2 per stage;
 * k odd: one last stage covers the (k-1)-cuts alone.
 
-Stage families go to pluggable cover-solver slots; the end-to-end bound
-is the sum of the plugged guarantees, reproduced symbolically by
+Pair stages go to the primal-dual cover (pd2, guarantee 2) and
+single-level stages to a pluggable cover-solver slot; the end-to-end
+bound is the sum of the stage guarantees, reproduced symbolically by
 :func:`implemented_ratio_bound`.
 """
 
@@ -149,32 +150,30 @@ def _stage_plan(lam0: int, k: int) -> list[tuple[int, str]]:
 
 
 def implemented_ratio_bound(lam0: int, k: int,
-                            g_even: Fraction = Fraction(2),
                             g_single: Fraction = Fraction(2)) -> Fraction:
-    """End-to-end guarantee under the plugged per-stage guarantees.
+    """End-to-end guarantee: 2 per pair stage (pd2) plus ``g_single`` per
+    single-level stage.
 
-    With the default (2, 2) this is k-lam0 for even/even parities,
-    k-lam0+1 for mixed and k-lam0+2 for odd/odd.
+    With the default ``g_single`` = 2 this is k-lam0 for even/even
+    parities, k-lam0+1 for mixed and k-lam0+2 for odd/odd.
     """
     total = Fraction(0)
     for _level, kind in _stage_plan(lam0, k):
-        total += g_even if kind == "pair" else g_single
+        total += Fraction(2) if kind == "pair" else g_single
     return total
 
 
 def near_min_cuts_cover(inst: AugmentInstance,
-                        single_solver: SolverSlot | str = "pd2",
-                        even_solver: SolverSlot | str = "pd2") -> AugmentResult:
+                        single_solver: SolverSlot | str = "pd2") -> AugmentResult:
     """Run the staged cover; the result is verified k-connected.
 
     Single-level stages (parity boundaries) go to ``single_solver``,
-    {lam, lam+1} stages to ``even_solver``.  Laminarity of odd boundary
-    families and uncrossability of pair families are asserted, not
-    assumed.
+    {lam, lam+1} stages to pd2.  Laminarity of odd boundary families and
+    uncrossability of pair families are asserted, not assumed.
     """
     inst.validate()
     single = resolve_slot(single_solver)
-    even = resolve_slot(even_solver)
+    pair = resolve_slot("pd2")
     lam0 = inst.lam0
     k = inst.k
     plan = _stage_plan(lam0, k)
@@ -187,7 +186,7 @@ def near_min_cuts_cover(inst: AugmentInstance,
 
     for level, kind in plan:
         fam = level_family(g_cur, level, include_plus_one=(kind == "pair"))
-        slot = even if kind == "pair" else single
+        slot = pair if kind == "pair" else single
         bound += slot.guarantee
         if kind == "single" and level == lam0 and lam0 % 2 == 1 and len(fam):
             ok, wit = is_laminar(fam)
@@ -219,7 +218,7 @@ def near_min_cuts_cover(inst: AugmentInstance,
     if plan and not is_k_edge_connected(g_cur, k, "all", weighted=True):
         raise InvariantError("cover finished but the graph is not k-connected")
     cost = sum(inst.graph.edges[i].cost for i in chosen)
-    expected = implemented_ratio_bound(lam0, k, even.guarantee, single.guarantee)
+    expected = implemented_ratio_bound(lam0, k, single.guarantee)
     if bound != expected:
         raise InvariantError(f"stage accounting drifted: {bound} != {expected}")
     return AugmentResult(chosen=tuple(sorted(chosen)), cost=cost,

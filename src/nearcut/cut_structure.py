@@ -458,6 +458,11 @@ def _is_single_cycle(qr: QuotientResult) -> bool:
 
 
 def _is_cube(qr: QuotientResult) -> bool:
+    """Whether the quotient is the 3-cube: eight classes, twelve edges of
+    multiplicity one, every degree 3, and bipartite.  A cubic bipartite
+    component has at least six nodes, so the 2-colouring from class 0
+    reaches all eight; sides of 4 make the graph K4,4 minus a perfect
+    matching, which is the cube."""
     qg = qr.graph
     if qg.n != 8 or qg.m != 12:
         return False
@@ -469,28 +474,17 @@ def _is_cube(qr: QuotientResult) -> bool:
         adj[e.v].add(e.u)
     if any(len(s) != 3 for s in adj):
         return False
-    target = [set(j for j in range(8) if (i ^ j).bit_count() == 1) for i in range(8)]
-
-    mapping = [-1] * 8
-    used = [False] * 8
-
-    def extend(i: int) -> bool:
-        if i == 8:
-            return True
-        for t in range(8):
-            if used[t]:
-                continue
-            if any((t in target[mapping[j]]) != (j in adj[i]) for j in range(i)):
-                continue
-            mapping[i] = t
-            used[t] = True
-            if extend(i + 1):
-                return True
-            mapping[i] = -1
-            used[t] = False
-        return False
-
-    return extend(0)
+    side = [0] + [-1] * 7
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if side[v] < 0:
+                side[v] = 1 - side[u]
+                stack.append(v)
+            elif side[v] == side[u]:
+                return False
+    return True
 
 
 def verify_part_shape(qr: QuotientResult, lam: int) -> PartShape:

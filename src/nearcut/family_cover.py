@@ -11,7 +11,7 @@ solvers share the :class:`CoverInstance` surface:
   its own dual certificate before returning;
 * :func:`cover_symmetric_crossing` - covers a symmetric proper crossing
   family by rooting it away from node 0 and handing the rooted family,
-  which is then uncrossable, to the primal-dual solver.
+  which is then uncrossable (asserted), to the primal-dual solver.
 
 Every crossing test is a bitset operation.  :func:`_crossing_bits` turns
 the members and the edges into per-node incidence bitsets (Python ints):
@@ -26,7 +26,6 @@ checkable at runtime.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -36,8 +35,6 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 from .errors import BudgetError, InfeasibleError, InvariantError, PreconditionError
 from .cut_structure import SetFamily, is_symmetric_proper_crossing, is_uncrossable
 from .multigraph import DisjointSets
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -420,30 +417,27 @@ def certify_primal_dual(inst: CoverInstance, sol: CoverSolution) -> None:
 def cover_symmetric_crossing(inst: CoverInstance) -> CoverSolution:
     """Cover a symmetric proper crossing family at guarantee 2.
 
-    Members are normalized to the side avoiding node 0, which turns a
-    genuine symmetric proper crossing family into an uncrossable one
-    (verified at runtime, not assumed); covering the rooted family is
-    equivalent because coverage ignores orientation.  If the rooted
-    family unexpectedly fails the uncrossability check, the exact solver
-    takes over and the downgrade is logged.
+    Members are normalized to the side avoiding node 0, and the rooted
+    family goes to the primal-dual solver; covering it is equivalent
+    because coverage ignores orientation.  The rooted family is
+    uncrossable: for a strongly crossing pair of rooted sets, the family
+    holds their meet and join, and both avoid node 0, so both are rooted
+    members.  That theorem is asserted (:class:`InvariantError` with the
+    witness pair), not assumed.
     """
     ok, wit = is_symmetric_proper_crossing(inst.family)
     if not ok:
         raise PreconditionError("family is not symmetric proper crossing",
                                 witness=wit)
     rooted = inst.family.canonical()
-    rooted_inst = CoverInstance(inst.n, inst.candidates, rooted)
     ok, wit = is_uncrossable(rooted)
-    if ok:
-        sol = primal_dual_uncrossable_cover(rooted_inst)
-        return CoverSolution(chosen=sol.chosen, cost=sol.cost,
-                             method="symmetric-crossing/primal-dual",
-                             guarantee=Fraction(2), duals=sol.duals)
-    logger.warning("rooted family not uncrossable (witness %s); exact fallback", wit)
-    sol = exact_min_cover(rooted_inst)
+    if not ok:
+        raise InvariantError("rooted symmetric proper crossing family is not "
+                             "uncrossable", witness=wit)
+    sol = primal_dual_uncrossable_cover(CoverInstance(inst.n, inst.candidates, rooted))
     return CoverSolution(chosen=sol.chosen, cost=sol.cost,
-                         method="symmetric-crossing/exact-fallback",
-                         guarantee=Fraction(2), nodes_explored=sol.nodes_explored)
+                         method="symmetric-crossing/primal-dual",
+                         guarantee=Fraction(2), duals=sol.duals)
 
 
 # ---------------------------------------------------------------------------

@@ -6,31 +6,30 @@ already (k, q-1)-flex-connected, exactly the cuts with ``d(S) = k+q-1``
 and ``d_U(S) >= q`` block the next level, and covering that family is
 the whole step.
 
-Every solver here runs one driver: seed H with a k-edge-connected
-spanning subgraph (phase ``kecss``), then for each level L = 1..q
-enumerate F_L (which first checks that phase L-1 cleared its family),
-check the structure the plan names, cover F_L from the edges outside H,
-and finally check (k, q)-flex-connectivity.  The plan for each level is
-the structure table:
+Every solve goes through :func:`solve_fgc`: seed H with a k-edge-
+connected spanning subgraph (phase ``kecss``), then for each level
+L = 1..q enumerate F_L (which first checks that phase L-1 cleared its
+family), check the structure the table names, cover F_L from the edges
+outside H, and finally check (k, q)-flex-connectivity.  The structure
+table, one row per ``(costs, q, level)`` as :func:`_level_handler`
+reads it:
 
-    plan        level  check                  cover -> phase
-    unit        any    none                   minimal cover, <= n-1 edges,
-                                              guarantee 2/k -> F{L}
-    structured  1      laminar (odd k),       ring_cover_solver (odd k),
-                       uncrossable (even k)   pd2 (even k) -> F1
-    structured  2      uncrossable (even k)   pd2 -> F2
-    structured  2      decompose_F2_odd       pd2 -> F2-uncrossable, then the
-                       (odd k; skipped when   symmetric crossing cover,
-                       F2 is empty)           guarantee 2 -> F2-symmetric;
-                                              both from the edges outside
-                                              H before the phase
-    generic     any    uncrossable decides    pd2, else exact
-                                              ("exact-fallback") -> F{L}
+    costs     q     level  check                  cover -> phase
+    unit      any   any    none                   minimal cover, <= n-1 edges,
+                                                  guarantee 2/k -> F{L}
+    weighted  1, 2  1      laminar (odd k),       ring_cover_solver (odd k),
+                           uncrossable (even k)   pd2 (even k) -> F1
+    weighted  2     2      uncrossable (even k)   pd2 -> F2
+    weighted  2     2      decompose_F2_odd       pd2 -> F2-uncrossable, then the
+                           (odd k; skipped when   symmetric crossing cover,
+                           F2 is empty)           guarantee 2 -> F2-symmetric;
+                                                  both from the edges outside
+                                                  H before the phase
+    weighted  >= 3  any    uncrossable decides    pd2, else exact
+                                                  ("exact-fallback") -> F{L}
 
-A weighted solve at q = 0 is the spanning step alone; at q = 1 and
-q = 2 it follows the structured plan, at q >= 3 (and
-:func:`iterative_cover` at every q) the generic one.  Guarantees compose
-additively and every structural claim is asserted at runtime.
+A weighted solve at q = 0 is the spanning step alone.  Guarantees
+compose additively and every structural claim is asserted at runtime.
 """
 
 from __future__ import annotations
@@ -67,6 +66,7 @@ from .family_cover import (
 )
 from .multigraph import (
     Multigraph,
+    check_exhaustive_build,
     cut_masks,
     cut_value_array,
     min_cut_value,
@@ -208,10 +208,18 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
     becomes the branching target, and the bound takes the ``need``
     cheapest undecided crossing edges of each cut by walking the edges
     in cost order, stopping as soon as the node is pruned.
+
+    Like a cut table, the crossing lists are refused before they are
+    built above the node limit or the table memory budget
+    (:func:`~nearcut.multigraph.check_exhaustive_build`).
     """
     if g.n < 2:
         return ExactSubgraphResult((), 0, 0)
     m = g.m
+    # cross and ucross: 2^(n-1) ints of about m bits each, 8 bytes of
+    # list slot plus 24 + 4 * ceil(m / 30) bytes of int object
+    check_exhaustive_build(g.n, (64 + 8 * -(-m // 30)) << (g.n - 1),
+                           "exact flex search")
     # adding node v to a side toggles exactly the edges incident to v
     incident = [0] * g.n
     for pos, e in enumerate(g.edges):
@@ -343,7 +351,7 @@ def kecss(g: Multigraph, k: int, mode: str = "approx2",
 
 
 # ---------------------------------------------------------------------------
-# Cover phases: one driver, one plan per level
+# Cover phases: one entry point, one table row per level
 
 
 def _candidates_outside(g: Multigraph, h_ids: set[int]) -> tuple[Candidate, ...]:
@@ -353,19 +361,6 @@ def _candidates_outside(g: Multigraph, h_ids: set[int]) -> tuple[Candidate, ...]
 
 def _added_cost(g: Multigraph, new_ids: Iterable[int]) -> int:
     return sum(g.edges[i].cost for i in new_ids)
-
-
-def _seed(g: Multigraph, k: int, kecss_mode: str) -> tuple[set[int], list[PhaseLog]]:
-    """H starts as a k-edge-connected spanning subgraph."""
-    base = kecss(g, k, kecss_mode)
-    return set(base.edge_ids), [PhaseLog("kecss", 0, base.mode, base.cost,
-                                         base.guarantee, base.edge_ids)]
-
-
-def _solution(g: Multigraph, h: set[int], phases: list[PhaseLog]) -> FlexSolution:
-    ids = tuple(sorted(h))
-    return FlexSolution(ids, _added_cost(g, ids), tuple(phases),
-                        sum((p.guarantee for p in phases), Fraction(0)))
 
 
 def _cover_phase(name: str, g: Multigraph, h: set[int], fam: SetFamily,
@@ -436,74 +431,52 @@ def _fallback_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
     return [_cover_phase(f"F{level}", g, h, fam, resolve_slot("pd2"))]
 
 
-def _level_plan(plan: str, k: int, level: int):
+def _level_handler(unit_cost: bool, k: int, q: int, level: int):
     """The structure table: which check and which cover serve ``level``."""
-    if plan == "unit":
+    if unit_cost:
         return _minimal_level
-    if plan == "generic":
+    if q >= 3:
         return _fallback_level
     return _split_level if k % 2 and level == 2 else _structured_level
 
 
-def _drive(inst: FlexInstance, kecss_mode: str, plan: str) -> FlexSolution:
-    """Seed H, then cover the blocking family of each level in turn.
+def solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
+              unit_cost: bool = False) -> FlexSolution:
+    """Seed H with a k-edge-connected spanning subgraph, then cover the
+    blocking family of each level in turn, as the structure table says.
+    ``unit_cost`` selects the minimal-cover rows and raises
+    :class:`InputError` unless every edge cost is 1.
 
     ``enumerate_Fq`` at level L first checks that H is (k, L-1)-flex-
     connected, which is exactly "phase L-1 cleared its family" (the
     first bad cut is the first member left over); the final check does
-    the same for the last level.
+    the same for the last level.  A weighted solve at q = 0 is the
+    spanning step alone and skips that check: the seed is k-edge-
+    connected by construction, and the check would cost about half of
+    such a solve.
     """
     g, k, q = inst.graph, inst.k, inst.q
-    h, phases = _seed(g, k, kecss_mode)
-    for level in range(1, q + 1):
-        try:
-            fam = enumerate_Fq(g, h, k, level)
-        except PreconditionError as exc:
-            if level == 1:
-                raise
-            raise InvariantError(f"phase {level - 1} did not clear its blocking family",
-                                 witness=exc.witness) from exc
-        phases += _level_plan(plan, k, level)(g, h, fam, k, level)
-    ok, wit = is_flex_connected(g, h, k, q)
-    if not ok:
-        raise InvariantError(f"subgraph is not (k={k}, q={q})-flex-connected "
-                             "after the last phase", witness=wit)
-    return _solution(g, h, phases)
-
-
-def iterative_cover(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexSolution:
-    """Generic plan: primal-dual per level, exact when a family is not
-    uncrossable."""
-    return _drive(inst, kecss_mode, "generic")
-
-
-def solve_k1(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexSolution:
-    """q = 1: level 1 laminar (odd k) or uncrossable (even k)."""
-    if inst.q != 1:
-        raise InputError(f"solve_k1 needs q = 1, got q = {inst.q}")
-    return _drive(inst, kecss_mode, "structured")
-
-
-def solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexSolution:
-    """q = 2: level 2 uncrossable (even k) or split (odd k)."""
-    if inst.q != 2:
-        raise InputError(f"solve_k2 needs q = 2, got q = {inst.q}")
-    return _drive(inst, kecss_mode, "structured")
-
-
-def solve_unit_cost(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexSolution:
-    """Unit costs: inclusion-minimal covers; guarantee kecss + 2q/k."""
-    if not inst.unit_cost:
+    if unit_cost and not inst.unit_cost:
         raise InputError("solve_unit_cost requires every edge cost to be 1")
-    return _drive(inst, kecss_mode, "unit")
-
-
-def solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
-              unit_cost: bool = False) -> FlexSolution:
-    """Dispatch: q = 0 is the spanning step alone (not re-checked), q = 1
-    and q = 2 use the structured plan, anything else the generic one."""
-    if unit_cost:
-        return solve_unit_cost(inst, kecss_mode)
-    if inst.q == 0:
-        return _solution(inst.graph, *_seed(inst.graph, inst.k, kecss_mode))
-    return _drive(inst, kecss_mode, "structured" if inst.q <= 2 else "generic")
+    base = kecss(g, k, kecss_mode)
+    h = set(base.edge_ids)
+    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
+                       base.edge_ids)]
+    if q or unit_cost:
+        for level in range(1, q + 1):
+            try:
+                fam = enumerate_Fq(g, h, k, level)
+            except PreconditionError as exc:
+                if level == 1:
+                    raise
+                raise InvariantError(
+                    f"phase {level - 1} did not clear its blocking family",
+                    witness=exc.witness) from exc
+            phases += _level_handler(unit_cost, k, q, level)(g, h, fam, k, level)
+        ok, wit = is_flex_connected(g, h, k, q)
+        if not ok:
+            raise InvariantError(f"subgraph is not (k={k}, q={q})-flex-connected "
+                                 "after the last phase", witness=wit)
+    ids = tuple(sorted(h))
+    return FlexSolution(ids, _added_cost(g, ids), tuple(phases),
+                        sum((p.guarantee for p in phases), Fraction(0)))

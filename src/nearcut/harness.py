@@ -127,6 +127,22 @@ def _random_cycle_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     return [(perm[i], perm[(i + 1) % n]) for i in range(n)]
 
 
+def _random_pairs(rng: random.Random, n: int, draws: int) -> list[tuple[int, int]]:
+    """``draws`` random node pairs as (min, max); a draw of a loop is skipped."""
+    pairs = []
+    for _ in range(draws):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.append((min(u, v), max(u, v)))
+    return pairs
+
+
+def _near_min_masks(g: Multigraph, lam: int) -> tuple[int, ...]:
+    """Canonical masks of the cuts of value lam or lam + 1."""
+    vals = cut_value_array(g)
+    return cut_masks((vals == lam) | (vals == lam + 1))
+
+
 def _corpus_graph(rng: random.Random, n_min: int, n_max: int,
                   m_factor: int = 3) -> Multigraph:
     """Connected random multigraph: tree or cycle skeleton plus extras."""
@@ -273,11 +289,7 @@ def make_augment_corpus(count: int, seed: int, n_min: int = 5,
         gap = max(k - lam0, 1)
         edges = [EdgeRecord(u, v, 0, 1, False, True) for (u, v) in base]
         cand_pairs = _random_cycle_edges(rng, n)
-        extra = rng.randint(0, min(8, 20 - len(cand_pairs)))
-        for _ in range(extra):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                cand_pairs.append((min(u, v), max(u, v)))
+        cand_pairs += _random_pairs(rng, n, rng.randint(0, min(8, 20 - len(cand_pairs))))
         for (u, v) in cand_pairs:
             edges.append(EdgeRecord(u, v, rng.randint(1, 9), gap, False, False))
         inst = AugmentInstance(Multigraph(n, tuple(edges)), k)
@@ -303,11 +315,7 @@ def make_fgc_corpus(count: int, seed: int, n_min: int = 5, n_max: int = 7,
         pairs: list[tuple[int, int]] = []
         for _ in range(copies):
             pairs.extend(_random_cycle_edges(rng, n))
-        budget = 22 - len(pairs)
-        for _ in range(rng.randint(0, max(0, min(3, budget)))):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                pairs.append((min(u, v), max(u, v)))
+        pairs += _random_pairs(rng, n, rng.randint(0, max(0, min(3, 22 - len(pairs)))))
         edges = []
         for (u, v) in pairs:
             cost = 1 if unit_cost else rng.randint(1, 9)
@@ -330,26 +338,19 @@ def make_uncrossable_cover_corpus(count: int, seed: int, n_min: int = 5,
         pairs = _random_cycle_edges(rng, n)
         if rng.random() < 0.5:
             pairs = pairs + pairs[: rng.randint(0, n)]
-        for _ in range(rng.randint(0, 3)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                pairs.append((min(u, v), max(u, v)))
+        pairs += _random_pairs(rng, n, rng.randint(0, 3))
         g = Multigraph.from_edges(n, [(u, v, 0, 1) for (u, v) in pairs])
         lam = min_cut_value(g)
         if lam < 2 or lam % 2:
             continue
-        vals = cut_value_array(g)
-        fam = SetFamily(n, cut_masks((vals == lam) | (vals == lam + 1)))
+        fam = SetFamily(n, _near_min_masks(g, lam))
         if len(fam) == 0:
             continue
         ok, _ = is_uncrossable(fam)
         if not ok:
             continue
         cand_pairs = _random_cycle_edges(rng, n)
-        for _ in range(rng.randint(0, 6)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                cand_pairs.append((min(u, v), max(u, v)))
+        cand_pairs += _random_pairs(rng, n, rng.randint(0, 6))
         cands = tuple(Candidate(j, u, v, rng.randint(1, 9))
                       for j, (u, v) in enumerate(cand_pairs))
         out.append((f"unc-{len(out):04d}", CoverInstance(n, cands, fam)))
@@ -385,10 +386,7 @@ def make_flex_corpus(count: int, per_k_seed: int, k: int, n_min: int = 4,
             for _ in range((k + 2) // 2 - 1):
                 pairs += _random_cycle_edges(rng, n)
         if rng.random() < 0.4:
-            for _ in range(rng.randint(1, 2)):
-                u, v = rng.randrange(n), rng.randrange(n)
-                if u != v:
-                    pairs.append((min(u, v), max(u, v)))
+            pairs += _random_pairs(rng, n, rng.randint(1, 2))
         p = rng.choice((unsafe_p, 0.65, 0.9))
         edges = [EdgeRecord(u, v, 0, 1, rng.random() < p, False)
                  for (u, v) in pairs]
@@ -424,8 +422,7 @@ def _suite_report(name: str, cfg: dict, counts: dict, violations: list[str],
 def _near_min_pairs(g: Multigraph):
     """Yield (lam, A, B) for strongly crossing near-minimum cut pairs."""
     lam = min_cut_value(g)
-    vals = cut_value_array(g)
-    near = cut_masks((vals == lam) | (vals == lam + 1))
+    near = _near_min_masks(g, lam)
     for i in range(len(near)):
         for j in range(i + 1, len(near)):
             if crosses_strongly(near[i], near[j], g.n):
@@ -500,8 +497,7 @@ def _suite_uncrossable(cfg: dict) -> dict:
         if lam % 2:
             skipped_odd += 1
             continue
-        vals = cut_value_array(g)
-        fam = SetFamily(g.n, cut_masks((vals == lam) | (vals == lam + 1)))
+        fam = SetFamily(g.n, _near_min_masks(g, lam))
         checked += 1
         ok, wit = is_uncrossable(fam)
         if not ok:
@@ -582,10 +578,7 @@ def _suite_decompose(cfg: dict) -> dict:
             pairs = cyc + cyc[1:]
         else:
             pairs = _random_tree_edges(rng, n)
-            for _ in range(rng.randint(0, n)):
-                u, v = rng.randrange(n), rng.randrange(n)
-                if u != v:
-                    pairs.append((min(u, v), max(u, v)))
+            pairs += _random_pairs(rng, n, rng.randint(0, n))
         g = Multigraph.from_edges(n, [(u, v, 0, 1) for (u, v) in pairs])
         lam = min_cut_value(g)
         if lam % 2 == 0:
@@ -618,12 +611,7 @@ def _suite_forest(cfg: dict) -> dict:
             m = rng.randint(1, (1 << (n - 1)) - 1) << 1
             masks.add(m)
         fam = SetFamily(n, tuple(sorted(masks)))
-        edge_count = rng.randint(n - 1, 2 * n)
-        pairs = []
-        for _ in range(edge_count):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                pairs.append((min(u, v), max(u, v)))
+        pairs = _random_pairs(rng, n, rng.randint(n - 1, 2 * n))
         for mask in fam.members:
             inside = nodes_from_mask(mask)[0]
             outside = nodes_from_mask(((1 << n) - 1) ^ mask)[0]

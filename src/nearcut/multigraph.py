@@ -43,6 +43,21 @@ def exhaustive_limit() -> int:
     return limit
 
 
+def check_exhaustive_build(n: int, estimate: int, what: str) -> None:
+    """Refuse, before allocating, a table over the cuts of an ``n``-node
+    graph that needs about ``estimate`` bytes: :class:`LimitError` above
+    :func:`exhaustive_limit` nodes or above :data:`TABLE_MEMORY_BUDGET`."""
+    limit = exhaustive_limit()
+    if n > limit:
+        raise LimitError(
+            f"exhaustive enumeration limited to n <= {limit} nodes, got n = {n} "
+            f"(override via {_LIMIT_ENV})")
+    if estimate > TABLE_MEMORY_BUDGET:
+        raise LimitError(
+            f"{what} for n = {n} needs about {estimate >> 20} MiB, over the "
+            f"{TABLE_MEMORY_BUDGET >> 20} MiB table budget")
+
+
 # ---------------------------------------------------------------------------
 # Node-mask helpers
 
@@ -238,16 +253,7 @@ def cut_value_array(g: Multigraph, filt: str = "all",
     build above :data:`TABLE_MEMORY_BUDGET` (256 MiB, so n <= 25) raises
     :class:`LimitError` naming it, whatever the node limit allows.
     """
-    limit = exhaustive_limit()
-    if g.n > limit:
-        raise LimitError(
-            f"exhaustive enumeration limited to n <= {limit} nodes, got n = {g.n} "
-            f"(override via {_LIMIT_ENV})")
-    estimate = 12 << (g.n - 1)
-    if estimate > TABLE_MEMORY_BUDGET:
-        raise LimitError(
-            f"cut table for n = {g.n} needs about {estimate >> 20} MiB, over the "
-            f"{TABLE_MEMORY_BUDGET >> 20} MiB table budget")
+    check_exhaustive_build(g.n, 12 << (g.n - 1), "cut table")
     key = (filt, weighted)
     if key in g._cut_cache:
         return g._cut_cache[key]

@@ -257,6 +257,67 @@ def test_verify_part_shape_cube():
     assert verify_part_shape(qr, 5) is PartShape.OTHER
 
 
+def reference_is_cube(qr) -> bool:
+    """The backtracking cube check, verbatim, that a bipartiteness test
+    replaced."""
+    qg = qr.graph
+    if qg.n != 8 or qg.m != 12:
+        return False
+    if any(c != 1 for c in qr.edge_count):
+        return False
+    adj = [set() for _ in range(8)]
+    for e in qg.edges:
+        adj[e.u].add(e.v)
+        adj[e.v].add(e.u)
+    if any(len(s) != 3 for s in adj):
+        return False
+    target = [set(j for j in range(8) if (i ^ j).bit_count() == 1) for i in range(8)]
+
+    mapping = [-1] * 8
+    used = [False] * 8
+
+    def extend(i: int) -> bool:
+        if i == 8:
+            return True
+        for t in range(8):
+            if used[t]:
+                continue
+            if any((t in target[mapping[j]]) != (j in adj[i]) for j in range(i)):
+                continue
+            mapping[i] = t
+            used[t] = True
+            if extend(i + 1):
+                return True
+            mapping[i] = -1
+            used[t] = False
+        return False
+
+    return extend(0)
+
+
+def test_cube_check_matches_the_backtracking_reference():
+    nx = pytest.importorskip("networkx")
+    from nearcut.cut_structure import _is_cube
+
+    def singleton_quotient(graph):
+        g = g_from(8, sorted(tuple(sorted(e)) for e in graph.edges))
+        return quotient(g, [1 << v for v in range(8)])
+
+    graphs = [nx.random_regular_graph(3, 8, seed=s) for s in range(400)]
+    graphs += [nx.gnm_random_graph(8, 12, seed=s) for s in range(100)]
+    verdicts = []
+    for graph in graphs:
+        qr = singleton_quotient(graph)
+        verdicts.append(_is_cube(qr))
+        assert verdicts[-1] == reference_is_cube(qr), sorted(graph.edges)
+    assert 0 < sum(verdicts) < len(verdicts)
+    wagner = singleton_quotient(nx.circulant_graph(8, [1, 4]))
+    assert not _is_cube(wagner) and not reference_is_cube(wagner)
+    assert verify_part_shape(wagner, 3) is PartShape.OTHER
+    cube = singleton_quotient(nx.convert_node_labels_to_integers(nx.hypercube_graph(3)))
+    assert _is_cube(cube) and verify_part_shape(cube, 3) is PartShape.CUBE
+
+
 # ---------------------------------------------------------------------------
 # decompositions
 

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+import nearcut.family_cover as family_cover
 from nearcut import (
     CoverInstance,
     InfeasibleError,
+    InvariantError,
     PreconditionError,
     SetFamily,
     cover_symmetric_crossing,
@@ -229,6 +231,18 @@ def test_symmetric_cover_rejects_improper():
     assert not is_improper_ok(fam)
     with pytest.raises(PreconditionError):
         cover_symmetric_crossing(CoverInstance.build(4, [(0, 1, 1)], fam))
+
+
+def test_symmetric_cover_asserts_the_rooted_family_uncrossable(monkeypatch):
+    # the rooted family of a symmetric proper crossing family is uncrossable
+    # (a theorem); a patched predicate stands in for a counterexample
+    fam = c4_two_cut_family().symmetric_closure()
+    inst = CoverInstance.build(4, [(0, 2, 1), (1, 3, 1)], fam)
+    witness = fam.canonical().members[:2]
+    monkeypatch.setattr(family_cover, "is_uncrossable", lambda f: (False, witness))
+    with pytest.raises(InvariantError) as err:
+        cover_symmetric_crossing(inst)
+    assert err.value.witness == witness
 
 
 def is_improper_ok(fam):

@@ -8,20 +8,17 @@ from nearcut import (
     FlexInstance,
     InfeasibleError,
     InputError,
+    LimitError,
     PreconditionError,
     enumerate_Fq,
     flex_connected_by_removal,
     is_flex_connected,
     is_k_edge_connected,
-    iterative_cover,
     kecss,
     mask_from_nodes,
     min_cut_value,
     minimum_flex_subgraph,
     solve_fgc,
-    solve_k1,
-    solve_k2,
-    solve_unit_cost,
     subgraph,
 )
 from nearcut.harness import exact_fgc, make_fgc_corpus, make_flex_corpus
@@ -169,20 +166,58 @@ def test_exact_fgc_matches_brute_force():
         assert res.cost == best
 
 
+def cycle_plus_chord(n):
+    return g_from(n, [(i, (i + 1) % n, 1) for i in range(n)] + [(0, n // 2, 1)])
+
+
+def test_flex_search_obeys_the_node_limit(monkeypatch, tmp_path, capsys):
+    from nearcut.cli import main
+    from nearcut.io import Instance, save_instance
+
+    g = cycle_plus_chord(8)
+    path = tmp_path / "cycle.txt"
+    save_instance(Instance(g, 2, 0), path)
+    monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "6")
+    with pytest.raises(LimitError, match="n <= 6 nodes, got n = 8"):
+        kecss(g, 2)
+    with pytest.raises(LimitError, match="n <= 6 nodes, got n = 8"):
+        exact_fgc(FlexInstance(g, 2, 1))
+    assert main(["oracle", "fgc", "--input", str(path)]) == 2
+    assert "n <= 6 nodes, got n = 8" in capsys.readouterr().err
+    monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "8")
+    assert kecss(g, 2).cost == 8
+
+
+def test_flex_search_obeys_the_table_budget(tmp_path, capsys):
+    from nearcut.cli import main
+    from nearcut.io import Instance, save_instance
+
+    # two lists of 2^22 ints of at most 30 bits: (64 + 8) << 22 bytes
+    g = cycle_plus_chord(23)
+    with pytest.raises(LimitError, match="exact flex search for n = 23 needs "
+                                         "about 288 MiB, over the 256 MiB"):
+        kecss(g, 2)
+    path = tmp_path / "cycle.txt"
+    save_instance(Instance(g, 2, 1), path)
+    assert main(["solve", "fgc", "--input", str(path)]) == 2
+    assert "288 MiB" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
-# solvers
+# solvers: every solve goes through solve_fgc; a test named after k1 or
+# k2 exercises the q = 1 or q = 2 rows of the structure table
 
 
 def test_iterative_cover_q0_is_kecss():
     inst = FlexInstance(unit_k4(), 2, 0)
-    sol = iterative_cover(inst)
+    sol = solve_fgc(inst)
     assert sol.cost == kecss(unit_k4(), 2).cost
     assert [p.name for p in sol.phases] == ["kecss"]
 
 
 def test_iterative_cover_c4_one_unsafe_with_chord():
     g = g_from(4, [(0, 1, 1, 1, True), (1, 2, 1), (2, 3, 1), (3, 0, 1), (0, 2, 1)])
-    sol = iterative_cover(FlexInstance(g, 1, 1))
+    sol = solve_fgc(FlexInstance(g, 1, 1))
     ok, _ = is_flex_connected(g, sol.edge_ids, 1, 1)
     assert ok
     # every phase cleared its blocking family
@@ -195,7 +230,7 @@ def test_iterative_cover_c4_one_unsafe_with_chord():
 
 def test_solve_k1_reduces_to_kecss_without_unsafe():
     g = g_from(4, [(u, v, 2) for u in range(4) for v in range(u + 1, 4)])
-    sol = solve_k1(FlexInstance(g, 2, 1))
+    sol = solve_fgc(FlexInstance(g, 2, 1))
     assert sol.cost == kecss(g, 2).cost
 
 
@@ -205,7 +240,7 @@ def test_solve_k1_bounds_on_corpus():
     for _, g in corpus:
         gc = g_from(g.n, [(e.u, e.v, 2, 1, e.unsafe) for e in g.edges])
         inst = FlexInstance(gc, 1, 1)
-        sol = solve_k1(inst)
+        sol = solve_fgc(inst)
         opt = exact_fgc(inst)
         assert Fraction(sol.cost, opt.cost) <= sol.guarantee == Fraction(4)
         checked += 1
@@ -218,7 +253,7 @@ def test_solve_k1_even_k_uses_uncrossable_path():
     for _, inst in corpus:
         if inst.k != 2 or inst.q != 1:
             continue
-        sol = solve_k1(inst)  # asserts the level-1 family is uncrossable
+        sol = solve_fgc(inst)  # asserts the level-1 family is uncrossable
         ok, _ = is_flex_connected(inst.graph, sol.edge_ids, 2, 1)
         assert ok and sol.guarantee == Fraction(4)
         ran += 1
@@ -232,7 +267,7 @@ def test_solve_k2_even_and_odd():
         for _, inst in corpus:
             if inst.k != k or inst.q != 2:
                 continue
-            sol = solve_k2(inst)
+            sol = solve_fgc(inst)
             ok, _ = is_flex_connected(inst.graph, sol.edge_ids, k, 2)
             assert ok
             assert sol.guarantee == q_guarantee
@@ -248,7 +283,7 @@ def test_solve_k2_exercises_decomposition():
     g = g_from(4, [(0, 1, 1, 1, True), (1, 2, 1), (2, 3, 1, 1, True), (3, 0, 1),
                    (0, 1, 3), (1, 2, 3), (2, 3, 3), (3, 0, 3), (0, 2, 3), (1, 3, 3)])
     inst = FlexInstance(g, 1, 2)
-    sol = solve_k2(inst)
+    sol = solve_fgc(inst)
     ok, _ = is_flex_connected(g, sol.edge_ids, 1, 2)
     assert ok
     names = [p.name for p in sol.phases]
@@ -289,7 +324,7 @@ def test_weighted_q3_generic_plan_bounds():
 def test_solve_unit_cost_bounds():
     corpus = make_fgc_corpus(8, 301, unit_cost=True)
     for _, inst in corpus:
-        sol = solve_unit_cost(inst)
+        sol = solve_fgc(inst, unit_cost=True)
         assert sol.guarantee == Fraction(2) + Fraction(2 * inst.q, inst.k)
         for p in sol.phases[1:]:
             assert len(p.added) <= inst.graph.n - 1
@@ -300,8 +335,9 @@ def test_solve_unit_cost_bounds():
 
 def test_solve_unit_cost_rejects_weighted():
     g = g_from(3, [(0, 1, 2), (1, 2, 1), (0, 2, 1)])
-    with pytest.raises(InputError):
-        solve_unit_cost(FlexInstance(g, 1, 0))
+    for q in (0, 1):
+        with pytest.raises(InputError):
+            solve_fgc(FlexInstance(g, 1, q), unit_cost=True)
 
 
 def test_solve_fgc_dispatch():

@@ -1,12 +1,13 @@
-"""The FGC phase driver against the four solver loops it replaced.
+"""The FGC entry point against the four solver loops it replaced.
 
 ``iterative_cover``, ``solve_k1``, ``solve_k2``, ``solve_unit_cost`` and
 ``solve_fgc`` once each ran their own copy of the seed / enumerate /
-check / cover / re-check loop.  They now share one driver fed by a
-per-level plan.  The first versions are copied here verbatim (only the
-names carry a ``reference_`` prefix) and every solution, each phase log
-included, must equal theirs; so must the error and witness of a phase
-that fails to clear its family.
+check / cover / re-check loop.  ``solve_fgc`` is now the only entry
+point, and one structure table picks the handler of each level.  The
+first versions are copied here verbatim (only the names carry a
+``reference_`` prefix) and every solution, each phase log included,
+must equal theirs; so must the error and witness of a phase that fails
+to clear its family.
 """
 
 from __future__ import annotations
@@ -37,13 +38,9 @@ from nearcut import (
     is_flex_connected,
     is_laminar,
     is_uncrossable,
-    iterative_cover,
     kecss,
     minimal_cover,
     solve_fgc,
-    solve_k1,
-    solve_k2,
-    solve_unit_cost,
 )
 from nearcut.family_cover import Candidate, resolve_slot
 from nearcut.fgc import FlexSolution, PhaseLog
@@ -340,19 +337,13 @@ def outcome(solve, *args, **kwargs):
         return ("InvariantError", exc.witness)
 
 
-def solver_pairs(inst: FlexInstance, unit: bool):
-    """(name, new solver, reference solver, kwargs) for every entry point
+def solver_pairs(unit: bool):
+    """(name, new solver, reference solver, kwargs) for every cost model
     that accepts the instance."""
-    pairs = [("solve_fgc", solve_fgc, reference_solve_fgc, {}),
-             ("iterative_cover", iterative_cover, reference_iterative_cover, {})]
+    pairs = [("solve_fgc", solve_fgc, reference_solve_fgc, {})]
     if unit:
         pairs.append(("solve_fgc unit", solve_fgc, reference_solve_fgc,
                       {"unit_cost": True}))
-        pairs.append(("solve_unit_cost", solve_unit_cost, reference_solve_unit_cost, {}))
-    if inst.q == 1:
-        pairs.append(("solve_k1", solve_k1, reference_solve_k1, {}))
-    if inst.q == 2:
-        pairs.append(("solve_k2", solve_k2, reference_solve_k2, {}))
     return pairs
 
 
@@ -378,14 +369,14 @@ def test_driver_matches_reference_on_seeded_corpus(memo_search):
     for k, q, n, unit in CELLS:
         inst = FlexInstance(flex_graph(rng, n, k, q, unit), k, q)
         for mode in MODES:
-            for name, new, ref, kwargs in solver_pairs(inst, unit):
+            for name, new, ref, kwargs in solver_pairs(unit):
                 got = outcome(new, inst, mode, **kwargs)
                 assert isinstance(got, FlexSolution), (name, k, q, n, unit, mode)
                 assert got == outcome(ref, inst, mode, **kwargs), \
                     (name, k, q, n, unit, mode)
                 compared.add((name, q))
-    # every entry point ran at every level count it accepts
-    assert len(compared) == 4 * 4 + 2
+    # both cost models ran at every level count
+    assert len(compared) == 2 * 4
 
 
 def test_phase_logs_follow_the_structure_table():
@@ -416,15 +407,15 @@ def nonempty_level1_instance(q: int) -> FlexInstance:
 
 
 def test_forced_fallback_labels_exact(monkeypatch):
-    inst = nonempty_level1_instance(2)
+    inst = nonempty_level1_instance(3)
     never = lambda fam: (False, None)  # noqa: E731
     monkeypatch.setattr(fgc, "is_uncrossable", never)
     monkeypatch.setattr(sys.modules[__name__], "is_uncrossable", never)
-    sol = iterative_cover(inst)
+    sol = solve_fgc(inst)
     assert sol.phases[1].name == "F1"
     assert sol.phases[1].solver == "exact-fallback"
     assert sol.phases[1].guarantee == Fraction(1)
-    assert sol == reference_iterative_cover(inst)
+    assert sol == reference_solve_fgc(inst)
 
 
 def test_ring_slot_is_read_at_call_time(monkeypatch):
@@ -441,45 +432,39 @@ def test_ring_slot_is_read_at_call_time(monkeypatch):
     assert sol == reference_solve_fgc(inst)
 
 
-@pytest.mark.parametrize("q", [1, 2])
-@pytest.mark.parametrize("entry", ["iterative_cover", "solve_fgc"])
-def test_uncleared_family_reports_its_first_member(monkeypatch, q, entry):
+@pytest.mark.parametrize("q", [1, 2, 3], ids=lambda q: f"solve_fgc-{q}")
+def test_uncleared_family_reports_its_first_member(monkeypatch, q):
     inst = nonempty_level1_instance(q)
     h = kecss(inst.graph, inst.k).edge_ids
     first = enumerate_Fq(inst.graph, h, inst.k, 1).members[0]
     idle = SolverSlot("pd2", Fraction(2),
                       lambda ci: CoverSolution((), 0, "idle", Fraction(2)))
     monkeypatch.setitem(family_cover.SOLVER_SLOTS, "pd2", idle)
-    new = {"iterative_cover": iterative_cover, "solve_fgc": solve_fgc}[entry]
-    ref = {"iterative_cover": reference_iterative_cover,
-           "solve_fgc": reference_solve_fgc}[entry]
     with pytest.raises(InvariantError) as err:
-        new(inst)
+        solve_fgc(inst)
     assert err.value.witness == first
     with pytest.raises(InvariantError) as ref_err:
-        ref(inst)
+        reference_solve_fgc(inst)
     assert ref_err.value.witness == first
 
 
 def test_seed_that_is_not_k_connected_raises_like_the_reference(monkeypatch):
-    inst = nonempty_level1_instance(2)
+    insts = [nonempty_level1_instance(q) for q in (2, 3)]
     empty = fgc.KecssResult((), 0, Fraction(2), "approx2", 0)
     monkeypatch.setattr(fgc, "kecss", lambda g, k, mode="approx2": empty)
     monkeypatch.setattr(sys.modules[__name__], "kecss", fgc.kecss)
-    for new, ref in ((solve_fgc, reference_solve_fgc),
-                     (iterative_cover, reference_iterative_cover)):
+    for inst in insts:
         with pytest.raises(PreconditionError) as err:
-            new(inst)
+            solve_fgc(inst)
         with pytest.raises(PreconditionError) as ref_err:
-            ref(inst)
+            reference_solve_fgc(inst)
         assert err.value.witness == ref_err.value.witness is not None
 
 
-def test_entry_points_validate_their_level():
+def test_weighted_unit_cost_solve_is_refused_like_the_reference():
     inst = nonempty_level1_instance(2)
-    with pytest.raises(InputError):
-        solve_k1(inst)
-    with pytest.raises(InputError):
-        solve_k2(FlexInstance(inst.graph, inst.k, 1))
-    with pytest.raises(InputError):
-        solve_unit_cost(inst)
+    with pytest.raises(InputError) as err:
+        solve_fgc(inst, unit_cost=True)
+    with pytest.raises(InputError) as ref_err:
+        reference_solve_fgc(inst, unit_cost=True)
+    assert str(err.value) == str(ref_err.value)
