@@ -62,8 +62,14 @@ class AugmentInstance:
             raise InputError("instance has no base edges")
 
     @cached_property
+    def base_graph(self) -> Multigraph:
+        """The base edges alone: the current graph before any candidate is
+        chosen.  Its cached cut table serves ``lam0`` and the first stage."""
+        return Multigraph(self.graph.n, tuple(e for e in self.graph.edges if e.base))
+
+    @cached_property
     def lam0(self) -> int:
-        return min_cut_value(self.graph, "base", weighted=True)
+        return min_cut_value(self.base_graph, "all", weighted=True)
 
     @property
     def candidate_ids(self) -> tuple[int, ...]:
@@ -181,8 +187,9 @@ def near_min_cuts_cover(inst: AugmentInstance,
     stages: list[StageLog] = []
     bound = Fraction(0)
     # The graph built for each stage's connectivity check is the next
-    # stage's input, so its cached cut table is read once per stage.
-    g_cur = inst.current_graph(chosen)
+    # stage's input, so its cached cut table is read once per stage; the
+    # first stage reads the table that gave lam0.
+    g_cur = inst.base_graph
 
     for level, kind in plan:
         fam = level_family(g_cur, level, include_plus_one=(kind == "pair"))

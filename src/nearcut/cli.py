@@ -3,13 +3,15 @@
 Subcommands: ``gen`` (seeded instance files), ``verify --suite NAME``
 (verification suites), ``solve augment|fgc``, ``oracle augment|fgc``,
 and ``bench --corpus DIR --out FILE``.  Exit codes: 0 pass, 1 invariant
-or suite failure, 2 usage / IO / infeasibility.
+or suite failure, 2 usage / IO / infeasibility.  ``--log-level`` (before
+the subcommand) sends the package loggers to stderr at that level.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 import time
 from pathlib import Path
@@ -145,28 +147,43 @@ def _cmd_bench(args) -> int:
         raise NearcutError(f"corpus directory not found: {corpus}")
     records = []
     violations = []
+    errors = []
     for path in sorted(corpus.iterdir()):
         if path.is_dir() or path.name.startswith("."):
             continue
-        inst = load_instance(path)
-        has_base = any(e.base for e in inst.graph.edges)
-        kind = args.kind if args.kind != "auto" else ("augment" if has_base else "fgc")
-        if kind == "augment":
-            rec = augment_record(path.name, AugmentInstance(inst.graph, inst.k))
-        else:
-            rec = fgc_record(path.name, FlexInstance(inst.graph, inst.k, inst.q),
-                             args.unit_cost)
+        try:
+            inst = load_instance(path)
+            has_base = any(e.base for e in inst.graph.edges)
+            kind = args.kind if args.kind != "auto" else ("augment" if has_base else "fgc")
+            if kind == "augment":
+                rec = augment_record(path.name, AugmentInstance(inst.graph, inst.k))
+            else:
+                rec = fgc_record(path.name, FlexInstance(inst.graph, inst.k, inst.q),
+                                 args.unit_cost)
+        except InvariantError:
+            raise
+        except NearcutError as exc:
+            # One bad instance costs its own record, not the whole report.
+            print(f"error: {path.name}: {_describe(exc)}", file=sys.stderr)
+            errors.append({"instance_id": path.name, "error": str(exc),
+                           "witness_nodes": _witness_nodes(exc)})
+            continue
         records.append(rec)
         if rec.violated:
             violations.append(rec.instance_id)
+    summary = {"instances": len(records), "violations": violations}
+    if errors:
+        summary["errors"] = errors
     report = {
         "kind": "bench",
         "corpus": str(corpus),
         "records": [r.to_json_obj() for r in records],
-        "summary": {"instances": len(records), "violations": violations},
-        "pass": not violations,
+        "summary": summary,
+        "pass": not violations and not errors,
     }
     _emit(report, args.out)
+    if errors:
+        return 2
     return 0 if report["pass"] else 1
 
 
@@ -174,6 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nearcut",
         description="Near-minimum-cut covers and flexible connectivity, verified.")
+    parser.add_argument("--log-level", choices=("warning", "info", "debug"),
+                        default="warning", dest="log_level",
+                        help="level at which the nearcut loggers write to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a seeded instance file")
@@ -236,17 +256,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _witness_nodes(exc: NearcutError) -> list[int] | None:
+    """The node list of a cut-mask witness, or None."""
+    witness = getattr(exc, "witness", None)
+    return _mask_nodes(witness) if type(witness) is int else None
+
+
 def _describe(exc: NearcutError) -> str:
     """The message, plus the node list of a cut-mask witness."""
-    witness = getattr(exc, "witness", None)
-    if type(witness) is int:
-        return f"{exc} (witness cut nodes {_mask_nodes(witness)})"
-    return str(exc)
+    nodes = _witness_nodes(exc)
+    return str(exc) if nodes is None else f"{exc} (witness cut nodes {nodes})"
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    package_logger = logging.getLogger("nearcut")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved_level = package_logger.level
+    package_logger.addHandler(handler)
+    package_logger.setLevel(args.log_level.upper())
     try:
         return args.func(args)
     except InvariantError as exc:
@@ -255,6 +285,9 @@ def main(argv=None) -> int:
     except NearcutError as exc:
         print(f"error: {_describe(exc)}", file=sys.stderr)
         return 2
+    finally:
+        package_logger.removeHandler(handler)
+        package_logger.setLevel(saved_level)
 
 
 if __name__ == "__main__":

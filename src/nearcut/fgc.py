@@ -124,8 +124,11 @@ def _flex_arrays(g: Multigraph, edge_ids: Iterable[int]) -> tuple[np.ndarray, np
 
 def _first_bad_cut(d_arr: np.ndarray, u_arr: np.ndarray, k: int,
                    q: int) -> Optional[int]:
-    """First canonical cut with d(S) < k + min(d_U(S), q), or None."""
-    bad = cut_masks(d_arr < k + np.minimum(u_arr, q))
+    """First canonical cut with d(S) < k + min(d_U(S), q), or None.
+
+    Written as d(S) - d_U(S) < k and d(S) < k + q so that k and q meet the
+    table only in comparisons, which are exact for any Python int."""
+    bad = cut_masks((d_arr - u_arr < k) & (d_arr < k + q))
     return bad[0] if bad else None
 
 

@@ -178,9 +178,7 @@ def exact_augment(inst: AugmentInstance,
     """Optimal candidate set: covering the base graph's deficient cuts is
     exactly feasibility, since each candidate closes any single deficit."""
     inst.validate()
-    base = Multigraph(inst.graph.n,
-                      tuple(e for e in inst.graph.edges if e.base))
-    fam = deficient_family(base, inst.k)
+    fam = deficient_family(inst.base_graph, inst.k)
     cands = tuple(Candidate(i, inst.graph.edges[i].u, inst.graph.edges[i].v,
                             inst.graph.edges[i].cost)
                   for i in inst.candidate_ids)

@@ -23,8 +23,8 @@ from .errors import InputError, LimitError
 
 DEFAULT_EXHAUSTIVE_LIMIT = 24
 _LIMIT_ENV = "NEARCUT_EXHAUSTIVE_LIMIT"
-# Largest cut table plus scratch one build may allocate: 12 * 2^(n-1)
-# bytes, so 96 MiB at n = 24 and 192 MiB at n = 25 fit, 384 MiB at n = 26
+# Largest cut table one build may allocate: itemsize * 2^(n-1) bytes, so
+# an int32 table of 256 MiB at n = 27 fits and one of 512 MiB at n = 28
 # does not.  A fixed constant, not a setting.
 TABLE_MEMORY_BUDGET = 256 << 20
 
@@ -240,44 +240,58 @@ def cut_value_array(g: Multigraph, filt: str = "all",
 
     Index 0 corresponds to the empty set and is not a cut; callers must
     skip it (:func:`cut_masks` does).  The table is read-only and cached
-    on the graph per ``(filt, weighted)``.
+    on the graph per ``(filt, weighted)``.  A weighted request on a graph
+    whose filtered edges all have capacity 1 is the unweighted request:
+    it returns the same array object from the same cache entry.
 
-    Built by node doubling over the filtered adjacency matrix ``adj``:
-    index bit ``j`` stands for node ``j + 1``, and for each node ``v``
-    in turn the upper half of the filled prefix follows from the lower
-    one as ``vals[S | {v}] = vals[S] + deg(v) - 2 * w(v, S)``, where
-    ``w(v, S) = sum(adj[v][u] for u in S)`` is itself built by doubling.
-    Work is O(2^n + n^2); memory is the int64 table plus one reusable
-    scratch array of half its size, 12 * 2^(n-1) bytes (64 + 32 MiB at
-    n = 24).  That estimate is checked before anything is allocated: a
-    build above :data:`TABLE_MEMORY_BUDGET` (256 MiB, so n <= 25) raises
-    :class:`LimitError` naming it, whatever the node limit allows.
+    Built in place by node doubling over the filtered adjacency matrix
+    ``adj``: index bit ``j`` stands for node ``j + 1``, and for each node
+    ``v`` in turn the upper half of the filled prefix follows from the
+    lower one as ``vals[S | {v}] = vals[S] + deg(v) - 2 * w(v, S)``, where
+    ``w(v, S) = sum(adj[v][u] for u in S)``.  The upper half itself first
+    holds ``deg(v) - 2 * w(v, S)``, doubled out from ``deg(v)`` one node
+    ``u`` at a time, and then gets the lower half added to it; no scratch
+    array is needed.  Work is O(2^n + n^2).
+
+    Values lie in ``[0, W]``, where ``W`` is the total filtered weight (the
+    edge count when unweighted), so the dtype is int32 when ``W < 2^31``
+    and int64 otherwise.  The step ``-2 * adj[v][u]`` need not fit that
+    dtype; it is passed reduced modulo ``2^bits``, the partial sums wrap
+    the same way, and the finished values, which do fit, come out exact.
+    Memory is the table alone, ``itemsize * 2^(n-1)`` bytes (32 MiB at
+    n = 24 in int32).  That estimate is checked before anything is
+    allocated: a build above :data:`TABLE_MEMORY_BUDGET` (256 MiB, so
+    n <= 27 in int32) raises :class:`LimitError` naming it, whatever the
+    node limit allows.
     """
-    check_exhaustive_build(g.n, 12 << (g.n - 1), "cut table")
+    pred = resolve_filter(filt)
+    edges = [e for e in g.edges if pred(e)]
+    if weighted and all(e.capacity == 1 for e in edges):
+        weighted = False
     key = (filt, weighted)
     if key in g._cut_cache:
         return g._cut_cache[key]
-    pred = resolve_filter(filt)
+    total = sum(e.capacity for e in edges) if weighted else len(edges)
+    dtype = np.dtype(np.int32 if total < 1 << 31 else np.int64)
+    check_exhaustive_build(g.n, dtype.itemsize << (g.n - 1), "cut table")
+    half_range = 1 << (8 * dtype.itemsize - 1)
     adj = [[0] * g.n for _ in range(g.n)]
-    for e in g.edges:
-        if pred(e):
-            w = e.capacity if weighted else 1
-            adj[e.u][e.v] += w
-            adj[e.v][e.u] += w
-    vals = np.zeros(1 << (g.n - 1), dtype=np.int64)
-    scratch = np.zeros(len(vals) >> 1, dtype=np.int64)
+    for e in edges:
+        w = e.capacity if weighted else 1
+        adj[e.u][e.v] += w
+        adj[e.v][e.u] += w
+    vals = np.empty(1 << (g.n - 1), dtype=dtype)
+    vals[0] = 0
     for v in range(1, g.n):
         half = 1 << (v - 1)
         row = adj[v]
-        # scratch[S] = w(v, S) for S over nodes 1..v-1
-        scratch[0] = 0
+        dst = vals[half:2 * half]
+        dst[0] = sum(row)
         for u in range(1, v):
             h = 1 << (u - 1)
-            np.add(scratch[:h], row[u], out=scratch[h:2 * h])
-        wv = scratch[:half]
-        wv *= -2
-        wv += sum(row)
-        np.add(vals[:half], wv, out=vals[half:2 * half])
+            step = (half_range - 2 * row[u]) % (2 * half_range) - half_range
+            np.add(dst[:h], step, out=dst[h:2 * h])
+        dst += vals[:half]
     vals.flags.writeable = False
     g._cut_cache[key] = vals
     return vals

@@ -1,28 +1,40 @@
 """The node-doubling cut table and the numpy family readers.
 
 Each fast path is compared with a slow one: table entries with the
-brute-force subset loop in conftest, families and witnesses with plain
-Python loops over the table (the scans the readers replaced).
+brute-force subset loop in conftest and with the earlier int64 build
+kept here verbatim, families and witnesses with plain Python loops over
+the table (the scans the readers replaced).
 """
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearcut import (
+    AugmentInstance,
     EdgeRecord,
+    InputError,
     Multigraph,
     PreconditionError,
+    decompose_F2_odd,
     deficient_family,
     enumerate_Fq,
     is_flex_connected,
     level_family,
     mask_from_nodes,
     min_cut_value,
+    near_min_cuts_cover,
 )
-from nearcut.multigraph import FILTERS, cut_masks, cut_value_array
+from nearcut.harness import exact_augment, make_augment_corpus
+from nearcut.multigraph import (
+    FILTERS,
+    check_exhaustive_build,
+    cut_masks,
+    cut_value_array,
+)
 
 from conftest import brute_cut_value, canonical_subsets
 
@@ -49,6 +61,69 @@ def assert_table_matches_brute(g, filt, weighted):
         mask = mask_from_nodes(side)
         assert int(vals[mask >> 1]) == brute_cut_value(g, side, pred, weighted), \
             (filt, weighted, sorted(side))
+
+
+# ---------------------------------------------------------------------------
+# The int64 build with a half-size scratch array, verbatim
+
+
+def parent_cut_value_array(g: Multigraph, filt: str = "all",
+                           weighted: bool = False) -> np.ndarray:
+    check_exhaustive_build(g.n, 12 << (g.n - 1), "cut table")
+    key = (filt, weighted)
+    if key in g._cut_cache:
+        return g._cut_cache[key]
+    pred = FILTERS[filt]
+    adj = [[0] * g.n for _ in range(g.n)]
+    for e in g.edges:
+        if pred(e):
+            w = e.capacity if weighted else 1
+            adj[e.u][e.v] += w
+            adj[e.v][e.u] += w
+    vals = np.zeros(1 << (g.n - 1), dtype=np.int64)
+    scratch = np.zeros(len(vals) >> 1, dtype=np.int64)
+    for v in range(1, g.n):
+        half = 1 << (v - 1)
+        row = adj[v]
+        # scratch[S] = w(v, S) for S over nodes 1..v-1
+        scratch[0] = 0
+        for u in range(1, v):
+            h = 1 << (u - 1)
+            np.add(scratch[:h], row[u], out=scratch[h:2 * h])
+        wv = scratch[:half]
+        wv *= -2
+        wv += sum(row)
+        np.add(vals[:half], wv, out=vals[half:2 * half])
+    vals.flags.writeable = False
+    g._cut_cache[key] = vals
+    return vals
+
+
+def parent_first_bad_cut(d_arr, u_arr, k, q):
+    bad = cut_masks(d_arr < k + np.minimum(u_arr, q))
+    return bad[0] if bad else None
+
+
+def twin(g: Multigraph) -> Multigraph:
+    """An equal graph with its own table cache."""
+    return Multigraph(g.n, g.edges)
+
+
+def expected_dtype(g: Multigraph, filt: str, weighted: bool):
+    edges = [e for e in g.edges if FILTERS[filt](e)]
+    total = sum(e.capacity for e in edges) if weighted else len(edges)
+    return np.int32 if total < 2 ** 31 else np.int64
+
+
+def assert_table_matches_parent(g, filt, weighted):
+    vals = cut_value_array(g, filt, weighted)
+    ref = parent_cut_value_array(twin(g), filt, weighted)
+    assert vals.tolist() == ref.tolist(), (filt, weighted)
+    assert vals.dtype == expected_dtype(g, filt, weighted), (filt, weighted)
+    assert not vals.flags.writeable
+    if weighted and all(e.capacity == 1 for e in g.edges if FILTERS[filt](e)):
+        assert vals is cut_value_array(g, filt, False)
+        assert (filt, True) not in g._cut_cache
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +172,145 @@ def test_table_equals_brute_force(n):
         for weighted in (False, True):
             for filt in FILTERS:
                 assert_table_matches_brute(g, filt, weighted)
+
+
+def random_capacity_multigraph(rng: random.Random, n: int, caps=(1, 5)) -> Multigraph:
+    """Random flagged pairs with repeats (parallel edges), capacities in ``caps``."""
+    edges = []
+    if n >= 2:
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 2 * n))]
+        for _ in range(rng.randint(0, 3 * n)):
+            u, v = rng.choice(pairs)
+            edges.append(EdgeRecord(u, v, 1, rng.randint(*caps), rng.random() < 0.4,
+                                    rng.random() < 0.5))
+    return Multigraph(n, tuple(edges))
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_table_equals_parent_build(n):
+    rng = random.Random(200 + n)
+    graphs = [random_capacity_multigraph(rng, n), random_capacity_multigraph(rng, n),
+              random_capacity_multigraph(rng, n, caps=(1, 1))]
+    if n >= 2:
+        # one capacity at or above 2^31 makes its weighted tables int64
+        heavy = random_capacity_multigraph(rng, n)
+        u, v = rng.sample(range(n), 2)
+        graphs.append(Multigraph(n, heavy.edges + (EdgeRecord(u, v, 1, 2 ** 31 + 7,
+                                                              True, True),)))
+    for g in graphs:
+        for filt in FILTERS:
+            for weighted in (False, True):
+                assert_table_matches_parent(g, filt, weighted)
+    if n >= 2:
+        assert cut_value_array(graphs[-1], "all", True).dtype == np.int64
+        assert cut_value_array(graphs[-1], "all", False).dtype == np.int32
+
+
+@pytest.mark.parametrize("cap, dtype", [(2 ** 30, np.int32), (2 ** 31 - 2, np.int32),
+                                        (2 ** 31 - 1, np.int64), (2 ** 62, np.int64),
+                                        (2 ** 63 - 2, np.int64)])
+def test_table_dtype_boundary(cap, dtype):
+    # total weight cap + 1; the doubling step -2 * cap does not fit the dtype
+    g = Multigraph.from_edges(4, [(1, 2, 1, cap), (2, 3, 1, 1)])
+    vals = cut_value_array(g, "all", True)
+    assert vals.dtype == dtype
+    assert vals.tolist() == parent_cut_value_array(twin(g), "all", True).tolist()
+    assert_table_matches_brute(g, "all", True)
+
+
+def test_weighted_unit_table_is_the_unweighted_one():
+    # base edges (0,1), (1,2) and the safe edges all have capacity 1; the
+    # one unsafe edge (0,2) has capacity 4
+    g = Multigraph.from_edges(5, [(0, 1, 3, 1, 0, 1), (1, 2, 1, 1, 0, 1), (2, 3), (3, 4),
+                                  (4, 0), (0, 2, 1, 4, 1, 0)])
+    for filt in ("safe", "base"):
+        assert cut_value_array(g, filt, True) is cut_value_array(g, filt, False)
+    for filt in ("all", "unsafe", "nonbase"):
+        assert cut_value_array(g, filt, True) is not cut_value_array(g, filt, False)
+    assert cut_value_array(g, "unsafe", True).tolist() == \
+        [4 * x for x in cut_value_array(g, "unsafe", False).tolist()]
+    assert sorted(g._cut_cache) == [("all", False), ("all", True), ("base", False),
+                                    ("nonbase", False), ("nonbase", True),
+                                    ("safe", False), ("unsafe", False),
+                                    ("unsafe", True)]
+
+
+def test_base_graph_table_is_the_base_filter_table():
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(2, 9)
+        g = random_capacity_multigraph(rng, n)
+        base = tuple(EdgeRecord(e.u, e.v, e.cost, 1, e.unsafe, True)
+                     for e in g.edges if e.base)
+        cands = tuple(e for e in g.edges if not e.base)
+        inst = AugmentInstance(Multigraph(n, base + cands + (EdgeRecord(0, 1, base=True),)),
+                               rng.randint(1, 4))
+        lam0 = inst.lam0
+        # lam0 and the first stage read the one table of the one base graph
+        assert inst.base_graph is inst.base_graph
+        assert len(inst.base_graph._cut_cache) == 1
+        table = cut_value_array(inst.base_graph, "all", True)
+        assert cut_value_array(inst.base_graph, "all", False) is table
+        assert len(inst.base_graph._cut_cache) == 1
+        assert table.tolist() == cut_value_array(inst.graph, "base", True).tolist()
+        assert table.tolist() == \
+            parent_cut_value_array(twin(inst.graph), "base", True).tolist()
+        assert lam0 == int(table[1:].min())
+
+
+def test_cover_builds_one_table_per_stage_graph(monkeypatch):
+    """One build for the base graph (lam0 and the first stage), then one
+    per stage that added edges; the oracle reuses the base table."""
+    import nearcut.multigraph as mg
+    builds = []
+    real = mg.check_exhaustive_build
+
+    def counting(n, estimate, what):
+        builds.append(n)
+        return real(n, estimate, what)
+
+    monkeypatch.setattr(mg, "check_exhaustive_build", counting)
+    for _, built in make_augment_corpus(8, 7):
+        inst = AugmentInstance(built.graph, built.k)
+        builds.clear()
+        res = near_min_cuts_cover(inst)
+        assert len(builds) == 1 + sum(s.solver != "none" for s in res.stages)
+        before = len(builds)
+        exact_augment(inst)
+        assert len(builds) == before
+
+
+def test_huge_k_and_q_meet_the_table_only_in_comparisons():
+    rng = random.Random(37)
+    big = 2 ** 40
+    for _ in range(40):
+        g = random_flagged_multigraph(rng, rng.randint(2, 8))
+        ids = [i for i in range(g.m) if rng.random() < 0.8]
+        h = Multigraph(g.n, tuple(g.edges[i] for i in sorted(ids)))
+        d64 = parent_cut_value_array(twin(h), "all")
+        u64 = parent_cut_value_array(twin(h), "unsafe")
+        for k, q in ((big, big), (1, big), (big, 1), (2, 2 ** 31), (2 ** 31, 0)):
+            wit = parent_first_bad_cut(d64, u64, k, q)
+            assert is_flex_connected(g, ids, k, q) == (wit is None, wit)
+            if q == 0:
+                continue
+            pre = parent_first_bad_cut(d64, u64, k, q - 1)
+            if pre is None:
+                assert enumerate_Fq(g, ids, k, q).members == \
+                    cut_masks((d64 == k + q - 1) & (u64 >= q))
+            else:
+                with pytest.raises(PreconditionError) as err:
+                    enumerate_Fq(g, ids, k, q)
+                assert err.value.witness == pre
+        w64 = parent_cut_value_array(twin(g), "all", True)
+        assert deficient_family(g, big).members == cut_masks(w64 < big)
+        for lam in (big, 2 ** 31 - 1):
+            assert level_family(g, lam).members == \
+                cut_masks((w64 >= lam) & (w64 <= lam + 1))
+        with pytest.raises(InputError, match="odd k"):
+            decompose_F2_odd(g, ids, big)
+        with pytest.raises(PreconditionError, match="not 1099511627777-edge-connected"):
+            decompose_F2_odd(g, ids, big + 1)
 
 
 def test_cached_table_is_read_only():
@@ -214,3 +428,22 @@ def test_property_table_and_level_family(g):
             assert_table_matches_brute(g, filt, weighted)
     lam = min_cut_value(g, "all", weighted=True)
     assert level_family(g, lam).members == loop_level_family(g, lam)
+
+
+@st.composite
+def capacity_multigraphs(draw):
+    n = draw(st.integers(1, 11))
+    node = st.integers(0, n - 1)
+    cap = st.one_of(st.integers(1, 5), st.sampled_from([2 ** 29, 2 ** 30, 2 ** 31]))
+    specs = draw(st.lists(st.tuples(node, node, cap, st.booleans(), st.booleans()),
+                          max_size=4 * n))
+    return Multigraph(n, tuple(EdgeRecord(u, v, 1, c, unsafe, base)
+                               for u, v, c, unsafe, base in specs if u != v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(capacity_multigraphs())
+def test_property_table_matches_parent_build(g):
+    for filt in FILTERS:
+        for weighted in (False, True):
+            assert_table_matches_parent(g, filt, weighted)

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -172,6 +173,93 @@ def test_cli_bench(tmp_path, capsys):
     assert main(["bench", "--corpus", str(corpus), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["summary"]["instances"] == 2 and rep["pass"]
+
+
+def test_cli_bench_reports_every_instance_past_an_error(tmp_path, capsys):
+    # gen2.txt is not (2, 1)-flex-connected, so it cannot be solved; the
+    # instances after it are still solved and reported
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    spec = ["--nodes", "5:6", "--density", "0.8", "--cost", "1:9", "--k", "2",
+            "--q", "1"]
+    main(["gen", "--out", str(corpus / "gen2.txt"), "--unsafe-p", "0.4",
+          "--seed", "2"] + spec)
+    for seed in (5, 7):
+        main(["gen", "--out", str(corpus / f"gen{seed}.txt"), "--unsafe-p", "0.3",
+              "--seed", str(seed)] + spec)
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--corpus", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: gen2.txt: graph itself is not flex-connected at the "
+                   "requested level (witness cut nodes [4])\n")
+    rep = json.loads(out.read_text())
+    assert [r["instance_id"] for r in rep["records"]] == ["gen5.txt", "gen7.txt"]
+    assert all(r["feasible"] for r in rep["records"])
+    assert rep["summary"]["errors"] == [{
+        "instance_id": "gen2.txt",
+        "error": "graph itself is not flex-connected at the requested level",
+        "witness_nodes": [4]}]
+    assert rep["summary"]["violations"] == [] and rep["pass"] is False
+    # without the bad instance the report has no errors entry and passes
+    (corpus / "gen2.txt").unlink()
+    assert main(["bench", "--corpus", str(corpus), "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert "errors" not in rep["summary"] and rep["pass"]
+
+
+def test_cli_bench_invariant_failure_still_aborts(tmp_path, monkeypatch, capsys):
+    import nearcut.cli as cli
+    from nearcut import InvariantError
+
+    def broken(iid, inst, unit):
+        raise InvariantError("synthetic")
+
+    monkeypatch.setattr(cli, "fgc_record", broken)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    main(["gen", "--out", str(corpus / "01.txt"), "--nodes", "5", "--seed", "1"])
+    assert main(["bench", "--corpus", str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invariant failure: synthetic\n"
+
+
+def test_cli_log_level_debug_writes_to_stderr_only(tmp_path, capsys):
+    path = tmp_path / "inst.txt"
+    main(["gen", "--out", str(path), "--nodes", "6", "--density", "0.8",
+          "--cost", "1:9", "--seed", "5", "--k", "2", "--q", "1",
+          "--unsafe-p", "0.3"])
+    package_logger = logging.getLogger("nearcut")
+    before = (list(package_logger.handlers), package_logger.level)
+    assert main(["solve", "fgc", "--input", str(path)]) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == ""
+    assert main(["--log-level", "debug", "solve", "fgc", "--input", str(path)]) == 0
+    loud = capsys.readouterr()
+    assert strip_wall_times(json.loads(loud.out)) == strip_wall_times(json.loads(quiet.out))
+    assert "DEBUG nearcut.fgc: blocking family at level 1:" in loud.err
+    # the handler and the level go away with the call
+    assert (package_logger.handlers, package_logger.level) == before
+    assert main(["solve", "fgc", "--input", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_log_level_keeps_stdout_byte_identical(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    suite = ["verify", "--suite", "c1", "--config", '{"k_values": [2], "per_k": 3}']
+    runs = {}
+    for level in (None, "warning", "info", "debug"):
+        argv = [] if level is None else ["--log-level", level]
+        runs[level] = subprocess.run(
+            [sys.executable, "-m", "nearcut", *argv, *suite],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+    assert {r.returncode for r in runs.values()} == {0}
+    assert len({r.stdout for r in runs.values()}) == 1
+    assert json.loads(runs[None].stdout)["pass"]
+    assert runs[None].stderr == runs["warning"].stderr == runs["info"].stderr == ""
+    assert runs["debug"].stderr.startswith(
+        "DEBUG nearcut.fgc: blocking family at level 2: ")
 
 
 def test_cli_bench_unit_cost_record_kind(tmp_path):

@@ -238,17 +238,18 @@ def test_table_memory_guard_refuses_before_allocating(monkeypatch, tmp_path, cap
 
     monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "30")
     monkeypatch.setattr(np, "zeros", no_allocation)
+    monkeypatch.setattr(np, "empty", no_allocation)
     cycle = g_from(30, [(i, (i + 1) % 30) for i in range(30)])
-    with pytest.raises(LimitError, match="6144 MiB"):
+    with pytest.raises(LimitError, match="2048 MiB"):
         cut_value_array(cycle)
-    with pytest.raises(LimitError, match="384 MiB"):
-        min_cut_value(g_from(26, [(i, (i + 1) % 26) for i in range(26)]))
+    with pytest.raises(LimitError, match="512 MiB"):
+        min_cut_value(g_from(28, [(i, (i + 1) % 28) for i in range(28)]))
     # the command line turns the refusal into exit code 2
     base = [(i, (i + 1) % 30, 0, 1, 0, 1) for i in range(30)]
     path = tmp_path / "aug.txt"
     save_instance(Instance(g_from(30, base + [(0, 15, 1, 1, 0, 0)]), 3, 0), path)
     assert main(["solve", "augment", "--input", str(path)]) == 2
-    assert "6144 MiB" in capsys.readouterr().err
+    assert "2048 MiB" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("raw", ["-5", "0", "seven"])
