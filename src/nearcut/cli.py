@@ -258,8 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _witness_nodes(exc: NearcutError) -> list[int] | None:
     """The node list of a cut-mask witness, or None."""
-    witness = getattr(exc, "witness", None)
-    return _mask_nodes(witness) if type(witness) is int else None
+    return _mask_nodes(exc.witness) if type(exc.witness) is int else None
 
 
 def _describe(exc: NearcutError) -> str:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Optional
 
 from .errors import InputError, InvariantError, PreconditionError
@@ -58,33 +59,29 @@ from .multigraph import (
 # Crossing predicates
 
 
-def _check_ground(a: int, b: int, n: int) -> None:
-    if not (0 < n):
+def corner_masks(a: int, b: int, n: int) -> tuple[int, int, int, int]:
+    """(C1, C2, C3, C4) = (A&B, A-B, V-(A|B), B-A).
+
+    A and B must be non-empty proper subsets of a non-empty ground set;
+    anything else raises :class:`InputError`.
+    """
+    if n < 1:
         raise InputError("ground set must be non-empty")
-    fm = full_mask(n)
-    if a & ~fm or b & ~fm:
-        raise InputError("set mask outside the ground set")
-    if not is_proper_subset(a, n) or not is_proper_subset(b, n):
+    fm = (1 << n) - 1
+    if not (0 < a < fm and 0 < b < fm):
         raise InputError("crossing is defined for non-empty proper subsets")
+    return (a & b, a & ~b, fm ^ (a | b), b & ~a)
 
 
 def crosses(a: int, b: int, n: int) -> bool:
     """Weak crossing: A&B and V-(A|B) both non-empty."""
-    _check_ground(a, b, n)
-    return (a & b) != 0 and (a | b) != full_mask(n)
+    c1, _, c3, _ = corner_masks(a, b, n)
+    return c1 != 0 and c3 != 0
 
 
 def crosses_strongly(a: int, b: int, n: int) -> bool:
     """All four corner sets non-empty."""
-    _check_ground(a, b, n)
-    return ((a & b) != 0 and (a & ~b) != 0 and (b & ~a) != 0
-            and (a | b) != full_mask(n))
-
-
-def corner_masks(a: int, b: int, n: int) -> tuple[int, int, int, int]:
-    """(C1, C2, C3, C4) = (A&B, A-B, V-(A|B), B-A)."""
-    fm = full_mask(n)
-    return (a & b, a & ~b & fm, ~(a | b) & fm, b & ~a & fm)
+    return all(corner_masks(a, b, n))
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +323,13 @@ def build_square(g: Multigraph, a_mask: int, b_mask: int,
     d1 <= d2,d3,d4, d2 <= d4 and (a >= b when d1 == d2), breaking ties
     by the smallest (degrees, diagonals, sides, corners) tuple.
     """
-    if not crosses_strongly(a_mask, b_mask, g.n):
-        raise InputError("build_square requires strongly crossing sets")
     corners = corner_masks(a_mask, b_mask, g.n)
-    where = [0] * g.n
-    for ci, cm in enumerate(corners):
-        for v in nodes_from_mask(cm):
-            where[v] = ci
+    if not all(corners):
+        raise InputError("build_square requires strongly crossing sets")
+    _, c2, c3, c4 = corners
+    # each node lies in exactly one corner; C1 is index 0
+    where = [(c2 >> v & 1) + 2 * (c3 >> v & 1) + 3 * (c4 >> v & 1)
+             for v in range(g.n)]
     mat = [[0] * 4 for _ in range(4)]
     for e in g.edges:
         cu, cv = where[e.u], where[e.v]
@@ -548,10 +545,9 @@ class DecompositionResult:
 def _component_split(masks: tuple[int, ...], n: int) -> list[list[int]]:
     """Connected components of the strong-crossing graph on the masks."""
     sets = DisjointSets(len(masks))
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if crosses_strongly(masks[i], masks[j], n):
-                sets.union(i, j)
+    for (i, a), (j, b) in combinations(enumerate(masks), 2):
+        if crosses_strongly(a, b, n):
+            sets.union(i, j)
     groups: dict[int, list[int]] = {}
     for i, m in enumerate(masks):
         groups.setdefault(sets.find(i), []).append(m)

@@ -2,7 +2,15 @@
 
 
 class NearcutError(Exception):
-    """Base class for package errors."""
+    """Base class for package errors.
+
+    `witness` carries the offending object (a cut mask, a pair of masks, ...)
+    when one is available.
+    """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class InputError(NearcutError):
@@ -14,23 +22,11 @@ class LimitError(NearcutError):
 
 
 class PreconditionError(NearcutError):
-    """A documented operation precondition does not hold.
-
-    `witness` carries the offending object (a cut mask, a pair of masks, ...)
-    when one is available.
-    """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """A documented operation precondition does not hold."""
 
 
 class InfeasibleError(NearcutError):
     """No feasible solution exists; `witness` names an uncoverable cut."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class BudgetError(NearcutError):
@@ -39,7 +35,3 @@ class BudgetError(NearcutError):
 
 class InvariantError(NearcutError):
     """A runtime-verified structural guarantee failed."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness

@@ -101,19 +101,14 @@ def _crossing_bits(n: int, members: Sequence[int],
                    edges: Sequence[tuple[int, int]]) -> Crossings:
     """Both directions of the edge x member crossing relation.
 
-    Endpoints at or above ``n`` lie inside no member; a loop (u == u)
+    Every endpoint lies in ``range(n)`` (callers check); a loop (u == u)
     toggles its own incidence twice and so crosses nothing.
     """
-    width = n
-    for u, v in edges:
-        if u < 0 or v < 0:
-            raise ValueError(f"negative node index in edge {(u, v)}")
-        width = max(width, u + 1, v + 1)
-    incident = [0] * width
+    incident = [0] * n
     for pos, (u, v) in enumerate(edges):
         incident[u] ^= 1 << pos
         incident[v] ^= 1 << pos
-    inside = [0] * width
+    inside = [0] * n
     member_bits = []
     for j, m in enumerate(members):
         bit = 1 << j
@@ -129,9 +124,15 @@ def _crossing_bits(n: int, members: Sequence[int],
     return Crossings(inside, edge_bits, member_bits)
 
 
-def _pairs(edges: Iterable) -> list[tuple[int, int]]:
-    """Endpoints of Candidate objects or plain (u, v[, ...]) tuples."""
-    return [(c.u, c.v) if isinstance(c, Candidate) else (c[0], c[1]) for c in edges]
+def _pairs(edges: Iterable, n: int) -> list[tuple[int, int]]:
+    """Endpoints of Candidate objects or plain (u, v[, ...]) tuples, each
+    checked to lie in the ground set ``range(n)``."""
+    pairs = [(c.u, c.v) if isinstance(c, Candidate) else (c[0], c[1]) for c in edges]
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n):
+            raise PreconditionError("edge endpoint outside the ground set",
+                                    witness=(u, v))
+    return pairs
 
 
 def _first_uncovered(edge_bits: Iterable[int], count: int) -> Optional[int]:
@@ -146,10 +147,11 @@ def _first_uncovered(edge_bits: Iterable[int], count: int) -> Optional[int]:
 def covers(candidates: Iterable, family: SetFamily) -> tuple[bool, Optional[int]]:
     """Does every member have a crossing edge?  Witness = first uncovered mask.
 
-    Accepts Candidate objects or plain (u, v[, ...]) tuples.
+    Accepts Candidate objects or plain (u, v[, ...]) tuples; an endpoint
+    outside the ground set raises :class:`PreconditionError` naming the edge.
     """
     members = family.members
-    xs = _crossing_bits(family.n, members, _pairs(candidates))
+    xs = _crossing_bits(family.n, members, _pairs(candidates, family.n))
     j = _first_uncovered(xs.edge_bits, len(members))
     return (True, None) if j is None else (False, members[j])
 
@@ -451,11 +453,7 @@ def minimal_cover(edges: Sequence, family: SetFamily) -> list:
     uncovers some member, and it is always a forest; the forest property
     is asserted because it is a theorem, not a heuristic.
     """
-    pairs = _pairs(edges)
-    for u, v in pairs:
-        if not (0 <= u < family.n and 0 <= v < family.n):
-            raise PreconditionError("edge endpoint outside the ground set",
-                                    witness=(u, v))
+    pairs = _pairs(edges, family.n)
     members = family.members
     crossing = _crossing_bits(family.n, members, pairs).edge_bits
     j = _first_uncovered(crossing, len(members))

@@ -12,12 +12,14 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from .errors import InputError, LimitError
 from .augment import (
     AugmentInstance,
     deficient_family,
+    level_family,
     near_min_cuts_cover,
 )
 from .cut_structure import (
@@ -135,12 +137,6 @@ def _random_pairs(rng: random.Random, n: int, draws: int) -> list[tuple[int, int
         if u != v:
             pairs.append((min(u, v), max(u, v)))
     return pairs
-
-
-def _near_min_masks(g: Multigraph, lam: int) -> tuple[int, ...]:
-    """Canonical masks of the cuts of value lam or lam + 1."""
-    vals = cut_value_array(g)
-    return cut_masks((vals == lam) | (vals == lam + 1))
 
 
 def _corpus_graph(rng: random.Random, n_min: int, n_max: int,
@@ -341,7 +337,7 @@ def make_uncrossable_cover_corpus(count: int, seed: int, n_min: int = 5,
         lam = min_cut_value(g)
         if lam < 2 or lam % 2:
             continue
-        fam = SetFamily(n, _near_min_masks(g, lam))
+        fam = level_family(g, lam)
         if len(fam) == 0:
             continue
         ok, _ = is_uncrossable(fam)
@@ -417,70 +413,64 @@ def _suite_report(name: str, cfg: dict, counts: dict, violations: list[str],
     }
 
 
-def _near_min_pairs(g: Multigraph):
-    """Yield (lam, A, B) for strongly crossing near-minimum cut pairs."""
-    lam = min_cut_value(g)
-    near = _near_min_masks(g, lam)
-    for i in range(len(near)):
-        for j in range(i + 1, len(near)):
-            if crosses_strongly(near[i], near[j], g.n):
-                yield lam, near[i], near[j]
+def _near_min_squares(cfg: dict):
+    """Yield (graph index, graph, A, B, square) for every strongly crossing
+    pair of near-minimum cuts over the seeded corpus of ``cfg``."""
+    rng = random.Random(cfg["seed"])
+    for gi in range(cfg["graphs"]):
+        g = _corpus_graph(rng, cfg["n_min"], cfg["n_max"], cfg["m_factor"])
+        lam = min_cut_value(g)
+        for a, b in combinations(level_family(g, lam).members, 2):
+            if crosses_strongly(a, b, g.n):
+                yield gi, g, a, b, build_square(g, a, b, lam=lam)
 
 
 def _suite_squares(cfg: dict) -> dict:
-    rng = random.Random(cfg["seed"])
-    graphs = cfg["graphs"]
     pairs_checked = 0
     violations: list[str] = []
-    for gi in range(graphs):
-        g = _corpus_graph(rng, cfg["n_min"], cfg["n_max"], cfg["m_factor"])
+    for gi, g, a, b, sq in _near_min_squares(cfg):
+        pairs_checked += 1
+        bad = []
+        if sq.alpha % 2:
+            bad.append(f"alpha={sq.alpha} odd")
+        if any(sq.formula_residuals()):
+            bad.append(f"solution residuals {sq.formula_residuals()}")
+        if any(sq.counting_residuals()):
+            bad.append(f"counting residuals {sq.counting_residuals()}")
         vals = cut_value_array(g)
-        for lam, a, b in _near_min_pairs(g):
-            sq = build_square(g, a, b, lam=lam)
-            pairs_checked += 1
-            bad = []
-            if sq.alpha % 2:
-                bad.append(f"alpha={sq.alpha} odd")
-            if any(sq.formula_residuals()):
-                bad.append(f"solution residuals {sq.formula_residuals()}")
-            if any(sq.counting_residuals()):
-                bad.append(f"counting residuals {sq.counting_residuals()}")
-            da_expect = {int(vals[(a >> 1)]), int(vals[(b >> 1)])}
-            if {sq.da, sq.db} != da_expect:
-                bad.append(f"cut values drifted: {{{sq.da},{sq.db}}} != {da_expect}")
-            if bad:
-                violations.append(
-                    f"graph {gi}: cuts {_mask_nodes(a)}/{_mask_nodes(b)}: " + "; ".join(bad))
+        da_expect = {int(vals[(a >> 1)]), int(vals[(b >> 1)])}
+        if {sq.da, sq.db} != da_expect:
+            bad.append(f"cut values drifted: {{{sq.da},{sq.db}}} != {da_expect}")
+        if bad:
+            violations.append(
+                f"graph {gi}: cuts {_mask_nodes(a)}/{_mask_nodes(b)}: " + "; ".join(bad))
     return _suite_report("squares", cfg,
-                         {"graphs": graphs, "pairs_checked": pairs_checked}, violations)
+                         {"graphs": cfg["graphs"], "pairs_checked": pairs_checked},
+                         violations)
 
 
 def _suite_classify(cfg: dict) -> dict:
-    rng = random.Random(cfg["seed"])
-    graphs = cfg["graphs"]
     histogram: dict[str, int] = {}
     violations: list[str] = []
     pairs_checked = 0
-    for gi in range(graphs):
-        g = _corpus_graph(rng, cfg["n_min"], cfg["n_max"], cfg["m_factor"])
-        for lam, a, b in _near_min_pairs(g):
-            sq = build_square(g, a, b, lam=lam)
-            case = classify_square(sq)
-            histogram[case.value] = histogram.get(case.value, 0) + 1
-            pairs_checked += 1
-            if case is SquareCase.OTHER:
+    for gi, _g, a, b, sq in _near_min_squares(cfg):
+        lam = sq.lam
+        case = classify_square(sq)
+        histogram[case.value] = histogram.get(case.value, 0) + 1
+        pairs_checked += 1
+        if case is SquareCase.OTHER:
+            violations.append(
+                f"graph {gi}: unclassifiable square for cuts "
+                f"{_mask_nodes(a)}/{_mask_nodes(b)} (lam={lam})")
+            continue
+        if sq.da == lam and sq.db == lam:
+            half = lam // 2
+            if lam % 2 or (sq.a, sq.b) != (0, 0) or sq.sides != (half,) * 4:
                 violations.append(
-                    f"graph {gi}: unclassifiable square for cuts "
-                    f"{_mask_nodes(a)}/{_mask_nodes(b)} (lam={lam})")
-                continue
-            if sq.da == lam and sq.db == lam:
-                half = lam // 2
-                if lam % 2 or (sq.a, sq.b) != (0, 0) or sq.sides != (half,) * 4:
-                    violations.append(
-                        f"graph {gi}: min-min square violates the even-lam pattern")
+                    f"graph {gi}: min-min square violates the even-lam pattern")
     return _suite_report("classify", cfg,
-                         {"graphs": graphs, "pairs_checked": pairs_checked}, violations,
-                         histogram=dict(sorted(histogram.items())))
+                         {"graphs": cfg["graphs"], "pairs_checked": pairs_checked},
+                         violations, histogram=dict(sorted(histogram.items())))
 
 
 def _suite_uncrossable(cfg: dict) -> dict:
@@ -495,7 +485,7 @@ def _suite_uncrossable(cfg: dict) -> dict:
         if lam % 2:
             skipped_odd += 1
             continue
-        fam = SetFamily(g.n, _near_min_masks(g, lam))
+        fam = level_family(g, lam)
         checked += 1
         ok, wit = is_uncrossable(fam)
         if not ok:
@@ -520,27 +510,24 @@ def _suite_c1(cfg: dict) -> dict:
             graphs_checked += 1
             fam2 = enumerate_Fq(g, range(g.m), k, 2)
             u_arr = cut_value_array(g, "unsafe")
-            members = fam2.members
-            for i in range(len(members)):
-                for j in range(i + 1, len(members)):
-                    a, b = members[i], members[j]
-                    if not crosses_strongly(a, b, g.n):
-                        continue
-                    pairs_checked += 1
-                    sq = build_square(g, a, b, lam=k)
-                    c1, c2, _c3, c4 = sq.corners
-                    if u_arr[canonical_mask(c1, g.n) >> 1] >= 1:
-                        d12 = sq.degrees[0] + sq.degrees[1]  # d(C1) + d(C2)
-                        if d12 < 2 * k + q:
-                            violations.append(
-                                f"{gid}: crossing pair {_mask_nodes(a)}/{_mask_nodes(b)} "
-                                f"has unsafe corner but d(C1)+d(C2) = {d12} "
-                                f"< {2 * k + q}")
-                    else:
-                        if not (fam2.contains_cut(c2) and fam2.contains_cut(c4)):
-                            violations.append(
-                                f"{gid}: safe-corner pair {_mask_nodes(a)}/{_mask_nodes(b)} "
-                                f"is missing a side corner from the family")
+            for a, b in combinations(fam2.members, 2):
+                if not crosses_strongly(a, b, g.n):
+                    continue
+                pairs_checked += 1
+                sq = build_square(g, a, b, lam=k)
+                c1, c2, _c3, c4 = sq.corners
+                if u_arr[canonical_mask(c1, g.n) >> 1] >= 1:
+                    d12 = sq.degrees[0] + sq.degrees[1]  # d(C1) + d(C2)
+                    if d12 < 2 * k + q:
+                        violations.append(
+                            f"{gid}: crossing pair {_mask_nodes(a)}/{_mask_nodes(b)} "
+                            f"has unsafe corner but d(C1)+d(C2) = {d12} "
+                            f"< {2 * k + q}")
+                else:
+                    if not (fam2.contains_cut(c2) and fam2.contains_cut(c4)):
+                        violations.append(
+                            f"{gid}: safe-corner pair {_mask_nodes(a)}/{_mask_nodes(b)} "
+                            f"is missing a side corner from the family")
             if k % 2 == 0:
                 ok, wit = is_uncrossable(fam2)
                 if not ok:

@@ -27,6 +27,23 @@ class Instance:
     q: int
 
 
+_EDGE_FIELDS = ("u", "v", "cost", "capacity", "unsafe_flag", "base_flag")
+
+
+def _edge_record(fields, where: str) -> EdgeRecord:
+    """One edge from its six fields ``u v cost capacity unsafe_flag
+    base_flag``, text tokens or JSON values alike: each must read as an
+    integer in decimal (``2.7``, ``true`` and ``null`` do not) and each
+    flag must be 0 or 1."""
+    try:
+        u, v, cost, cap, unsafe, base = (int(str(x)) for x in fields)
+    except ValueError as exc:
+        raise InputError(f"{where}: non-integer edge field") from exc
+    if unsafe not in (0, 1) or base not in (0, 1):
+        raise InputError(f"{where}: flags must be 0 or 1")
+    return EdgeRecord(u, v, cost, cap, bool(unsafe), bool(base))
+
+
 def parse_instance_text(text: str) -> Instance:
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -50,13 +67,7 @@ def parse_instance_text(text: str) -> Instance:
         if len(parts) != 6:
             raise InputError(
                 f"line {lineno}: edge line must be 'u v cost capacity unsafe_flag base_flag'")
-        try:
-            u, v, cost, cap, unsafe, base = (int(x) for x in parts)
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: non-integer edge field") from exc
-        if unsafe not in (0, 1) or base not in (0, 1):
-            raise InputError(f"line {lineno}: flags must be 0 or 1")
-        edges.append(EdgeRecord(u, v, cost, cap, bool(unsafe), bool(base)))
+        edges.append(_edge_record(parts, f"line {lineno}"))
     return Instance(Multigraph(n, tuple(edges)), k, q)
 
 
@@ -74,11 +85,10 @@ def parse_instance_json(obj: dict) -> Instance:
     edges = []
     for i, e in enumerate(raw_edges):
         try:
-            edges.append(EdgeRecord(int(e["u"]), int(e["v"]), int(e["cost"]),
-                                    int(e["capacity"]), bool(int(e["unsafe_flag"])),
-                                    bool(int(e["base_flag"]))))
-        except (KeyError, TypeError, ValueError) as exc:
+            fields = [e[name] for name in _EDGE_FIELDS]
+        except (KeyError, TypeError) as exc:
             raise InputError(f"JSON instance edge {i}: {exc}") from exc
+        edges.append(_edge_record(fields, f"JSON instance edge {i}"))
     return Instance(Multigraph(n, tuple(edges)), k, q)
 
 

@@ -255,9 +255,10 @@ def cut_value_array(g: Multigraph, filt: str = "all",
 
     Values lie in ``[0, W]``, where ``W`` is the total filtered weight (the
     edge count when unweighted), so the dtype is int32 when ``W < 2^31``
-    and int64 otherwise.  The step ``-2 * adj[v][u]`` need not fit that
-    dtype; it is passed reduced modulo ``2^bits``, the partial sums wrap
-    the same way, and the finished values, which do fit, come out exact.
+    and int64 when ``W < 2^63``; a larger ``W`` raises :class:`LimitError`
+    naming it.  The step ``-2 * adj[v][u]`` need not fit that dtype; it is
+    passed reduced modulo ``2^bits``, the partial sums wrap the same way,
+    and the finished values, which do fit, come out exact.
     Memory is the table alone, ``itemsize * 2^(n-1)`` bytes (32 MiB at
     n = 24 in int32).  That estimate is checked before anything is
     allocated: a build above :data:`TABLE_MEMORY_BUDGET` (256 MiB, so
@@ -272,6 +273,9 @@ def cut_value_array(g: Multigraph, filt: str = "all",
     if key in g._cut_cache:
         return g._cut_cache[key]
     total = sum(e.capacity for e in edges) if weighted else len(edges)
+    if total >= 1 << 63:
+        raise LimitError(
+            f"cut table values need the filtered weight {total} below 2^63")
     dtype = np.dtype(np.int32 if total < 1 << 31 else np.int64)
     check_exhaustive_build(g.n, dtype.itemsize << (g.n - 1), "cut table")
     half_range = 1 << (8 * dtype.itemsize - 1)

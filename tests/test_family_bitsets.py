@@ -456,11 +456,17 @@ def test_covers_match_reference_hypothesis(data):
     assert_covers_match(CoverInstance.build(n, pairs, SetFamily(n, tuple(masks))))
 
 
-def test_covers_treats_endpoints_beyond_the_ground_set_as_outside():
+def test_covers_rejects_endpoints_outside_the_ground_set():
     fam = SetFamily.from_sets(4, [[1], [1, 2]])
-    edges = [(1, 9), (2, 7)]
-    assert covers(edges, fam) == reference_covers(edges, fam)
-    assert covers([(9, 8)], fam) == reference_covers([(9, 8)], fam)
+    for edges, bad in (([(1, 2), (1, 9), (2, 7)], (1, 9)), ([(9, 8)], (9, 8)),
+                       ([(-1, 2)], (-1, 2)), ([(0, 4)], (0, 4)),
+                       ([Candidate(0, 3, 4, 1)], (3, 4))):
+        for check in (covers, minimal_cover):
+            with pytest.raises(PreconditionError) as err:
+                check(edges, fam)
+            assert err.value.witness == bad
+    for edges in ([(0, 2)], [(1, 3)], [(3, 3), (2, 0)]):
+        assert covers(edges, fam) == reference_covers(edges, fam)
 
 
 def test_symmetric_cover_matches_on_flex_splits():

@@ -348,3 +348,18 @@ def test_python_dash_m_nearcut(tmp_path):
         env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["pass"]
+
+
+def test_every_error_carries_a_witness():
+    import nearcut
+    from nearcut.cli import _describe
+
+    for name in ("NearcutError", "InputError", "LimitError", "PreconditionError",
+                 "InfeasibleError", "BudgetError", "InvariantError"):
+        cls = getattr(nearcut, name)
+        plain, marked = cls("no witness"), cls("a cut", witness=0b110)
+        assert (plain.args, plain.witness) == (("no witness",), None)
+        assert (marked.args, marked.witness) == (("a cut",), 0b110)
+        assert _describe(plain) == "no witness"
+        assert _describe(marked) == "a cut (witness cut nodes [1, 2])"
+        assert _describe(cls("a pair", witness=(2, 4))) == "a pair"

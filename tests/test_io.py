@@ -59,3 +59,48 @@ def test_save_load(tmp_path):
         p = tmp_path / f"inst.{fmt}"
         save_instance(inst, p, fmt=fmt)
         assert load_instance(p) == inst
+
+
+BAD_ROWS = [
+    # (field, bad value): the same row in both formats
+    ("unsafe_flag", 5),
+    ("base_flag", -1),
+    ("cost", 2.7),
+    ("capacity", 1.0),
+    ("u", True),
+    ("v", None),
+]
+
+
+@pytest.mark.parametrize("field, bad", BAD_ROWS)
+def test_bad_edge_row_is_rejected_in_both_formats(field, bad):
+    good = {"u": 0, "v": 1, "cost": 4, "capacity": 1, "unsafe_flag": 1, "base_flag": 0}
+    row = dict(good, **{field: bad})
+    text = "2 2 1 0\n0 1 1 1 0 0\n" + " ".join(
+        json.dumps(row[name])
+        for name in ("u", "v", "cost", "capacity", "unsafe_flag", "base_flag")) + "\n"
+    blob = json.dumps({"n": 2, "m": 2, "k": 1, "q": 0,
+                       "edges": [dict(good, unsafe_flag=0), row]})
+    with pytest.raises(InputError, match="line 3"):
+        parse_instance(text)
+    with pytest.raises(InputError, match="edge 1"):
+        parse_instance(blob)
+
+
+def test_json_edge_missing_field_names_the_edge():
+    blob = json.dumps({"n": 2, "m": 1, "k": 1, "q": 0,
+                       "edges": [{"u": 0, "v": 1, "cost": 1, "capacity": 1,
+                                  "unsafe_flag": 0}]})
+    with pytest.raises(InputError, match="edge 0"):
+        parse_instance(blob)
+
+
+def test_save_load_leaves_good_files_unchanged(tmp_path):
+    inst = parse_instance(SAMPLE)
+    for fmt in ("text", "json"):
+        first, second = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        save_instance(inst, first, fmt=fmt)
+        again = load_instance(first)
+        assert again == inst
+        save_instance(again, second, fmt=fmt)
+        assert second.read_bytes() == first.read_bytes()

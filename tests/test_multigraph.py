@@ -252,6 +252,27 @@ def test_table_memory_guard_refuses_before_allocating(monkeypatch, tmp_path, cap
     assert "2048 MiB" in capsys.readouterr().err
 
 
+def test_weight_total_at_2_63_is_refused_before_allocating(monkeypatch):
+    import numpy as np
+
+    def no_allocation(*args, **kw):
+        raise AssertionError("cut table allocated past the weight check")
+
+    monkeypatch.setattr(np, "zeros", no_allocation)
+    monkeypatch.setattr(np, "empty", no_allocation)
+    g = g_from(3, [(0, 1, 0, 1 << 62), (0, 1, 0, 1 << 62), (1, 2)])
+    total = str((1 << 63) + 1)
+    with pytest.raises(LimitError, match=total):
+        min_cut_value(g, "all", True)
+    with pytest.raises(LimitError, match=total):
+        enumerate_cuts_at_most(g, 5, "all", True)
+    # one unit less fits an int64 table
+    monkeypatch.undo()
+    g = g_from(3, [(0, 1, 0, 1 << 62), (0, 1, 0, (1 << 62) - 2), (1, 2)])
+    assert min_cut_value(g, "all", True) == 1
+    assert enumerate_cuts_at_most(g, 1, "all", True)[0].cap_weight == 1
+
+
 @pytest.mark.parametrize("raw", ["-5", "0", "seven"])
 def test_exhaustive_limit_rejects_bad_values(monkeypatch, raw):
     monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", raw)
