@@ -14,10 +14,10 @@ The schedule walks connectivity levels with parity-aware boundaries:
   connectivity by 2 per stage;
 * k odd: one last stage covers the (k-1)-cuts alone.
 
-Pair stages go to the primal-dual cover (pd2, guarantee 2) and
-single-level stages to a pluggable cover-solver slot; the end-to-end
-bound is the sum of the stage guarantees, reproduced symbolically by
-:func:`implemented_ratio_bound`.
+Pair stages go to the primal-dual cover (pd2, guarantee 2), single-level
+stages to ``family_cover.ring_cover_solver`` unless another slot is named,
+and every stage runs FGC's cover step; the end-to-end bound is the sum of
+the stage guarantees, reproduced symbolically by :func:`implemented_ratio_bound`.
 """
 
 from __future__ import annotations
@@ -26,15 +26,12 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Iterator
 
+from . import family_cover
 from .errors import InputError, InvariantError
 from .cut_structure import SetFamily, is_laminar, is_uncrossable
-from .family_cover import (
-    Candidate,
-    CoverInstance,
-    SolverSlot,
-    resolve_slot,
-)
+from .family_cover import SolverSlot, _added_cost, _cover_phase, resolve_slot
 from .multigraph import (
     EdgeRecord,
     Multigraph,
@@ -137,22 +134,25 @@ def level_family(g_current: Multigraph, lam: int,
     return SetFamily(g_current.n, cut_masks((vals >= lam) & (vals <= top)))
 
 
-def _stage_plan(lam0: int, k: int) -> list[tuple[int, str]]:
-    """(level, kind) stages in execution order."""
-    plan: list[tuple[int, str]] = []
+def _stages(lam0: int, k: int) -> Iterator[tuple[int, str]]:
+    """(level, kind) stages in execution order, one at a time: a huge k
+    costs nothing until its stages are reached."""
     if lam0 >= k:
-        return plan
+        return
     cur = lam0
     if cur % 2 == 1:
-        plan.append((cur, "single"))
+        yield cur, "single"
         cur += 1
     while cur <= k - 2:
-        plan.append((cur, "pair"))
+        yield cur, "pair"
         cur += 2
     if cur < k:
-        plan.append((cur, "single"))
-        cur += 1
-    return plan
+        yield cur, "single"
+
+
+def _stage_plan(lam0: int, k: int) -> list[tuple[int, str]]:
+    """(level, kind) stages in execution order."""
+    return list(_stages(lam0, k))
 
 
 def implemented_ratio_bound(lam0: int, k: int,
@@ -164,37 +164,36 @@ def implemented_ratio_bound(lam0: int, k: int,
     parities, k-lam0+1 for mixed and k-lam0+2 for odd/odd.
     """
     total = Fraction(0)
-    for _level, kind in _stage_plan(lam0, k):
+    for _level, kind in _stages(lam0, k):
         total += Fraction(2) if kind == "pair" else g_single
     return total
 
 
 def near_min_cuts_cover(inst: AugmentInstance,
-                        single_solver: SolverSlot | str = "pd2") -> AugmentResult:
+                        single_solver: SolverSlot | str | None = None) -> AugmentResult:
     """Run the staged cover; the result is verified k-connected.
 
-    Single-level stages (parity boundaries) go to ``single_solver``,
+    Single-level stages (parity boundaries) go to ``single_solver``, by
+    default ``family_cover.ring_cover_solver`` as it is at call time,
     {lam, lam+1} stages to pd2.  Laminarity of odd boundary families and
     uncrossability of pair families are asserted, not assumed.
     """
     inst.validate()
-    single = resolve_slot(single_solver)
+    single = (family_cover.ring_cover_solver if single_solver is None
+              else resolve_slot(single_solver))
     pair = resolve_slot("pd2")
     lam0 = inst.lam0
     k = inst.k
-    plan = _stage_plan(lam0, k)
-    chosen: set[int] = set()
+    base_ids = set(inst.graph.edge_ids("base"))
+    h = set(base_ids)
     stages: list[StageLog] = []
-    bound = Fraction(0)
     # The graph built for each stage's connectivity check is the next
     # stage's input, so its cached cut table is read once per stage; the
     # first stage reads the table that gave lam0.
     g_cur = inst.base_graph
 
-    for level, kind in plan:
+    for level, kind in _stages(lam0, k):
         fam = level_family(g_cur, level, include_plus_one=(kind == "pair"))
-        slot = pair if kind == "pair" else single
-        bound += slot.guarantee
         if kind == "single" and level == lam0 and lam0 % 2 == 1 and len(fam):
             ok, wit = is_laminar(fam)
             if not ok:
@@ -205,28 +204,25 @@ def near_min_cuts_cover(inst: AugmentInstance,
             if not ok:
                 raise InvariantError(
                     "paired-level family is not uncrossable", witness=wit)
-        if len(fam) == 0:
-            stages.append(StageLog(level, kind, 0, "none", 0, slot.guarantee))
+        phase = _cover_phase(kind, inst.graph, h, fam,
+                             pair if kind == "pair" else single)
+        stages.append(StageLog(level, kind, phase.family_size, phase.solver,
+                               phase.cost, phase.guarantee, phase.added))
+        if not len(fam):
             continue
-        cands = tuple(Candidate(i, inst.graph.edges[i].u, inst.graph.edges[i].v,
-                                inst.graph.edges[i].cost)
-                      for i in inst.candidate_ids if i not in chosen)
-        sol = slot.solve(CoverInstance(inst.graph.n, cands, fam))
-        chosen.update(sol.chosen)
-        stages.append(StageLog(level, kind, len(fam), sol.method, sol.cost,
-                               slot.guarantee, tuple(sorted(sol.chosen))))
         target = level + (2 if kind == "pair" else 1)
-        g_cur = inst.current_graph(chosen)
+        g_cur = inst.current_graph(h)
         new_conn = min_cut_value(g_cur, "all", weighted=True)
         if new_conn < min(target, k):
             raise InvariantError(
                 f"stage at level {level} left connectivity {new_conn} < {target}")
 
-    if plan and not is_k_edge_connected(g_cur, k, "all", weighted=True):
+    if stages and not is_k_edge_connected(g_cur, k, "all", weighted=True):
         raise InvariantError("cover finished but the graph is not k-connected")
-    cost = sum(inst.graph.edges[i].cost for i in chosen)
+    chosen = tuple(sorted(h - base_ids))
+    bound = sum((s.guarantee for s in stages), Fraction(0))
     expected = implemented_ratio_bound(lam0, k, single.guarantee)
     if bound != expected:
         raise InvariantError(f"stage accounting drifted: {bound} != {expected}")
-    return AugmentResult(chosen=tuple(sorted(chosen)), cost=cost,
+    return AugmentResult(chosen=chosen, cost=_added_cost(inst.graph, chosen),
                          stages=tuple(stages), bound=bound, lam0=lam0)

@@ -20,6 +20,7 @@ from .errors import InvariantError, NearcutError
 from .augment import AugmentInstance, near_min_cuts_cover
 from .fgc import FlexInstance, is_flex_connected, solve_fgc
 from .harness import (
+    _SUITES,
     GenSpec,
     _frac,
     _mask_nodes,
@@ -210,9 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_gen)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", required=True,
-                          choices=("squares", "classify", "uncrossable", "c1",
-                                   "decompose", "forest", "ratios"))
+    p_verify.add_argument("--suite", required=True, choices=tuple(_SUITES))
     p_verify.add_argument("--config", help="JSON dict of suite overrides")
     p_verify.add_argument("--out")
     p_verify.set_defaults(func=_cmd_verify)
@@ -223,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sa.add_argument("--input", required=True)
     p_sa.add_argument("--k", type=int)
     p_sa.add_argument("--single-level-solver", choices=("exact", "pd2"),
-                      default="pd2", dest="single_level_solver")
+                      default=None, dest="single_level_solver")
     p_sa.add_argument("--out")
     p_sa.set_defaults(func=_cmd_solve_augment)
     p_sf = solve_sub.add_parser("fgc")

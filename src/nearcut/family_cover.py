@@ -34,7 +34,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetError, InfeasibleError, InvariantError, PreconditionError
 from .cut_structure import SetFamily, is_symmetric_proper_crossing, is_uncrossable
-from .multigraph import DisjointSets
+from .multigraph import DisjointSets, Multigraph
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -513,3 +513,41 @@ def resolve_slot(slot) -> SolverSlot:
         return SOLVER_SLOTS[slot]
     except KeyError:
         raise PreconditionError(f"unknown solver slot {slot!r}; known: {sorted(SOLVER_SLOTS)}")
+
+
+# ---------------------------------------------------------------------------
+# The cover step of both staged solvers
+
+
+@dataclass(frozen=True)
+class PhaseLog:
+    name: str
+    family_size: int
+    solver: str
+    cost: int
+    guarantee: Fraction
+    added: tuple[int, ...]
+
+
+def _candidates_outside(g: Multigraph, h_ids: set[int]) -> tuple[Candidate, ...]:
+    return tuple(Candidate(i, e.u, e.v, e.cost) for i, e in enumerate(g.edges)
+                 if i not in h_ids)
+
+
+def _added_cost(g: Multigraph, new_ids: Iterable[int]) -> int:
+    return sum(g.edges[i].cost for i in new_ids)
+
+
+def _cover_phase(name: str, g: Multigraph, h: set[int], fam: SetFamily,
+                 slot: SolverSlot, pool: Optional[set[int]] = None,
+                 solver: Optional[str] = None) -> PhaseLog:
+    """Cover ``fam`` from the edges of ``g`` outside ``pool`` (default: H),
+    add the chosen edges H lacks, and log them."""
+    if not len(fam):
+        return PhaseLog(name, 0, "none", 0, slot.guarantee, ())
+    cands = _candidates_outside(g, h if pool is None else pool)
+    sol = slot.solve(CoverInstance(g.n, cands, fam))
+    new_ids = tuple(i for i in sol.chosen if i not in h)
+    h.update(new_ids)
+    return PhaseLog(name, len(fam), solver or sol.method, _added_cost(g, new_ids),
+                    slot.guarantee, new_ids)

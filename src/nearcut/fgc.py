@@ -55,11 +55,14 @@ from .cut_structure import (
     is_laminar,
     is_uncrossable,
 )
+from . import family_cover
 from .family_cover import (
-    Candidate,
     CoverInstance,
     CoverSolution,
+    PhaseLog,
     SolverSlot,
+    _added_cost,
+    _cover_phase,
     cover_symmetric_crossing,
     minimal_cover,
     resolve_slot,
@@ -93,16 +96,6 @@ class FlexInstance:
     @property
     def unit_cost(self) -> bool:
         return all(e.cost == 1 for e in self.graph.edges)
-
-
-@dataclass(frozen=True)
-class PhaseLog:
-    name: str
-    family_size: int
-    solver: str
-    cost: int
-    guarantee: Fraction
-    added: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -357,30 +350,6 @@ def kecss(g: Multigraph, k: int, mode: str = "approx2",
 # Cover phases: one entry point, one table row per level
 
 
-def _candidates_outside(g: Multigraph, h_ids: set[int]) -> tuple[Candidate, ...]:
-    return tuple(Candidate(i, e.u, e.v, e.cost) for i, e in enumerate(g.edges)
-                 if i not in h_ids)
-
-
-def _added_cost(g: Multigraph, new_ids: Iterable[int]) -> int:
-    return sum(g.edges[i].cost for i in new_ids)
-
-
-def _cover_phase(name: str, g: Multigraph, h: set[int], fam: SetFamily,
-                 slot: SolverSlot, pool: Optional[set[int]] = None,
-                 solver: Optional[str] = None) -> PhaseLog:
-    """Cover ``fam`` from the edges outside ``pool`` (default: H), add the
-    chosen edges H lacks, and log them."""
-    if not len(fam):
-        return PhaseLog(name, 0, "none", 0, slot.guarantee, ())
-    cands = _candidates_outside(g, h if pool is None else pool)
-    sol = slot.solve(CoverInstance(g.n, cands, fam))
-    new_ids = tuple(i for i in sol.chosen if i not in h)
-    h.update(new_ids)
-    return PhaseLog(name, len(fam), solver or sol.method, _added_cost(g, new_ids),
-                    slot.guarantee, new_ids)
-
-
 def _minimal_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
                    level: int) -> list[PhaseLog]:
     """Unit cost: an inclusion-minimal cover is a forest, so at most n-1
@@ -400,7 +369,7 @@ def _structured_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
                       level: int) -> list[PhaseLog]:
     """Laminar for odd k (level 1 only), uncrossable for even k."""
     if k % 2:
-        from .family_cover import ring_cover_solver as slot  # pluggable: read now
+        slot = family_cover.ring_cover_solver  # pluggable: read now
         ok, wit = is_laminar(fam)
         shape = "laminar for odd k"
     else:

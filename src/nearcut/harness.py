@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -35,6 +35,7 @@ from .cut_structure import (
 from .family_cover import (
     Candidate,
     CoverInstance,
+    _candidates_outside,
     covers,
     exact_min_cover,
     minimal_cover,
@@ -175,9 +176,7 @@ def exact_augment(inst: AugmentInstance,
     exactly feasibility, since each candidate closes any single deficit."""
     inst.validate()
     fam = deficient_family(inst.base_graph, inst.k)
-    cands = tuple(Candidate(i, inst.graph.edges[i].u, inst.graph.edges[i].v,
-                            inst.graph.edges[i].cost)
-                  for i in inst.candidate_ids)
+    cands = _candidates_outside(inst.graph, set(inst.graph.edge_ids("base")))
     return exact_min_cover(CoverInstance(inst.graph.n, cands, fam),
                            node_budget=node_budget)
 
@@ -192,6 +191,12 @@ def _frac(x: Fraction) -> list[int]:
 
 def _mask_nodes(mask: int) -> list[int]:
     return list(nodes_from_mask(mask))
+
+
+def _json_value(x):
+    if isinstance(x, Fraction):
+        return _frac(x)
+    return list(x) if isinstance(x, tuple) else x
 
 
 @dataclass(frozen=True)
@@ -218,21 +223,8 @@ class RatioReport:
         return (not self.feasible) or self.ratio > self.bound
 
     def to_json_obj(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "kind": self.kind,
-            "n": self.n, "m": self.m, "k": self.k, "q": self.q,
-            "lam0": self.lam0,
-            "algorithm_cost": self.algorithm_cost,
-            "oracle_cost": self.oracle_cost,
-            "ratio": _frac(self.ratio),
-            "bound": _frac(self.bound),
-            "kecss_ratio": None if self.kecss_ratio is None else _frac(self.kecss_ratio),
-            "feasible": self.feasible,
-            "stage_costs": list(self.stage_costs),
-            "oracle_nodes": self.oracle_nodes,
-            "wall_ms": self.wall_ms,
-        }
+        """Every field by name: Fractions as [num, den], tuples as lists."""
+        return {f.name: _json_value(getattr(self, f.name)) for f in fields(self)}
 
 
 def strip_wall_times(obj):

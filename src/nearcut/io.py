@@ -30,15 +30,19 @@ class Instance:
 _EDGE_FIELDS = ("u", "v", "cost", "capacity", "unsafe_flag", "base_flag")
 
 
+def _integers(fields, where: str, what: str) -> list[int]:
+    """Text tokens or JSON values alike: each must read as an integer in
+    decimal (``2.7``, ``true`` and ``null`` do not)."""
+    try:
+        return [int(str(x)) for x in fields]
+    except ValueError as exc:
+        raise InputError(f"{where}: non-integer {what} field") from exc
+
+
 def _edge_record(fields, where: str) -> EdgeRecord:
     """One edge from its six fields ``u v cost capacity unsafe_flag
-    base_flag``, text tokens or JSON values alike: each must read as an
-    integer in decimal (``2.7``, ``true`` and ``null`` do not) and each
-    flag must be 0 or 1."""
-    try:
-        u, v, cost, cap, unsafe, base = (int(str(x)) for x in fields)
-    except ValueError as exc:
-        raise InputError(f"{where}: non-integer edge field") from exc
+    base_flag``, each read by :func:`_integers`; each flag must be 0 or 1."""
+    u, v, cost, cap, unsafe, base = _integers(fields, where, "edge")
     if unsafe not in (0, 1) or base not in (0, 1):
         raise InputError(f"{where}: flags must be 0 or 1")
     return EdgeRecord(u, v, cost, cap, bool(unsafe), bool(base))
@@ -55,10 +59,7 @@ def parse_instance_text(text: str) -> Instance:
     header = rows[0][1].split()
     if len(header) != 4:
         raise InputError(f"line {rows[0][0]}: header must be 'n m k q'")
-    try:
-        n, m, k, q = (int(x) for x in header)
-    except ValueError as exc:
-        raise InputError(f"line {rows[0][0]}: non-integer header field") from exc
+    n, m, k, q = _integers(header, f"line {rows[0][0]}", "header")
     if len(rows) - 1 != m:
         raise InputError(f"expected {m} edge lines, found {len(rows) - 1}")
     edges = []
@@ -73,12 +74,10 @@ def parse_instance_text(text: str) -> Instance:
 
 def parse_instance_json(obj: dict) -> Instance:
     try:
-        n = int(obj["n"])
-        m = int(obj["m"])
-        k = int(obj["k"])
-        q = int(obj["q"])
+        n, m, k, q = _integers([obj[name] for name in ("n", "m", "k", "q")],
+                               "bad JSON instance", "header")
         raw_edges = obj["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad JSON instance: {exc}") from exc
     if len(raw_edges) != m:
         raise InputError(f"JSON instance: m={m} but {len(raw_edges)} edges present")

@@ -191,11 +191,14 @@ def resolve_filter(filt: str) -> Callable[[EdgeRecord], bool]:
 
 
 def subgraph(g: Multigraph, edge_ids: Iterable[int]) -> Multigraph:
-    """Same node set, edges restricted to the given ids (in id order)."""
+    """Same node set, edges restricted to the given ids (in id order);
+    all ids give ``g`` itself, cached cut tables included."""
     ids = sorted(set(edge_ids))
     for i in ids:
         if not (0 <= i < g.m):
             raise InputError(f"edge id {i} out of range")
+    if len(ids) == g.m:
+        return g
     return Multigraph(g.n, tuple(g.edges[i] for i in ids))
 
 

@@ -1,0 +1,349 @@
+"""One cover step and one single-level slot for both staged solvers.
+
+``near_min_cuts_cover`` runs each stage through ``family_cover._cover_phase``,
+the step ``solve_fgc`` runs for its phases, and reads
+``family_cover.ring_cover_solver`` for its single-level stages unless a
+``single_solver`` is given.  The staged cover, the cover step and the
+candidate pool as they stood before that sharing are kept below verbatim
+as references; the shared code must give identical results, stage logs,
+bounds and errors on the augmentation corpus.
+"""
+
+from __future__ import annotations
+
+import json
+import resource
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+from typing import Iterable, Optional
+
+import pytest
+
+from nearcut import family_cover, fgc
+from nearcut.augment import (
+    AugmentInstance,
+    AugmentResult,
+    StageLog,
+    _stage_plan,
+    deficient_family,
+    implemented_ratio_bound,
+    level_family,
+    near_min_cuts_cover,
+)
+from nearcut.cut_structure import SetFamily, decompose_F2_odd, is_laminar, is_uncrossable
+from nearcut.errors import InputError, InvariantError, NearcutError
+from nearcut.family_cover import (
+    EXACT_SLOT,
+    Candidate,
+    CoverInstance,
+    CoverSolution,
+    PhaseLog,
+    SolverSlot,
+    exact_min_cover,
+    resolve_slot,
+)
+from nearcut.fgc import enumerate_Fq, solve_fgc
+from nearcut.harness import make_augment_corpus, make_fgc_corpus, make_flex_corpus
+from nearcut.io import parse_instance
+from nearcut.multigraph import (
+    Multigraph,
+    cut_value_array,
+    is_k_edge_connected,
+    min_cut_value,
+    subgraph,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+# ---------------------------------------------------------------------------
+# References, verbatim apart from the name of the staged cover
+
+
+def reference_near_min_cuts_cover(inst: AugmentInstance,
+                                  single_solver: SolverSlot | str = "pd2") -> AugmentResult:
+    """Run the staged cover; the result is verified k-connected.
+
+    Single-level stages (parity boundaries) go to ``single_solver``,
+    {lam, lam+1} stages to pd2.  Laminarity of odd boundary families and
+    uncrossability of pair families are asserted, not assumed.
+    """
+    inst.validate()
+    single = resolve_slot(single_solver)
+    pair = resolve_slot("pd2")
+    lam0 = inst.lam0
+    k = inst.k
+    plan = _stage_plan(lam0, k)
+    chosen: set[int] = set()
+    stages: list[StageLog] = []
+    bound = Fraction(0)
+    # The graph built for each stage's connectivity check is the next
+    # stage's input, so its cached cut table is read once per stage; the
+    # first stage reads the table that gave lam0.
+    g_cur = inst.base_graph
+
+    for level, kind in plan:
+        fam = level_family(g_cur, level, include_plus_one=(kind == "pair"))
+        slot = pair if kind == "pair" else single
+        bound += slot.guarantee
+        if kind == "single" and level == lam0 and lam0 % 2 == 1 and len(fam):
+            ok, wit = is_laminar(fam)
+            if not ok:
+                raise InvariantError(
+                    "odd-boundary minimum-cut family is not laminar", witness=wit)
+        if kind == "pair" and len(fam):
+            ok, wit = is_uncrossable(fam)
+            if not ok:
+                raise InvariantError(
+                    "paired-level family is not uncrossable", witness=wit)
+        if len(fam) == 0:
+            stages.append(StageLog(level, kind, 0, "none", 0, slot.guarantee))
+            continue
+        cands = tuple(Candidate(i, inst.graph.edges[i].u, inst.graph.edges[i].v,
+                                inst.graph.edges[i].cost)
+                      for i in inst.candidate_ids if i not in chosen)
+        sol = slot.solve(CoverInstance(inst.graph.n, cands, fam))
+        chosen.update(sol.chosen)
+        stages.append(StageLog(level, kind, len(fam), sol.method, sol.cost,
+                               slot.guarantee, tuple(sorted(sol.chosen))))
+        target = level + (2 if kind == "pair" else 1)
+        g_cur = inst.current_graph(chosen)
+        new_conn = min_cut_value(g_cur, "all", weighted=True)
+        if new_conn < min(target, k):
+            raise InvariantError(
+                f"stage at level {level} left connectivity {new_conn} < {target}")
+
+    if plan and not is_k_edge_connected(g_cur, k, "all", weighted=True):
+        raise InvariantError("cover finished but the graph is not k-connected")
+    cost = sum(inst.graph.edges[i].cost for i in chosen)
+    expected = implemented_ratio_bound(lam0, k, single.guarantee)
+    if bound != expected:
+        raise InvariantError(f"stage accounting drifted: {bound} != {expected}")
+    return AugmentResult(chosen=tuple(sorted(chosen)), cost=cost,
+                         stages=tuple(stages), bound=bound, lam0=lam0)
+
+
+def _candidates_outside(g: Multigraph, h_ids: set[int]) -> tuple[Candidate, ...]:
+    return tuple(Candidate(i, e.u, e.v, e.cost) for i, e in enumerate(g.edges)
+                 if i not in h_ids)
+
+
+def _added_cost(g: Multigraph, new_ids: Iterable[int]) -> int:
+    return sum(g.edges[i].cost for i in new_ids)
+
+
+def _cover_phase(name: str, g: Multigraph, h: set[int], fam: SetFamily,
+                 slot: SolverSlot, pool: Optional[set[int]] = None,
+                 solver: Optional[str] = None) -> PhaseLog:
+    """Cover ``fam`` from the edges outside ``pool`` (default: H), add the
+    chosen edges H lacks, and log them."""
+    if not len(fam):
+        return PhaseLog(name, 0, "none", 0, slot.guarantee, ())
+    cands = _candidates_outside(g, h if pool is None else pool)
+    sol = slot.solve(CoverInstance(g.n, cands, fam))
+    new_ids = tuple(i for i in sol.chosen if i not in h)
+    h.update(new_ids)
+    return PhaseLog(name, len(fam), solver or sol.method, _added_cost(g, new_ids),
+                    slot.guarantee, new_ids)
+
+
+# ---------------------------------------------------------------------------
+# Corpus: the generated instances, plus each one without its first two
+# candidates (the start of the spanning cycle), which leaves some infeasible
+
+
+def _without_first_candidates(inst: AugmentInstance) -> AugmentInstance:
+    g = inst.graph
+    drop = set(g.edge_ids("nonbase")[:2])
+    return AugmentInstance(Multigraph(g.n, tuple(e for i, e in enumerate(g.edges)
+                                                 if i not in drop)), inst.k)
+
+
+def _corpus() -> list[tuple[str, AugmentInstance]]:
+    out = []
+    for iid, inst in make_augment_corpus(200, 20261018):
+        out += [(iid, inst), (f"{iid}-cut", _without_first_candidates(inst))]
+    return out
+
+
+CORPUS = _corpus()
+
+
+def _outcome(solve, inst, *args):
+    """What a run shows: the result fields, or the error type and witness."""
+    try:
+        res = solve(inst, *args)
+    except NearcutError as exc:
+        return ("error", type(exc), exc.witness)
+    if isinstance(res, PhaseLog):
+        return res
+    return (res.stages, res.chosen, res.cost, res.bound, res.lam0)
+
+
+def test_corpus_covers_every_parity_and_some_failures():
+    parities = {(inst.lam0 % 2, inst.k % 2) for _iid, inst in CORPUS}
+    assert parities == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    errors = [iid for iid, inst in CORPUS
+              if _outcome(near_min_cuts_cover, inst)[0] == "error"]
+    assert 0 < len(errors) < len(CORPUS) // 2
+
+
+@pytest.mark.parametrize("single, reference_single", [
+    (None, "pd2"), ("pd2", "pd2"), ("exact", "exact"), (EXACT_SLOT, EXACT_SLOT),
+], ids=["default", "pd2", "exact", "exact-slot"])
+def test_staged_cover_matches_the_reference(single, reference_single):
+    for iid, inst in CORPUS:
+        got = _outcome(near_min_cuts_cover, inst, single)
+        assert got == _outcome(reference_near_min_cuts_cover, inst,
+                               reference_single), iid
+
+
+def test_cover_step_and_pool_match_the_reference():
+    """The shared step on the base graph's deficient family, with H the
+    base edges or the base edges plus a chosen candidate, and with and
+    without a separate pool."""
+    for iid, inst in CORPUS[:120]:
+        g = inst.graph
+        fam = deficient_family(inst.base_graph, inst.k)
+        base = set(g.edge_ids("base"))
+        first = g.edge_ids("nonbase")[:1]
+        for h_start in (base, base | set(first)):
+            for pool in (None, set(base)):
+                assert family_cover._candidates_outside(g, h_start) == \
+                    _candidates_outside(g, h_start)
+                h, ref_h = set(h_start), set(h_start)
+                got = _outcome(lambda _i: family_cover._cover_phase(
+                    "F", g, h, fam, EXACT_SLOT, pool), inst)
+                want = _outcome(lambda _i: _cover_phase(
+                    "F", g, ref_h, fam, EXACT_SLOT, pool), inst)
+                assert got == want and h == ref_h, iid
+
+
+def test_fgc_phases_match_the_reference_step(monkeypatch):
+    insts = [inst for _iid, inst in make_fgc_corpus(24, 20261018)]
+    want = [solve_fgc(inst) for inst in insts]
+    monkeypatch.setattr(fgc, "_cover_phase", _cover_phase)
+    assert [solve_fgc(inst) for inst in insts] == want
+
+
+# ---------------------------------------------------------------------------
+# The single-level slot
+
+
+def test_plugged_ring_slot_reaches_augment_single_stages(monkeypatch):
+    def three_halves(ci: CoverInstance) -> CoverSolution:
+        sol = exact_min_cover(ci)
+        return CoverSolution(sol.chosen, sol.cost, "ring-3/2", Fraction(3, 2))
+    plugged = SolverSlot("ring", Fraction(3, 2), three_halves)
+    monkeypatch.setattr(family_cover, "ring_cover_solver", plugged)
+    seen = 0
+    for iid, inst in CORPUS[:60:2]:
+        res = near_min_cuts_cover(inst)
+        assert res.bound == implemented_ratio_bound(res.lam0, inst.k, Fraction(3, 2)), iid
+        for s in res.stages:
+            if s.kind == "single":
+                assert s.guarantee == Fraction(3, 2), iid
+                assert s.solver in ("ring-3/2", "none"), iid
+                seen += s.solver == "ring-3/2"
+            else:
+                assert s.solver in ("primal-dual", "none"), iid
+    assert seen
+
+
+def test_slot_default_is_read_at_call_time(monkeypatch):
+    inst = next(inst for _iid, inst in CORPUS if inst.lam0 == 1 and inst.k == 3)
+    default = near_min_cuts_cover(inst)
+    assert default == near_min_cuts_cover(inst, "pd2")
+    monkeypatch.setattr(family_cover, "ring_cover_solver", EXACT_SLOT)
+    assert near_min_cuts_cover(inst) == near_min_cuts_cover(inst, "exact")
+    assert near_min_cuts_cover(inst).bound == 2 < default.bound
+
+
+def test_pair_slot_off_its_accounted_guarantee_is_caught(monkeypatch):
+    """The bound sums the stage guarantees; a pd2 slot that advertises
+    anything but the 2 that ``implemented_ratio_bound`` assumes drifts."""
+    pd2 = family_cover.SOLVER_SLOTS["pd2"]
+    monkeypatch.setitem(family_cover.SOLVER_SLOTS, "pd2",
+                        SolverSlot("pd2", Fraction(3), pd2.solve))
+    inst = next(inst for _iid, inst in CORPUS if inst.lam0 == 2 and inst.k == 4)
+    for solve in (near_min_cuts_cover, reference_near_min_cuts_cover):
+        with pytest.raises(InvariantError, match="stage accounting drifted: 3 != 2"):
+            solve(inst)
+
+
+def test_cli_single_level_solver_defaults_to_the_slot():
+    from nearcut.cli import build_parser
+    args = build_parser().parse_args(["solve", "augment", "--input", "x"])
+    assert args.single_level_solver is None
+
+
+# ---------------------------------------------------------------------------
+# A huge k: the stages are walked one at a time
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_huge_k_fails_at_the_first_stage(tmp_path):
+    """A 4-cycle base with no candidate cannot reach k = 2^62 + 2: the
+    first stage raises at once, with no list of every stage built first.
+    The child runs under a memory cap so that a regression dies quickly."""
+    path = tmp_path / "huge.txt"
+    path.write_text(f"4 4 {2 ** 62 + 2} 0\n"
+                    + "".join(f"{u} {(u + 1) % 4} 0 1 0 1\n" for u in range(4)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nearcut", "solve", "augment", "--input", str(path)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+        env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: family member crossed by no candidate "
+                           "(witness cut nodes [1])\n")
+
+
+# ---------------------------------------------------------------------------
+# Instance headers: one integer rule for both formats
+
+
+@pytest.mark.parametrize("k, q", [("2.7", "0"), ("2", "true"), ("2.0", "0")])
+def test_bad_header_is_rejected_in_both_formats(k, q):
+    text = f"2 1 {k} {q}\n0 1 1 1 0 1\n"
+    blob = json.dumps({"n": 2, "m": 1, "k": json.loads(k), "q": json.loads(q),
+                       "edges": [{"u": 0, "v": 1, "cost": 1, "capacity": 1,
+                                  "unsafe_flag": 0, "base_flag": 1}]})
+    with pytest.raises(InputError, match="line 1: non-integer header field"):
+        parse_instance(text)
+    with pytest.raises(InputError, match="non-integer header field"):
+        parse_instance(blob)
+
+
+# ---------------------------------------------------------------------------
+# One table per content for the full edge set
+
+
+def test_full_edge_subgraph_is_the_graph():
+    g = make_flex_corpus(1, 7, 3)[0][1]
+    assert subgraph(g, range(g.m)) is g
+    assert subgraph(g, list(reversed(range(g.m))) * 2) is g
+    assert subgraph(g, range(g.m - 1)) is not g
+
+
+def test_flex_checks_on_every_edge_share_the_graph_tables(monkeypatch):
+    import nearcut.cut_structure as cs
+    tables = []
+
+    def recording(h, filt="all", weighted=False):
+        out = cut_value_array(h, filt, weighted)
+        tables.append((filt, out))
+        return out
+    monkeypatch.setattr(fgc, "cut_value_array", recording)
+    monkeypatch.setattr(cs, "cut_value_array", recording)
+    g = make_flex_corpus(1, 20260806, 3)[0][1]
+    enumerate_Fq(g, range(g.m), 3, 2)
+    decompose_F2_odd(g, range(g.m), 3)
+    for filt in ("all", "unsafe"):
+        read = {id(t) for f, t in tables if f == filt}
+        assert read == {id(cut_value_array(g, filt))}
