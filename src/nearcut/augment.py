@@ -163,10 +163,12 @@ def implemented_ratio_bound(lam0: int, k: int,
     With the default ``g_single`` = 2 this is k-lam0 for even/even
     parities, k-lam0+1 for mixed and k-lam0+2 for odd/odd.
     """
-    total = Fraction(0)
-    for _level, kind in _stages(lam0, k):
-        total += Fraction(2) if kind == "pair" else g_single
-    return total
+    if lam0 >= k:
+        return Fraction(0)
+    # the stages of _stages, counted: an odd lam0 opens with a single
+    # stage, pairs follow, and one level left over closes with a single
+    pairs, tail = divmod(k - lam0 - lam0 % 2, 2)
+    return Fraction(2 * pairs) + (lam0 % 2 + tail) * g_single
 
 
 def near_min_cuts_cover(inst: AugmentInstance,

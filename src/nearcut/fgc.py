@@ -189,8 +189,23 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
     Feasibility is monotone under edge addition, so a subtree dies as
     soon as even taking every undecided edge fails.  Branching picks a
     violated cut and tries each undecided crossing edge as the first
-    chosen one; the bound adds, over violated cuts with disjoint
-    undecided support, the cheapest completions of their deficits.
+    chosen one.  A node is pruned when either of two lower bounds on
+    the cost still to add reaches the incumbent's margin:
+
+    * the *degree bound* sums, over the n singleton cuts {v}, the
+      ``need`` cheapest undecided edges at v, and halves the sum: an
+      edge has two endpoints, so the added edges pay each singleton's
+      share at most twice.  Costs are integers, so the bound rounds up
+      (prune when the sum reaches ``2 * slack - 1``);
+    * the *disjoint-cut bound* adds, over violated cuts with disjoint
+      undecided support, the cheapest completions of their deficits.
+
+    Neither bound changes the answer.  The children of a node, their
+    order and the edges each excludes do not depend on pruning, and a
+    valid bound never cuts off the first optimal leaf in search order
+    while the incumbent is still worse, so that leaf (or the greedy
+    start, when it is already optimal) is returned either way; a
+    stronger bound only lowers ``nodes_explored``.
 
     Edge sets are bitsets over edge positions (Python ints, so there is
     no edge-count limit).  ``cross[i]`` holds the edges crossing the
@@ -201,9 +216,11 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
     deficit exceeds its undecided crossing edges kills the subtree (the
     included edges sit inside the available ones, so a cut they satisfy
     needs no check), the cut with the fewest undecided crossing edges
-    becomes the branching target, and the bound takes the ``need``
-    cheapest undecided crossing edges of each cut by walking the edges
-    in cost order, stopping as soon as the node is pruned.
+    becomes the branching target, and both bounds take the ``need``
+    cheapest undecided crossing edges of a cut by walking its edges in
+    cost order, stopping as soon as the node is pruned.  The greedy
+    start strips edges, most expensive first, while the rest stays
+    feasible; it only rechecks the cuts the stripped edge crosses.
 
     Like a cut table, the crossing lists are refused before they are
     built above the node limit or the table memory budget
@@ -252,20 +269,49 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
             "graph itself is not flex-connected at the requested level",
             witness=first_bad << 1)
 
-    # deterministic greedy upper bound: strip expensive edges first
+    def breaks(bits: int, edge: int) -> bool:
+        """Whether ``bits`` violates a cut that the edge bit ``edge`` crosses."""
+        if q == 0:
+            return any((c & bits).bit_count() < k for c in cross if c & edge)
+        return any((c & bits).bit_count() < k + min((u & bits).bit_count(), q)
+                   for c, u in zip(cross, ucross) if c & edge)
+
+    # deterministic greedy upper bound: strip expensive edges first;
+    # best_bits stays feasible, so a removal can only break cuts it crosses
     best_bits = all_bits
     for pos in sorted(range(m), key=lambda p: (-costs[p], -p)):
         trial = best_bits & ~(1 << pos)
-        if first_violated(trial) is None:
+        if not breaks(trial, 1 << pos):
             best_bits = trial
     best_cost = sum(costs[p] for p in range(m) if (best_bits >> p) & 1)
     best = [best_cost, best_bits]
     explored = [0]
 
     sorted_by_cost = sorted(range(m), key=lambda p: (costs[p], p))
+    # the singleton cuts {v}, canonical index and incident edges cheapest first
+    singles = [((1 << (g.n - 1)) - 1 if v == 0 else 1 << (v - 1),
+                [p for p in sorted_by_cost if (incident[v] >> p) & 1])
+               for v in range(g.n)]
 
-    def pruned(viol: list[tuple[int, int]], free: int, slack: int) -> bool:
-        """Whether the lower bound on the remaining cost reaches ``slack``."""
+    def pruned(viol: list[tuple[int, int]], included: int, free: int,
+               slack: int) -> bool:
+        """Whether a lower bound on the remaining cost reaches ``slack``."""
+        # degree bound: each new edge serves two singleton cuts, so half
+        # of the summed cheapest completions is a bound; costs are integers
+        tot = 0
+        for i, by_cost in singles:
+            need = deficit(i, included)
+            if need <= 0:
+                continue
+            for pos in by_cost:
+                if (free >> pos) & 1:
+                    tot += costs[pos]
+                    need -= 1
+                    if not need:
+                        break
+            if tot >= 2 * slack - 1:
+                return True
+        # disjoint-cut bound: violated cuts with disjoint undecided support
         lb = 0
         used = 0
         for i, need in viol:
@@ -303,7 +349,7 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
             if cost_now < best[0]:
                 best[0], best[1] = cost_now, included
             return
-        if pruned(viol, free, best[0] - cost_now):
+        if pruned(viol, included, free, best[0] - cost_now):
             return
         opts = cross[target] & free
         child_cuts = [i for i, _ in viol]

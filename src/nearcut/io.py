@@ -79,6 +79,8 @@ def parse_instance_json(obj: dict) -> Instance:
         raw_edges = obj["edges"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad JSON instance: {exc}") from exc
+    if not isinstance(raw_edges, list):
+        raise InputError("bad JSON instance: \"edges\" must be a list")
     if len(raw_edges) != m:
         raise InputError(f"JSON instance: m={m} but {len(raw_edges)} edges present")
     edges = []

@@ -140,6 +140,8 @@ class Multigraph:
                 raise InputError(f"edge {i} endpoint out of range: {e}")
             if e.u == e.v:
                 raise InputError(f"edge {i} is a self-loop: {e}")
+            if isinstance(e.cost, bool) or not isinstance(e.cost, int):
+                raise InputError(f"edge {i} has non-integer cost: {e}")
             if e.cost < 0:
                 raise InputError(f"edge {i} has negative cost: {e}")
             if e.capacity < 1:

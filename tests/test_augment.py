@@ -15,6 +15,7 @@ from nearcut import (
     mask_from_nodes,
     near_min_cuts_cover,
 )
+from nearcut import augment
 from nearcut.augment import _stage_plan
 from nearcut.harness import exact_augment, make_augment_corpus
 
@@ -92,6 +93,26 @@ def test_implemented_ratio_bound_defaults():
     assert implemented_ratio_bound(2, 5) == 4          # k - lam0 + 1, mixed
     assert implemented_ratio_bound(1, 5) == 6          # k - lam0 + 2, both odd
     assert implemented_ratio_bound(3, 4, g_single=Fraction(3, 2)) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("g_single", [Fraction(2), Fraction(3, 2)])
+def test_implemented_ratio_bound_counts_the_stages(g_single):
+    for k in range(1, 41):
+        for lam0 in range(k + 3):  # lam0 >= k: no stage at all
+            walked = sum((Fraction(2) if kind == "pair" else g_single
+                          for _, kind in _stage_plan(lam0, k)), Fraction(0))
+            assert implemented_ratio_bound(lam0, k, g_single) == walked, (lam0, k)
+
+
+def test_implemented_ratio_bound_never_walks_the_stages(monkeypatch):
+    def no_walk(lam0, k):
+        raise AssertionError("stages walked")
+    monkeypatch.setattr(augment, "_stages", no_walk)
+    big = 2 ** 62
+    assert implemented_ratio_bound(1, big) == big
+    assert implemented_ratio_bound(0, big, Fraction(3, 2)) == big
+    assert implemented_ratio_bound(1, big + 1, Fraction(3, 2)) == big - 2 + 3
+    assert implemented_ratio_bound(big, big) == 0
 
 
 def test_bound_matches_parity_formula():

@@ -139,8 +139,11 @@ def test_minimum_flex_subgraph_triangle():
 
 
 def test_minimum_flex_subgraph_budget():
+    # at k = 2 the degree bound closes unit K4 at the root; a spanning
+    # tree (k = 1) still needs a search below it
+    assert minimum_flex_subgraph(unit_k4(), 1, 0).nodes_explored >= 2
     with pytest.raises(BudgetError):
-        minimum_flex_subgraph(unit_k4(), 2, 0, node_budget=1)
+        minimum_flex_subgraph(unit_k4(), 1, 0, node_budget=1)
 
 
 def test_exact_fgc_matches_brute_force():

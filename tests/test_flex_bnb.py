@@ -3,11 +3,18 @@
 ``minimum_flex_subgraph`` (the oracle and the kecss seed) and
 ``exact_min_cover`` compute their nodes differently from how they were
 first written: one violated-cut list per node, carried down the tree,
-and bounds that walk the edges in cost order.  The search tree must not
-change.  The first versions are copied here verbatim as slow references,
-and every result, ``nodes_explored`` included, must equal theirs; so
-must the witness of an infeasible instance and the node count at which
-the budget stops a search.
+and bounds that walk the edges in cost order.  The first versions are
+copied here verbatim as slow references.
+
+``exact_min_cover`` keeps the reference's search tree: every result,
+``nodes_explored`` included, must equal the reference's.
+
+``minimum_flex_subgraph`` also prunes with a degree bound the reference
+lacks.  The tree's shape does not depend on pruning, and a valid bound
+never cuts off the first optimal leaf, so the edge set, its cost and the
+witness of an infeasible instance must equal the reference's, while
+``nodes_explored`` may only fall.  Where the reference finishes within a
+node budget, the search finishes within it too, with the same answer.
 """
 
 from __future__ import annotations
@@ -36,7 +43,12 @@ from nearcut import (
 )
 from nearcut.family_cover import Candidate
 from nearcut.fgc import ExactSubgraphResult
-from nearcut.harness import make_augment_corpus, make_uncrossable_cover_corpus
+from nearcut.harness import (
+    GenSpec,
+    generate,
+    make_augment_corpus,
+    make_uncrossable_cover_corpus,
+)
 from nearcut.multigraph import edge_crosses
 
 
@@ -299,10 +311,40 @@ def flex_reference():
             for g, k, q in flex_corpus(3101)]
 
 
+def same_answer(got, ref) -> bool:
+    """Equal edge set and cost, in no more nodes than the reference."""
+    return ((got.edge_ids, got.cost) == (ref.edge_ids, ref.cost)
+            and got.nodes_explored <= ref.nodes_explored)
+
+
+def same_outcome(got, ref) -> bool:
+    """:func:`same_answer` where the reference finished, the same witness
+    where it found the graph infeasible, anything where it ran out."""
+    if ref[0] == "ok":
+        return got[0] == "ok" and same_answer(got[1], ref[1])
+    return ref[0] == "budget" or got == ref
+
+
 def test_flex_search_matches_reference_on_seeded_corpus(flex_reference):
     for g, k, q, ref in flex_reference:
-        assert minimum_flex_subgraph(g, k, q) == ref, (g, k, q)
+        assert same_answer(minimum_flex_subgraph(g, k, q), ref), (g, k, q)
     assert sum(ref.nodes_explored for *_, ref in flex_reference) > 10 * len(FLEX_CELLS)
+
+
+def test_degree_bound_halves_the_seeded_corpus(flex_reference):
+    # 15,838 reference nodes against 7,687 with the degree bound
+    ref_nodes = sum(ref.nodes_explored for *_, ref in flex_reference)
+    nodes = sum(minimum_flex_subgraph(g, k, q).nodes_explored
+                for g, k, q, _ in flex_reference)
+    assert 2 * nodes <= ref_nodes, (nodes, ref_nodes)
+
+
+def test_degree_bound_on_the_sixteen_node_kecss():
+    # without the degree bound this k = 2 spanning step took 288,369 nodes
+    g = generate(GenSpec(n_min=16, n_max=16, density=0.5, unsafe_p=0.3,
+                         cost_min=1, cost_max=9, seed=18))
+    res = minimum_flex_subgraph(g, 2, 0, node_budget=20_000)
+    assert res.cost == 46
 
 
 @st.composite
@@ -320,8 +362,9 @@ def flex_cases(draw):
 @given(flex_cases())
 def test_property_flex_search_matches_reference(case):
     g, k, q = case
-    assert outcome(minimum_flex_subgraph, g, k, q, node_budget=3000) == \
-        outcome(reference_minimum_flex_subgraph, g, k, q, node_budget=3000)
+    assert same_outcome(outcome(minimum_flex_subgraph, g, k, q, node_budget=3000),
+                        outcome(reference_minimum_flex_subgraph, g, k, q,
+                                node_budget=3000))
 
 
 def test_infeasible_witness_is_the_first_violated_cut():
@@ -336,24 +379,22 @@ def test_infeasible_witness_is_the_first_violated_cut():
         for k in (1, 2, 3):
             for q in (0, 1, 2):
                 got = outcome(minimum_flex_subgraph, g, k, q)
-                assert got == outcome(reference_minimum_flex_subgraph, g, k, q)
+                assert same_outcome(got, outcome(reference_minimum_flex_subgraph, g, k, q))
                 seen += got[0] == "infeasible"
     assert seen > 100
 
 
-def test_budget_stops_at_the_same_node(flex_reference):
+def test_budget_stops_after_the_searchs_own_count(flex_reference):
     picked = 0
-    for g, k, q, ref in flex_reference:
-        n_nodes = ref.nodes_explored
+    for g, k, q, _ in flex_reference:
+        got = minimum_flex_subgraph(g, k, q)
+        n_nodes = got.nodes_explored
         if n_nodes < 2:
             continue
         picked += 1
-        assert minimum_flex_subgraph(g, k, q, node_budget=n_nodes) == ref
+        assert minimum_flex_subgraph(g, k, q, node_budget=n_nodes) == got
         with pytest.raises(BudgetError):
             minimum_flex_subgraph(g, k, q, node_budget=n_nodes - 1)
-        if n_nodes <= 200:
-            with pytest.raises(BudgetError):
-                reference_minimum_flex_subgraph(g, k, q, node_budget=n_nodes - 1)
     assert picked > len(FLEX_CELLS) // 2
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nearcut import InputError, Instance, parse_instance
+from nearcut.cli import main
 from nearcut.io import (
     instance_to_json_obj,
     instance_to_text,
@@ -104,3 +105,14 @@ def test_save_load_leaves_good_files_unchanged(tmp_path):
         assert again == inst
         save_instance(again, second, fmt=fmt)
         assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("m, edges", [(1, 5), (0, {}), (1, "x"), (0, None)])
+def test_json_edges_must_be_a_list(tmp_path, capsys, m, edges):
+    blob = json.dumps({"n": 2, "m": m, "k": 2, "q": 0, "edges": edges})
+    with pytest.raises(InputError, match='"edges" must be a list'):
+        parse_instance(blob)
+    path = tmp_path / "inst.json"
+    path.write_text(blob)
+    assert main(["solve", "fgc", "--input", str(path)]) == 2
+    assert '"edges" must be a list' in capsys.readouterr().err

@@ -52,6 +52,20 @@ def test_edge_validation():
         Multigraph(3, (EdgeRecord(0, 1, capacity=0),))
 
 
+@pytest.mark.parametrize("cost", [1.5, 2.0, True, False, "3", None])
+def test_edge_cost_must_be_an_integer(cost):
+    # the exact searches round bounds up, and ratios take Fraction(cost)
+    with pytest.raises(InputError, match="edge 1 has non-integer cost"):
+        Multigraph(3, (EdgeRecord(0, 1, 1), EdgeRecord(1, 2, cost), EdgeRecord(0, 2, 1)))
+
+
+def test_fractional_costs_never_reach_a_solver():
+    with pytest.raises(InputError, match="non-integer cost"):
+        Multigraph(3, (EdgeRecord(0, 1, 1.5), EdgeRecord(1, 2, 2.5), EdgeRecord(0, 2, 1)))
+    g = Multigraph(3, (EdgeRecord(0, 1, 0), EdgeRecord(1, 2, 2**70)))
+    assert [e.cost for e in g.edges] == [0, 2**70]
+
+
 def test_cut_degree_cycle_node():
     assert cut_degree(c4(), mask_from_nodes([0])) == 2
 
