@@ -65,7 +65,6 @@ from .family_cover import (
 from .augment import (
     AugmentInstance,
     AugmentResult,
-    StageLog,
     deficient_family,
     implemented_ratio_bound,
     level_family,

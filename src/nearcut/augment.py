@@ -31,7 +31,7 @@ from typing import Iterator
 from . import family_cover
 from .errors import InputError, InvariantError
 from .cut_structure import SetFamily, is_laminar, is_uncrossable
-from .family_cover import SolverSlot, _added_cost, _cover_phase, resolve_slot
+from .family_cover import PhaseLog, SolverSlot, _added_cost, _cover_phase, resolve_slot
 from .multigraph import (
     EdgeRecord,
     Multigraph,
@@ -101,21 +101,10 @@ class AugmentInstance:
 
 
 @dataclass(frozen=True)
-class StageLog:
-    level: int
-    kind: str            # "single" or "pair"
-    family_size: int
-    solver: str
-    cost: int
-    guarantee: Fraction
-    added: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
 class AugmentResult:
     chosen: tuple[int, ...]      # edge ids into the instance graph
     cost: int
-    stages: tuple[StageLog, ...]
+    stages: tuple[PhaseLog, ...]   # named "single" or "pair"
     bound: Fraction
     lam0: int
 
@@ -188,7 +177,7 @@ def near_min_cuts_cover(inst: AugmentInstance,
     k = inst.k
     base_ids = set(inst.graph.edge_ids("base"))
     h = set(base_ids)
-    stages: list[StageLog] = []
+    stages: list[PhaseLog] = []
     # The graph built for each stage's connectivity check is the next
     # stage's input, so its cached cut table is read once per stage; the
     # first stage reads the table that gave lam0.
@@ -206,10 +195,8 @@ def near_min_cuts_cover(inst: AugmentInstance,
             if not ok:
                 raise InvariantError(
                     "paired-level family is not uncrossable", witness=wit)
-        phase = _cover_phase(kind, inst.graph, h, fam,
-                             pair if kind == "pair" else single)
-        stages.append(StageLog(level, kind, phase.family_size, phase.solver,
-                               phase.cost, phase.guarantee, phase.added))
+        stages.append(_cover_phase(level, kind, inst.graph, h, fam,
+                                   pair if kind == "pair" else single))
         if not len(fam):
             continue
         target = level + (2 if kind == "pair" else 1)

@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import InvariantError, NearcutError
+from .errors import InputError, InvariantError, NearcutError
 from .augment import AugmentInstance, near_min_cuts_cover
 from .fgc import FlexInstance, is_flex_connected, solve_fgc
 from .harness import (
@@ -31,28 +31,31 @@ from .harness import (
     generate,
     run_suite,
 )
-from .io import Instance, load_instance, save_instance
+from .io import Instance, _write_text, load_instance, save_instance
 
 
 def _emit(obj: dict, out: str | None) -> None:
     payload = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if out:
-        Path(out).write_text(payload)
+        _write_text(out, payload)
     else:
         sys.stdout.write(payload)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+def _parse_range(text: str, flag: str) -> tuple[int, int]:
+    try:
+        if ":" in text:
+            lo, hi = text.split(":", 1)
+            return int(lo), int(hi)
+        v = int(text)
+        return v, v
+    except ValueError as exc:
+        raise InputError(f"{flag} takes an integer or lo:hi, got {text!r}") from exc
 
 
 def _cmd_gen(args) -> int:
-    n_min, n_max = _parse_range(args.nodes)
-    c_min, c_max = _parse_range(args.cost)
+    n_min, n_max = _parse_range(args.nodes, "--nodes")
+    c_min, c_max = _parse_range(args.cost, "--cost")
     spec = GenSpec(n_min=n_min, n_max=n_max, density=args.density,
                    unsafe_p=args.unsafe_p, cost_min=c_min, cost_max=c_max,
                    capacity=args.cap, seed=args.seed)
@@ -82,9 +85,9 @@ def _cmd_solve_augment(args) -> int:
         "cost": res.cost,
         "bound": _frac(res.bound),
         "stages": [
-            {"level": s.level, "kind": s.kind, "family_size": s.family_size,
-             "solver": s.solver, "cost": s.cost, "guarantee": _frac(s.guarantee)}
-            for s in res.stages
+            {"level": p.level, "kind": p.name, "family_size": p.family_size,
+             "solver": p.solver, "cost": p.cost, "guarantee": _frac(p.guarantee)}
+            for p in res.stages
         ],
         "feasible": True,
         "wall_ms": int((time.perf_counter() - t0) * 1000),
@@ -136,7 +139,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = json.loads(args.config) if args.config else None
+    try:
+        config = json.loads(args.config) if args.config else None
+    except json.JSONDecodeError as exc:
+        raise InputError(f"--config is not JSON: {exc}") from exc
     report = run_suite(args.suite, config)
     _emit(report, args.out)
     return 0 if report["pass"] else 1
@@ -154,9 +160,7 @@ def _cmd_bench(args) -> int:
             continue
         try:
             inst = load_instance(path)
-            has_base = any(e.base for e in inst.graph.edges)
-            kind = args.kind if args.kind != "auto" else ("augment" if has_base else "fgc")
-            if kind == "augment":
+            if any(e.base for e in inst.graph.edges):
                 rec = augment_record(path.name, AugmentInstance(inst.graph, inst.k))
             else:
                 rec = fgc_record(path.name, FlexInstance(inst.graph, inst.k, inst.q),
@@ -248,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="solve + oracle over a corpus dir")
     p_bench.add_argument("--corpus", required=True)
     p_bench.add_argument("--out")
-    p_bench.add_argument("--kind", choices=("auto", "augment", "fgc"), default="auto")
     p_bench.add_argument("--unit-cost", action="store_true", dest="unit_cost")
     p_bench.set_defaults(func=_cmd_bench)
 

@@ -638,8 +638,11 @@ def decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) -> F2Decompo
     (k+1)-cut at all; the rest, closed under complement, form the
     symmetric proper crossing side.  A member of that side is expected to
     cross exactly two blue merged edges (tally one) in some part;
-    otherwise a diagnostic names it.  Both structure predicates are
-    verified before returning.
+    otherwise a diagnostic names it.  Deciding each member on its own can
+    leave the meet or join of a strongly crossing symmetric-side pair on
+    the uncrossable side; while the symmetric check fails on such a pair,
+    that member moves over, and the check runs again.  Both structure
+    predicates are verified before returning.
     """
     if k < 1 or k % 2 == 0:
         raise InputError(f"this decomposition needs odd k >= 1, got {k}")
@@ -686,16 +689,27 @@ def decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) -> F2Decompo
                     f"an exactly-two-blue crossing profile")
             rest.append(mask)
 
-    f_prime = SetFamily(g.n, tuple(sorted(prime)))
-    f_dprime = SetFamily(g.n, tuple(sorted(rest))).symmetric_closure()
+    while True:
+        f_prime = SetFamily(g.n, tuple(sorted(prime)))
+        f_dprime = SetFamily(g.n, tuple(sorted(rest))).symmetric_closure()
+        ok, wit = is_symmetric_proper_crossing(f_dprime)
+        if ok:
+            break
+        # each pass moves at least one member, so the loop ends
+        moved = set()
+        if len(wit) == 2:
+            a, b = wit
+            moved = {canonical_mask(c, g.n) for c in (a & b, a | b)} & set(prime)
+        if not moved:
+            raise InvariantError(
+                "symmetric proper crossing side failed its structure check",
+                witness=wit)
+        prime = [m for m in prime if m not in moved]
+        rest += moved
 
     ok, wit = is_uncrossable(f_prime)
     if not ok:
         raise InvariantError("uncrossable side failed its structure check", witness=wit)
-    ok, wit = is_symmetric_proper_crossing(f_dprime)
-    if not ok:
-        raise InvariantError("symmetric proper crossing side failed its structure check",
-                             witness=wit)
     covered = set(f_prime.members)
     for m in f_dprime.members:
         covered.add(m)

@@ -521,12 +521,18 @@ def resolve_slot(slot) -> SolverSlot:
 
 @dataclass(frozen=True)
 class PhaseLog:
+    """One stage of a staged solver: the level it covers, what it covered,
+    which solver, and the edges it added.  ``nodes_explored`` counts work,
+    so two logs of the same answer compare equal whatever it reads."""
+
+    level: int
     name: str
     family_size: int
     solver: str
     cost: int
     guarantee: Fraction
     added: tuple[int, ...]
+    nodes_explored: int = field(default=0, compare=False)
 
 
 def _candidates_outside(g: Multigraph, h_ids: set[int]) -> tuple[Candidate, ...]:
@@ -538,16 +544,16 @@ def _added_cost(g: Multigraph, new_ids: Iterable[int]) -> int:
     return sum(g.edges[i].cost for i in new_ids)
 
 
-def _cover_phase(name: str, g: Multigraph, h: set[int], fam: SetFamily,
+def _cover_phase(level: int, name: str, g: Multigraph, h: set[int], fam: SetFamily,
                  slot: SolverSlot, pool: Optional[set[int]] = None,
                  solver: Optional[str] = None) -> PhaseLog:
     """Cover ``fam`` from the edges of ``g`` outside ``pool`` (default: H),
     add the chosen edges H lacks, and log them."""
     if not len(fam):
-        return PhaseLog(name, 0, "none", 0, slot.guarantee, ())
+        return PhaseLog(level, name, 0, "none", 0, slot.guarantee, ())
     cands = _candidates_outside(g, h if pool is None else pool)
     sol = slot.solve(CoverInstance(g.n, cands, fam))
     new_ids = tuple(i for i in sol.chosen if i not in h)
     h.update(new_ids)
-    return PhaseLog(name, len(fam), solver or sol.method, _added_cost(g, new_ids),
-                    slot.guarantee, new_ids)
+    return PhaseLog(level, name, len(fam), solver or sol.method,
+                    _added_cost(g, new_ids), slot.guarantee, new_ids, sol.nodes_explored)

@@ -366,18 +366,10 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
     return ExactSubgraphResult(edge_ids=ids, cost=best[0], nodes_explored=explored[0])
 
 
-@dataclass(frozen=True)
-class KecssResult:
-    edge_ids: tuple[int, ...]
-    cost: int
-    guarantee: Fraction
-    mode: str
-    nodes_explored: int
-
-
 def kecss(g: Multigraph, k: int, mode: str = "approx2",
-          node_budget: int = DEFAULT_NODE_BUDGET) -> KecssResult:
-    """k-edge-connected spanning subgraph.
+          node_budget: int = DEFAULT_NODE_BUDGET) -> PhaseLog:
+    """k-edge-connected spanning subgraph, logged as phase 0 ("kecss"):
+    ``solver`` is the mode and ``added`` the chosen edge ids.
 
     Both modes run the exact engine at desk scale; ``approx2`` merely
     accounts for it with the conservative factor-2 guarantee so that
@@ -388,8 +380,8 @@ def kecss(g: Multigraph, k: int, mode: str = "approx2",
         raise InputError(f"unknown kecss mode {mode!r}")
     res = minimum_flex_subgraph(g, k, 0, node_budget)
     guarantee = Fraction(1) if mode == "exact" else Fraction(2)
-    return KecssResult(edge_ids=res.edge_ids, cost=res.cost, guarantee=guarantee,
-                       mode=mode, nodes_explored=res.nodes_explored)
+    return PhaseLog(0, "kecss", 0, mode, res.cost, guarantee, res.edge_ids,
+                    res.nodes_explored)
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +400,7 @@ def _minimal_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
                 f"phase {level} added {len(ids)} edges > n - 1 = {g.n - 1}")
         return CoverSolution(ids, len(ids), "minimal-cover", Fraction(2, k))
     slot = SolverSlot("minimal-cover", Fraction(2, k), solve)
-    return [_cover_phase(f"F{level}", g, h, fam, slot)]
+    return [_cover_phase(level, f"F{level}", g, h, fam, slot)]
 
 
 def _structured_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
@@ -424,7 +416,7 @@ def _structured_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
         shape = "uncrossable for even k"
     if not ok:
         raise InvariantError(f"level-{level} family is not {shape}", witness=wit)
-    return [_cover_phase(f"F{level}", g, h, fam, slot)]
+    return [_cover_phase(level, f"F{level}", g, h, fam, slot)]
 
 
 def _split_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
@@ -437,16 +429,17 @@ def _split_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
         parts = (split.f_prime, split.f_dprime)
     pool = set(h)
     symmetric = SolverSlot("symmetric", Fraction(2), cover_symmetric_crossing)
-    return [_cover_phase("F2-uncrossable", g, h, parts[0], resolve_slot("pd2"), pool),
-            _cover_phase("F2-symmetric", g, h, parts[1], symmetric, pool)]
+    return [_cover_phase(level, "F2-uncrossable", g, h, parts[0], resolve_slot("pd2"),
+                         pool),
+            _cover_phase(level, "F2-symmetric", g, h, parts[1], symmetric, pool)]
 
 
 def _fallback_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
                     level: int) -> list[PhaseLog]:
     if len(fam) and not is_uncrossable(fam)[0]:
-        return [_cover_phase(f"F{level}", g, h, fam, resolve_slot("exact"),
+        return [_cover_phase(level, f"F{level}", g, h, fam, resolve_slot("exact"),
                              solver="exact-fallback")]
-    return [_cover_phase(f"F{level}", g, h, fam, resolve_slot("pd2"))]
+    return [_cover_phase(level, f"F{level}", g, h, fam, resolve_slot("pd2"))]
 
 
 def _level_handler(unit_cost: bool, k: int, q: int, level: int):
@@ -477,9 +470,8 @@ def solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
     if unit_cost and not inst.unit_cost:
         raise InputError("solve_unit_cost requires every edge cost to be 1")
     base = kecss(g, k, kecss_mode)
-    h = set(base.edge_ids)
-    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
-                       base.edge_ids)]
+    h = set(base.added)
+    phases = [base]
     if q or unit_cost:
         for level in range(1, q + 1):
             try:

@@ -8,6 +8,7 @@ times are the only nondeterministic fields and are kept separable.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from dataclasses import dataclass, fields
@@ -15,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+from . import family_cover, fgc
 from .errors import InputError, LimitError
 from .augment import (
     AugmentInstance,
@@ -98,6 +100,8 @@ def generate(spec: GenSpec) -> Multigraph:
     """Seeded random multigraph, retried until connected."""
     if not (1 <= spec.n_min <= spec.n_max):
         raise InputError("bad node count range")
+    if not (0 <= spec.cost_min <= spec.cost_max):
+        raise InputError("bad cost range")
     cap_lo, cap_hi = _cap_range(spec)
     rng = random.Random(spec.seed)
     whole = int(spec.density)
@@ -162,7 +166,7 @@ def _corpus_graph(rng: random.Random, n_min: int, n_max: int,
 
 def exact_fgc(inst: FlexInstance,
               edge_limit: int = DEFAULT_ORACLE_EDGE_LIMIT,
-              node_budget: int = 5_000_000) -> ExactSubgraphResult:
+              node_budget: int = fgc.DEFAULT_NODE_BUDGET) -> ExactSubgraphResult:
     """Minimum-cost flex-connected subgraph by branch and bound."""
     if inst.graph.m > edge_limit:
         raise LimitError(
@@ -171,7 +175,7 @@ def exact_fgc(inst: FlexInstance,
 
 
 def exact_augment(inst: AugmentInstance,
-                  node_budget: int = 2_000_000):
+                  node_budget: int = family_cover.DEFAULT_NODE_BUDGET):
     """Optimal candidate set: covering the base graph's deficient cuts is
     exactly feasibility, since each candidate closes any single deficit."""
     inst.validate()
@@ -711,10 +715,27 @@ _SUITES = {
 
 
 def run_suite(name: str, config: Optional[dict] = None) -> dict:
-    """Run a named verification suite; the report is JSON-able."""
+    """Run a named verification suite; the report is JSON-able.
+
+    ``config`` overrides the suite's defaults.  Each key must be one of
+    them and each value of its default's JSON type (a bool is not an
+    integer); anything else raises :class:`InputError`.
+    """
     if name not in _SUITES:
         raise InputError(f"unknown suite {name!r}; known: {sorted(_SUITES)}")
     cfg = dict(_SUITE_DEFAULTS[name])
-    if config:
-        cfg.update(config)
+    if config is None:
+        config = {}
+    if not isinstance(config, dict):
+        raise InputError("suite config must be a JSON object, got "
+                         + json.dumps(config, default=repr))
+    for key, value in config.items():
+        if key not in cfg:
+            raise InputError(f"unknown config key {key!r} for suite {name!r}; "
+                             f"known: {sorted(cfg)}")
+        if type(value) is not type(cfg[key]):
+            raise InputError(f"config key {key!r} of suite {name!r} takes a value "
+                             f"like its default {json.dumps(cfg[key])}, "
+                             f"got {json.dumps(value, default=repr)}")
+    cfg.update(config)
     return _SUITES[name](cfg)

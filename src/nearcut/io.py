@@ -142,4 +142,13 @@ def save_instance(inst: Instance, path, fmt: str = "text") -> None:
         payload = json.dumps(instance_to_json_obj(inst), indent=2, sort_keys=True) + "\n"
     else:
         raise InputError(f"unknown instance format {fmt!r}")
-    Path(path).write_text(payload)
+    _write_text(path, payload)
+
+
+def _write_text(path, payload: str) -> None:
+    """Write a file; an OS error (say, a missing directory) is an
+    :class:`InputError` naming the path."""
+    try:
+        Path(path).write_text(payload)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc

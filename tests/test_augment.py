@@ -165,7 +165,7 @@ def test_connectivity_reaches_each_stage_target():
         chosen: set = set()
         for log in res.stages:
             chosen.update(log.added)
-            reach = min(log.level + (2 if log.kind == "pair" else 1), inst.k)
+            reach = min(log.level + (2 if log.name == "pair" else 1), inst.k)
             conn = min_cut_value(inst.current_graph(chosen), weighted=True)
             assert conn >= reach
         final = inst.current_graph(set(res.chosen))

@@ -25,7 +25,6 @@ from nearcut import family_cover, fgc
 from nearcut.augment import (
     AugmentInstance,
     AugmentResult,
-    StageLog,
     _stage_plan,
     deficient_family,
     implemented_ratio_bound,
@@ -77,7 +76,7 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
     k = inst.k
     plan = _stage_plan(lam0, k)
     chosen: set[int] = set()
-    stages: list[StageLog] = []
+    stages: list[PhaseLog] = []
     bound = Fraction(0)
     # The graph built for each stage's connectivity check is the next
     # stage's input, so its cached cut table is read once per stage; the
@@ -99,14 +98,14 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
                 raise InvariantError(
                     "paired-level family is not uncrossable", witness=wit)
         if len(fam) == 0:
-            stages.append(StageLog(level, kind, 0, "none", 0, slot.guarantee))
+            stages.append(PhaseLog(level, kind, 0, "none", 0, slot.guarantee, ()))
             continue
         cands = tuple(Candidate(i, inst.graph.edges[i].u, inst.graph.edges[i].v,
                                 inst.graph.edges[i].cost)
                       for i in inst.candidate_ids if i not in chosen)
         sol = slot.solve(CoverInstance(inst.graph.n, cands, fam))
         chosen.update(sol.chosen)
-        stages.append(StageLog(level, kind, len(fam), sol.method, sol.cost,
+        stages.append(PhaseLog(level, kind, len(fam), sol.method, sol.cost,
                                slot.guarantee, tuple(sorted(sol.chosen))))
         target = level + (2 if kind == "pair" else 1)
         g_cur = inst.current_graph(chosen)
@@ -134,18 +133,18 @@ def _added_cost(g: Multigraph, new_ids: Iterable[int]) -> int:
     return sum(g.edges[i].cost for i in new_ids)
 
 
-def _cover_phase(name: str, g: Multigraph, h: set[int], fam: SetFamily,
+def _cover_phase(level: int, name: str, g: Multigraph, h: set[int], fam: SetFamily,
                  slot: SolverSlot, pool: Optional[set[int]] = None,
                  solver: Optional[str] = None) -> PhaseLog:
     """Cover ``fam`` from the edges outside ``pool`` (default: H), add the
     chosen edges H lacks, and log them."""
     if not len(fam):
-        return PhaseLog(name, 0, "none", 0, slot.guarantee, ())
+        return PhaseLog(level, name, 0, "none", 0, slot.guarantee, ())
     cands = _candidates_outside(g, h if pool is None else pool)
     sol = slot.solve(CoverInstance(g.n, cands, fam))
     new_ids = tuple(i for i in sol.chosen if i not in h)
     h.update(new_ids)
-    return PhaseLog(name, len(fam), solver or sol.method, _added_cost(g, new_ids),
+    return PhaseLog(level, name, len(fam), solver or sol.method, _added_cost(g, new_ids),
                     slot.guarantee, new_ids)
 
 
@@ -215,9 +214,9 @@ def test_cover_step_and_pool_match_the_reference():
                     _candidates_outside(g, h_start)
                 h, ref_h = set(h_start), set(h_start)
                 got = _outcome(lambda _i: family_cover._cover_phase(
-                    "F", g, h, fam, EXACT_SLOT, pool), inst)
+                    1, "F", g, h, fam, EXACT_SLOT, pool), inst)
                 want = _outcome(lambda _i: _cover_phase(
-                    "F", g, ref_h, fam, EXACT_SLOT, pool), inst)
+                    1, "F", g, ref_h, fam, EXACT_SLOT, pool), inst)
                 assert got == want and h == ref_h, iid
 
 
@@ -243,7 +242,7 @@ def test_plugged_ring_slot_reaches_augment_single_stages(monkeypatch):
         res = near_min_cuts_cover(inst)
         assert res.bound == implemented_ratio_bound(res.lam0, inst.k, Fraction(3, 2)), iid
         for s in res.stages:
-            if s.kind == "single":
+            if s.name == "single":
                 assert s.guarantee == Fraction(3, 2), iid
                 assert s.solver in ("ring-3/2", "none"), iid
                 seen += s.solver == "ring-3/2"
@@ -347,3 +346,49 @@ def test_flex_checks_on_every_edge_share_the_graph_tables(monkeypatch):
     for filt in ("all", "unsafe"):
         read = {id(t) for f, t in tables if f == filt}
         assert read == {id(cut_value_array(g, filt))}
+
+
+# ---------------------------------------------------------------------------
+# One phase log for both staged solvers
+
+
+def test_phase_logs_that_differ_only_in_work_compare_equal():
+    log = PhaseLog(1, "F1", 3, "exact", 7, Fraction(1), (4, 5), nodes_explored=10)
+    assert log == PhaseLog(1, "F1", 3, "exact", 7, Fraction(1), (4, 5))
+    assert log != PhaseLog(2, "F1", 3, "exact", 7, Fraction(1), (4, 5), 10)
+
+
+def test_kecss_is_the_level_zero_phase():
+    for _iid, inst in make_fgc_corpus(12, 20261019):
+        g, k = inst.graph, inst.k
+        search = fgc.minimum_flex_subgraph(g, k, 0)
+        for mode, guarantee in (("approx2", 2), ("exact", 1)):
+            base = fgc.kecss(g, k, mode)
+            assert base == PhaseLog(0, "kecss", 0, mode, search.cost, guarantee,
+                                    search.edge_ids)
+            assert base.nodes_explored == search.nodes_explored > 0
+            first = solve_fgc(inst, mode).phases[0]
+            assert first == base and first.nodes_explored == base.nodes_explored
+
+
+def test_stages_carry_the_nodes_of_an_exact_cover():
+    seen = 0
+    for iid, inst in CORPUS[:80:2]:
+        res = _outcome(near_min_cuts_cover, inst, "exact")
+        if res[0] == "error":
+            continue
+        for s in res[0]:
+            assert isinstance(s, PhaseLog) and s.name in ("single", "pair"), iid
+            if s.solver == "exact":
+                assert s.nodes_explored > 0, iid
+                seen += 1
+            else:
+                assert s.nodes_explored == 0, iid
+    assert seen
+
+
+def test_one_phase_record():
+    import nearcut
+    from nearcut import augment
+    assert not hasattr(nearcut, "StageLog")
+    assert not hasattr(augment, "StageLog") and not hasattr(fgc, "KecssResult")

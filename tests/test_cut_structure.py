@@ -14,6 +14,7 @@ from nearcut import (
     crosses_strongly,
     decompose_F2_odd,
     decompose_plus_cuts,
+    enumerate_Fq,
     enumerate_cuts_at_most,
     family_quotient,
     is_laminar,
@@ -25,7 +26,8 @@ from nearcut import (
     quotient,
     verify_part_shape,
 )
-from nearcut.multigraph import cut_value_array
+from nearcut.harness import make_flex_corpus
+from nearcut.multigraph import canonical_mask, cut_value_array
 
 from conftest import c4, canonical_subsets, g_from, k4, random_multigraph
 
@@ -386,3 +388,41 @@ def test_decompose_f2_precondition():
         decompose_F2_odd(g, range(2), 1)
     with pytest.raises(InputError):
         decompose_F2_odd(c4(), range(4), 2)  # even k rejected
+
+
+def _check_f2_split(g, k):
+    """The split of F2 on H = g: a partition of F2 (up to complement) into
+    an uncrossable side and a symmetric proper crossing side, each checked
+    again on a fresh family."""
+    d = decompose_F2_odd(g, range(g.m), k)
+    f2 = set(enumerate_Fq(g, range(g.m), k, 2).members)
+    prime = set(d.f_prime.members)
+    dprime = {canonical_mask(x, g.n) for x in d.f_dprime.members}
+    assert prime | dprime == f2 and not prime & dprime
+    assert is_uncrossable(SetFamily(g.n, d.f_prime.members))[0]
+    assert is_symmetric_proper_crossing(SetFamily(g.n, d.f_dprime.members))[0]
+    return d
+
+
+@pytest.mark.parametrize("spec, gid", [
+    ((150, 20260806, 3), "flex-k3-0137"),
+    ((150, 20260803, 3), "flex-k3-0046"),
+    ((100, 20260809, 3, 8, 12), "flex-k3-0064"),
+])
+def test_f2_split_moves_a_meet_or_join_to_the_symmetric_side(spec, gid):
+    """Deciding each member alone put a meet or join of a strongly crossing
+    symmetric-side pair on the uncrossable side, and the symmetric check
+    failed on these (3,1)-flex graphs."""
+    g = dict(make_flex_corpus(*spec))[gid]
+    d = _check_f2_split(g, 3)
+    if gid == "flex-k3-0137":
+        # A = {1,3,4,5}, B = {0,1,4,5}: their meet {1,4,5} sits with them
+        assert {m(1, 3, 4, 5), m(0, 1, 4, 5), m(1, 4, 5)} <= set(d.f_dprime.members)
+        assert m(1, 4, 5) not in d.f_prime.members
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7])
+def test_f2_split_sweep(k):
+    for seed in range(20260800, 20260808):
+        for gid, g in make_flex_corpus(150, seed, k):
+            _check_f2_split(g, k)

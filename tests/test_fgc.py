@@ -111,8 +111,8 @@ def unit_k4():
 def test_kecss_k4():
     g = unit_k4()
     res = kecss(g, 2, "exact")
-    assert res.cost == 4 and len(res.edge_ids) == 4
-    assert is_k_edge_connected(subgraph(g, res.edge_ids), 2)
+    assert res.cost == 4 and len(res.added) == 4
+    assert is_k_edge_connected(subgraph(g, res.added), 2)
     assert res.guarantee == Fraction(1)
     assert kecss(g, 2, "approx2").guarantee == Fraction(2)
 
@@ -123,7 +123,7 @@ def test_kecss_k1_is_spanning_tree():
         g = random_multigraph(rng, rng.randint(3, 7), extra=5)
         g = g_from(g.n, [(e.u, e.v, 1) for e in g.edges])
         res = kecss(g, 1, "exact")
-        assert len(res.edge_ids) == g.n - 1
+        assert len(res.added) == g.n - 1
 
 
 def test_kecss_disconnected():

@@ -73,20 +73,20 @@ def reference_iterative_cover(inst: FlexInstance, kecss_mode: str = "approx2",
     g, k, q = inst.graph, inst.k, inst.q
     slot = resolve_slot(cover_slot)
     base = kecss(g, k, kecss_mode)
-    h: set[int] = set(base.edge_ids)
-    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
-                       base.edge_ids)]
+    h: set[int] = set(base.added)
+    phases = [PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
+                       base.added)]
     for level in range(1, q + 1):
         fam = enumerate_Fq(g, h, k, level)
         if len(fam) == 0:
-            phases.append(PhaseLog(f"F{level}", 0, "none", 0, slot.guarantee, ()))
+            phases.append(PhaseLog(level, f"F{level}", 0, "none", 0, slot.guarantee, ()))
             continue
         ok, _ = is_uncrossable(fam)
         use = slot if ok else resolve_slot("exact")
         sol = _cover_with(use, g, h, fam)
         new_ids = tuple(i for i in sol.chosen if i not in h)
         h.update(new_ids)
-        phases.append(PhaseLog(f"F{level}", len(fam),
+        phases.append(PhaseLog(level, f"F{level}", len(fam),
                                sol.method if ok else "exact-fallback",
                                _added_cost(g, new_ids), use.guarantee, new_ids))
         left = enumerate_Fq(g, h, k, level)
@@ -114,9 +114,9 @@ def reference_solve_k1(inst: FlexInstance, kecss_mode: str = "approx2",
     g, k = inst.graph, inst.k
     slot = resolve_slot(single_slot) if single_slot is not None else ring_cover_solver
     base = kecss(g, k, kecss_mode)
-    h: set[int] = set(base.edge_ids)
-    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
-                       base.edge_ids)]
+    h: set[int] = set(base.added)
+    phases = [PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
+                       base.added)]
     fam = enumerate_Fq(g, h, k, 1)
     if k % 2 == 1:
         ok, wit = is_laminar(fam)
@@ -134,10 +134,10 @@ def reference_solve_k1(inst: FlexInstance, kecss_mode: str = "approx2",
         sol = _cover_with(use, g, h, fam)
         new_ids = tuple(i for i in sol.chosen if i not in h)
         h.update(new_ids)
-        phases.append(PhaseLog("F1", len(fam), sol.method,
+        phases.append(PhaseLog(1, "F1", len(fam), sol.method,
                                _added_cost(g, new_ids), use.guarantee, new_ids))
     else:
-        phases.append(PhaseLog("F1", 0, "none", 0, use.guarantee, ()))
+        phases.append(PhaseLog(1, "F1", 0, "none", 0, use.guarantee, ()))
     ok, wit = is_flex_connected(g, h, k, 1)
     if not ok:
         raise InvariantError("solve_k1 produced an infeasible subgraph", witness=wit)
@@ -160,9 +160,9 @@ def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexS
     g, k = inst.graph, inst.k
     pd = resolve_slot("pd2")
     base = kecss(g, k, kecss_mode)
-    h: set[int] = set(base.edge_ids)
-    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
-                       base.edge_ids)]
+    h: set[int] = set(base.added)
+    phases = [PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
+                       base.added)]
 
     fam1 = enumerate_Fq(g, h, k, 1)
     slot1 = ring_cover_solver if k % 2 == 1 else pd
@@ -179,10 +179,10 @@ def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexS
         sol = _cover_with(slot1, g, h, fam1)
         new_ids = tuple(i for i in sol.chosen if i not in h)
         h.update(new_ids)
-        phases.append(PhaseLog("F1", len(fam1), sol.method,
+        phases.append(PhaseLog(1, "F1", len(fam1), sol.method,
                                _added_cost(g, new_ids), slot1.guarantee, new_ids))
     else:
-        phases.append(PhaseLog("F1", 0, "none", 0, slot1.guarantee, ()))
+        phases.append(PhaseLog(1, "F1", 0, "none", 0, slot1.guarantee, ()))
 
     ok, wit = is_flex_connected(g, h, k, 1)
     if not ok:
@@ -199,14 +199,14 @@ def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexS
             sol = _cover_with(pd, g, h, fam2)
             new_ids = tuple(i for i in sol.chosen if i not in h)
             h.update(new_ids)
-            phases.append(PhaseLog("F2", len(fam2), sol.method,
+            phases.append(PhaseLog(2, "F2", len(fam2), sol.method,
                                    _added_cost(g, new_ids), pd.guarantee, new_ids))
         else:
-            phases.append(PhaseLog("F2", 0, "none", 0, pd.guarantee, ()))
+            phases.append(PhaseLog(2, "F2", 0, "none", 0, pd.guarantee, ()))
     else:
         if len(fam2) == 0:
-            phases.append(PhaseLog("F2-uncrossable", 0, "none", 0, pd.guarantee, ()))
-            phases.append(PhaseLog("F2-symmetric", 0, "none", 0, Fraction(2), ()))
+            phases.append(PhaseLog(2, "F2-uncrossable", 0, "none", 0, pd.guarantee, ()))
+            phases.append(PhaseLog(2, "F2-symmetric", 0, "none", 0, Fraction(2), ()))
         else:
             split = decompose_F2_odd(g, h, k)
             pool_h = set(h)
@@ -216,7 +216,7 @@ def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexS
             else:
                 sol_p, new_p = None, ()
             h.update(new_p)
-            phases.append(PhaseLog("F2-uncrossable", len(split.f_prime),
+            phases.append(PhaseLog(2, "F2-uncrossable", len(split.f_prime),
                                    sol_p.method if sol_p else "none",
                                    _added_cost(g, new_p), pd.guarantee, new_p))
             if len(split.f_dprime):
@@ -227,7 +227,7 @@ def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexS
             else:
                 sol_s, new_s = None, ()
             h.update(new_s)
-            phases.append(PhaseLog("F2-symmetric", len(split.f_dprime),
+            phases.append(PhaseLog(2, "F2-symmetric", len(split.f_dprime),
                                    sol_s.method if sol_s else "none",
                                    _added_cost(g, new_s), Fraction(2), new_s))
 
@@ -250,14 +250,14 @@ def reference_solve_unit_cost(inst: FlexInstance, kecss_mode: str = "approx2") -
     if not inst.unit_cost:
         raise InputError("solve_unit_cost requires every edge cost to be 1")
     base = kecss(g, k, kecss_mode)
-    h: set[int] = set(base.edge_ids)
-    phases = [PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
-                       base.edge_ids)]
+    h: set[int] = set(base.added)
+    phases = [PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
+                       base.added)]
     phase_guarantee = Fraction(2, k)
     for level in range(1, q + 1):
         fam = enumerate_Fq(g, h, k, level)
         if len(fam) == 0:
-            phases.append(PhaseLog(f"F{level}", 0, "none", 0, phase_guarantee, ()))
+            phases.append(PhaseLog(level, f"F{level}", 0, "none", 0, phase_guarantee, ()))
             continue
         cands = _candidates_outside(g, h)
         pruned = minimal_cover(cands, fam)
@@ -266,7 +266,7 @@ def reference_solve_unit_cost(inst: FlexInstance, kecss_mode: str = "approx2") -
             raise InvariantError(
                 f"phase {level} added {len(new_ids)} edges > n - 1 = {g.n - 1}")
         h.update(new_ids)
-        phases.append(PhaseLog(f"F{level}", len(fam), "minimal-cover",
+        phases.append(PhaseLog(level, f"F{level}", len(fam), "minimal-cover",
                                len(new_ids), phase_guarantee, new_ids))
         left = enumerate_Fq(g, h, k, level)
         if len(left):
@@ -289,9 +289,9 @@ def reference_solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
         return reference_solve_unit_cost(inst, kecss_mode)
     if inst.q == 0:
         base = kecss(inst.graph, inst.k, kecss_mode)
-        phase = PhaseLog("kecss", 0, base.mode, base.cost, base.guarantee,
-                         base.edge_ids)
-        return FlexSolution(tuple(sorted(base.edge_ids)), base.cost, (phase,),
+        phase = PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
+                         base.added)
+        return FlexSolution(tuple(sorted(base.added)), base.cost, (phase,),
                             base.guarantee)
     if inst.q == 1:
         return reference_solve_k1(inst, kecss_mode)
@@ -401,7 +401,7 @@ def nonempty_level1_instance(q: int) -> FlexInstance:
     rng = random.Random(4103)
     while True:
         g = flex_graph(rng, 6, 2, q, False)
-        h = kecss(g, 2).edge_ids
+        h = kecss(g, 2).added
         if len(enumerate_Fq(g, h, 2, 1)):
             return FlexInstance(g, 2, q)
 
@@ -422,7 +422,7 @@ def test_ring_slot_is_read_at_call_time(monkeypatch):
     rng = random.Random(4104)
     while True:
         g = flex_graph(rng, 6, 1, 1, False)
-        if len(enumerate_Fq(g, kecss(g, 1).edge_ids, 1, 1)):
+        if len(enumerate_Fq(g, kecss(g, 1).added, 1, 1)):
             break
     inst = FlexInstance(g, 1, 1)
     plugged = SolverSlot("ring", Fraction(3, 2), family_cover.exact_min_cover)
@@ -435,7 +435,7 @@ def test_ring_slot_is_read_at_call_time(monkeypatch):
 @pytest.mark.parametrize("q", [1, 2, 3], ids=lambda q: f"solve_fgc-{q}")
 def test_uncleared_family_reports_its_first_member(monkeypatch, q):
     inst = nonempty_level1_instance(q)
-    h = kecss(inst.graph, inst.k).edge_ids
+    h = kecss(inst.graph, inst.k).added
     first = enumerate_Fq(inst.graph, h, inst.k, 1).members[0]
     idle = SolverSlot("pd2", Fraction(2),
                       lambda ci: CoverSolution((), 0, "idle", Fraction(2)))
@@ -450,7 +450,7 @@ def test_uncleared_family_reports_its_first_member(monkeypatch, q):
 
 def test_seed_that_is_not_k_connected_raises_like_the_reference(monkeypatch):
     insts = [nonempty_level1_instance(q) for q in (2, 3)]
-    empty = fgc.KecssResult((), 0, Fraction(2), "approx2", 0)
+    empty = PhaseLog(0, "kecss", 0, "approx2", 0, Fraction(2), ())
     monkeypatch.setattr(fgc, "kecss", lambda g, k, mode="approx2": empty)
     monkeypatch.setattr(sys.modules[__name__], "kecss", fgc.kecss)
     for inst in insts:

@@ -363,3 +363,56 @@ def test_every_error_carries_a_witness():
         assert _describe(plain) == "no witness"
         assert _describe(marked) == "a cut (witness cut nodes [1, 2])"
         assert _describe(cls("a pair", witness=(2, 4))) == "a pair"
+
+
+# ---------------------------------------------------------------------------
+# Outside input: exit 2 with an error line, never a traceback
+
+_MISSING = "{tmp}/no-such-dir/out.json"
+
+OUTSIDE_INPUT = {
+    "gen-nodes-not-integer": ["gen", "--out", "{tmp}/g.txt", "--nodes", "x"],
+    "gen-cost-reversed": ["gen", "--out", "{tmp}/g.txt", "--cost", "5:1"],
+    "gen-cost-negative": ["gen", "--out", "{tmp}/g.txt", "--cost=-1:3"],
+    "config-not-json": ["verify", "--suite", "forest", "--config", "not json"],
+    "config-not-an-object": ["verify", "--suite", "forest", "--config", "[1]"],
+    "config-wrong-type": ["verify", "--suite", "squares", "--config",
+                          '{"graphs": "x"}'],
+    "config-unknown-key": ["verify", "--suite", "squares", "--config",
+                           '{"graph": 5}'],
+    "config-bool-for-int": ["verify", "--suite", "forest", "--config",
+                            '{"pairs": true}'],
+    "out-gen": ["gen", "--out", _MISSING],
+    "out-verify": ["verify", "--suite", "forest", "--config", '{"pairs": 3}',
+                   "--out", _MISSING],
+    "out-solve-fgc": ["solve", "fgc", "--input", "{tmp}/k4.txt", "--out", _MISSING],
+    "out-solve-augment": ["solve", "augment", "--input", "{tmp}/aug.txt",
+                          "--out", _MISSING],
+    "out-oracle": ["oracle", "fgc", "--input", "{tmp}/k4.txt", "--out", _MISSING],
+    "out-bench": ["bench", "--corpus", "{tmp}/corpus", "--out", _MISSING],
+}
+
+
+@pytest.mark.parametrize("argv", OUTSIDE_INPUT.values(), ids=OUTSIDE_INPUT.keys())
+def test_outside_input_exits_2_without_a_traceback(tmp_path, capsys, argv):
+    k4 = g_from(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)])
+    save_instance(Instance(k4, 2, 0), tmp_path / "k4.txt")
+    # a 4-cycle base (lam0 = 2) and two chords as candidates
+    aug = g_from(4, [(u, (u + 1) % 4, 0, 1, False, True) for u in range(4)]
+                 + [(0, 2, 3, 1), (1, 3, 4, 1)])
+    save_instance(Instance(aug, 3, 0), tmp_path / "aug.txt")
+    (tmp_path / "corpus").mkdir()
+    save_instance(Instance(k4, 2, 0), tmp_path / "corpus" / "k4.txt")
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert ("cannot write" in err) == (_MISSING in argv)
+    assert not (tmp_path / "no-such-dir").exists()
+
+
+def test_bench_takes_no_kind(capsys):
+    from nearcut.cli import build_parser
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bench", "--corpus", "c", "--kind", "fgc"])
+    assert "unrecognized arguments: --kind fgc" in capsys.readouterr().err
