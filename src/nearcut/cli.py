@@ -31,7 +31,7 @@ from .harness import (
     generate,
     run_suite,
 )
-from .io import Instance, _write_text, load_instance, save_instance
+from .io import Instance, _check_writable, _write_text, load_instance, save_instance
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -279,6 +279,8 @@ def main(argv=None) -> int:
     package_logger.addHandler(handler)
     package_logger.setLevel(args.log_level.upper())
     try:
+        if getattr(args, "out", None):
+            _check_writable(args.out)
         return args.func(args)
     except InvariantError as exc:
         print(f"invariant failure: {_describe(exc)}", file=sys.stderr)

@@ -738,4 +738,30 @@ def run_suite(name: str, config: Optional[dict] = None) -> dict:
                              f"like its default {json.dumps(cfg[key])}, "
                              f"got {json.dumps(value, default=repr)}")
     cfg.update(config)
+    _check_suite_ranges(name, cfg)
     return _SUITES[name](cfg)
+
+
+_RATIO_KINDS = ("all", "augment", "fgc", "unit", "pd")
+
+
+def _check_suite_ranges(name: str, cfg: dict) -> None:
+    """Refuse, naming the key, a well-typed config value out of its range."""
+    def bad(key: str, rule: str):
+        return InputError(f"config key {key!r} of suite {name!r} must be {rule}, "
+                          f"got {json.dumps(cfg[key])}")
+
+    for key, value in cfg.items():
+        if (key in ("graphs", "per_k", "pairs") or key.endswith("_count")) and value < 0:
+            raise bad(key, ">= 0")
+    if "n_min" in cfg:
+        if cfg["n_min"] < 2:
+            raise bad("n_min", ">= 2")
+        if cfg["n_max"] < cfg["n_min"]:
+            raise bad("n_max", f">= n_min = {cfg['n_min']}")
+    if cfg.get("m_factor", 1) < 1:
+        raise bad("m_factor", ">= 1")
+    if "k_values" in cfg and not all(type(k) is int and k >= 1 for k in cfg["k_values"]):
+        raise bad("k_values", "a list of integers >= 1")
+    if cfg.get("kind", "all") not in _RATIO_KINDS:
+        raise bad("kind", "one of " + ", ".join(_RATIO_KINDS))

@@ -11,6 +11,7 @@ is accepted interchangeably: ``{"n":..,"m":..,"k":..,"q":..,"edges":
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,3 +153,20 @@ def _write_text(path, payload: str) -> None:
         Path(path).write_text(payload)
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(path) -> None:
+    """Refuse, before any work, an output path that names a directory or
+    whose directory is missing or not writable; :func:`_write_text` still
+    catches whatever else goes wrong at write time."""
+    target = Path(path)
+    parent = target.parent
+    if target.is_dir():
+        reason = "it is a directory"
+    elif not parent.is_dir():
+        reason = f"no directory {parent}"
+    elif not os.access(parent, os.W_OK):
+        reason = f"directory {parent} is not writable"
+    else:
+        return
+    raise InputError(f"cannot write {path}: {reason}")

@@ -255,54 +255,102 @@ def cut_value_array(g: Multigraph, filt: str = "all",
     lower one as ``vals[S | {v}] = vals[S] + deg(v) - 2 * w(v, S)``, where
     ``w(v, S) = sum(adj[v][u] for u in S)``.  The upper half itself first
     holds ``deg(v) - 2 * w(v, S)``, doubled out from ``deg(v)`` one node
-    ``u`` at a time, and then gets the lower half added to it; no scratch
-    array is needed.  Work is O(2^n + n^2).
+    ``u`` at a time, and then gets the lower half added to it.  From
+    n = 8 on, the steps over the low bits (nodes 1..7) come from one
+    ``n x 128`` step table, doubled out for all nodes at once: node
+    ``v <= 8`` fills its upper half with a single add, and node ``v > 8``
+    copies its row and doubles only over nodes 8..v-1.  That is about
+    ``7 + 2n + (n - 8)^2 / 2`` numpy calls where one doubling per node pair
+    takes ``n^2 / 2 + 2n``; below n = 8 the table would cost more calls
+    than it saves.  A filter that selects no edge gives a table of zeros,
+    built without doubling (the limits below are checked all the same).
+    Work is O(2^n + n^2).
 
     Values lie in ``[0, W]``, where ``W`` is the total filtered weight (the
     edge count when unweighted), so the dtype is int32 when ``W < 2^31``
     and int64 when ``W < 2^63``; a larger ``W`` raises :class:`LimitError`
     naming it.  The step ``-2 * adj[v][u]`` need not fit that dtype; it is
     passed reduced modulo ``2^bits``, the partial sums wrap the same way,
-    and the finished values, which do fit, come out exact.
-    Memory is the table alone, ``itemsize * 2^(n-1)`` bytes (32 MiB at
-    n = 24 in int32).  That estimate is checked before anything is
-    allocated: a build above :data:`TABLE_MEMORY_BUDGET` (256 MiB, so
-    n <= 27 in int32) raises :class:`LimitError` naming it, whatever the
-    node limit allows.
+    and the finished values, which do fit, come out exact.  The step table
+    is doubled out in int64 and cast to the dtype, which reduces it the
+    same way.
+    Memory is the table, ``itemsize * 2^(n-1)`` bytes (32 MiB at n = 24 in
+    int32), plus a step table of at most 24 x 128 entries.  That estimate
+    is checked before anything is allocated: a build above
+    :data:`TABLE_MEMORY_BUDGET` (256 MiB, so n <= 27 in int32) raises
+    :class:`LimitError` naming it, whatever the node limit allows.
     """
+    key = (filt, weighted)
+    if key in g._cut_cache:
+        return g._cut_cache[key]
     pred = resolve_filter(filt)
     edges = [e for e in g.edges if pred(e)]
     if weighted and all(e.capacity == 1 for e in edges):
         weighted = False
-    key = (filt, weighted)
-    if key in g._cut_cache:
-        return g._cut_cache[key]
+        key = (filt, weighted)
+        if key in g._cut_cache:
+            return g._cut_cache[key]
     total = sum(e.capacity for e in edges) if weighted else len(edges)
     if total >= 1 << 63:
         raise LimitError(
             f"cut table values need the filtered weight {total} below 2^63")
     dtype = np.dtype(np.int32 if total < 1 << 31 else np.int64)
     check_exhaustive_build(g.n, dtype.itemsize << (g.n - 1), "cut table")
+    if not edges:
+        vals = np.zeros(1 << (g.n - 1), dtype=dtype)
+    else:
+        vals = _doubling_table(g.n, edges, weighted, dtype)
+    vals.flags.writeable = False
+    g._cut_cache[key] = vals
+    return vals
+
+
+# Nodes 1.._LOW_NODES index the low bits of every table entry; their steps
+# come from one (n x 2^_LOW_NODES) table, not from one doubling per node.
+_LOW_NODES = 7
+
+
+def _doubling_table(n: int, edges: Sequence[EdgeRecord], weighted: bool,
+                    dtype: np.dtype) -> np.ndarray:
+    """The writable table of :func:`cut_value_array` for a non-empty edge list."""
     half_range = 1 << (8 * dtype.itemsize - 1)
-    adj = [[0] * g.n for _ in range(g.n)]
+    adj = [[0] * n for _ in range(n)]
     for e in edges:
         w = e.capacity if weighted else 1
         adj[e.u][e.v] += w
         adj[e.v][e.u] += w
-    vals = np.empty(1 << (g.n - 1), dtype=dtype)
+    vals = np.empty(1 << (n - 1), dtype=dtype)
     vals[0] = 0
-    for v in range(1, g.n):
+    low = _LOW_NODES if n > _LOW_NODES else 0
+    if low:
+        # step[v, S] = deg(v) - 2 * w(v, S) for S over nodes 1..low, doubled
+        # out in int64 (wrapping where 2 * adj[v][u] exceeds it) and then
+        # reduced modulo 2^bits by the cast, like the scalar steps below
+        adjm = np.array(adj, dtype=np.int64)
+        twice = adjm * 2
+        wide = np.empty((n, 1 << low), dtype=np.int64)
+        wide[:, 0] = adjm.sum(axis=1)
+        for u in range(1, low + 1):
+            h = 1 << (u - 1)
+            np.subtract(wide[:, :h], twice[:, u:u + 1], out=wide[:, h:2 * h])
+        step = wide.astype(dtype, copy=False)
+        # nodes 1..low + 1 index low bits only: one add each
+        for v in range(1, min(n, low + 2)):
+            half = 1 << (v - 1)
+            np.add(step[v, :half], vals[:half], out=vals[half:2 * half])
+    for v in range(low + 2 if low else 1, n):
         half = 1 << (v - 1)
         row = adj[v]
         dst = vals[half:2 * half]
-        dst[0] = sum(row)
-        for u in range(1, v):
+        if low:
+            dst[:1 << low] = step[v]
+        else:
+            dst[0] = sum(row)
+        for u in range(low + 1, v):
             h = 1 << (u - 1)
-            step = (half_range - 2 * row[u]) % (2 * half_range) - half_range
-            np.add(dst[:h], step, out=dst[h:2 * h])
+            step_u = (half_range - 2 * row[u]) % (2 * half_range) - half_range
+            np.add(dst[:h], step_u, out=dst[h:2 * h])
         dst += vals[:half]
-    vals.flags.writeable = False
-    g._cut_cache[key] = vals
     return vals
 
 
@@ -344,12 +392,11 @@ def enumerate_cuts_at_most(g: Multigraph, threshold: int,
     size_arr = cut_value_array(g, "all", False)
     cap_arr = cut_value_array(g, "all", True)
     unsafe_arr = cut_value_array(g, "unsafe", False)
-    hits = np.nonzero(vals[1:] <= threshold)[0] + 1
-    order = sorted(hits.tolist(), key=lambda i: (int(vals[i]), i))
-    return tuple(
-        CutRecord(mask=i << 1, size=int(size_arr[i]), cap_weight=int(cap_arr[i]),
-                  unsafe_count=int(unsafe_arr[i]))
-        for i in order)
+    hits = np.flatnonzero(vals[1:] <= threshold) + 1
+    # hits ascend, so a stable sort on the values gives (value, mask) order
+    hits = hits[np.argsort(vals[hits], kind="stable")]
+    return tuple(map(CutRecord, (hits << 1).tolist(), size_arr[hits].tolist(),
+                     cap_arr[hits].tolist(), unsafe_arr[hits].tolist()))
 
 
 class DisjointSets:

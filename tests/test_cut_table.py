@@ -1,9 +1,11 @@
 """The node-doubling cut table and the numpy family readers.
 
 Each fast path is compared with a slow one: table entries with the
-brute-force subset loop in conftest and with the earlier int64 build
-kept here verbatim, families and witnesses with plain Python loops over
-the table (the scans the readers replaced).
+brute-force subset loop in conftest, with the earlier int64 build and
+the earlier in-place build (one doubling per node pair) kept here
+verbatim, and with networkx's Stoer-Wagner minimum cut; families and
+witnesses with plain Python loops over the table (the scans the readers
+replaced); ``enumerate_cuts_at_most`` with its earlier body.
 """
 
 import random
@@ -17,11 +19,13 @@ from nearcut import (
     AugmentInstance,
     EdgeRecord,
     InputError,
+    LimitError,
     Multigraph,
     PreconditionError,
     decompose_F2_odd,
     deficient_family,
     enumerate_Fq,
+    enumerate_cuts_at_most,
     is_flex_connected,
     level_family,
     mask_from_nodes,
@@ -31,9 +35,11 @@ from nearcut import (
 from nearcut.harness import exact_augment, make_augment_corpus
 from nearcut.multigraph import (
     FILTERS,
+    CutRecord,
     check_exhaustive_build,
     cut_masks,
     cut_value_array,
+    resolve_filter,
 )
 
 from conftest import brute_cut_value, canonical_subsets
@@ -97,6 +103,74 @@ def parent_cut_value_array(g: Multigraph, filt: str = "all",
     vals.flags.writeable = False
     g._cut_cache[key] = vals
     return vals
+
+
+# ---------------------------------------------------------------------------
+# The in-place build with one scalar doubling per node pair, verbatim
+
+
+def inplace_cut_value_array(g: Multigraph, filt: str = "all",
+                            weighted: bool = False) -> np.ndarray:
+    pred = resolve_filter(filt)
+    edges = [e for e in g.edges if pred(e)]
+    if weighted and all(e.capacity == 1 for e in edges):
+        weighted = False
+    key = (filt, weighted)
+    if key in g._cut_cache:
+        return g._cut_cache[key]
+    total = sum(e.capacity for e in edges) if weighted else len(edges)
+    if total >= 1 << 63:
+        raise LimitError(
+            f"cut table values need the filtered weight {total} below 2^63")
+    dtype = np.dtype(np.int32 if total < 1 << 31 else np.int64)
+    check_exhaustive_build(g.n, dtype.itemsize << (g.n - 1), "cut table")
+    half_range = 1 << (8 * dtype.itemsize - 1)
+    adj = [[0] * g.n for _ in range(g.n)]
+    for e in edges:
+        w = e.capacity if weighted else 1
+        adj[e.u][e.v] += w
+        adj[e.v][e.u] += w
+    vals = np.empty(1 << (g.n - 1), dtype=dtype)
+    vals[0] = 0
+    for v in range(1, g.n):
+        half = 1 << (v - 1)
+        row = adj[v]
+        dst = vals[half:2 * half]
+        dst[0] = sum(row)
+        for u in range(1, v):
+            h = 1 << (u - 1)
+            step = (half_range - 2 * row[u]) % (2 * half_range) - half_range
+            np.add(dst[:h], step, out=dst[h:2 * h])
+        dst += vals[:half]
+    vals.flags.writeable = False
+    g._cut_cache[key] = vals
+    return vals
+
+
+def assert_table_matches_inplace(g, filt, weighted):
+    """Same values, dtype and read-only flag as the in-place build."""
+    vals = cut_value_array(g, filt, weighted)
+    ref = inplace_cut_value_array(twin(g), filt, weighted)
+    assert vals.dtype == ref.dtype, (filt, weighted)
+    assert vals.tobytes() == ref.tobytes(), (filt, weighted)
+    assert not vals.flags.writeable
+
+
+def loop_enumerate_cuts_at_most(g: Multigraph, threshold: int,
+                                filt: str = "all",
+                                weighted: bool = False) -> tuple[CutRecord, ...]:
+    if g.n < 2:
+        return ()
+    vals = cut_value_array(g, filt, weighted)
+    size_arr = cut_value_array(g, "all", False)
+    cap_arr = cut_value_array(g, "all", True)
+    unsafe_arr = cut_value_array(g, "unsafe", False)
+    hits = np.nonzero(vals[1:] <= threshold)[0] + 1
+    order = sorted(hits.tolist(), key=lambda i: (int(vals[i]), i))
+    return tuple(
+        CutRecord(mask=i << 1, size=int(size_arr[i]), cap_weight=int(cap_arr[i]),
+                  unsafe_count=int(unsafe_arr[i]))
+        for i in order)
 
 
 def parent_first_bad_cut(d_arr, u_arr, k, q):
@@ -218,6 +292,68 @@ def test_table_dtype_boundary(cap, dtype):
     assert_table_matches_brute(g, "all", True)
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_table_equals_inplace_build(n):
+    rng = random.Random(300 + n)
+    complete = tuple(EdgeRecord(u, v, 1, rng.randint(1, 9), rng.random() < 0.5,
+                                rng.random() < 0.5)
+                     for u in range(n) for v in range(u + 1, n))
+    graphs = [random_capacity_multigraph(rng, n), random_capacity_multigraph(rng, n),
+              random_capacity_multigraph(rng, n, caps=(1, 1)), Multigraph(n, complete)]
+    if n >= 2:
+        heavy = random_capacity_multigraph(rng, n)
+        u, v = rng.sample(range(n), 2)
+        graphs.append(Multigraph(n, heavy.edges + (EdgeRecord(u, v, 1, 2 ** 31 + 7,
+                                                              True, True),)))
+    for g in graphs:
+        for filt in FILTERS:
+            for weighted in (False, True):
+                assert_table_matches_inplace(g, filt, weighted)
+
+
+@pytest.mark.parametrize("n", [4, 7, 8, 9, 12])
+@pytest.mark.parametrize("cap", [2 ** 31 - 1, 2 ** 62, 2 ** 63 - 2])
+def test_table_dtype_boundary_matches_inplace_build(n, cap):
+    # total weight cap + 1 in int64; the heavy edge joins two low-bit nodes,
+    # a low-bit and the highest node, or the two highest nodes
+    for u, v in ((1, 2), (2, n - 1), (n - 2, n - 1)):
+        g = Multigraph.from_edges(n, [(u, v, 1, cap), (0, n - 1, 1, 1)])
+        assert cut_value_array(g, "all", True).dtype == np.int64
+        assert_table_matches_inplace(g, "all", True)
+        assert_table_matches_inplace(g, "all", False)
+        if n <= 8:
+            assert_table_matches_brute(g, "all", True)
+
+
+def test_empty_filter_table_is_read_only_zeros(monkeypatch):
+    for n in (1, 2, 7, 8, 9, 12):
+        g = Multigraph(n, tuple(EdgeRecord(u, u + 1, 1, 3) for u in range(n - 1)))
+        vals = cut_value_array(g, "unsafe", False)
+        assert vals.dtype == np.int32 and vals.shape == (1 << (n - 1),)
+        assert not vals.any() and not vals.flags.writeable
+        assert cut_value_array(g, "unsafe", False) is vals
+        assert cut_value_array(g, "unsafe", True) is vals
+        assert cut_value_array(g, "base", True) is cut_value_array(g, "base", False)
+        assert sorted(g._cut_cache) == [("base", False), ("unsafe", False)]
+        assert_table_matches_inplace(g, "unsafe", False)
+    import nearcut.multigraph as mg
+    builds = []
+    real = mg.check_exhaustive_build
+
+    def counting(n, estimate, what):
+        builds.append((n, estimate, what))
+        return real(n, estimate, what)
+
+    monkeypatch.setattr(mg, "check_exhaustive_build", counting)
+    monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "8")
+    cut_value_array(Multigraph(8, ()), "all")
+    assert builds == [(8, 4 << 7, "cut table")]
+    g = Multigraph(9, ())
+    with pytest.raises(LimitError, match="n <= 8"):
+        cut_value_array(g, "all")
+    assert not g._cut_cache
+
+
 def test_weighted_unit_table_is_the_unweighted_one():
     # base edges (0,1), (1,2) and the safe edges all have capacity 1; the
     # one unsafe edge (0,2) has capacity 4
@@ -331,6 +467,53 @@ def test_cut_masks_skips_the_empty_set():
     assert cut_masks(vals == 1) == (0b100, 0b110)
     assert cut_masks(vals > 2) == ()
     assert all(type(m) is int for m in cut_masks(vals >= 0))
+
+
+def test_enumerate_cuts_at_most_matches_its_loop():
+    rng = random.Random(41)
+    seen = 0
+    for _ in range(80):
+        g = random_capacity_multigraph(rng, rng.randint(1, 11))
+        for filt in FILTERS:
+            for weighted in (False, True):
+                vals = cut_value_array(g, filt, weighted)
+                lo, hi = int(vals[1:].min(initial=0)), int(vals.max())
+                for threshold in (-1, 0, lo, lo + 1, (lo + hi) // 2, hi, 2 ** 40):
+                    recs = enumerate_cuts_at_most(g, threshold, filt, weighted)
+                    assert recs == loop_enumerate_cuts_at_most(g, threshold, filt,
+                                                               weighted)
+                    assert all(type(x) is int for r in recs
+                               for x in (r.mask, r.size, r.cap_weight, r.unsafe_count))
+                    seen += len(recs)
+    assert seen > 10000
+
+
+def test_min_cut_matches_networkx_stoer_wagner():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(43)
+    connected = 0
+    for _ in range(120):
+        n = rng.randint(2, 12)
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+        g = Multigraph(n, tuple(EdgeRecord(u, v, 1, rng.randint(1, 9), rng.random() < 0.3,
+                                           rng.random() < 0.5) for u, v in pairs))
+        for filt, pred in FILTERS.items():
+            for weighted in (False, True):
+                h = nx.Graph()
+                h.add_nodes_from(range(n))
+                for e in g.edges:
+                    if pred(e):
+                        w = e.capacity if weighted else 1
+                        old = h.get_edge_data(e.u, e.v, {"weight": 0})["weight"]
+                        h.add_edge(e.u, e.v, weight=old + w)
+                if nx.is_connected(h):
+                    connected += 1
+                    expected = nx.stoer_wagner(h)[0]
+                else:
+                    expected = 0
+                assert min_cut_value(g, filt, weighted) == expected, (filt, weighted)
+    assert connected > 300
 
 
 # ---------------------------------------------------------------------------

@@ -416,3 +416,76 @@ def test_bench_takes_no_kind(capsys):
     with pytest.raises(SystemExit):
         build_parser().parse_args(["bench", "--corpus", "c", "--kind", "fgc"])
     assert "unrecognized arguments: --kind fgc" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Refused before any work: out-of-range configs and unwritable --out paths
+
+REFUSED_BEFORE_WORK = {
+    "squares-range-reversed": (["verify", "--suite", "squares", "--config",
+                                '{"graphs": 3, "n_min": 8, "n_max": 5}'], "'n_max'"),
+    "squares-m-factor-negative": (["verify", "--suite", "squares", "--config",
+                                   '{"graphs": 3, "m_factor": -1}'], "'m_factor'"),
+    "classify-m-factor-zero": (["verify", "--suite", "classify", "--config",
+                                '{"m_factor": 0}'], "'m_factor'"),
+    "uncrossable-n-min-1": (["verify", "--suite", "uncrossable", "--config",
+                             '{"n_min": 1}'], "'n_min'"),
+    "decompose-graphs-negative": (["verify", "--suite", "decompose", "--config",
+                                   '{"graphs": -1}'], "'graphs'"),
+    "forest-pairs-negative": (["verify", "--suite", "forest", "--config",
+                               '{"pairs": -5}'], "'pairs'"),
+    "c1-k-not-an-int": (["verify", "--suite", "c1", "--config",
+                         '{"k_values": ["a"], "per_k": 2}'], "'k_values'"),
+    "c1-k-a-bool": (["verify", "--suite", "c1", "--config", '{"k_values": [true]}'],
+                    "'k_values'"),
+    "c1-k-zero": (["verify", "--suite", "c1", "--config", '{"k_values": [1, 0]}'],
+                  "'k_values'"),
+    "c1-per-k-negative": (["verify", "--suite", "c1", "--config", '{"per_k": -1}'],
+                          "'per_k'"),
+    "ratios-kind-unknown": (["verify", "--suite", "ratios", "--config", '{"kind": "x"}'],
+                            "'kind'"),
+    "ratios-count-negative": (["verify", "--suite", "ratios", "--config",
+                               '{"unit_count": -2}'], "'unit_count'"),
+    "out-verify-missing-dir": (["verify", "--suite", "forest", "--out", _MISSING],
+                               "cannot write"),
+    "out-verify-a-directory": (["verify", "--suite", "forest", "--out", "{tmp}"],
+                               "cannot write {tmp}: it is a directory"),
+    "out-gen-a-directory": (["gen", "--out", "{tmp}/corpus"], "cannot write"),
+    "out-solve-fgc-a-directory": (["solve", "fgc", "--input", "{tmp}/k4.txt",
+                                   "--out", "{tmp}"], "cannot write"),
+    "out-solve-augment-missing-dir": (["solve", "augment", "--input", "{tmp}/k4.txt",
+                                       "--out", _MISSING], "cannot write"),
+    "out-oracle-missing-dir": (["oracle", "augment", "--input", "{tmp}/k4.txt",
+                                "--out", _MISSING], "cannot write"),
+    "out-bench-missing-dir": (["bench", "--corpus", "{tmp}/corpus", "--out", _MISSING],
+                              "cannot write"),
+}
+
+
+@pytest.mark.parametrize("argv, says", REFUSED_BEFORE_WORK.values(),
+                         ids=REFUSED_BEFORE_WORK.keys())
+def test_refused_before_any_work(tmp_path, monkeypatch, capsys, argv, says):
+    import nearcut.cli as cli
+    import nearcut.harness as harness
+
+    k4 = g_from(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)])
+    save_instance(Instance(k4, 2, 0), tmp_path / "k4.txt")
+    (tmp_path / "corpus").mkdir()
+    save_instance(Instance(k4, 2, 0), tmp_path / "corpus" / "k4.txt")
+    calls = []
+
+    def work(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("work ran before the refusal")
+
+    monkeypatch.setattr(harness, "_SUITES", {name: work for name in harness._SUITES})
+    for name in ("generate", "near_min_cuts_cover", "solve_fgc", "exact_augment",
+                 "exact_fgc", "augment_record", "fgc_record", "load_instance"):
+        monkeypatch.setattr(cli, name, work)
+    assert main([a.replace("{tmp}", str(tmp_path)) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert says.replace("{tmp}", str(tmp_path)) in err
+    assert calls == []
+    assert not (tmp_path / "no-such-dir").exists()
