@@ -14,6 +14,14 @@ The schedule walks connectivity levels with parity-aware boundaries:
   connectivity by 2 per stage;
 * k odd: one last stage covers the (k-1)-cuts alone.
 
+Every stage reads the base graph's one cut table.  A chosen candidate
+lifts any cut it crosses from at least lam0 to at least k, so a cut's
+current value is below k only while no chosen candidate crosses it, and
+then it is still its base value.  The staged cover therefore takes the
+deficient cuts once, drops those each stage's candidates cross, and reads
+each stage's family, its connectivity check and the final k-check from
+the cuts left.
+
 Pair stages go to the primal-dual cover (pd2, guarantee 2), single-level
 stages to ``family_cover.ring_cover_solver`` unless another slot is named,
 and every stage runs FGC's cover step; the end-to-end bound is the sum of
@@ -26,7 +34,9 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import family_cover
 from .errors import InputError, InvariantError
@@ -37,7 +47,6 @@ from .multigraph import (
     Multigraph,
     cut_masks,
     cut_value_array,
-    is_k_edge_connected,
     min_cut_value,
 )
 
@@ -160,6 +169,18 @@ def implemented_ratio_bound(lam0: int, k: int,
     return Fraction(2 * pairs) + (lam0 % 2 + tail) * g_single
 
 
+def _uncrossed(g: Multigraph, added: Iterable[int], masks: np.ndarray,
+               values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cut masks (and their values) that no edge in ``added`` crosses;
+    order is kept."""
+    crossed = np.zeros_like(masks)
+    for i in added:
+        e = g.edges[i]
+        crossed |= (masks >> e.u) ^ (masks >> e.v)
+    keep = (crossed & 1) == 0
+    return masks[keep], values[keep]
+
+
 def near_min_cuts_cover(inst: AugmentInstance,
                         single_solver: SolverSlot | str | None = None) -> AugmentResult:
     """Run the staged cover; the result is verified k-connected.
@@ -168,6 +189,9 @@ def near_min_cuts_cover(inst: AugmentInstance,
     default ``family_cover.ring_cover_solver`` as it is at call time,
     {lam, lam+1} stages to pd2.  Laminarity of odd boundary families and
     uncrossability of pair families are asserted, not assumed.
+
+    The only cut table read is the base graph's, the one that gave lam0
+    (see the module docstring for why that suffices).
     """
     inst.validate()
     single = (family_cover.ring_cover_solver if single_solver is None
@@ -175,16 +199,20 @@ def near_min_cuts_cover(inst: AugmentInstance,
     pair = resolve_slot("pd2")
     lam0 = inst.lam0
     k = inst.k
-    base_ids = set(inst.graph.edge_ids("base"))
+    g = inst.graph
+    base_ids = set(g.edge_ids("base"))
     h = set(base_ids)
     stages: list[PhaseLog] = []
-    # The graph built for each stage's connectivity check is the next
-    # stage's input, so its cached cut table is read once per stage; the
-    # first stage reads the table that gave lam0.
-    g_cur = inst.base_graph
+    # The deficient cuts no chosen candidate crosses yet, with their base
+    # values, which are also their current values.
+    vals = cut_value_array(inst.base_graph, "all", weighted=True)
+    hit = vals < k
+    hit[0] = False   # the empty set, not a cut
+    masks, values = np.flatnonzero(hit) << 1, vals[hit]
 
     for level, kind in _stages(lam0, k):
-        fam = level_family(g_cur, level, include_plus_one=(kind == "pair"))
+        top = level + 1 if kind == "pair" else level
+        fam = SetFamily(g.n, masks[(values >= level) & (values <= top)].tolist())
         if kind == "single" and level == lam0 and lam0 % 2 == 1 and len(fam):
             ok, wit = is_laminar(fam)
             if not ok:
@@ -195,23 +223,25 @@ def near_min_cuts_cover(inst: AugmentInstance,
             if not ok:
                 raise InvariantError(
                     "paired-level family is not uncrossable", witness=wit)
-        stages.append(_cover_phase(level, kind, inst.graph, h, fam,
-                                   pair if kind == "pair" else single))
+        stage = _cover_phase(level, kind, g, h, fam,
+                             pair if kind == "pair" else single)
+        stages.append(stage)
         if not len(fam):
             continue
-        target = level + (2 if kind == "pair" else 1)
-        g_cur = inst.current_graph(h)
-        new_conn = min_cut_value(g_cur, "all", weighted=True)
-        if new_conn < min(target, k):
+        target = top + 1
+        masks, values = _uncrossed(g, stage.added, masks, values)
+        # every cut outside the deficient ones left has value >= k
+        conn = int(values.min()) if len(values) else k
+        if conn < min(target, k):
             raise InvariantError(
-                f"stage at level {level} left connectivity {new_conn} < {target}")
+                f"stage at level {level} left connectivity {conn} < {target}")
 
-    if stages and not is_k_edge_connected(g_cur, k, "all", weighted=True):
+    if len(masks):
         raise InvariantError("cover finished but the graph is not k-connected")
     chosen = tuple(sorted(h - base_ids))
     bound = sum((s.guarantee for s in stages), Fraction(0))
     expected = implemented_ratio_bound(lam0, k, single.guarantee)
     if bound != expected:
         raise InvariantError(f"stage accounting drifted: {bound} != {expected}")
-    return AugmentResult(chosen=chosen, cost=_added_cost(inst.graph, chosen),
+    return AugmentResult(chosen=chosen, cost=_added_cost(g, chosen),
                          stages=tuple(stages), bound=bound, lam0=lam0)

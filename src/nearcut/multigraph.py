@@ -247,7 +247,8 @@ def cut_value_array(g: Multigraph, filt: str = "all",
     skip it (:func:`cut_masks` does).  The table is read-only and cached
     on the graph per ``(filt, weighted)``.  A weighted request on a graph
     whose filtered edges all have capacity 1 is the unweighted request:
-    it returns the same array object from the same cache entry.
+    the one array object is cached under both keys, so either request
+    after the first is a plain cache hit.
 
     Built in place by node doubling over the filtered adjacency matrix
     ``adj``: index bit ``j`` stands for node ``j + 1``, and for each node
@@ -280,16 +281,17 @@ def cut_value_array(g: Multigraph, filt: str = "all",
     :data:`TABLE_MEMORY_BUDGET` (256 MiB, so n <= 27 in int32) raises
     :class:`LimitError` naming it, whatever the node limit allows.
     """
+    cache = g._cut_cache
     key = (filt, weighted)
-    if key in g._cut_cache:
-        return g._cut_cache[key]
+    if key in cache:
+        return cache[key]
     pred = resolve_filter(filt)
     edges = [e for e in g.edges if pred(e)]
     if weighted and all(e.capacity == 1 for e in edges):
         weighted = False
-        key = (filt, weighted)
-        if key in g._cut_cache:
-            return g._cut_cache[key]
+        if (filt, False) in cache:
+            cache[key] = cache[(filt, False)]
+            return cache[key]
     total = sum(e.capacity for e in edges) if weighted else len(edges)
     if total >= 1 << 63:
         raise LimitError(
@@ -301,7 +303,7 @@ def cut_value_array(g: Multigraph, filt: str = "all",
     else:
         vals = _doubling_table(g.n, edges, weighted, dtype)
     vals.flags.writeable = False
-    g._cut_cache[key] = vals
+    cache[key] = cache[(filt, weighted)] = vals
     return vals
 
 

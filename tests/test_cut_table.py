@@ -197,7 +197,7 @@ def assert_table_matches_parent(g, filt, weighted):
     assert not vals.flags.writeable
     if weighted and all(e.capacity == 1 for e in g.edges if FILTERS[filt](e)):
         assert vals is cut_value_array(g, filt, False)
-        assert (filt, True) not in g._cut_cache
+        assert g._cut_cache[(filt, True)] is vals
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,8 @@ def test_empty_filter_table_is_read_only_zeros(monkeypatch):
         assert cut_value_array(g, "unsafe", False) is vals
         assert cut_value_array(g, "unsafe", True) is vals
         assert cut_value_array(g, "base", True) is cut_value_array(g, "base", False)
-        assert sorted(g._cut_cache) == [("base", False), ("unsafe", False)]
+        assert sorted(g._cut_cache) == [("base", False), ("base", True),
+                                        ("unsafe", False), ("unsafe", True)]
         assert_table_matches_inplace(g, "unsafe", False)
     import nearcut.multigraph as mg
     builds = []
@@ -366,8 +367,8 @@ def test_weighted_unit_table_is_the_unweighted_one():
     assert cut_value_array(g, "unsafe", True).tolist() == \
         [4 * x for x in cut_value_array(g, "unsafe", False).tolist()]
     assert sorted(g._cut_cache) == [("all", False), ("all", True), ("base", False),
-                                    ("nonbase", False), ("nonbase", True),
-                                    ("safe", False), ("unsafe", False),
+                                    ("base", True), ("nonbase", False), ("nonbase", True),
+                                    ("safe", False), ("safe", True), ("unsafe", False),
                                     ("unsafe", True)]
 
 
@@ -382,38 +383,73 @@ def test_base_graph_table_is_the_base_filter_table():
         inst = AugmentInstance(Multigraph(n, base + cands + (EdgeRecord(0, 1, base=True),)),
                                rng.randint(1, 4))
         lam0 = inst.lam0
-        # lam0 and the first stage read the one table of the one base graph
+        # lam0 and the staged cover read the one table of the one base graph,
+        # cached under both keys since base edges have unit capacity
         assert inst.base_graph is inst.base_graph
-        assert len(inst.base_graph._cut_cache) == 1
+        assert sorted(inst.base_graph._cut_cache) == [("all", False), ("all", True)]
         table = cut_value_array(inst.base_graph, "all", True)
         assert cut_value_array(inst.base_graph, "all", False) is table
-        assert len(inst.base_graph._cut_cache) == 1
+        assert sorted(inst.base_graph._cut_cache) == [("all", False), ("all", True)]
         assert table.tolist() == cut_value_array(inst.graph, "base", True).tolist()
         assert table.tolist() == \
             parent_cut_value_array(twin(inst.graph), "base", True).tolist()
         assert lam0 == int(table[1:].min())
 
 
-def test_cover_builds_one_table_per_stage_graph(monkeypatch):
-    """One build for the base graph (lam0 and the first stage), then one
-    per stage that added edges; the oracle reuses the base table."""
+def test_weighted_unit_hit_skips_the_edge_filter(monkeypatch):
+    """A weighted request on a filter whose edges all have capacity 1 is
+    cached under both keys, whichever request came first, so a later one
+    of either kind returns at once, without filtering the edge list."""
+    import nearcut.multigraph as mg
+    edges = [(u, (u + 1) % 6) for u in range(6)] + [(0, 3, 1, 5, 1, 0)]
+    weighted_first, unweighted_first = (Multigraph.from_edges(6, edges) for _ in range(2))
+    tables = [cut_value_array(weighted_first, "safe", True),
+              cut_value_array(unweighted_first, "safe", False)]
+    assert cut_value_array(unweighted_first, "safe", True) is tables[1]
+    for g, vals in zip((weighted_first, unweighted_first), tables):
+        assert g._cut_cache[("safe", True)] is g._cut_cache[("safe", False)] is vals
+    assert cut_value_array(weighted_first, "all", True) is not \
+        cut_value_array(weighted_first, "all", False)
+
+    def refuse(filt):
+        raise AssertionError(f"cache hit filtered the edges ({filt})")
+
+    monkeypatch.setattr(mg, "resolve_filter", refuse)
+    for g, vals in zip((weighted_first, unweighted_first), tables):
+        for weighted in (True, False):
+            assert cut_value_array(g, "safe", weighted) is vals
+
+
+def test_cover_builds_one_cut_table(monkeypatch):
+    """One ``near_min_cuts_cover`` call builds one cut table, the base
+    graph's, whatever its number of stages, and never builds a current
+    graph; the oracle reuses that table."""
     import nearcut.multigraph as mg
     builds = []
-    real = mg.check_exhaustive_build
+    real = mg._doubling_table
 
-    def counting(n, estimate, what):
+    def counting(n, edges, weighted, dtype):
         builds.append(n)
-        return real(n, estimate, what)
+        return real(n, edges, weighted, dtype)
 
-    monkeypatch.setattr(mg, "check_exhaustive_build", counting)
-    for _, built in make_augment_corpus(8, 7):
-        inst = AugmentInstance(built.graph, built.k)
+    def no_current_graph(self, chosen):
+        raise AssertionError("current_graph was called")
+
+    monkeypatch.setattr(mg, "_doubling_table", counting)
+    monkeypatch.setattr(AugmentInstance, "current_graph", no_current_graph)
+    stages_run = {}
+    for _, built in make_augment_corpus(28, 7):
+        inst = AugmentInstance(built.graph, built.k)   # no table cached yet
         builds.clear()
         res = near_min_cuts_cover(inst)
-        assert len(builds) == 1 + sum(s.solver != "none" for s in res.stages)
-        before = len(builds)
+        assert builds == [inst.graph.n]
+        ran = sum(s.solver != "none" for s in res.stages)
+        stages_run.setdefault((res.lam0, inst.k), set()).add(ran)
         exact_augment(inst)
-        assert len(builds) == before
+        assert len(builds) == 1
+    assert stages_run[(2, 4)] == {1}
+    assert stages_run[(1, 4)] == {2}
+    assert 3 in stages_run[(1, 5)]
 
 
 def test_huge_k_and_q_meet_the_table_only_in_comparisons():

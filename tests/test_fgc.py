@@ -2,13 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nearcut import (
     BudgetError,
+    EdgeRecord,
     FlexInstance,
     InfeasibleError,
     InputError,
     LimitError,
+    Multigraph,
     PreconditionError,
     enumerate_Fq,
     flex_connected_by_removal,
@@ -22,6 +26,7 @@ from nearcut import (
     subgraph,
 )
 from nearcut.harness import exact_fgc, make_fgc_corpus, make_flex_corpus
+from nearcut.multigraph import edge_crosses
 
 from conftest import c4, g_from, k4, random_multigraph, triangle
 
@@ -69,6 +74,38 @@ def test_removal_formulation_agrees():
         q = rng.randint(0, 2)
         per_cut, _ = is_flex_connected(g, ids, k, q)
         assert per_cut == flex_connected_by_removal(g, ids, k, q)
+
+
+@st.composite
+def flex_cases(draw):
+    """A random multigraph on 2..7 nodes (unsafe flags and capacities
+    drawn too), a random subset H of its edge ids, k = 1..3, q = 0..2."""
+    n = draw(st.integers(2, 7))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    specs = draw(st.lists(st.tuples(pair, st.booleans(), st.integers(1, 3)), max_size=16))
+    g = Multigraph(n, tuple(EdgeRecord(u, v, 0, cap, unsafe)
+                            for (u, v), unsafe, cap in specs))
+    ids = draw(st.sets(st.integers(0, g.m - 1))) if g.m else set()
+    return g, ids, draw(st.integers(1, 3)), draw(st.integers(0, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(flex_cases())
+def test_property_per_cut_check_agrees_with_removal(case):
+    g, ids, k, q = case
+    ok, wit = is_flex_connected(g, ids, k, q)
+    assert ok == flex_connected_by_removal(g, ids, k, q)
+    if ok:
+        assert wit is None
+        return
+    # the witness is a canonical cut that violates d(S) >= k + min(d_U(S), q),
+    # recounted edge by edge over H
+    assert 0 < wit < 1 << g.n and not wit & 1
+    crossing = [g.edges[i] for i in ids if edge_crosses(g.edges[i].u, g.edges[i].v, wit)]
+    d = len(crossing)
+    d_unsafe = sum(e.unsafe for e in crossing)
+    assert d < k + min(d_unsafe, q)
 
 
 # ---------------------------------------------------------------------------
