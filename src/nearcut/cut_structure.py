@@ -371,38 +371,32 @@ def build_square(g: Multigraph, a_mask: int, b_mask: int,
                   da=da, db=db, alpha=alpha, lam=lam)
 
 
-def _expected_cases(lam: int) -> tuple[tuple[SquareCase, tuple, int, int, tuple], ...]:
-    """(case, sorted cut values, a, b, sides) patterns for connectivity lam."""
-    out = []
-    if lam % 2 == 0:
-        h = lam // 2
-        out.append((SquareCase.MIN_MIN, (lam, lam), 0, 0, (h, h, h, h)))
-        out.append((SquareCase.MIN_PLUS_EVEN, (lam, lam + 1), 0, 0, (h, h, h, h + 1)))
-        out.append((SquareCase.PP_A, (lam + 1, lam + 1), 0, 0, (h, h + 1, h, h + 1)))
-        out.append((SquareCase.PP_B, (lam + 1, lam + 1), 1, 0, (h, h, h, h)))
-    else:
-        lo, hi = (lam - 1) // 2, (lam + 1) // 2
-        top = (lam + 3) // 2
-        out.append((SquareCase.MIN_PLUS_ODD, (lam, lam + 1), 0, 0, (hi, hi, lo, hi)))
-        out.append((SquareCase.PP_C, (lam + 1, lam + 1), 0, 0, (hi, hi, lo, top)))
-        out.append((SquareCase.PP_D, (lam + 1, lam + 1), 1, 0, (hi, lo, lo, hi)))
-        out.append((SquareCase.PP_E, (lam + 1, lam + 1), 1, 1, (lo, lo, lo, lo)))
-        out.append((SquareCase.PP_F, (lam + 1, lam + 1), 0, 0, (hi, hi, hi, hi)))
-    return tuple(out)
+# The case list, keyed by (lam mod 2, sorted cut values - lam, (a, b),
+# sides (x, y, z, w) - floor(lam / 2)).
+_SQUARE_CASES = {
+    (0, (0, 0), (0, 0), (0, 0, 0, 0)): SquareCase.MIN_MIN,
+    (0, (0, 1), (0, 0), (0, 0, 0, 1)): SquareCase.MIN_PLUS_EVEN,
+    (0, (1, 1), (0, 0), (0, 1, 0, 1)): SquareCase.PP_A,
+    (0, (1, 1), (1, 0), (0, 0, 0, 0)): SquareCase.PP_B,
+    (1, (0, 1), (0, 0), (1, 1, 0, 1)): SquareCase.MIN_PLUS_ODD,
+    (1, (1, 1), (0, 0), (1, 1, 0, 2)): SquareCase.PP_C,
+    (1, (1, 1), (1, 0), (1, 0, 0, 1)): SquareCase.PP_D,
+    (1, (1, 1), (1, 1), (0, 0, 0, 0)): SquareCase.PP_E,
+    (1, (1, 1), (0, 0), (1, 1, 1, 1)): SquareCase.PP_F,
+}
 
 
 def classify_square(sq: Square) -> SquareCase:
     """Match a square of {lam, lam+1}-valued cuts against the case list."""
     lam = sq.lam
     vals = tuple(sorted((sq.da, sq.db)))
-    allowed = {(lam, lam), (lam, lam + 1), (lam + 1, lam + 1)}
-    if vals not in allowed:
+    offsets = (vals[0] - lam, vals[1] - lam)
+    if offsets not in ((0, 0), (0, 1), (1, 1)):
         raise InputError(
             f"classification needs cut values in {{{lam}, {lam + 1}}}, got {vals}")
-    for case, want_vals, wa, wb, sides in _expected_cases(lam):
-        if vals == want_vals and (sq.a, sq.b) == (wa, wb) and sq.sides == sides:
-            return case
-    return SquareCase.OTHER
+    h = lam // 2
+    key = (lam % 2, offsets, (sq.a, sq.b), (sq.x - h, sq.y - h, sq.z - h, sq.w - h))
+    return _SQUARE_CASES.get(key, SquareCase.OTHER)
 
 
 # ---------------------------------------------------------------------------
@@ -519,11 +513,10 @@ def verify_part_shape(qr: QuotientResult, lam: int) -> PartShape:
 
 @dataclass(frozen=True)
 class CutPart:
-    """One part: its (lam+1)-cut members, the lam-cuts compatible with its
-    quotient, the quotient itself and the verified shape."""
+    """One part: its (lam+1)-cut members, the quotient they are all
+    compatible with, and the verified shape of that quotient."""
 
     members: SetFamily
-    lambda_members: SetFamily
     quotient: QuotientResult
     shape: PartShape
 
@@ -559,10 +552,8 @@ def decompose_plus_cuts(g: Multigraph, lam: int) -> DecompositionResult:
 
     Grouping is the transitive closure of strong crossing; each group's
     part is then widened to every (lam+1)-cut compatible with the group
-    quotient, and parts subsumed by a larger part are dropped.  lam-cuts
-    compatible with a part's quotient are attached as lambda_members.
-    Shape verification failures are reported as diagnostics, never
-    raised.
+    quotient, and parts subsumed by a larger part are dropped.  Shape
+    verification failures are reported as diagnostics, never raised.
     """
     if lam < 1 or lam % 2 == 0:
         raise InputError(f"decomposition is defined for odd lam >= 1, got {lam}")
@@ -570,7 +561,6 @@ def decompose_plus_cuts(g: Multigraph, lam: int) -> DecompositionResult:
         raise PreconditionError(f"graph is not {lam}-edge-connected")
     vals = cut_value_array(g)
     plus = cut_masks(vals == lam + 1)
-    lam_cuts = cut_masks(vals == lam)
     if not plus:
         return DecompositionResult(lam=lam, parts=(), diagnostics=())
 
@@ -600,12 +590,8 @@ def decompose_plus_cuts(g: Multigraph, lam: int) -> DecompositionResult:
             diagnostics.append(
                 f"part with {len(members)} members has unrecognized quotient shape "
                 f"({qr.graph.n} classes, {qr.graph.m} edges)")
-        attached = tuple(m for m in lam_cuts if qr.compatible(m))
-        parts.append(CutPart(
-            members=SetFamily(g.n, members),
-            lambda_members=SetFamily(g.n, attached),
-            quotient=qr,
-            shape=shape))
+        parts.append(CutPart(members=SetFamily(g.n, members), quotient=qr,
+                             shape=shape))
 
     result = DecompositionResult(lam=lam, parts=tuple(parts),
                                  diagnostics=tuple(diagnostics))

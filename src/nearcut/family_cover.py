@@ -59,6 +59,8 @@ class CoverInstance:
         if self.family.n != self.n:
             raise PreconditionError("family ground set does not match instance")
         for c in self.candidates:
+            if not all(type(x) is int for x in (c.u, c.v, c.cost)):
+                raise PreconditionError(f"non-integer candidate endpoint or cost: {c}")
             if not (0 <= c.u < self.n and 0 <= c.v < self.n) or c.u == c.v:
                 raise PreconditionError(f"bad candidate endpoints: {c}")
             if c.cost < 0:

@@ -230,7 +230,8 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
         return ExactSubgraphResult((), 0, 0)
     m = g.m
     # cross and ucross: 2^(n-1) ints of about m bits each, 8 bytes of
-    # list slot plus 24 + 4 * ceil(m / 30) bytes of int object
+    # list slot plus 24 + 4 * ceil(m / 30) bytes of int object; ucross is
+    # built only at q > 0, but the estimate counts it at every q
     check_exhaustive_build(g.n, (64 + 8 * -(-m // 30)) << (g.n - 1),
                            "exact flex search")
     # adding node v to a side toggles exactly the edges incident to v
@@ -242,8 +243,9 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
     for v in range(1, g.n):
         inc = incident[v]
         cross += [c ^ inc for c in cross]
-    unsafe_bits = sum(1 << pos for pos, e in enumerate(g.edges) if e.unsafe)
-    ucross = [c & unsafe_bits for c in cross]
+    if q:
+        unsafe_bits = sum(1 << pos for pos, e in enumerate(g.edges) if e.unsafe)
+        ucross = [c & unsafe_bits for c in cross]
     costs = [e.cost for e in g.edges]
     all_bits = (1 << m) - 1
 

@@ -136,14 +136,19 @@ class Multigraph:
         for i, e in enumerate(self.edges):
             if not isinstance(e, EdgeRecord):
                 raise InputError(f"edge {i} is not an EdgeRecord")
+            # type(x) is int: neither a bool nor a float with an integer value
+            if type(e.u) is not int or type(e.v) is not int:
+                raise InputError(f"edge {i} has a non-integer endpoint: {e}")
             if not (0 <= e.u < self.n and 0 <= e.v < self.n):
                 raise InputError(f"edge {i} endpoint out of range: {e}")
             if e.u == e.v:
                 raise InputError(f"edge {i} is a self-loop: {e}")
-            if isinstance(e.cost, bool) or not isinstance(e.cost, int):
+            if type(e.cost) is not int:
                 raise InputError(f"edge {i} has non-integer cost: {e}")
             if e.cost < 0:
                 raise InputError(f"edge {i} has negative cost: {e}")
+            if type(e.capacity) is not int:
+                raise InputError(f"edge {i} has non-integer capacity: {e}")
             if e.capacity < 1:
                 raise InputError(f"edge {i} has non-positive capacity: {e}")
 
@@ -206,17 +211,11 @@ def subgraph(g: Multigraph, edge_ids: Iterable[int]) -> Multigraph:
 
 @dataclass(frozen=True)
 class CutRecord:
-    """A canonical cut with its cached statistics.
-
-    ``mask`` is the canonical side (node 0 excluded); ``size`` counts all
-    crossing edges, ``cap_weight`` sums their capacities and
-    ``unsafe_count`` counts the crossing unsafe edges.
-    """
+    """A canonical cut: ``mask`` is the side avoiding node 0, ``size`` the
+    number of edges crossing it."""
 
     mask: int
     size: int
-    cap_weight: int
-    unsafe_count: int
 
     def nodes(self) -> tuple[int, ...]:
         return nodes_from_mask(self.mask)
@@ -260,11 +259,11 @@ def cut_value_array(g: Multigraph, filt: str = "all",
     n = 8 on, the steps over the low bits (nodes 1..7) come from one
     ``n x 128`` step table, doubled out for all nodes at once: node
     ``v <= 8`` fills its upper half with a single add, and node ``v > 8``
-    copies its row and doubles only over nodes 8..v-1.  That is about
-    ``7 + 2n + (n - 8)^2 / 2`` numpy calls where one doubling per node pair
-    takes ``n^2 / 2 + 2n``; below n = 8 the table would cost more calls
-    than it saves.  A filter that selects no edge gives a table of zeros,
-    built without doubling (the limits below are checked all the same).
+    copies its row and doubles only over nodes 8..v-1, about
+    ``7 + 2n + (n - 8)^2 / 2`` numpy calls in all; below n = 8 the step
+    table would cost more calls than it saves.  A filter that selects no
+    edge gives a table of zeros, built without doubling (the limits below
+    are checked all the same).
     Work is O(2^n + n^2).
 
     Values lie in ``[0, W]``, where ``W`` is the total filtered weight (the
@@ -386,19 +385,18 @@ def enumerate_cuts_at_most(g: Multigraph, threshold: int,
                            weighted: bool = False) -> tuple[CutRecord, ...]:
     """All canonical cuts with filtered value <= threshold.
 
-    One representative per complement pair, sorted by (value, mask).
+    One representative per complement pair, sorted by (value, mask).  Reads
+    the filtered table and the unweighted ``all`` table, which gives each
+    record's ``size``.
     """
     if g.n < 2:
         return ()
     vals = cut_value_array(g, filt, weighted)
     size_arr = cut_value_array(g, "all", False)
-    cap_arr = cut_value_array(g, "all", True)
-    unsafe_arr = cut_value_array(g, "unsafe", False)
     hits = np.flatnonzero(vals[1:] <= threshold) + 1
     # hits ascend, so a stable sort on the values gives (value, mask) order
     hits = hits[np.argsort(vals[hits], kind="stable")]
-    return tuple(map(CutRecord, (hits << 1).tolist(), size_arr[hits].tolist(),
-                     cap_arr[hits].tolist(), unsafe_arr[hits].tolist()))
+    return tuple(map(CutRecord, (hits << 1).tolist(), size_arr[hits].tolist()))
 
 
 class DisjointSets:

@@ -163,14 +163,9 @@ def loop_enumerate_cuts_at_most(g: Multigraph, threshold: int,
         return ()
     vals = cut_value_array(g, filt, weighted)
     size_arr = cut_value_array(g, "all", False)
-    cap_arr = cut_value_array(g, "all", True)
-    unsafe_arr = cut_value_array(g, "unsafe", False)
     hits = np.nonzero(vals[1:] <= threshold)[0] + 1
     order = sorted(hits.tolist(), key=lambda i: (int(vals[i]), i))
-    return tuple(
-        CutRecord(mask=i << 1, size=int(size_arr[i]), cap_weight=int(cap_arr[i]),
-                  unsafe_count=int(unsafe_arr[i]))
-        for i in order)
+    return tuple(CutRecord(mask=i << 1, size=int(size_arr[i])) for i in order)
 
 
 def parent_first_bad_cut(d_arr, u_arr, k, q):
@@ -519,7 +514,7 @@ def test_enumerate_cuts_at_most_matches_its_loop():
                     assert recs == loop_enumerate_cuts_at_most(g, threshold, filt,
                                                                weighted)
                     assert all(type(x) is int for r in recs
-                               for x in (r.mask, r.size, r.cap_weight, r.unsafe_count))
+                               for x in (r.mask, r.size))
                     seen += len(recs)
     assert seen > 10000
 

@@ -303,6 +303,15 @@ def test_minimal_cover_random_forest_property():
             assert not covers(rest, fam)[0]
 
 
+@pytest.mark.parametrize("u, v, cost", [(0, 2, 1.5), (0, 2, 1.0), (0, 2, True),
+                                        (0, 2, "1"), (0.0, 2, 1), (0, True, 1)])
+def test_cover_instance_refuses_non_integers(u, v, cost):
+    # a float cost once reached exact_min_cover (cost 1.5) and made
+    # primal_dual_uncrossable_cover raise a bare TypeError
+    with pytest.raises(PreconditionError, match="non-integer candidate"):
+        CoverInstance.build(4, [(1, 3, 1), (u, v, cost)], c4_two_cut_family())
+
+
 def test_solver_slots():
     assert resolve_slot("pd2").guarantee == Fraction(2)
     assert resolve_slot("exact").guarantee == Fraction(1)

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nearcut import InputError, Instance, parse_instance
+from nearcut import EdgeRecord, InputError, Instance, Multigraph, parse_instance
 from nearcut.cli import main
 from nearcut.io import (
     instance_to_json_obj,
@@ -41,6 +43,33 @@ def test_json_roundtrip():
     blob = json.dumps(instance_to_json_obj(inst))
     again = parse_instance(blob)
     assert again == inst
+
+
+@st.composite
+def instances(draw) -> Instance:
+    """Any graph on 1..8 nodes with up to 12 edges (parallel ones too),
+    costs and capacities up to 2^70, random flags, k = 1..6, q = 0..4."""
+    n = draw(st.integers(1, 8))
+    big = st.integers(0, 2 ** 70)
+    edges = []
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 12))):
+            u, v = draw(st.permutations(range(n)))[:2]
+            edges.append(EdgeRecord(u, v, draw(big), 1 + draw(big), draw(st.booleans()),
+                                    draw(st.booleans())))
+    return Instance(Multigraph(n, tuple(edges)), draw(st.integers(1, 6)),
+                    draw(st.integers(0, 4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances())
+def test_property_text_and_json_roundtrip(inst):
+    blob = json.dumps(instance_to_json_obj(inst), indent=2, sort_keys=True)
+    for again in (parse_instance(instance_to_text(inst)), parse_instance(blob)):
+        assert again.graph == inst.graph
+        assert (again.k, again.q) == (inst.k, inst.q)
+        assert all(type(x) is int for e in again.graph.edges
+                   for x in (e.u, e.v, e.cost, e.capacity))
 
 
 def test_parse_errors():
