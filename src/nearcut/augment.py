@@ -62,6 +62,8 @@ class AugmentInstance:
     k: int
 
     def __post_init__(self):
+        if type(self.k) is not int:
+            raise InputError(f"target connectivity must be an integer, got {self.k!r}")
         if self.k < 1:
             raise InputError(f"target connectivity must be >= 1, got {self.k}")
         if not any(e.base for e in self.graph.edges):
@@ -75,11 +77,15 @@ class AugmentInstance:
 
     @cached_property
     def lam0(self) -> int:
-        return min_cut_value(self.base_graph, "all", weighted=True)
+        return min_cut_value(self.base_graph, weighted=True)
+
+    @property
+    def base_ids(self) -> tuple[int, ...]:
+        return tuple(i for i, e in enumerate(self.graph.edges) if e.base)
 
     @property
     def candidate_ids(self) -> tuple[int, ...]:
-        return self.graph.edge_ids("nonbase")
+        return tuple(i for i, e in enumerate(self.graph.edges) if not e.base)
 
     def validate(self) -> None:
         for i, e in enumerate(self.graph.edges):
@@ -120,7 +126,7 @@ class AugmentResult:
 
 def deficient_family(g_current: Multigraph, k: int) -> SetFamily:
     """Canonical cuts of capacity-weighted value < k."""
-    vals = cut_value_array(g_current, "all", weighted=True)
+    vals = cut_value_array(g_current, weighted=True)
     return SetFamily(g_current.n, cut_masks(vals < k))
 
 
@@ -128,7 +134,7 @@ def level_family(g_current: Multigraph, lam: int,
                  include_plus_one: bool = True) -> SetFamily:
     """Canonical cuts of capacity-weighted value lam (and lam+1 by default)."""
     top = lam + 1 if include_plus_one else lam
-    vals = cut_value_array(g_current, "all", weighted=True)
+    vals = cut_value_array(g_current, weighted=True)
     return SetFamily(g_current.n, cut_masks((vals >= lam) & (vals <= top)))
 
 
@@ -146,11 +152,6 @@ def _stages(lam0: int, k: int) -> Iterator[tuple[int, str]]:
         cur += 2
     if cur < k:
         yield cur, "single"
-
-
-def _stage_plan(lam0: int, k: int) -> list[tuple[int, str]]:
-    """(level, kind) stages in execution order."""
-    return list(_stages(lam0, k))
 
 
 def implemented_ratio_bound(lam0: int, k: int,
@@ -200,12 +201,12 @@ def near_min_cuts_cover(inst: AugmentInstance,
     lam0 = inst.lam0
     k = inst.k
     g = inst.graph
-    base_ids = set(g.edge_ids("base"))
+    base_ids = set(inst.base_ids)
     h = set(base_ids)
     stages: list[PhaseLog] = []
     # The deficient cuts no chosen candidate crosses yet, with their base
     # values, which are also their current values.
-    vals = cut_value_array(inst.base_graph, "all", weighted=True)
+    vals = cut_value_array(inst.base_graph, weighted=True)
     hit = vals < k
     hit[0] = False   # the empty set, not a cut
     masks, values = np.flatnonzero(hit) << 1, vals[hit]

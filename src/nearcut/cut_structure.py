@@ -635,8 +635,8 @@ def decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) -> F2Decompo
     h = subgraph(g, h_edges)
     if min_cut_value(h) < k:
         raise PreconditionError(f"subgraph is not {k}-edge-connected")
-    d_arr = cut_value_array(h, "all")
-    u_arr = cut_value_array(h, "unsafe")
+    d_arr = cut_value_array(h)
+    u_arr = cut_value_array(h.unsafe_graph)
     bad = cut_masks((d_arr == k) & (u_arr >= 1))
     if bad:
         raise PreconditionError(

@@ -88,6 +88,9 @@ class FlexInstance:
     q: int
 
     def __post_init__(self):
+        if type(self.k) is not int or type(self.q) is not int:
+            raise InputError(f"k and q must be integers, got k = {self.k!r}, "
+                             f"q = {self.q!r}")
         if self.k < 1:
             raise InputError(f"k must be >= 1, got {self.k}")
         if self.q < 0:
@@ -112,7 +115,7 @@ class FlexSolution:
 
 def _flex_arrays(g: Multigraph, edge_ids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
     h = subgraph(g, edge_ids)
-    return cut_value_array(h, "all"), cut_value_array(h, "unsafe")
+    return cut_value_array(h), cut_value_array(h.unsafe_graph)
 
 
 def _first_bad_cut(d_arr: np.ndarray, u_arr: np.ndarray, k: int,

@@ -9,6 +9,7 @@ times are the only nondeterministic fields and are kept separable.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, fields
@@ -63,6 +64,9 @@ from .multigraph import (
 )
 
 DEFAULT_ORACLE_EDGE_LIMIT = 24
+# Most edges one generated graph may have: C(n_max, 2) * ceil(density), the
+# worst case, is refused above it.  A fixed constant, not a setting.
+MAX_GENERATED_EDGES = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +106,15 @@ def generate(spec: GenSpec) -> Multigraph:
         raise InputError("bad node count range")
     if not (0 <= spec.cost_min <= spec.cost_max):
         raise InputError("bad cost range")
+    if not (math.isfinite(spec.density) and spec.density >= 0):
+        raise InputError(f"density must be finite and >= 0, got {spec.density}")
+    if not (0 <= spec.unsafe_p <= 1):
+        raise InputError(f"unsafe probability must lie in [0, 1], got {spec.unsafe_p}")
+    worst = math.comb(spec.n_max, 2) * math.ceil(spec.density)
+    if worst > MAX_GENERATED_EDGES:
+        raise LimitError(
+            f"up to {worst} edges at n = {spec.n_max} and density {spec.density}, "
+            f"over the limit of {MAX_GENERATED_EDGES}")
     cap_lo, cap_hi = _cap_range(spec)
     rng = random.Random(spec.seed)
     whole = int(spec.density)
@@ -180,7 +193,7 @@ def exact_augment(inst: AugmentInstance,
     exactly feasibility, since each candidate closes any single deficit."""
     inst.validate()
     fam = deficient_family(inst.base_graph, inst.k)
-    cands = _candidates_outside(inst.graph, set(inst.graph.edge_ids("base")))
+    cands = _candidates_outside(inst.graph, set(inst.base_ids))
     return exact_min_cover(CoverInstance(inst.graph.n, cands, fam),
                            node_budget=node_budget)
 
@@ -330,7 +343,7 @@ def make_uncrossable_cover_corpus(count: int, seed: int, n_min: int = 5,
             pairs = pairs + pairs[: rng.randint(0, n)]
         pairs += _random_pairs(rng, n, rng.randint(0, 3))
         g = Multigraph.from_edges(n, [(u, v, 0, 1) for (u, v) in pairs])
-        lam = min_cut_value(g)
+        lam = min_cut_value(g, weighted=True)
         if lam < 2 or lam % 2:
             continue
         fam = level_family(g, lam)
@@ -415,7 +428,7 @@ def _near_min_squares(cfg: dict):
     rng = random.Random(cfg["seed"])
     for gi in range(cfg["graphs"]):
         g = _corpus_graph(rng, cfg["n_min"], cfg["n_max"], cfg["m_factor"])
-        lam = min_cut_value(g)
+        lam = min_cut_value(g, weighted=True)
         for a, b in combinations(level_family(g, lam).members, 2):
             if crosses_strongly(a, b, g.n):
                 yield gi, g, a, b, build_square(g, a, b, lam=lam)
@@ -433,7 +446,7 @@ def _suite_squares(cfg: dict) -> dict:
             bad.append(f"solution residuals {sq.formula_residuals()}")
         if any(sq.counting_residuals()):
             bad.append(f"counting residuals {sq.counting_residuals()}")
-        vals = cut_value_array(g)
+        vals = cut_value_array(g, weighted=True)
         da_expect = {int(vals[(a >> 1)]), int(vals[(b >> 1)])}
         if {sq.da, sq.db} != da_expect:
             bad.append(f"cut values drifted: {{{sq.da},{sq.db}}} != {da_expect}")
@@ -477,7 +490,7 @@ def _suite_uncrossable(cfg: dict) -> dict:
     violations: list[str] = []
     for gi in range(graphs):
         g = _corpus_graph(rng, cfg["n_min"], cfg["n_max"], cfg["m_factor"])
-        lam = min_cut_value(g)
+        lam = min_cut_value(g, weighted=True)
         if lam % 2:
             skipped_odd += 1
             continue
@@ -505,7 +518,7 @@ def _suite_c1(cfg: dict) -> dict:
         for gid, g in corpus:
             graphs_checked += 1
             fam2 = enumerate_Fq(g, range(g.m), k, 2)
-            u_arr = cut_value_array(g, "unsafe")
+            u_arr = cut_value_array(g.unsafe_graph)
             for a, b in combinations(fam2.members, 2):
                 if not crosses_strongly(a, b, g.n):
                     continue

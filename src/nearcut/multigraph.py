@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -123,20 +123,24 @@ class Multigraph:
 
     Edge identifiers are list positions, which stay stable because the
     value never mutates.  Derived cut-value tables are cached, read-only,
-    per ``(filter, weighted)`` pair.
+    per ``weighted`` flag.  Edges are restricted only by building another
+    graph: :func:`subgraph` for an id set, :attr:`unsafe_graph` for the
+    unsafe edges.
     """
 
     n: int
     edges: tuple[EdgeRecord, ...]
 
     def __post_init__(self):
+        # type(x) is int: neither a bool nor a float with an integer value
+        if type(self.n) is not int:
+            raise InputError(f"node count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise InputError(f"node count must be >= 1, got {self.n}")
         object.__setattr__(self, "edges", tuple(self.edges))
         for i, e in enumerate(self.edges):
             if not isinstance(e, EdgeRecord):
                 raise InputError(f"edge {i} is not an EdgeRecord")
-            # type(x) is int: neither a bool nor a float with an integer value
             if type(e.u) is not int or type(e.v) is not int:
                 raise InputError(f"edge {i} has a non-integer endpoint: {e}")
             if not (0 <= e.u < self.n and 0 <= e.v < self.n):
@@ -172,29 +176,16 @@ class Multigraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def edge_ids(self, filt: str = "all") -> tuple[int, ...]:
-        pred = resolve_filter(filt)
-        return tuple(i for i, e in enumerate(self.edges) if pred(e))
-
     @cached_property
     def _cut_cache(self) -> dict:
         return {}
 
-
-FILTERS: dict[str, Callable[[EdgeRecord], bool]] = {
-    "all": lambda e: True,
-    "unsafe": lambda e: e.unsafe,
-    "safe": lambda e: not e.unsafe,
-    "base": lambda e: e.base,
-    "nonbase": lambda e: not e.base,
-}
-
-
-def resolve_filter(filt: str) -> Callable[[EdgeRecord], bool]:
-    try:
-        return FILTERS[filt]
-    except KeyError:
-        raise InputError(f"unknown edge filter {filt!r}; known: {sorted(FILTERS)}")
+    @cached_property
+    def unsafe_graph(self) -> "Multigraph":
+        """The unsafe edges alone, on the same nodes, with their own cached
+        tables.  Always a new graph, never ``self``: a graph that held
+        itself would be freed only by the cyclic garbage collector."""
+        return Multigraph(self.n, tuple(e for e in self.edges if e.unsafe))
 
 
 def subgraph(g: Multigraph, edge_ids: Iterable[int]) -> Multigraph:
@@ -225,32 +216,29 @@ class CutRecord:
 # Cut evaluation
 
 
-def cut_degree(g: Multigraph, mask: int, filt: str = "all",
-               weighted: bool = False) -> int:
-    """Number (or total capacity) of filtered edges crossing the cut."""
+def cut_degree(g: Multigraph, mask: int, *, weighted: bool = False) -> int:
+    """Number (or total capacity) of edges crossing the cut."""
     if not is_proper_subset(mask, g.n):
         raise InputError(f"cut side must be a non-empty proper subset, got mask {mask:#x}")
-    pred = resolve_filter(filt)
     total = 0
     for e in g.edges:
-        if pred(e) and edge_crosses(e.u, e.v, mask):
+        if edge_crosses(e.u, e.v, mask):
             total += e.capacity if weighted else 1
     return total
 
 
-def cut_value_array(g: Multigraph, filt: str = "all",
-                    weighted: bool = False) -> np.ndarray:
+def cut_value_array(g: Multigraph, *, weighted: bool = False) -> np.ndarray:
     """Cut values for every canonical mask, indexed by ``mask >> 1``.
 
     Index 0 corresponds to the empty set and is not a cut; callers must
     skip it (:func:`cut_masks` does).  The table is read-only and cached
-    on the graph per ``(filt, weighted)``.  A weighted request on a graph
-    whose filtered edges all have capacity 1 is the unweighted request:
-    the one array object is cached under both keys, so either request
-    after the first is a plain cache hit.
+    on the graph per ``weighted`` flag.  The values count the edges of
+    ``g`` (their capacities when weighted); a table over part of the
+    edges is the table of the graph of those edges, such as
+    ``g.unsafe_graph``.
 
-    Built in place by node doubling over the filtered adjacency matrix
-    ``adj``: index bit ``j`` stands for node ``j + 1``, and for each node
+    Built in place by node doubling over the adjacency matrix ``adj``:
+    index bit ``j`` stands for node ``j + 1``, and for each node
     ``v`` in turn the upper half of the filled prefix follows from the
     lower one as ``vals[S | {v}] = vals[S] + deg(v) - 2 * w(v, S)``, where
     ``w(v, S) = sum(adj[v][u] for u in S)``.  The upper half itself first
@@ -261,13 +249,13 @@ def cut_value_array(g: Multigraph, filt: str = "all",
     ``v <= 8`` fills its upper half with a single add, and node ``v > 8``
     copies its row and doubles only over nodes 8..v-1, about
     ``7 + 2n + (n - 8)^2 / 2`` numpy calls in all; below n = 8 the step
-    table would cost more calls than it saves.  A filter that selects no
-    edge gives a table of zeros, built without doubling (the limits below
+    table would cost more calls than it saves.  A graph without edges
+    gives a table of zeros, built without doubling (the limits below
     are checked all the same).
     Work is O(2^n + n^2).
 
-    Values lie in ``[0, W]``, where ``W`` is the total filtered weight (the
-    edge count when unweighted), so the dtype is int32 when ``W < 2^31``
+    Values lie in ``[0, W]``, where ``W`` is the total weight (the edge
+    count when unweighted), so the dtype is int32 when ``W < 2^31``
     and int64 when ``W < 2^63``; a larger ``W`` raises :class:`LimitError`
     naming it.  The step ``-2 * adj[v][u]`` need not fit that dtype; it is
     passed reduced modulo ``2^bits``, the partial sums wrap the same way,
@@ -281,28 +269,19 @@ def cut_value_array(g: Multigraph, filt: str = "all",
     :class:`LimitError` naming it, whatever the node limit allows.
     """
     cache = g._cut_cache
-    key = (filt, weighted)
-    if key in cache:
-        return cache[key]
-    pred = resolve_filter(filt)
-    edges = [e for e in g.edges if pred(e)]
-    if weighted and all(e.capacity == 1 for e in edges):
-        weighted = False
-        if (filt, False) in cache:
-            cache[key] = cache[(filt, False)]
-            return cache[key]
-    total = sum(e.capacity for e in edges) if weighted else len(edges)
+    if weighted in cache:
+        return cache[weighted]
+    total = sum(e.capacity for e in g.edges) if weighted else g.m
     if total >= 1 << 63:
-        raise LimitError(
-            f"cut table values need the filtered weight {total} below 2^63")
+        raise LimitError(f"cut table values need the total weight {total} below 2^63")
     dtype = np.dtype(np.int32 if total < 1 << 31 else np.int64)
     check_exhaustive_build(g.n, dtype.itemsize << (g.n - 1), "cut table")
-    if not edges:
+    if not g.edges:
         vals = np.zeros(1 << (g.n - 1), dtype=dtype)
     else:
-        vals = _doubling_table(g.n, edges, weighted, dtype)
+        vals = _doubling_table(g.n, g.edges, weighted, dtype)
     vals.flags.writeable = False
-    cache[key] = cache[(filt, weighted)] = vals
+    cache[weighted] = vals
     return vals
 
 
@@ -364,35 +343,32 @@ def cut_masks(hit: np.ndarray) -> tuple[int, ...]:
     return tuple(((np.flatnonzero(hit[1:]) + 1) << 1).tolist())
 
 
-def min_cut_value(g: Multigraph, filt: str = "all",
-                  weighted: bool = False) -> int:
-    """Global minimum cut value; 0 when the filtered graph is disconnected."""
+def min_cut_value(g: Multigraph, *, weighted: bool = False) -> int:
+    """Global minimum cut value; 0 when the graph is disconnected."""
     if g.n < 2:
         raise InputError("minimum cut needs at least 2 nodes")
-    vals = cut_value_array(g, filt, weighted)
+    vals = cut_value_array(g, weighted=weighted)
     return int(vals[1:].min())
 
 
-def is_k_edge_connected(g: Multigraph, k: int, filt: str = "all",
-                        weighted: bool = False) -> bool:
+def is_k_edge_connected(g: Multigraph, k: int, *, weighted: bool = False) -> bool:
     if g.n < 2:
         return True
-    return min_cut_value(g, filt, weighted) >= k
+    return min_cut_value(g, weighted=weighted) >= k
 
 
-def enumerate_cuts_at_most(g: Multigraph, threshold: int,
-                           filt: str = "all",
+def enumerate_cuts_at_most(g: Multigraph, threshold: int, *,
                            weighted: bool = False) -> tuple[CutRecord, ...]:
-    """All canonical cuts with filtered value <= threshold.
+    """All canonical cuts with value <= threshold.
 
     One representative per complement pair, sorted by (value, mask).  Reads
-    the filtered table and the unweighted ``all`` table, which gives each
-    record's ``size``.
+    the requested table and the unweighted one, which gives each record's
+    ``size``.
     """
     if g.n < 2:
         return ()
-    vals = cut_value_array(g, filt, weighted)
-    size_arr = cut_value_array(g, "all", False)
+    vals = cut_value_array(g, weighted=weighted)
+    size_arr = cut_value_array(g)
     hits = np.flatnonzero(vals[1:] <= threshold) + 1
     # hits ascend, so a stable sort on the values gives (value, mask) order
     hits = hits[np.argsort(vals[hits], kind="stable")]
@@ -421,12 +397,11 @@ class DisjointSets:
         return True
 
 
-def is_connected(g: Multigraph, filt: str = "all") -> bool:
+def is_connected(g: Multigraph) -> bool:
     if g.n == 1:
         return True
-    pred = resolve_filter(filt)
     sets = DisjointSets(g.n)
-    merges = sum(sets.union(e.u, e.v) for e in g.edges if pred(e))
+    merges = sum(sets.union(e.u, e.v) for e in g.edges)
     return merges == g.n - 1
 
 

@@ -10,7 +10,24 @@ from __future__ import annotations
 import itertools
 import random
 
-from nearcut import EdgeRecord, Multigraph
+from nearcut import EdgeRecord, Multigraph, subgraph
+
+# The edge filters the cut-table readers once took by name.  A table over
+# the edges a filter selects is the table of the graph of those edges.
+EDGE_FILTERS = {
+    "all": lambda e: True,
+    "unsafe": lambda e: e.unsafe,
+    "safe": lambda e: not e.unsafe,
+    "base": lambda e: e.base,
+    "nonbase": lambda e: not e.base,
+}
+
+
+def restrict(g, filt):
+    """The graph of the edges ``EDGE_FILTERS[filt]`` selects (``g`` itself
+    when that is every edge)."""
+    pred = EDGE_FILTERS[filt]
+    return subgraph(g, (i for i, e in enumerate(g.edges) if pred(e)))
 
 
 def g_from(n, pairs):

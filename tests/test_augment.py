@@ -16,7 +16,7 @@ from nearcut import (
     near_min_cuts_cover,
 )
 from nearcut import augment
-from nearcut.augment import _stage_plan
+from nearcut.augment import _stages
 from nearcut.harness import exact_augment, make_augment_corpus
 
 from conftest import c4, g_from
@@ -77,12 +77,12 @@ def test_disconnected_base_rejected():
 
 
 def test_stage_plan_parities():
-    assert _stage_plan(2, 4) == [(2, "pair")]
-    assert _stage_plan(3, 4) == [(3, "single")]
-    assert _stage_plan(2, 5) == [(2, "pair"), (4, "single")]
-    assert _stage_plan(3, 5) == [(3, "single"), (4, "single")]
-    assert _stage_plan(3, 7) == [(3, "single"), (4, "pair"), (6, "single")]
-    assert _stage_plan(4, 4) == []
+    assert list(_stages(2, 4)) == [(2, "pair")]
+    assert list(_stages(3, 4)) == [(3, "single")]
+    assert list(_stages(2, 5)) == [(2, "pair"), (4, "single")]
+    assert list(_stages(3, 5)) == [(3, "single"), (4, "single")]
+    assert list(_stages(3, 7)) == [(3, "single"), (4, "pair"), (6, "single")]
+    assert list(_stages(4, 4)) == []
 
 
 def test_implemented_ratio_bound_defaults():
@@ -100,7 +100,7 @@ def test_implemented_ratio_bound_counts_the_stages(g_single):
     for k in range(1, 41):
         for lam0 in range(k + 3):  # lam0 >= k: no stage at all
             walked = sum((Fraction(2) if kind == "pair" else g_single
-                          for _, kind in _stage_plan(lam0, k)), Fraction(0))
+                          for _, kind in _stages(lam0, k)), Fraction(0))
             assert implemented_ratio_bound(lam0, k, g_single) == walked, (lam0, k)
 
 
@@ -220,3 +220,9 @@ def test_exact_augment_examples():
     inst = AugmentInstance(Multigraph.from_edges(2, edges), 2)
     sol = exact_augment(inst)
     assert sol.chosen == (1,) and sol.cost == 7
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+def test_target_must_be_an_integer(k):
+    with pytest.raises(InputError, match="target connectivity must be an integer"):
+        AugmentInstance(c4_chords_instance().graph, k)

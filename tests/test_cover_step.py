@@ -25,7 +25,7 @@ from nearcut import family_cover, fgc
 from nearcut.augment import (
     AugmentInstance,
     AugmentResult,
-    _stage_plan,
+    _stages,
     deficient_family,
     implemented_ratio_bound,
     level_family,
@@ -74,7 +74,7 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
     pair = resolve_slot("pd2")
     lam0 = inst.lam0
     k = inst.k
-    plan = _stage_plan(lam0, k)
+    plan = list(_stages(lam0, k))
     chosen: set[int] = set()
     stages: list[PhaseLog] = []
     bound = Fraction(0)
@@ -109,12 +109,12 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
                                slot.guarantee, tuple(sorted(sol.chosen))))
         target = level + (2 if kind == "pair" else 1)
         g_cur = inst.current_graph(chosen)
-        new_conn = min_cut_value(g_cur, "all", weighted=True)
+        new_conn = min_cut_value(g_cur, weighted=True)
         if new_conn < min(target, k):
             raise InvariantError(
                 f"stage at level {level} left connectivity {new_conn} < {target}")
 
-    if plan and not is_k_edge_connected(g_cur, k, "all", weighted=True):
+    if plan and not is_k_edge_connected(g_cur, k, weighted=True):
         raise InvariantError("cover finished but the graph is not k-connected")
     cost = sum(inst.graph.edges[i].cost for i in chosen)
     expected = implemented_ratio_bound(lam0, k, single.guarantee)
@@ -155,7 +155,7 @@ def _cover_phase(level: int, name: str, g: Multigraph, h: set[int], fam: SetFami
 
 def _without_first_candidates(inst: AugmentInstance) -> AugmentInstance:
     g = inst.graph
-    drop = set(g.edge_ids("nonbase")[:2])
+    drop = set(inst.candidate_ids[:2])
     return AugmentInstance(Multigraph(g.n, tuple(e for i, e in enumerate(g.edges)
                                                  if i not in drop)), inst.k)
 
@@ -206,8 +206,8 @@ def test_cover_step_and_pool_match_the_reference():
     for iid, inst in CORPUS[:120]:
         g = inst.graph
         fam = deficient_family(inst.base_graph, inst.k)
-        base = set(g.edge_ids("base"))
-        first = g.edge_ids("nonbase")[:1]
+        base = set(inst.base_ids)
+        first = inst.candidate_ids[:1]
         for h_start in (base, base | set(first)):
             for pool in (None, set(base)):
                 assert family_cover._candidates_outside(g, h_start) == \
@@ -334,18 +334,17 @@ def test_flex_checks_on_every_edge_share_the_graph_tables(monkeypatch):
     import nearcut.cut_structure as cs
     tables = []
 
-    def recording(h, filt="all", weighted=False):
-        out = cut_value_array(h, filt, weighted)
-        tables.append((filt, out))
+    def recording(h, *, weighted=False):
+        out = cut_value_array(h, weighted=weighted)
+        tables.append(out)
         return out
     monkeypatch.setattr(fgc, "cut_value_array", recording)
     monkeypatch.setattr(cs, "cut_value_array", recording)
     g = make_flex_corpus(1, 20260806, 3)[0][1]
     enumerate_Fq(g, range(g.m), 3, 2)
     decompose_F2_odd(g, range(g.m), 3)
-    for filt in ("all", "unsafe"):
-        read = {id(t) for f, t in tables if f == filt}
-        assert read == {id(cut_value_array(g, filt))}
+    assert {id(t) for t in tables} == \
+        {id(cut_value_array(g)), id(cut_value_array(g.unsafe_graph))}
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ brute-force subset loop in conftest, with the earlier int64 build and
 the earlier in-place build (one doubling per node pair) kept here
 verbatim, and with networkx's Stoer-Wagner minimum cut; families and
 witnesses with plain Python loops over the table (the scans the readers
-replaced); ``enumerate_cuts_at_most`` with its earlier body.
+replaced); ``enumerate_cuts_at_most`` with its earlier body.  The earlier
+builds took an edge filter by name; the table they gave for a filter is
+compared with the table of the graph of the edges it selects.
 """
 
 import random
@@ -34,15 +36,20 @@ from nearcut import (
 )
 from nearcut.harness import exact_augment, make_augment_corpus
 from nearcut.multigraph import (
-    FILTERS,
     CutRecord,
     check_exhaustive_build,
     cut_masks,
     cut_value_array,
-    resolve_filter,
 )
 
-from conftest import brute_cut_value, canonical_subsets
+from conftest import EDGE_FILTERS, brute_cut_value, canonical_subsets, restrict
+
+# the filter map and lookup of the earlier builds below
+FILTERS = EDGE_FILTERS
+
+
+def resolve_filter(filt: str):
+    return FILTERS[filt]
 
 
 def random_flagged_multigraph(rng: random.Random, n: int) -> Multigraph:
@@ -60,7 +67,7 @@ def random_flagged_multigraph(rng: random.Random, n: int) -> Multigraph:
 
 def assert_table_matches_brute(g, filt, weighted):
     pred = FILTERS[filt]
-    vals = cut_value_array(g, filt, weighted)
+    vals = cut_value_array(restrict(g, filt), weighted=weighted)
     assert vals.shape == (1 << (g.n - 1),)
     assert int(vals[0]) == 0
     for side in canonical_subsets(g.n):
@@ -149,7 +156,7 @@ def inplace_cut_value_array(g: Multigraph, filt: str = "all",
 
 def assert_table_matches_inplace(g, filt, weighted):
     """Same values, dtype and read-only flag as the in-place build."""
-    vals = cut_value_array(g, filt, weighted)
+    vals = cut_value_array(restrict(g, filt), weighted=weighted)
     ref = inplace_cut_value_array(twin(g), filt, weighted)
     assert vals.dtype == ref.dtype, (filt, weighted)
     assert vals.tobytes() == ref.tobytes(), (filt, weighted)
@@ -157,12 +164,11 @@ def assert_table_matches_inplace(g, filt, weighted):
 
 
 def loop_enumerate_cuts_at_most(g: Multigraph, threshold: int,
-                                filt: str = "all",
                                 weighted: bool = False) -> tuple[CutRecord, ...]:
     if g.n < 2:
         return ()
-    vals = cut_value_array(g, filt, weighted)
-    size_arr = cut_value_array(g, "all", False)
+    vals = cut_value_array(g, weighted=weighted)
+    size_arr = cut_value_array(g)
     hits = np.nonzero(vals[1:] <= threshold)[0] + 1
     order = sorted(hits.tolist(), key=lambda i: (int(vals[i]), i))
     return tuple(CutRecord(mask=i << 1, size=int(size_arr[i])) for i in order)
@@ -185,14 +191,13 @@ def expected_dtype(g: Multigraph, filt: str, weighted: bool):
 
 
 def assert_table_matches_parent(g, filt, weighted):
-    vals = cut_value_array(g, filt, weighted)
+    h = restrict(g, filt)
+    vals = cut_value_array(h, weighted=weighted)
     ref = parent_cut_value_array(twin(g), filt, weighted)
     assert vals.tolist() == ref.tolist(), (filt, weighted)
     assert vals.dtype == expected_dtype(g, filt, weighted), (filt, weighted)
     assert not vals.flags.writeable
-    if weighted and all(e.capacity == 1 for e in g.edges if FILTERS[filt](e)):
-        assert vals is cut_value_array(g, filt, False)
-        assert g._cut_cache[(filt, True)] is vals
+    assert h._cut_cache[weighted] is vals
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +206,18 @@ def assert_table_matches_parent(g, filt, weighted):
 
 def loop_level_family(g, lam, include_plus_one=True):
     wanted = {lam, lam + 1} if include_plus_one else {lam}
-    vals = cut_value_array(g, "all", weighted=True)
+    vals = cut_value_array(g, weighted=True)
     return tuple(i << 1 for i in range(1, len(vals)) if int(vals[i]) in wanted)
 
 
 def loop_deficient_family(g, k):
-    vals = cut_value_array(g, "all", weighted=True)
+    vals = cut_value_array(g, weighted=True)
     return tuple(i << 1 for i in range(1, len(vals)) if int(vals[i]) < k)
 
 
 def loop_flex_arrays(g, ids):
     h = Multigraph(g.n, tuple(g.edges[i] for i in sorted(set(ids))))
-    return cut_value_array(h, "all"), cut_value_array(h, "unsafe")
+    return cut_value_array(h), cut_value_array(restrict(h, "unsafe"))
 
 
 def loop_flex_witness(g, ids, k, q):
@@ -271,8 +276,8 @@ def test_table_equals_parent_build(n):
             for weighted in (False, True):
                 assert_table_matches_parent(g, filt, weighted)
     if n >= 2:
-        assert cut_value_array(graphs[-1], "all", True).dtype == np.int64
-        assert cut_value_array(graphs[-1], "all", False).dtype == np.int32
+        assert cut_value_array(graphs[-1], weighted=True).dtype == np.int64
+        assert cut_value_array(graphs[-1]).dtype == np.int32
 
 
 @pytest.mark.parametrize("cap, dtype", [(2 ** 30, np.int32), (2 ** 31 - 2, np.int32),
@@ -281,7 +286,7 @@ def test_table_equals_parent_build(n):
 def test_table_dtype_boundary(cap, dtype):
     # total weight cap + 1; the doubling step -2 * cap does not fit the dtype
     g = Multigraph.from_edges(4, [(1, 2, 1, cap), (2, 3, 1, 1)])
-    vals = cut_value_array(g, "all", True)
+    vals = cut_value_array(g, weighted=True)
     assert vals.dtype == dtype
     assert vals.tolist() == parent_cut_value_array(twin(g), "all", True).tolist()
     assert_table_matches_brute(g, "all", True)
@@ -313,7 +318,7 @@ def test_table_dtype_boundary_matches_inplace_build(n, cap):
     # a low-bit and the highest node, or the two highest nodes
     for u, v in ((1, 2), (2, n - 1), (n - 2, n - 1)):
         g = Multigraph.from_edges(n, [(u, v, 1, cap), (0, n - 1, 1, 1)])
-        assert cut_value_array(g, "all", True).dtype == np.int64
+        assert cut_value_array(g, weighted=True).dtype == np.int64
         assert_table_matches_inplace(g, "all", True)
         assert_table_matches_inplace(g, "all", False)
         if n <= 8:
@@ -323,14 +328,14 @@ def test_table_dtype_boundary_matches_inplace_build(n, cap):
 def test_empty_filter_table_is_read_only_zeros(monkeypatch):
     for n in (1, 2, 7, 8, 9, 12):
         g = Multigraph(n, tuple(EdgeRecord(u, u + 1, 1, 3) for u in range(n - 1)))
-        vals = cut_value_array(g, "unsafe", False)
-        assert vals.dtype == np.int32 and vals.shape == (1 << (n - 1),)
-        assert not vals.any() and not vals.flags.writeable
-        assert cut_value_array(g, "unsafe", False) is vals
-        assert cut_value_array(g, "unsafe", True) is vals
-        assert cut_value_array(g, "base", True) is cut_value_array(g, "base", False)
-        assert sorted(g._cut_cache) == [("base", False), ("base", True),
-                                        ("unsafe", False), ("unsafe", True)]
+        h = g.unsafe_graph
+        for weighted in (False, True):
+            vals = cut_value_array(h, weighted=weighted)
+            assert vals.dtype == np.int32 and vals.shape == (1 << (n - 1),)
+            assert not vals.any() and not vals.flags.writeable
+            assert cut_value_array(h, weighted=weighted) is vals
+        assert sorted(h._cut_cache) == [False, True]
+        assert not g._cut_cache
         assert_table_matches_inplace(g, "unsafe", False)
     import nearcut.multigraph as mg
     builds = []
@@ -342,29 +347,12 @@ def test_empty_filter_table_is_read_only_zeros(monkeypatch):
 
     monkeypatch.setattr(mg, "check_exhaustive_build", counting)
     monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "8")
-    cut_value_array(Multigraph(8, ()), "all")
+    cut_value_array(Multigraph(8, ()))
     assert builds == [(8, 4 << 7, "cut table")]
     g = Multigraph(9, ())
     with pytest.raises(LimitError, match="n <= 8"):
-        cut_value_array(g, "all")
+        cut_value_array(g)
     assert not g._cut_cache
-
-
-def test_weighted_unit_table_is_the_unweighted_one():
-    # base edges (0,1), (1,2) and the safe edges all have capacity 1; the
-    # one unsafe edge (0,2) has capacity 4
-    g = Multigraph.from_edges(5, [(0, 1, 3, 1, 0, 1), (1, 2, 1, 1, 0, 1), (2, 3), (3, 4),
-                                  (4, 0), (0, 2, 1, 4, 1, 0)])
-    for filt in ("safe", "base"):
-        assert cut_value_array(g, filt, True) is cut_value_array(g, filt, False)
-    for filt in ("all", "unsafe", "nonbase"):
-        assert cut_value_array(g, filt, True) is not cut_value_array(g, filt, False)
-    assert cut_value_array(g, "unsafe", True).tolist() == \
-        [4 * x for x in cut_value_array(g, "unsafe", False).tolist()]
-    assert sorted(g._cut_cache) == [("all", False), ("all", True), ("base", False),
-                                    ("base", True), ("nonbase", False), ("nonbase", True),
-                                    ("safe", False), ("safe", True), ("unsafe", False),
-                                    ("unsafe", True)]
 
 
 def test_base_graph_table_is_the_base_filter_table():
@@ -378,41 +366,32 @@ def test_base_graph_table_is_the_base_filter_table():
         inst = AugmentInstance(Multigraph(n, base + cands + (EdgeRecord(0, 1, base=True),)),
                                rng.randint(1, 4))
         lam0 = inst.lam0
-        # lam0 and the staged cover read the one table of the one base graph,
-        # cached under both keys since base edges have unit capacity
+        # lam0 and the staged cover read the one weighted table of the one
+        # base graph
         assert inst.base_graph is inst.base_graph
-        assert sorted(inst.base_graph._cut_cache) == [("all", False), ("all", True)]
-        table = cut_value_array(inst.base_graph, "all", True)
-        assert cut_value_array(inst.base_graph, "all", False) is table
-        assert sorted(inst.base_graph._cut_cache) == [("all", False), ("all", True)]
-        assert table.tolist() == cut_value_array(inst.graph, "base", True).tolist()
+        assert list(inst.base_graph._cut_cache) == [True]
+        table = cut_value_array(inst.base_graph, weighted=True)
+        assert list(inst.base_graph._cut_cache) == [True]
+        assert table.tolist() == \
+            cut_value_array(restrict(inst.graph, "base"), weighted=True).tolist()
         assert table.tolist() == \
             parent_cut_value_array(twin(inst.graph), "base", True).tolist()
         assert lam0 == int(table[1:].min())
 
 
-def test_weighted_unit_hit_skips_the_edge_filter(monkeypatch):
-    """A weighted request on a filter whose edges all have capacity 1 is
-    cached under both keys, whichever request came first, so a later one
-    of either kind returns at once, without filtering the edge list."""
-    import nearcut.multigraph as mg
-    edges = [(u, (u + 1) % 6) for u in range(6)] + [(0, 3, 1, 5, 1, 0)]
-    weighted_first, unweighted_first = (Multigraph.from_edges(6, edges) for _ in range(2))
-    tables = [cut_value_array(weighted_first, "safe", True),
-              cut_value_array(unweighted_first, "safe", False)]
-    assert cut_value_array(unweighted_first, "safe", True) is tables[1]
-    for g, vals in zip((weighted_first, unweighted_first), tables):
-        assert g._cut_cache[("safe", True)] is g._cut_cache[("safe", False)] is vals
-    assert cut_value_array(weighted_first, "all", True) is not \
-        cut_value_array(weighted_first, "all", False)
-
-    def refuse(filt):
-        raise AssertionError(f"cache hit filtered the edges ({filt})")
-
-    monkeypatch.setattr(mg, "resolve_filter", refuse)
-    for g, vals in zip((weighted_first, unweighted_first), tables):
-        for weighted in (True, False):
-            assert cut_value_array(g, "safe", weighted) is vals
+def test_unsafe_graph_table_is_the_unsafe_filter_table():
+    """``g.unsafe_graph`` gives the table the "unsafe" filter gave, and
+    holds it apart from ``g``'s own tables."""
+    rng = random.Random(33)
+    for _ in range(40):
+        g = random_capacity_multigraph(rng, rng.randint(1, 10))
+        for weighted in (False, True):
+            vals = cut_value_array(g.unsafe_graph, weighted=weighted)
+            ref = parent_cut_value_array(twin(g), "unsafe", weighted)
+            assert vals.tolist() == ref.tolist()
+            assert vals.dtype == expected_dtype(g, "unsafe", weighted)
+        assert sorted(g.unsafe_graph._cut_cache) == [False, True]
+        assert not g._cut_cache
 
 
 def test_cover_builds_one_cut_table(monkeypatch):
@@ -482,8 +461,8 @@ def test_huge_k_and_q_meet_the_table_only_in_comparisons():
 
 def test_cached_table_is_read_only():
     g = random_flagged_multigraph(random.Random(3), 6)
-    vals = cut_value_array(g, "all", True)
-    assert cut_value_array(g, "all", True) is vals
+    vals = cut_value_array(g, weighted=True)
+    assert cut_value_array(g, weighted=True) is vals
     with pytest.raises(ValueError):
         vals[1] = 0
     with pytest.raises(ValueError):
@@ -506,13 +485,13 @@ def test_enumerate_cuts_at_most_matches_its_loop():
     for _ in range(80):
         g = random_capacity_multigraph(rng, rng.randint(1, 11))
         for filt in FILTERS:
+            h = restrict(g, filt)
             for weighted in (False, True):
-                vals = cut_value_array(g, filt, weighted)
+                vals = cut_value_array(h, weighted=weighted)
                 lo, hi = int(vals[1:].min(initial=0)), int(vals.max())
                 for threshold in (-1, 0, lo, lo + 1, (lo + hi) // 2, hi, 2 ** 40):
-                    recs = enumerate_cuts_at_most(g, threshold, filt, weighted)
-                    assert recs == loop_enumerate_cuts_at_most(g, threshold, filt,
-                                                               weighted)
+                    recs = enumerate_cuts_at_most(h, threshold, weighted=weighted)
+                    assert recs == loop_enumerate_cuts_at_most(h, threshold, weighted)
                     assert all(type(x) is int for r in recs
                                for x in (r.mask, r.size))
                     seen += len(recs)
@@ -543,7 +522,8 @@ def test_min_cut_matches_networkx_stoer_wagner():
                     expected = nx.stoer_wagner(h)[0]
                 else:
                     expected = 0
-                assert min_cut_value(g, filt, weighted) == expected, (filt, weighted)
+                assert min_cut_value(restrict(g, filt), weighted=weighted) == expected, \
+                    (filt, weighted)
     assert connected > 300
 
 
@@ -555,7 +535,7 @@ def test_level_and_deficient_families_match_loops():
     rng = random.Random(21)
     for _ in range(60):
         g = random_flagged_multigraph(rng, rng.randint(2, 9))
-        lam = min_cut_value(g, "all", weighted=True)
+        lam = min_cut_value(g, weighted=True)
         for level in (lam, lam + 1, lam + 3):
             for plus in (True, False):
                 assert level_family(g, level, plus).members == \
@@ -640,7 +620,7 @@ def test_property_table_and_level_family(g):
     for filt in FILTERS:
         for weighted in (False, True):
             assert_table_matches_brute(g, filt, weighted)
-    lam = min_cut_value(g, "all", weighted=True)
+    lam = min_cut_value(g, weighted=True)
     assert level_family(g, lam).members == loop_level_family(g, lam)
 
 

@@ -37,17 +37,33 @@ from nearcut import (
     family_quotient,
     is_symmetric_proper_crossing,
     is_uncrossable,
-    min_cut_value,
     nodes_from_mask,
     subgraph,
 )
+from nearcut import multigraph
 from nearcut.cut_structure import _component_split
 from nearcut.harness import make_flex_corpus
-from nearcut.multigraph import cut_masks, cut_value_array, resolve_filter
+from nearcut.multigraph import cut_masks
 
-from conftest import random_multigraph
+from conftest import EDGE_FILTERS, random_multigraph, restrict
 
 EdgeFilter = str  # the first version also took callables; no caller passed one
+
+
+# The filter lookup and the filtered readers the references call, rebuilt
+# on the package's tables of restricted graphs.
+
+
+def resolve_filter(filt: EdgeFilter):
+    return EDGE_FILTERS[filt]
+
+
+def cut_value_array(g: Multigraph, filt: EdgeFilter = "all", weighted: bool = False):
+    return multigraph.cut_value_array(restrict(g, filt), weighted=weighted)
+
+
+def min_cut_value(g: Multigraph, filt: EdgeFilter = "all", weighted: bool = False) -> int:
+    return multigraph.min_cut_value(restrict(g, filt), weighted=weighted)
 
 
 # ---------------------------------------------------------------------------

@@ -386,3 +386,10 @@ def test_solve_fgc_dispatch():
     assert solve_fgc(FlexInstance(g, 1, 1)).guarantee == Fraction(4)
     assert solve_fgc(FlexInstance(g, 2, 2)).guarantee == Fraction(6)
     assert solve_fgc(FlexInstance(g, 2, 1), unit_cost=True).guarantee == Fraction(3)
+
+
+@pytest.mark.parametrize("k, q", [(1.5, 0), (True, 0), (2, 0.5), (2.0, 1), (2, False),
+                                  ("2", 0), (2, None)])
+def test_k_and_q_must_be_integers(k, q):
+    with pytest.raises(InputError, match="k and q must be integers"):
+        FlexInstance(triangle(), k, q)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -409,6 +410,45 @@ def test_outside_input_exits_2_without_a_traceback(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert ("cannot write" in err) == (_MISSING in argv)
     assert not (tmp_path / "no-such-dir").exists()
+
+
+GEN_BAD_NUMBERS = {
+    "density-nan": (["--density", "nan"], "density"),
+    "density-inf": (["--density", "inf"], "density"),
+    "density-negative": (["--density=-0.5"], "density"),
+    "density-huge": (["--density", "1e7"], "edges"),
+    "nodes-huge": (["--nodes", "2000"], "edges"),
+    "unsafe-p-above-one": (["--unsafe-p", "7"], "unsafe probability"),
+    "unsafe-p-negative": (["--unsafe-p=-0.1"], "unsafe probability"),
+    "unsafe-p-nan": (["--unsafe-p", "nan"], "unsafe probability"),
+}
+
+
+@pytest.mark.parametrize("extra, named", GEN_BAD_NUMBERS.values(), ids=GEN_BAD_NUMBERS.keys())
+def test_gen_refuses_bad_numbers_before_any_draw(tmp_path, capsys, monkeypatch, extra, named):
+    import nearcut.harness as harness
+
+    def no_draws(seed):
+        raise AssertionError("the generator started drawing")
+
+    monkeypatch.setattr(harness, "random", SimpleNamespace(Random=no_draws))
+    out = tmp_path / "g.txt"
+    assert main(["gen", "--out", str(out)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert named in err
+    assert not out.exists()
+
+
+def test_generated_edge_limit_is_the_worst_case_count(monkeypatch):
+    import nearcut.harness as harness
+
+    monkeypatch.setattr(harness, "MAX_GENERATED_EDGES", 45)   # C(10, 2)
+    assert generate(GenSpec(n_min=10, n_max=10, density=1.0)).m == 45
+    with pytest.raises(LimitError, match="up to 90 edges"):
+        generate(GenSpec(n_min=4, n_max=10, density=1.5))
+    with pytest.raises(LimitError, match="up to 55 edges"):
+        generate(GenSpec(n_min=4, n_max=11, density=0.1))
 
 
 def test_bench_takes_no_kind(capsys):

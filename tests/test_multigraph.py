@@ -77,7 +77,7 @@ def test_fractional_capacity_never_reaches_a_cut_table():
     with pytest.raises(InputError, match="non-integer capacity"):
         Multigraph(3, (EdgeRecord(0, 1, 1, 1.5), EdgeRecord(1, 2)))
     g = Multigraph(3, (EdgeRecord(0, 1, 1, 2), EdgeRecord(1, 2, 1, 2**40)))
-    assert cut_value_array(g, "all", True).tolist() == [0, 2 + 2**40, 2**40, 2]
+    assert cut_value_array(g, weighted=True).tolist() == [0, 2 + 2**40, 2**40, 2]
 
 
 def test_fractional_costs_never_reach_a_solver():
@@ -101,7 +101,7 @@ def test_cut_degree_opposite_pair():
 
 def test_cut_degree_unsafe_filter():
     g = g_from(3, [(0, 1, 0, 1, True), (1, 2), (0, 2)])
-    assert cut_degree(g, mask_from_nodes([0]), "unsafe") == 1
+    assert cut_degree(g.unsafe_graph, mask_from_nodes([0])) == 1
 
 
 def test_cut_degree_rejects_empty_and_full():
@@ -235,11 +235,12 @@ def test_cut_symmetry_all_subsets():
     for _ in range(12):
         g = random_multigraph(rng, rng.randint(4, 9), extra=8, unsafe_p=0.3)
         vals = cut_value_array(g)
+        base = subgraph(g, (i for i, e in enumerate(g.edges) if e.base))
         for s in canonical_subsets(g.n):
             mask = mask_from_nodes(s)
             comp = mask ^ ((1 << g.n) - 1)
-            for filt in ("all", "unsafe", "base"):
-                assert cut_degree(g, mask, filt) == cut_degree(g, comp, filt)
+            for h in (g, g.unsafe_graph, base):
+                assert cut_degree(h, mask) == cut_degree(h, comp)
             assert int(vals[mask >> 1]) == cut_degree(g, mask)
 
 
@@ -297,16 +298,16 @@ def test_weight_total_at_2_63_is_refused_before_allocating(monkeypatch):
     g = g_from(3, [(0, 1, 0, 1 << 62), (0, 1, 0, 1 << 62), (1, 2)])
     total = str((1 << 63) + 1)
     with pytest.raises(LimitError, match=total):
-        min_cut_value(g, "all", True)
+        min_cut_value(g, weighted=True)
     with pytest.raises(LimitError, match=total):
-        enumerate_cuts_at_most(g, 5, "all", True)
+        enumerate_cuts_at_most(g, 5, weighted=True)
     # one unit less fits an int64 table
     monkeypatch.undo()
     g = g_from(3, [(0, 1, 0, 1 << 62), (0, 1, 0, (1 << 62) - 2), (1, 2)])
-    assert min_cut_value(g, "all", True) == 1
-    vals = cut_value_array(g, "all", True)
+    assert min_cut_value(g, weighted=True) == 1
+    vals = cut_value_array(g, weighted=True)
     assert vals.dtype == np.int64
-    rec = enumerate_cuts_at_most(g, 1, "all", True)[0]
+    rec = enumerate_cuts_at_most(g, 1, weighted=True)[0]
     assert int(vals[rec.mask >> 1]) == 1
 
 
@@ -349,3 +350,33 @@ def test_is_connected_matches_component_count():
                         reach.add(b)
                         todo.append(b)
         assert is_connected(g) == (len(reach) == n)
+
+
+@pytest.mark.parametrize("n", [3.0, "3", True, None])
+def test_node_count_must_be_an_integer(n):
+    with pytest.raises(InputError, match="node count must be an integer"):
+        Multigraph(n, (EdgeRecord(0, 1), EdgeRecord(1, 2)))
+
+
+def test_unsafe_graph_is_a_cached_graph_of_the_unsafe_edges():
+    g = g_from(4, [(0, 1, 0, 1, True), (1, 2), (2, 3, 0, 1, True), (3, 0)])
+    h = g.unsafe_graph
+    assert h is g.unsafe_graph
+    assert h.n == 4 and h.edges == (g.edges[0], g.edges[2])
+    assert cut_value_array(h).tolist() == [0] + [cut_degree(h, m << 1) for m in range(1, 8)]
+    # a graph whose edges are all unsafe still gets a graph of its own
+    assert h.unsafe_graph is not h and h.unsafe_graph == h
+    assert g_from(3, [(0, 1), (1, 2)]).unsafe_graph.m == 0
+
+
+def test_weighted_is_keyword_only():
+    g = c4()
+    for call in (lambda: cut_value_array(g, "unsafe"),
+                 lambda: min_cut_value(g, True),
+                 lambda: is_k_edge_connected(g, 2, True),
+                 lambda: enumerate_cuts_at_most(g, 2, True),
+                 lambda: cut_degree(g, 0b10, True),
+                 lambda: is_connected(g, "unsafe")):
+        with pytest.raises(TypeError):
+            call()
+    assert not g._cut_cache

@@ -67,7 +67,7 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
     pair = resolve_slot("pd2")
     lam0 = inst.lam0
     k = inst.k
-    base_ids = set(inst.graph.edge_ids("base"))
+    base_ids = set(inst.base_ids)
     h = set(base_ids)
     stages: list[PhaseLog] = []
     # The graph built for each stage's connectivity check is the next
@@ -93,12 +93,12 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
             continue
         target = level + (2 if kind == "pair" else 1)
         g_cur = inst.current_graph(h)
-        new_conn = min_cut_value(g_cur, "all", weighted=True)
+        new_conn = min_cut_value(g_cur, weighted=True)
         if new_conn < min(target, k):
             raise InvariantError(
                 f"stage at level {level} left connectivity {new_conn} < {target}")
 
-    if stages and not is_k_edge_connected(g_cur, k, "all", weighted=True):
+    if stages and not is_k_edge_connected(g_cur, k, weighted=True):
         raise InvariantError("cover finished but the graph is not k-connected")
     chosen = tuple(sorted(h - base_ids))
     bound = sum((s.guarantee for s in stages), Fraction(0))
@@ -122,7 +122,7 @@ def without_first_candidates(inst: AugmentInstance) -> AugmentInstance:
     """The instance minus the first two candidates, the start of the
     spanning candidate cycle: some of these are infeasible."""
     g = inst.graph
-    drop = set(g.edge_ids("nonbase")[:2])
+    drop = set(inst.candidate_ids[:2])
     return AugmentInstance(Multigraph(g.n, tuple(e for i, e in enumerate(g.edges)
                                                  if i not in drop)), inst.k)
 
