@@ -18,27 +18,32 @@ capacity patterns fall into a short, exhaustive case list.
 A :class:`SetFamily` is an immutable tuple of node-set bitmasks (Python
 ints).  The predicates here (laminar / uncrossable / symmetric proper
 crossing) quantify over strongly crossing pairs, since pairs with an
-empty corner satisfy them for free.  Each is one pair loop over the
+empty corner satisfy them for free.  Each is a pair loop over the
 members, with the corners computed inline as bitmask operations and
 membership looked up in a set cached on the family: the set of members
 for the symmetric test, the set of canonical masks (membership up to
-complement) for the others.  A family never changes, so each verdict and
-its witness (the first failing pair in member order) is computed once
-and cached on the family; a caller's assertion and a solver's
-precondition check of the same family share one pass.
+complement) for the others.  A family of ``_KERNEL_MIN_MEMBERS`` or more
+members whose masks fit int64 is scanned for uncrossability by a numpy
+kernel instead, in row blocks of the pair matrix, with the same verdict
+and witness; below that size the loop costs less.  A family never
+changes, so each verdict and its witness (the first failing pair in
+member order) is computed once and cached on the family; a caller's
+assertion and a solver's precondition check of the same family share
+one pass.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import InputError, InvariantError, PreconditionError
 from .multigraph import (
-    DisjointSets,
     Multigraph,
     QuotientResult,
     canonical_mask,
@@ -47,13 +52,31 @@ from .multigraph import (
     cut_value_array,
     full_mask,
     is_connected,
-    is_proper_subset,
     mask_from_nodes,
     min_cut_value,
     nodes_from_mask,
     quotient,
     subgraph,
 )
+
+# ---------------------------------------------------------------------------
+# Numpy pair kernels
+
+# A family with at least this many members, on a ground set whose masks
+# fit int64, goes to the numpy kernels; a smaller one stays on the Python
+# loops.  The crossover is measured: on {lam, lam+1}-cut families the scan
+# loop was about 15% faster at 42 members and the kernel about 25% faster
+# at 53 (2 vCPUs, Python 3.11, numpy 2.4).
+_KERNEL_MIN_MEMBERS = 48
+_KERNEL_MAX_N = 62
+# Pair matrices are cut into row blocks of about this many entries (one
+# row when a family is larger), so no kernel allocates an F x F array.
+_KERNEL_BLOCK = 1 << 13
+
+
+def _kernel_sized(n: int, count: int) -> bool:
+    return count >= _KERNEL_MIN_MEMBERS and n <= _KERNEL_MAX_N
+
 
 # ---------------------------------------------------------------------------
 # Crossing predicates
@@ -88,6 +111,17 @@ def crosses_strongly(a: int, b: int, n: int) -> bool:
 # Set families
 
 
+def _member(m) -> int:
+    """A member as a Python int; numpy integers pass, anything else (a
+    bool, a float, a string) raises :class:`InputError` naming it."""
+    if not isinstance(m, bool):
+        try:
+            return operator.index(m)
+        except TypeError:
+            pass
+    raise InputError(f"family member {m!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class SetFamily:
     """Explicit list of node subsets over a ground set of size n.
@@ -101,10 +135,14 @@ class SetFamily:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(int(m) for m in self.members))
+        members = tuple(self.members)
+        if not all(type(m) is int for m in members):
+            members = tuple(_member(m) for m in members)
+        object.__setattr__(self, "members", members)
+        fm = full_mask(self.n)
         seen = set()
-        for m in self.members:
-            if not is_proper_subset(m, self.n):
+        for m in members:
+            if not 0 < m < fm:
                 raise InputError(f"family member {m:#x} not a non-empty proper subset")
             if m in seen:
                 raise InputError(f"duplicate family member {m:#x}")
@@ -195,6 +233,12 @@ def _scan_laminar(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
 
 
 def _scan_uncrossable(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
+    if _kernel_sized(fam.n, len(fam)):
+        return _uncrossable_kernel(fam)
+    return _uncrossable_loop(fam)
+
+
+def _uncrossable_loop(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
     ms = fam.members
     fm = full_mask(fam.n)
     canon = fam.canonical_set
@@ -215,6 +259,50 @@ def _scan_uncrossable(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
                     and (c4 ^ fm if c4 & 1 else c4) in canon):
                 continue
             return False, (a, b)
+    return True, None
+
+
+def _uncrossable_kernel(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
+    """The loop's verdict and witness, one block of rows at a time.
+
+    A pair's verdict does not change when either member is replaced by
+    its complement (the four corners only permute), so the kernel works
+    on canonical members.  Their corners C1, C2, C4 and their union (the
+    complement of C3) all avoid node 0, so each is looked up as it is with
+    ``searchsorted`` in the sorted canonical masks, and no union is the
+    whole ground set.  Row i of a block meets the members from i + 1 on.
+    A pair below the block's diagonal repeats a pair of an earlier row,
+    which row-major order reaches first, so the first failure found is
+    the loop's witness.
+    """
+    fm = full_mask(fam.n)
+    ms = np.array([m ^ fm if m & 1 else m for m in fam.members], dtype=np.int64)
+    canon = np.array(sorted(fam.canonical_set), dtype=np.int64)
+    last = len(canon) - 1
+
+    def present(x: np.ndarray) -> np.ndarray:
+        return canon[np.minimum(np.searchsorted(canon, x), last)] == x
+
+    count = len(ms)
+    rows = max(1, _KERNEL_BLOCK // max(count, 1))
+    for i0 in range(0, count - 1, rows):
+        a = ms[i0:i0 + rows, None]
+        b = ms[None, i0 + 1:]
+        c1 = a & b
+        strong = (c1 != 0) & (c1 != a) & (c1 != b)
+        idx = np.flatnonzero(strong)
+        if not len(idx):
+            continue
+        meet = c1.ravel()[idx]
+        fail = ~(present(meet) & present((a | b).ravel()[idx]))
+        if not fail.any():
+            continue
+        idx, meet = idx[fail], meet[fail]
+        r, c = np.divmod(idx, b.shape[1])
+        fail = ~(present(a[r, 0] ^ meet) & present(b[0, c] ^ meet))
+        if fail.any():
+            k = int(np.argmax(fail))
+            return False, (fam.members[i0 + int(r[k])], fam.members[i0 + 1 + int(c[k])])
     return True, None
 
 
@@ -536,15 +624,50 @@ class DecompositionResult:
 
 
 def _component_split(masks: tuple[int, ...], n: int) -> list[list[int]]:
-    """Connected components of the strong-crossing graph on the masks."""
-    sets = DisjointSets(len(masks))
-    for (i, a), (j, b) in combinations(enumerate(masks), 2):
-        if crosses_strongly(a, b, n):
-            sets.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i, m in enumerate(masks):
-        groups.setdefault(sets.find(i), []).append(m)
-    return [sorted(g) for g in sorted(groups.values(), key=lambda g: min(g))]
+    """Connected components of the strong-crossing graph on the masks.
+
+    ``inside[v]`` is the bitset of the masks holding node v.  Mask B
+    strongly crosses A when it meets A, leaves A, and neither holds all
+    of A nor all of V - A, so the masks crossing A come from 2n bitset
+    operations, and a breadth-first search over them finds each
+    component.
+    """
+    inside = [0] * n
+    for j, m in enumerate(masks):
+        while m:
+            low = m & -m
+            inside[low.bit_length() - 1] |= 1 << j
+            m ^= low
+    everyone = (1 << len(masks)) - 1
+
+    def crossing(a: int) -> int:
+        meets = leaves = 0
+        holds_a = holds_rest = everyone
+        for v, held in enumerate(inside):
+            if a >> v & 1:
+                meets |= held
+                holds_a &= held
+            else:
+                leaves |= held
+                holds_rest &= held
+        return meets & leaves & ~(holds_a | holds_rest)
+
+    groups = []
+    left = everyone
+    while left:
+        comp = frontier = left & -left
+        group = []
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            a = masks[low.bit_length() - 1]
+            group.append(a)
+            new = crossing(a) & ~comp
+            comp |= new
+            frontier |= new
+        left &= ~comp
+        groups.append(sorted(group))
+    return sorted(groups, key=min)
 
 
 def decompose_plus_cuts(g: Multigraph, lam: int) -> DecompositionResult:

@@ -21,7 +21,10 @@ since an edge with both ends inside toggles twice.  The solvers,
 :func:`covers` and :func:`minimal_cover` read these bitsets, so
 "minimal violated members", slacks and coverage are a few integer
 operations per member or candidate, and every precondition is still
-checkable at runtime.
+checkable at runtime.  For a family at or above the kernel size of
+:mod:`~nearcut.cut_structure`, the same bitsets, and the primal-dual
+cover's strict-subset bitsets, are packed from numpy bit matrices
+instead of built bit by bit in Python loops.
 """
 
 from __future__ import annotations
@@ -32,8 +35,16 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .errors import BudgetError, InfeasibleError, InvariantError, PreconditionError
-from .cut_structure import SetFamily, is_symmetric_proper_crossing, is_uncrossable
+from .cut_structure import (
+    _KERNEL_BLOCK,
+    SetFamily,
+    _kernel_sized,
+    is_symmetric_proper_crossing,
+    is_uncrossable,
+)
 from .multigraph import DisjointSets, Multigraph
 
 DEFAULT_NODE_BUDGET = 2_000_000
@@ -106,6 +117,8 @@ def _crossing_bits(n: int, members: Sequence[int],
     Every endpoint lies in ``range(n)`` (callers check); a loop (u == u)
     toggles its own incidence twice and so crosses nothing.
     """
+    if _kernel_sized(n, len(members)):
+        return _crossing_kernel(n, members, edges)
     incident = [0] * n
     for pos, (u, v) in enumerate(edges):
         incident[u] ^= 1 << pos
@@ -124,6 +137,63 @@ def _crossing_bits(n: int, members: Sequence[int],
         member_bits.append(acc)
     edge_bits = [inside[u] ^ inside[v] for u, v in edges]
     return Crossings(inside, edge_bits, member_bits)
+
+
+def _crossing_kernel(n: int, members: Sequence[int],
+                     edges: Sequence[tuple[int, int]]) -> Crossings:
+    """The loop's bitsets, read off one member x node bit matrix: its
+    columns are ``inside``, and column e of ``held[:, u] ^ held[:, v]``,
+    over the edges (u, v), marks the members edge e crosses, so its rows
+    are ``member_bits``."""
+    ms = np.array(members, dtype="<i8")
+    held = np.unpackbits(ms.view(np.uint8).reshape(-1, 8), axis=1, count=n,
+                         bitorder="little")
+    inside = _bit_rows(held.T)
+    ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    member_bits = _bit_rows(held[:, ends[:, 0]] ^ held[:, ends[:, 1]])
+    edge_bits = [inside[u] ^ inside[v] for u, v in edges]
+    return Crossings(inside, edge_bits, member_bits)
+
+
+def _bit_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a 2-D boolean array as a Python int (column c is bit c)."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    rows, width = packed.shape
+    if width <= 8:
+        # at most 64 columns: each row is one little-endian uint64
+        words = np.zeros((rows, 8), dtype=np.uint8)
+        words[:, :width] = packed
+        return words.view("<u8").ravel().tolist()
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i:i + width], "little")
+            for i in range(0, len(buf), width)]
+
+
+def _strict_subsets(members: Sequence[int], inside: Sequence[int]) -> list[int]:
+    """Member j -> bitset of the members strictly inside member j."""
+    count = len(members)
+    if _kernel_sized(len(inside), count):
+        ms = np.array(members, dtype=np.int64)
+        rows = max(1, _KERNEL_BLOCK // max(count, 1))
+        out: list[int] = []
+        for j0 in range(0, count, rows):
+            block = ms[j0:j0 + rows, None]
+            within = (ms & ~block) == 0     # [j, i]: member i inside member j
+            r = np.arange(len(block))
+            within[r, j0 + r] = False
+            out += _bit_rows(within)
+        return out
+    everyone = (1 << count) - 1
+    out = []
+    for j, m in enumerate(members):
+        outside = 0  # members with a node outside m
+        rest = ~m & ((1 << len(inside)) - 1)
+        while rest:
+            low = rest & -rest
+            outside |= inside[low.bit_length() - 1]
+            rest ^= low
+        out.append(everyone & ~outside & ~(1 << j))
+    return out
 
 
 def _pairs(edges: Iterable, n: int) -> list[tuple[int, int]]:
@@ -296,15 +366,7 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
                                   witness=mask)
 
     everyone = (1 << len(members)) - 1
-    strict_subsets = []  # member -> members strictly contained in it
-    for j, m in enumerate(members):
-        outside = 0  # members with a node outside m
-        rest = ~m & ((1 << len(inside)) - 1)
-        while rest:
-            low = rest & -rest
-            outside |= inside[low.bit_length() - 1]
-            rest ^= low
-        strict_subsets.append(everyone & ~outside & ~(1 << j))
+    strict_subsets = _strict_subsets(members, inside)
 
     # Duals and payments are exact rationals kept as integers over one
     # shared denominator, which grows only when a step needs it.

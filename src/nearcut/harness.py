@@ -53,11 +53,13 @@ from .fgc import (
     solve_fgc,
 )
 from .multigraph import (
+    _LIMIT_ENV,
     EdgeRecord,
     Multigraph,
     canonical_mask,
     cut_masks,
     cut_value_array,
+    exhaustive_limit,
     is_connected,
     min_cut_value,
     nodes_from_mask,
@@ -101,7 +103,11 @@ def _cap_range(spec: GenSpec) -> tuple[int, int]:
 
 
 def generate(spec: GenSpec) -> Multigraph:
-    """Seeded random multigraph, retried until connected."""
+    """Seeded random multigraph, retried until connected.
+
+    Every range is checked before the first draw, and ``n_max`` may not
+    exceed :func:`~nearcut.multigraph.exhaustive_limit`.
+    """
     if not (1 <= spec.n_min <= spec.n_max):
         raise InputError("bad node count range")
     if not (0 <= spec.cost_min <= spec.cost_max):
@@ -115,6 +121,13 @@ def generate(spec: GenSpec) -> Multigraph:
         raise LimitError(
             f"up to {worst} edges at n = {spec.n_max} and density {spec.density}, "
             f"over the limit of {MAX_GENERATED_EDGES}")
+    limit = exhaustive_limit()
+    if spec.n_max > limit:
+        # no solver or oracle takes such a graph, and a sparse one can take
+        # minutes of retries to come out connected
+        raise LimitError(
+            f"generated graphs are limited to n <= {limit} nodes, got n_max = "
+            f"{spec.n_max} (override via {_LIMIT_ENV})")
     cap_lo, cap_hi = _cap_range(spec)
     rng = random.Random(spec.seed)
     whole = int(spec.density)

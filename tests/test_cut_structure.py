@@ -1,5 +1,7 @@
 import random
+import re
 
+import numpy as np
 import pytest
 
 from nearcut import (
@@ -211,6 +213,19 @@ def test_symmetric_closure_and_canonical():
     closed = fam.symmetric_closure()
     assert set(closed.members) == {m(1, 2), m(0, 3)}
     assert closed.canonical().members == (m(1, 2),)
+
+
+@pytest.mark.parametrize("bad", [3.7, True, "6", None, np.True_, 6.0])
+def test_set_family_refuses_members_that_are_not_integers(bad):
+    with pytest.raises(InputError, match=f"family member {re.escape(repr(bad))} "
+                                         f"is not an integer"):
+        SetFamily(4, (bad, 6))
+
+
+def test_set_family_takes_numpy_integers_as_python_ints():
+    fam = SetFamily(4, (np.int64(3), np.uint8(6)))
+    assert fam.members == (3, 6)
+    assert all(type(x) is int for x in fam.members)
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,9 @@ GEN_BAD_NUMBERS = {
     "unsafe-p-above-one": (["--unsafe-p", "7"], "unsafe probability"),
     "unsafe-p-negative": (["--unsafe-p=-0.1"], "unsafe probability"),
     "unsafe-p-nan": (["--unsafe-p", "nan"], "unsafe probability"),
+    # a graph no solver takes; this sparse one once retried for minutes
+    "nodes-past-the-exhaustive-limit": (["--nodes", "1400", "--density", "0.001"],
+                                        "limited to n <= 24 nodes, got n_max = 1400"),
 }
 
 
@@ -438,6 +441,19 @@ def test_gen_refuses_bad_numbers_before_any_draw(tmp_path, capsys, monkeypatch, 
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert named in err
     assert not out.exists()
+
+
+def test_exhaustive_limit_env_raises_the_gen_ceiling(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "g.txt"
+    argv = ["gen", "--out", str(out), "--nodes", "25:26", "--density", "0.3"]
+    assert main(argv) == 2
+    assert "n <= 24" in capsys.readouterr().err
+    with pytest.raises(LimitError, match="NEARCUT_EXHAUSTIVE_LIMIT"):
+        generate(GenSpec(n_min=20, n_max=25))
+    monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "26")
+    assert main(argv) == 0
+    assert int(out.read_text().split()[0]) in (25, 26)
+    assert generate(GenSpec(n_min=20, n_max=25)).n <= 25
 
 
 def test_generated_edge_limit_is_the_worst_case_count(monkeypatch):

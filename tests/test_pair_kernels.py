@@ -1,0 +1,250 @@
+"""The numpy pair kernels against the Python loops they stand in for.
+
+A family with at least ``cut_structure._KERNEL_MIN_MEMBERS`` members, on
+a ground set whose masks fit int64, takes a numpy kernel in three places:
+the uncrossable scan, the crossing bitsets of a cover instance, and the
+strict-subset bitsets of the primal-dual cover.  Each kernel must give
+exactly what the loop gives: the same verdict and witness, the same bits,
+the same ``CoverSolution``, the same error.
+"""
+
+from __future__ import annotations
+
+import random
+import tracemalloc
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import nearcut.cut_structure as cut_structure
+import nearcut.family_cover as family_cover
+from nearcut import (
+    CoverInstance,
+    EdgeRecord,
+    Multigraph,
+    NearcutError,
+    SetFamily,
+    is_uncrossable,
+    level_family,
+    min_cut_value,
+    primal_dual_uncrossable_cover,
+)
+from nearcut.cut_structure import _kernel_sized, _uncrossable_kernel, _uncrossable_loop
+from nearcut.family_cover import Candidate, _crossing_bits, _strict_subsets
+
+THRESHOLD = cut_structure._KERNEL_MIN_MEMBERS
+NEVER = 10 ** 9
+
+
+@contextmanager
+def kernel_threshold(value: int):
+    """Run the block with the member-count threshold set to ``value``."""
+    saved = cut_structure._KERNEL_MIN_MEMBERS
+    cut_structure._KERNEL_MIN_MEMBERS = value
+    try:
+        yield
+    finally:
+        cut_structure._KERNEL_MIN_MEMBERS = saved
+
+
+def near_min_family(n: int, rng: random.Random, chords: int, offset: int) -> SetFamily:
+    """The {lam, lam+1}-cuts of a cycle plus chords, lam = min cut + offset:
+    uncrossable at even lam, so mostly passing at offset 0."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = [(perm[i], perm[(i + 1) % n]) for i in range(n)]
+    for _ in range(chords):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            pairs.append((u, v))
+    g = Multigraph(n, tuple(EdgeRecord(u, v, 1, 1, False, False) for u, v in pairs))
+    return level_family(g, min_cut_value(g) + offset)
+
+
+def random_family(n: int, rng: random.Random, size: int) -> SetFamily:
+    """Random masks: almost always failing, often at a late pair."""
+    size = min(size, (1 << n) - 2)
+    return SetFamily(n, tuple(rng.sample(range(1, (1 << n) - 1), size)))
+
+
+def variant(fam: SetFamily, rng: random.Random, flip: float, drop: bool) -> SetFamily:
+    """The members in a shuffled order, some replaced by their complement
+    (so they hold node 0), and one dropped when ``drop`` is set."""
+    fm = (1 << fam.n) - 1
+    out, seen = [], set()
+    for m in fam.members:
+        m = m ^ fm if rng.random() < flip else m
+        if m not in seen:
+            seen.add(m)
+            out.append(m)
+    rng.shuffle(out)
+    if drop and out:
+        out.pop(rng.randrange(len(out)))
+    return SetFamily(fam.n, tuple(out))
+
+
+@st.composite
+def kernel_families(draw) -> SetFamily:
+    """Families of ``THRESHOLD`` to about 300 members on n <= 24."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    if draw(st.booleans()):
+        fam = near_min_family(draw(st.integers(11, 20)), rng,
+                              draw(st.integers(0, 3)), draw(st.integers(0, 1)))
+    else:
+        fam = random_family(draw(st.integers(8, 24)), rng,
+                            draw(st.integers(THRESHOLD, 300)))
+    fam = variant(fam, rng, draw(st.sampled_from((0.0, 0.3, 1.0))), draw(st.booleans()))
+    assume(len(fam) >= THRESHOLD)
+    return fam
+
+
+def random_edges(n: int, rng: random.Random, count: int) -> list[tuple[int, int]]:
+    """Endpoint pairs in range(n), loops included."""
+    return [(rng.randrange(n), rng.randrange(n)) for _ in range(count)]
+
+
+# ---------------------------------------------------------------------------
+# The uncrossable scan
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_families())
+def test_scan_kernel_matches_the_loop(fam):
+    assert _uncrossable_kernel(fam) == _uncrossable_loop(fam)
+
+
+def test_scan_kernel_meets_passing_and_failing_families():
+    rng = random.Random(17)
+    verdicts = []
+    for n in (11, 14, 17, 20):
+        for offset in (0, 1):
+            fam = near_min_family(n, rng, 2, offset)
+            for flip in (0.0, 0.5):
+                for drop in (False, True):
+                    fam_v = variant(fam, rng, flip, drop)
+                    if len(fam_v) >= THRESHOLD:
+                        got = _uncrossable_kernel(fam_v)
+                        assert got == _uncrossable_loop(fam_v)
+                        verdicts.append(got[0])
+    assert True in verdicts and False in verdicts
+
+
+def test_large_families_take_the_kernel(monkeypatch):
+    calls = []
+
+    def counted(fam):
+        calls.append(len(fam))
+        return kernel(fam)
+
+    kernel = cut_structure._uncrossable_kernel
+    monkeypatch.setattr(cut_structure, "_uncrossable_kernel", counted)
+    small = near_min_family(8, random.Random(1), 0, 0)        # 28 members
+    large = near_min_family(16, random.Random(1), 0, 0)       # 120 members
+    assert len(small) < THRESHOLD <= len(large)
+    assert is_uncrossable(small) == is_uncrossable(large) == (True, None)
+    assert calls == [len(large)]
+
+
+def test_families_past_int64_masks_stay_on_the_loop(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a numpy kernel ran")
+
+    monkeypatch.setattr(cut_structure, "_uncrossable_kernel", refuse)
+    monkeypatch.setattr(family_cover, "_crossing_kernel", refuse)
+    assert _kernel_sized(62, THRESHOLD) and not _kernel_sized(62, THRESHOLD - 1)
+    for n in (63, 64, 70):
+        assert not _kernel_sized(n, 10 ** 4)
+        # a nested chain {1}, {1, 2}, ..., so laminar and uncrossable, whose
+        # top masks do not fit int64 at n = 64 and 70
+        chain = tuple((1 << (i + 1)) - 2 for i in range(1, n - 1))
+        fam = SetFamily(n, chain)
+        assert len(fam) >= THRESHOLD
+        assert is_uncrossable(fam) == (True, None)
+        path = tuple(Candidate(i, i, i + 1, 1 + i % 3) for i in range(n - 1))
+        sol = primal_dual_uncrossable_cover(CoverInstance(n, path, fam))
+        assert sol.chosen == (0,)     # edge (0, 1) crosses every member
+
+
+def test_kernel_temporaries_stay_within_a_block():
+    # every non-empty proper subset up to complement: uncrossable, and the
+    # kernel scans all 2,096,128 pairs; one F x F int64 array is 32 MiB
+    n = 12
+    full = SetFamily(n, tuple(range(2, (1 << n) - 1, 2)))
+    # 10^4 random masks, failing: an F x F int64 array would be 763 MiB
+    wide = random_family(24, random.Random(2), 10 ** 4)
+    for fam, verdict in ((full, True), (wide, False)):
+        tracemalloc.start()
+        try:
+            got = _uncrossable_kernel(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0] is verdict
+        assert peak < 4 << 20, peak
+    assert _uncrossable_loop(wide) == _uncrossable_kernel(wide)
+
+
+# ---------------------------------------------------------------------------
+# Crossing bitsets and strict subsets
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_families(), st.integers(0, 2 ** 32), st.integers(0, 60))
+def test_crossing_kernel_matches_the_loop_bit_for_bit(fam, seed, count):
+    edges = random_edges(fam.n, random.Random(seed), count)
+    with kernel_threshold(NEVER):
+        loop = _crossing_bits(fam.n, fam.members, edges)
+        loop_subsets = _strict_subsets(fam.members, loop.inside)
+    kernel = family_cover._crossing_kernel(fam.n, fam.members, edges)
+    assert kernel == loop
+    with kernel_threshold(0):
+        assert _strict_subsets(fam.members, kernel.inside) == loop_subsets
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 9])
+def test_crossing_kernel_on_tiny_and_empty_input(size):
+    rng = random.Random(size)
+    fam = random_family(6, rng, size)
+    for edges in ([], random_edges(6, rng, 9)):
+        with kernel_threshold(NEVER):
+            loop = _crossing_bits(6, fam.members, edges)
+            loop_subsets = _strict_subsets(fam.members, loop.inside)
+        with kernel_threshold(0):
+            assert _crossing_bits(6, fam.members, edges) == loop
+            assert _strict_subsets(fam.members, loop.inside) == loop_subsets
+
+
+# ---------------------------------------------------------------------------
+# The primal-dual cover
+
+
+def _solve(n: int, members: tuple[int, ...], cands: tuple[Candidate, ...], threshold: int):
+    """pd2 on a fresh family and instance (no cached verdict or bitsets)."""
+    with kernel_threshold(threshold):
+        try:
+            return primal_dual_uncrossable_cover(
+                CoverInstance(n, cands, SetFamily(n, members)))
+        except NearcutError as exc:
+            return type(exc), str(exc), exc.witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(5, 18), st.integers(0, 3),
+       st.sampled_from((0.0, 0.3)), st.booleans(), st.booleans())
+def test_pd2_solution_does_not_depend_on_the_threshold(seed, n, chords, flip, drop,
+                                                       spanning):
+    rng = random.Random(seed)
+    fam = variant(near_min_family(n, rng, chords, 0), rng, flip, drop)
+    pairs = random_edges(n, rng, n) if not spanning else []
+    if spanning:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        pairs = [(perm[i], perm[(i + 1) % n]) for i in range(n)] + random_edges(n, rng, n)
+    cands = tuple(Candidate(i, u, v, rng.randint(0, 9))
+                  for i, (u, v) in enumerate(pairs) if u != v)
+    loop = _solve(n, fam.members, cands, NEVER)
+    assert _solve(n, fam.members, cands, 0) == loop
+    if spanning and not drop:
+        assert not isinstance(loop, tuple)   # a real solution was compared
