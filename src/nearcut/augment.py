@@ -130,12 +130,10 @@ def deficient_family(g_current: Multigraph, k: int) -> SetFamily:
     return SetFamily(g_current.n, cut_masks(vals < k))
 
 
-def level_family(g_current: Multigraph, lam: int,
-                 include_plus_one: bool = True) -> SetFamily:
-    """Canonical cuts of capacity-weighted value lam (and lam+1 by default)."""
-    top = lam + 1 if include_plus_one else lam
+def level_family(g_current: Multigraph, lam: int) -> SetFamily:
+    """Canonical cuts of capacity-weighted value lam or lam+1."""
     vals = cut_value_array(g_current, weighted=True)
-    return SetFamily(g_current.n, cut_masks((vals >= lam) & (vals <= top)))
+    return SetFamily(g_current.n, cut_masks((vals >= lam) & (vals <= lam + 1)))
 
 
 def _stages(lam0: int, k: int) -> Iterator[tuple[int, str]]:

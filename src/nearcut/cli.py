@@ -54,11 +54,14 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 
 
 def _cmd_gen(args) -> int:
+    if args.k < 1 or args.q < 0:
+        raise InputError(f"gen needs k >= 1 and q >= 0, got k = {args.k}, q = {args.q}")
     n_min, n_max = _parse_range(args.nodes, "--nodes")
     c_min, c_max = _parse_range(args.cost, "--cost")
+    cap_min, cap_max = _parse_range("1" if args.cap == "unit" else args.cap, "--cap")
     spec = GenSpec(n_min=n_min, n_max=n_max, density=args.density,
                    unsafe_p=args.unsafe_p, cost_min=c_min, cost_max=c_max,
-                   capacity=args.cap, seed=args.seed)
+                   cap_min=cap_min, cap_max=cap_max, seed=args.seed)
     g = generate(spec)
     save_instance(Instance(g, args.k, args.q), args.out, fmt=args.format)
     return 0
@@ -207,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--density", type=float, default=0.5)
     p_gen.add_argument("--unsafe-p", type=float, default=0.0, dest="unsafe_p")
     p_gen.add_argument("--cost", default="1:1", help="c or lo:hi")
-    p_gen.add_argument("--cap", default="unit", help="'unit' or lo:hi")
+    p_gen.add_argument("--cap", default="unit", help="'unit' (1), c or lo:hi")
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--k", type=int, default=2)
     p_gen.add_argument("--q", type=int, default=0)

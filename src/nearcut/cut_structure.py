@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -616,11 +617,7 @@ class DecompositionResult:
     diagnostics: tuple[str, ...]
 
     def coverage(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for part in self.parts:
-            for m in part.members.members:
-                counts[m] = counts.get(m, 0) + 1
-        return counts
+        return Counter(m for part in self.parts for m in part.members.members)
 
 
 def _component_split(masks: tuple[int, ...], n: int) -> list[list[int]]:
@@ -716,14 +713,38 @@ def decompose_plus_cuts(g: Multigraph, lam: int) -> DecompositionResult:
         parts.append(CutPart(members=SetFamily(g.n, members), quotient=qr,
                              shape=shape))
 
-    result = DecompositionResult(lam=lam, parts=tuple(parts),
-                                 diagnostics=tuple(diagnostics))
-    for mask, count in result.coverage().items():
+    coverage = Counter(m for members, _qr in kept for m in members)
+    for mask, count in coverage.items():
         if count > 2:
             diagnostics.append(
                 f"cut {nodes_from_mask(mask)} appears in {count} parts (> 2)")
     return DecompositionResult(lam=lam, parts=tuple(parts),
                                diagnostics=tuple(diagnostics))
+
+
+# ---------------------------------------------------------------------------
+# Flex cut rules, read here and by nearcut.fgc
+
+
+def _flex_arrays(h: Multigraph) -> tuple[np.ndarray, np.ndarray]:
+    """The tables d(S) of H and d_U(S) of its unsafe edges."""
+    return cut_value_array(h), cut_value_array(h.unsafe_graph)
+
+
+def _first_bad_cut(d_arr: np.ndarray, u_arr: np.ndarray, k: int,
+                   q: int) -> Optional[int]:
+    """First canonical cut with d(S) < k + min(d_U(S), q), or None.
+
+    Written as d(S) - d_U(S) < k and d(S) < k + q so that k and q meet the
+    table only in comparisons, which are exact for any Python int."""
+    bad = cut_masks((d_arr - u_arr < k) & (d_arr < k + q))
+    return bad[0] if bad else None
+
+
+def _blocking_cuts(d_arr: np.ndarray, u_arr: np.ndarray, k: int,
+                   q: int) -> tuple[int, ...]:
+    """Cuts blocking level q: d(S) = k+q-1 and d_U(S) >= q."""
+    return cut_masks((d_arr == k + q - 1) & (u_arr >= q))
 
 
 # ---------------------------------------------------------------------------
@@ -758,14 +779,15 @@ def decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) -> F2Decompo
     h = subgraph(g, h_edges)
     if min_cut_value(h) < k:
         raise PreconditionError(f"subgraph is not {k}-edge-connected")
-    d_arr = cut_value_array(h)
-    u_arr = cut_value_array(h.unsafe_graph)
-    bad = cut_masks((d_arr == k) & (u_arr >= 1))
-    if bad:
+    d_arr, u_arr = _flex_arrays(h)
+    # H is k-edge-connected, so a cut failing the (k,1) rule is a k-cut
+    # with an unsafe edge
+    bad = _first_bad_cut(d_arr, u_arr, k, 1)
+    if bad is not None:
         raise PreconditionError(
             "subgraph has a k-cut with an unsafe edge (not (k,1)-flex-connected)",
-            witness=bad[0])
-    f2 = cut_masks((d_arr == k + 1) & (u_arr >= 2))
+            witness=bad)
+    f2 = _blocking_cuts(d_arr, u_arr, k, 2)
 
     decomp = decompose_plus_cuts(h, k)
     diagnostics = list(decomp.diagnostics)

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-import numpy as np
-
 from .errors import (
     BudgetError,
     InfeasibleError,
@@ -51,6 +49,9 @@ from .errors import (
 )
 from .cut_structure import (
     SetFamily,
+    _blocking_cuts,
+    _first_bad_cut,
+    _flex_arrays,
     decompose_F2_odd,
     is_laminar,
     is_uncrossable,
@@ -70,8 +71,6 @@ from .family_cover import (
 from .multigraph import (
     Multigraph,
     check_exhaustive_build,
-    cut_masks,
-    cut_value_array,
     min_cut_value,
     subgraph,
 )
@@ -113,27 +112,12 @@ class FlexSolution:
 # Feasibility
 
 
-def _flex_arrays(g: Multigraph, edge_ids: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    h = subgraph(g, edge_ids)
-    return cut_value_array(h), cut_value_array(h.unsafe_graph)
-
-
-def _first_bad_cut(d_arr: np.ndarray, u_arr: np.ndarray, k: int,
-                   q: int) -> Optional[int]:
-    """First canonical cut with d(S) < k + min(d_U(S), q), or None.
-
-    Written as d(S) - d_U(S) < k and d(S) < k + q so that k and q meet the
-    table only in comparisons, which are exact for any Python int."""
-    bad = cut_masks((d_arr - u_arr < k) & (d_arr < k + q))
-    return bad[0] if bad else None
-
-
 def is_flex_connected(g: Multigraph, edge_ids: Iterable[int], k: int,
                       q: int) -> tuple[bool, Optional[int]]:
     """Per-cut check of d(S) >= k + min(d_U(S), q); witness = first bad cut."""
     if g.n < 2:
         return True, None
-    wit = _first_bad_cut(*_flex_arrays(g, edge_ids), k, q)
+    wit = _first_bad_cut(*_flex_arrays(subgraph(g, edge_ids)), k, q)
     return (True, None) if wit is None else (False, wit)
 
 
@@ -163,12 +147,12 @@ def enumerate_Fq(g: Multigraph, edge_ids: Iterable[int], k: int,
     """
     if q < 1:
         raise InputError(f"blocking families are defined for q >= 1, got {q}")
-    d_arr, u_arr = _flex_arrays(g, edge_ids)
+    d_arr, u_arr = _flex_arrays(subgraph(g, edge_ids))
     wit = _first_bad_cut(d_arr, u_arr, k, q - 1)
     if wit is not None:
         raise PreconditionError(
             f"subgraph is not (k={k}, q={q - 1})-flex-connected", witness=wit)
-    fam = SetFamily(g.n, cut_masks((d_arr == k + q - 1) & (u_arr >= q)))
+    fam = SetFamily(g.n, _blocking_cuts(d_arr, u_arr, k, q))
     logger.debug("blocking family at level %d: %d members (n^4 = %d)",
                  q, len(fam), g.n ** 4)
     return fam

@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Optional
 
 from . import family_cover, fgc
-from .errors import InputError, LimitError
+from .errors import InputError, LimitError, NearcutError
 from .augment import (
     AugmentInstance,
     deficient_family,
@@ -85,21 +85,9 @@ class GenSpec:
     unsafe_p: float = 0.0
     cost_min: int = 1
     cost_max: int = 1
-    capacity: str = "unit"  # "unit" or "lo:hi"
+    cap_min: int = 1
+    cap_max: int = 1
     seed: int = 0
-    connect_retries: int = 200
-
-
-def _cap_range(spec: GenSpec) -> tuple[int, int]:
-    if spec.capacity == "unit":
-        return (1, 1)
-    try:
-        lo, hi = (int(x) for x in spec.capacity.split(":"))
-    except ValueError as exc:
-        raise InputError(f"bad capacity convention {spec.capacity!r}") from exc
-    if not (1 <= lo <= hi):
-        raise InputError(f"bad capacity range {spec.capacity!r}")
-    return (lo, hi)
 
 
 def generate(spec: GenSpec) -> Multigraph:
@@ -112,6 +100,8 @@ def generate(spec: GenSpec) -> Multigraph:
         raise InputError("bad node count range")
     if not (0 <= spec.cost_min <= spec.cost_max):
         raise InputError("bad cost range")
+    if not (1 <= spec.cap_min <= spec.cap_max):
+        raise InputError("bad capacity range")
     if not (math.isfinite(spec.density) and spec.density >= 0):
         raise InputError(f"density must be finite and >= 0, got {spec.density}")
     if not (0 <= spec.unsafe_p <= 1):
@@ -128,11 +118,10 @@ def generate(spec: GenSpec) -> Multigraph:
         raise LimitError(
             f"generated graphs are limited to n <= {limit} nodes, got n_max = "
             f"{spec.n_max} (override via {_LIMIT_ENV})")
-    cap_lo, cap_hi = _cap_range(spec)
     rng = random.Random(spec.seed)
     whole = int(spec.density)
     frac = spec.density - whole
-    for _attempt in range(spec.connect_retries):
+    for _attempt in range(200):
         n = rng.randint(spec.n_min, spec.n_max)
         edges = []
         for u in range(n):
@@ -140,14 +129,13 @@ def generate(spec: GenSpec) -> Multigraph:
                 copies = whole + (1 if frac > 0 and rng.random() < frac else 0)
                 for _ in range(copies):
                     cost = rng.randint(spec.cost_min, spec.cost_max)
-                    cap = rng.randint(cap_lo, cap_hi)
+                    cap = rng.randint(spec.cap_min, spec.cap_max)
                     unsafe = rng.random() < spec.unsafe_p
                     edges.append(EdgeRecord(u, v, cost, cap, unsafe, False))
         g = Multigraph(n, tuple(edges))
         if is_connected(g):
             return g
-    raise InputError(
-        f"generator failed to produce a connected graph in {spec.connect_retries} tries")
+    raise InputError("generator failed to produce a connected graph in 200 tries")
 
 
 def _random_tree_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
@@ -171,7 +159,7 @@ def _random_pairs(rng: random.Random, n: int, draws: int) -> list[tuple[int, int
 
 
 def _corpus_graph(rng: random.Random, n_min: int, n_max: int,
-                  m_factor: int = 3) -> Multigraph:
+                  m_factor: int) -> Multigraph:
     """Connected random multigraph: tree or cycle skeleton plus extras."""
     n = rng.randint(n_min, n_max)
     skeleton = _random_tree_edges(rng, n) if rng.random() < 0.5 \
@@ -271,8 +259,7 @@ def strip_wall_times(obj):
 # Corpus builders
 
 
-def make_augment_corpus(count: int, seed: int, n_min: int = 5,
-                        n_max: int = 8) -> list[tuple[str, AugmentInstance]]:
+def make_augment_corpus(count: int, seed: int) -> list[tuple[str, AugmentInstance]]:
     """Instances spanning all four (lam0, k) parity combinations.
 
     Base graphs with exact connectivity: tree (1), cycle (2), doubled
@@ -291,7 +278,7 @@ def make_augment_corpus(count: int, seed: int, n_min: int = 5,
     while len(out) < count:
         lam0, k = combos[i % len(combos)]
         i += 1
-        n = rng.randint(n_min, n_max)
+        n = rng.randint(5, 8)
         if lam0 == 1:
             base = _random_tree_edges(rng, n)
         elif lam0 == 2:
@@ -316,8 +303,7 @@ def make_augment_corpus(count: int, seed: int, n_min: int = 5,
 
 
 def make_fgc_corpus(count: int, seed: int, n_min: int = 5, n_max: int = 7,
-                    unit_cost: bool = False,
-                    unsafe_p: float = 0.35) -> list[tuple[str, FlexInstance]]:
+                    unit_cost: bool = False) -> list[tuple[str, FlexInstance]]:
     """(k, q) instances feasible by construction: min cut >= k + q."""
     rng = random.Random(seed)
     combos = [(k, q) for k in (1, 2, 3, 4) for q in (0, 1, 2)]
@@ -335,7 +321,7 @@ def make_fgc_corpus(count: int, seed: int, n_min: int = 5, n_max: int = 7,
         edges = []
         for (u, v) in pairs:
             cost = 1 if unit_cost else rng.randint(1, 9)
-            edges.append(EdgeRecord(u, v, cost, 1, rng.random() < unsafe_p, False))
+            edges.append(EdgeRecord(u, v, cost, 1, rng.random() < 0.35, False))
         g = Multigraph(n, tuple(edges))
         if min_cut_value(g) < k + q:
             continue
@@ -343,14 +329,13 @@ def make_fgc_corpus(count: int, seed: int, n_min: int = 5, n_max: int = 7,
     return out
 
 
-def make_uncrossable_cover_corpus(count: int, seed: int, n_min: int = 5,
-                                  n_max: int = 8) -> list[tuple[str, CoverInstance]]:
+def make_uncrossable_cover_corpus(count: int, seed: int) -> list[tuple[str, CoverInstance]]:
     """Uncrossable families ({lam, lam+1}-cuts at even lam) with feasible
     candidate pools (a spanning cycle crosses every cut)."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        n = rng.randint(n_min, n_max)
+        n = rng.randint(5, 8)
         pairs = _random_cycle_edges(rng, n)
         if rng.random() < 0.5:
             pairs = pairs + pairs[: rng.randint(0, n)]
@@ -374,8 +359,7 @@ def make_uncrossable_cover_corpus(count: int, seed: int, n_min: int = 5,
 
 
 def make_flex_corpus(count: int, per_k_seed: int, k: int, n_min: int = 4,
-                     n_max: int = 8,
-                     unsafe_p: float = 0.45) -> list[tuple[str, Multigraph]]:
+                     n_max: int = 8) -> list[tuple[str, Multigraph]]:
     """Corpus of (k,1)-flex-connected multigraphs with rich level-2 families.
 
     Skeletons keep min cut just above k so the (k+1)-cuts are plentiful
@@ -403,7 +387,7 @@ def make_flex_corpus(count: int, per_k_seed: int, k: int, n_min: int = 4,
                 pairs += _random_cycle_edges(rng, n)
         if rng.random() < 0.4:
             pairs += _random_pairs(rng, n, rng.randint(1, 2))
-        p = rng.choice((unsafe_p, 0.65, 0.9))
+        p = rng.choice((0.45, 0.65, 0.9))
         edges = [EdgeRecord(u, v, 0, 1, rng.random() < p, False)
                  for (u, v) in pairs]
         g = Multigraph(n, tuple(edges))
@@ -560,7 +544,7 @@ def _suite_c1(cfg: dict) -> dict:
                 try:
                     split = decompose_F2_odd(g, range(g.m), k)
                     decompositions += 1
-                except Exception as exc:  # structure checks raise InvariantError
+                except NearcutError as exc:
                     violations.append(f"{gid}: decomposition failed: {exc}")
     return _suite_report("c1", cfg,
                          {"graphs": graphs_checked, "crossing_pairs": pairs_checked,

@@ -61,8 +61,6 @@ def test_level_family_c4():
     # pair {1,3}, whose cut value is 4
     fam3 = level_family(c4(), 3)
     assert set(fam3.members) == {m(1, 3)}
-    only3 = level_family(c4(), 3, include_plus_one=False)
-    assert len(only3) == 0
 
 
 def test_disconnected_base_rejected():

@@ -48,6 +48,7 @@ from nearcut.harness import make_augment_corpus, make_fgc_corpus, make_flex_corp
 from nearcut.io import parse_instance
 from nearcut.multigraph import (
     Multigraph,
+    cut_masks,
     cut_value_array,
     is_k_edge_connected,
     min_cut_value,
@@ -84,7 +85,8 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
     g_cur = inst.base_graph
 
     for level, kind in plan:
-        fam = level_family(g_cur, level, include_plus_one=(kind == "pair"))
+        fam = (level_family(g_cur, level) if kind == "pair" else SetFamily(
+            g_cur.n, cut_masks(cut_value_array(g_cur, weighted=True) == level)))
         slot = pair if kind == "pair" else single
         bound += slot.guarantee
         if kind == "single" and level == lam0 and lam0 % 2 == 1 and len(fam):
@@ -338,7 +340,6 @@ def test_flex_checks_on_every_edge_share_the_graph_tables(monkeypatch):
         out = cut_value_array(h, weighted=weighted)
         tables.append(out)
         return out
-    monkeypatch.setattr(fgc, "cut_value_array", recording)
     monkeypatch.setattr(cs, "cut_value_array", recording)
     g = make_flex_corpus(1, 20260806, 3)[0][1]
     enumerate_Fq(g, range(g.m), 3, 2)

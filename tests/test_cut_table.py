@@ -204,8 +204,8 @@ def assert_table_matches_parent(g, filt, weighted):
 # Python-loop references
 
 
-def loop_level_family(g, lam, include_plus_one=True):
-    wanted = {lam, lam + 1} if include_plus_one else {lam}
+def loop_level_family(g, lam):
+    wanted = {lam, lam + 1}
     vals = cut_value_array(g, weighted=True)
     return tuple(i << 1 for i in range(1, len(vals)) if int(vals[i]) in wanted)
 
@@ -537,9 +537,7 @@ def test_level_and_deficient_families_match_loops():
         g = random_flagged_multigraph(rng, rng.randint(2, 9))
         lam = min_cut_value(g, weighted=True)
         for level in (lam, lam + 1, lam + 3):
-            for plus in (True, False):
-                assert level_family(g, level, plus).members == \
-                    loop_level_family(g, level, plus)
+            assert level_family(g, level).members == loop_level_family(g, level)
         for k in (lam, lam + 1, lam + 4):
             assert deficient_family(g, k).members == loop_deficient_family(g, k)
 

@@ -54,7 +54,13 @@ from nearcut.harness import (
     make_flex_corpus,
     make_uncrossable_cover_corpus,
 )
-from nearcut.multigraph import DisjointSets, complement_mask, edge_crosses
+from nearcut.multigraph import (
+    DisjointSets,
+    complement_mask,
+    cut_masks,
+    cut_value_array,
+    edge_crosses,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +333,7 @@ def seeded_cover_instances() -> list[CoverInstance]:
                       for i in inst.candidate_ids)
         g = inst.current_graph(set())
         fams = [deficient_family(g, inst.k), level_family(g, inst.lam0),
-                level_family(g, inst.lam0, include_plus_one=False)]
+                SetFamily(g.n, cut_masks(cut_value_array(g, weighted=True) == inst.lam0))]
         out += [CoverInstance(g.n, cands, f) for f in fams if len(f)]
     return out
 

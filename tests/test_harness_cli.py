@@ -17,6 +17,7 @@ from nearcut import (
     LimitError,
     generate,
     kecss,
+    load_instance,
     run_suite,
     save_instance,
 )
@@ -52,8 +53,10 @@ def test_generate_zero_unsafe_probability():
 
 
 def test_generate_bad_capacity_spec():
-    with pytest.raises(InputError):
-        generate(GenSpec(capacity="7"))
+    with pytest.raises(InputError, match="capacity"):
+        generate(GenSpec(cap_min=0))
+    with pytest.raises(InputError, match="capacity"):
+        generate(GenSpec(cap_min=3, cap_max=2))
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +140,21 @@ def test_cli_gen_deterministic(tmp_path):
     main(["gen", "--out", str(a)] + args)
     main(["gen", "--out", str(b)] + args)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_gen_cap_takes_one_number_like_cost(tmp_path, fmt):
+    """``--cap 7`` is ``--cap 7:7``, and ``unit`` is ``1:1``."""
+    def gen(name, cap):
+        out = tmp_path / f"{name}.{fmt}"
+        args = ["--nodes", "5:7", "--density", "0.8", "--seed", "11", "--format", fmt]
+        assert main(["gen", "--out", str(out), "--cap", cap] + args) == 0
+        return out
+
+    assert gen("one", "7").read_bytes() == gen("range", "7:7").read_bytes()
+    assert {e.capacity for e in load_instance(gen("seven", "7")).graph.edges} == {7}
+    assert gen("unit", "unit").read_bytes() == gen("ones", "1:1").read_bytes() \
+        == gen("one-one", "1").read_bytes()
 
 
 def test_cli_solve_augment(tmp_path, capsys):
@@ -424,6 +442,11 @@ GEN_BAD_NUMBERS = {
     # a graph no solver takes; this sparse one once retried for minutes
     "nodes-past-the-exhaustive-limit": (["--nodes", "1400", "--density", "0.001"],
                                         "limited to n <= 24 nodes, got n_max = 1400"),
+    # a header no solver takes
+    "k-below-one": (["--nodes", "5", "--k", "-3", "--q", "-2"], "got k = -3, q = -2"),
+    "q-negative": (["--q=-1"], "got k = 2, q = -1"),
+    "cap-below-one": (["--cap", "0:2"], "bad capacity range"),
+    "cap-not-a-range": (["--cap", "x"], "--cap takes an integer or lo:hi, got 'x'"),
 }
 
 

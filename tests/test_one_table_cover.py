@@ -27,7 +27,7 @@ from nearcut.augment import (
     level_family,
     near_min_cuts_cover,
 )
-from nearcut.cut_structure import is_laminar, is_uncrossable
+from nearcut.cut_structure import SetFamily, is_laminar, is_uncrossable
 from nearcut.errors import InvariantError, NearcutError
 from nearcut.family_cover import (
     CoverInstance,
@@ -43,6 +43,8 @@ from nearcut.harness import make_augment_corpus
 from nearcut.multigraph import (
     EdgeRecord,
     Multigraph,
+    cut_masks,
+    cut_value_array,
     is_k_edge_connected,
     min_cut_value,
 )
@@ -76,7 +78,8 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
     g_cur = inst.base_graph
 
     for level, kind in _stages(lam0, k):
-        fam = level_family(g_cur, level, include_plus_one=(kind == "pair"))
+        fam = (level_family(g_cur, level) if kind == "pair" else SetFamily(
+            g_cur.n, cut_masks(cut_value_array(g_cur, weighted=True) == level)))
         if kind == "single" and level == lam0 and lam0 % 2 == 1 and len(fam):
             ok, wit = is_laminar(fam)
             if not ok:
