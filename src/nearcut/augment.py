@@ -23,9 +23,11 @@ each stage's family, its connectivity check and the final k-check from
 the cuts left.
 
 Pair stages go to the primal-dual cover (pd2, guarantee 2), single-level
-stages to ``family_cover.ring_cover_solver`` unless another slot is named,
-and every stage runs FGC's cover step; the end-to-end bound is the sum of
-the stage guarantees, reproduced symbolically by :func:`implemented_ratio_bound`.
+stages to ``family_cover.ring_cover_solver`` unless another slot is given,
+and every stage runs FGC's cover step.  Each stage logs the guarantee its
+cover solution reports; the end-to-end bound is their sum, checked against
+:func:`implemented_ratio_bound`.  A walk of more than :data:`MAX_STAGES`
+stages is refused with :class:`LimitError`.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import family_cover
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, LimitError
 from .cut_structure import SetFamily, is_laminar, is_uncrossable
-from .family_cover import PhaseLog, SolverSlot, _added_cost, _cover_phase, resolve_slot
+from .family_cover import PD2_SLOT, PhaseLog, SolverSlot, _added_cost, _cover_phase
 from .multigraph import (
     EdgeRecord,
     Multigraph,
@@ -51,6 +53,11 @@ from .multigraph import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Most stages one augmentation may walk, two levels each: past it a huge k
+# would walk for minutes after the last deficient cut is covered.  A fixed
+# constant, not a setting.
+MAX_STAGES = 10_000
 
 
 @dataclass(frozen=True)
@@ -181,21 +188,20 @@ def _uncrossed(g: Multigraph, added: Iterable[int], masks: np.ndarray,
 
 
 def near_min_cuts_cover(inst: AugmentInstance,
-                        single_solver: SolverSlot | str | None = None) -> AugmentResult:
+                        single_solver: SolverSlot | None = None) -> AugmentResult:
     """Run the staged cover; the result is verified k-connected.
 
-    Single-level stages (parity boundaries) go to ``single_solver``, by
-    default ``family_cover.ring_cover_solver`` as it is at call time,
-    {lam, lam+1} stages to pd2.  Laminarity of odd boundary families and
-    uncrossability of pair families are asserted, not assumed.
+    Single-level stages (parity boundaries) go to the slot
+    ``single_solver``, by default ``family_cover.ring_cover_solver`` as it
+    is at call time, {lam, lam+1} stages to pd2.  Laminarity of odd
+    boundary families and uncrossability of pair families are asserted,
+    not assumed.  Each stage logs the guarantee its solution reports.
 
     The only cut table read is the base graph's, the one that gave lam0
     (see the module docstring for why that suffices).
     """
     inst.validate()
-    single = (family_cover.ring_cover_solver if single_solver is None
-              else resolve_slot(single_solver))
-    pair = resolve_slot("pd2")
+    single = family_cover.ring_cover_solver if single_solver is None else single_solver
     lam0 = inst.lam0
     k = inst.k
     g = inst.graph
@@ -209,7 +215,10 @@ def near_min_cuts_cover(inst: AugmentInstance,
     hit[0] = False   # the empty set, not a cut
     masks, values = np.flatnonzero(hit) << 1, vals[hit]
 
-    for level, kind in _stages(lam0, k):
+    for count, (level, kind) in enumerate(_stages(lam0, k), 1):
+        if count > MAX_STAGES:
+            raise LimitError(f"raising connectivity from {lam0} to k = {k} walks more "
+                             f"than {MAX_STAGES} stages")
         top = level + 1 if kind == "pair" else level
         fam = SetFamily(g.n, masks[(values >= level) & (values <= top)].tolist())
         if kind == "single" and level == lam0 and lam0 % 2 == 1 and len(fam):
@@ -223,7 +232,7 @@ def near_min_cuts_cover(inst: AugmentInstance,
                 raise InvariantError(
                     "paired-level family is not uncrossable", witness=wit)
         stage = _cover_phase(level, kind, g, h, fam,
-                             pair if kind == "pair" else single)
+                             PD2_SLOT if kind == "pair" else single)
         stages.append(stage)
         if not len(fam):
             continue
@@ -239,7 +248,9 @@ def near_min_cuts_cover(inst: AugmentInstance,
         raise InvariantError("cover finished but the graph is not k-connected")
     chosen = tuple(sorted(h - base_ids))
     bound = sum((s.guarantee for s in stages), Fraction(0))
-    expected = implemented_ratio_bound(lam0, k, single.guarantee)
+    # single stages may report different guarantees: their mean keeps the count checked
+    singles = [s.guarantee for s in stages if s.name == "single"] or [Fraction(2)]
+    expected = implemented_ratio_bound(lam0, k, sum(singles) / len(singles))
     if bound != expected:
         raise InvariantError(f"stage accounting drifted: {bound} != {expected}")
     return AugmentResult(chosen=chosen, cost=_added_cost(g, chosen),

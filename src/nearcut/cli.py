@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .errors import InputError, InvariantError, NearcutError
 from .augment import AugmentInstance, near_min_cuts_cover
+from .family_cover import SOLVER_SLOTS
 from .fgc import FlexInstance, is_flex_connected, solve_fgc
 from .harness import (
     _SUITES,
@@ -78,7 +79,7 @@ def _cmd_solve_augment(args) -> int:
     inst = _load(args)
     aug = AugmentInstance(inst.graph, inst.k)
     t0 = time.perf_counter()
-    res = near_min_cuts_cover(aug, single_solver=args.single_level_solver)
+    res = near_min_cuts_cover(aug, SOLVER_SLOTS.get(args.single_level_solver))
     report = {
         "kind": "augment",
         "input": str(args.input),
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sa = solve_sub.add_parser("augment")
     p_sa.add_argument("--input", required=True)
     p_sa.add_argument("--k", type=int)
-    p_sa.add_argument("--single-level-solver", choices=("exact", "pd2"),
+    p_sa.add_argument("--single-level-solver", choices=sorted(SOLVER_SLOTS),
                       default=None, dest="single_level_solver")
     p_sa.add_argument("--out")
     p_sa.set_defaults(func=_cmd_solve_augment)

@@ -552,31 +552,22 @@ def minimal_cover(edges: Sequence, family: SetFamily) -> list:
 
 @dataclass(frozen=True)
 class SolverSlot:
-    """A cover solver with its advertised guarantee; ratio accounting
-    always reads the guarantee from the slot actually plugged in."""
+    """A named cover solver.  Its guarantee is the one each of its
+    solutions reports, and phase logs and ratio bounds read it there."""
 
     name: str
-    guarantee: Fraction
     solve: Callable[[CoverInstance], CoverSolution] = field(compare=False)
 
 
-PD2_SLOT = SolverSlot("pd2", Fraction(2), primal_dual_uncrossable_cover)
-EXACT_SLOT = SolverSlot("exact", Fraction(1), exact_min_cover)
+PD2_SLOT = SolverSlot("pd2", primal_dual_uncrossable_cover)
+EXACT_SLOT = SolverSlot("exact", exact_min_cover)
 
 SOLVER_SLOTS: dict[str, SolverSlot] = {s.name: s for s in (PD2_SLOT, EXACT_SLOT)}
 
 # Default slot for single-level (laminar / ring-like) families.  A sharper
-# solver can be plugged here; everything downstream picks up its guarantee.
+# solver can be plugged here; the guarantee its solutions report reaches
+# every phase log and bound downstream.
 ring_cover_solver: SolverSlot = PD2_SLOT
-
-
-def resolve_slot(slot) -> SolverSlot:
-    if isinstance(slot, SolverSlot):
-        return slot
-    try:
-        return SOLVER_SLOTS[slot]
-    except KeyError:
-        raise PreconditionError(f"unknown solver slot {slot!r}; known: {sorted(SOLVER_SLOTS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -612,12 +603,12 @@ def _cover_phase(level: int, name: str, g: Multigraph, h: set[int], fam: SetFami
                  slot: SolverSlot, pool: Optional[set[int]] = None,
                  solver: Optional[str] = None) -> PhaseLog:
     """Cover ``fam`` from the edges of ``g`` outside ``pool`` (default: H),
-    add the chosen edges H lacks, and log them."""
-    if not len(fam):
-        return PhaseLog(level, name, 0, "none", 0, slot.guarantee, ())
-    cands = _candidates_outside(g, h if pool is None else pool)
+    add the chosen edges H lacks, and log them with the guarantee the
+    solution reports.  An empty family needs no candidate: its solve is
+    one trivial call, logged as solver ``"none"``."""
+    cands = _candidates_outside(g, h if pool is None else pool) if len(fam) else ()
     sol = slot.solve(CoverInstance(g.n, cands, fam))
     new_ids = tuple(i for i in sol.chosen if i not in h)
     h.update(new_ids)
-    return PhaseLog(level, name, len(fam), solver or sol.method,
-                    _added_cost(g, new_ids), slot.guarantee, new_ids, sol.nodes_explored)
+    return PhaseLog(level, name, len(fam), (solver or sol.method) if len(fam) else "none",
+                    _added_cost(g, new_ids), sol.guarantee, new_ids, sol.nodes_explored)

@@ -28,8 +28,9 @@ reads it:
     weighted  >= 3  any    uncrossable decides    pd2, else exact
                                                   ("exact-fallback") -> F{L}
 
-A weighted solve at q = 0 is the spanning step alone.  Guarantees
-compose additively and every structural claim is asserted at runtime.
+A weighted solve at q = 0 is the spanning step alone.  Each cover phase
+logs the guarantee its solution reports, guarantees compose additively,
+and every structural claim is asserted at runtime.
 """
 
 from __future__ import annotations
@@ -60,13 +61,14 @@ from . import family_cover
 from .family_cover import (
     CoverInstance,
     CoverSolution,
+    EXACT_SLOT,
+    PD2_SLOT,
     PhaseLog,
     SolverSlot,
     _added_cost,
     _cover_phase,
     cover_symmetric_crossing,
     minimal_cover,
-    resolve_slot,
 )
 from .multigraph import (
     Multigraph,
@@ -388,7 +390,7 @@ def _minimal_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
             raise InvariantError(
                 f"phase {level} added {len(ids)} edges > n - 1 = {g.n - 1}")
         return CoverSolution(ids, len(ids), "minimal-cover", Fraction(2, k))
-    slot = SolverSlot("minimal-cover", Fraction(2, k), solve)
+    slot = SolverSlot("minimal-cover", solve)
     return [_cover_phase(level, f"F{level}", g, h, fam, slot)]
 
 
@@ -400,7 +402,7 @@ def _structured_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
         ok, wit = is_laminar(fam)
         shape = "laminar for odd k"
     else:
-        slot = resolve_slot("pd2")
+        slot = PD2_SLOT
         ok, wit = is_uncrossable(fam)
         shape = "uncrossable for even k"
     if not ok:
@@ -417,18 +419,17 @@ def _split_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
         split = decompose_F2_odd(g, h, k)
         parts = (split.f_prime, split.f_dprime)
     pool = set(h)
-    symmetric = SolverSlot("symmetric", Fraction(2), cover_symmetric_crossing)
-    return [_cover_phase(level, "F2-uncrossable", g, h, parts[0], resolve_slot("pd2"),
-                         pool),
+    symmetric = SolverSlot("symmetric", cover_symmetric_crossing)
+    return [_cover_phase(level, "F2-uncrossable", g, h, parts[0], PD2_SLOT, pool),
             _cover_phase(level, "F2-symmetric", g, h, parts[1], symmetric, pool)]
 
 
 def _fallback_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
                     level: int) -> list[PhaseLog]:
     if len(fam) and not is_uncrossable(fam)[0]:
-        return [_cover_phase(level, f"F{level}", g, h, fam, resolve_slot("exact"),
+        return [_cover_phase(level, f"F{level}", g, h, fam, EXACT_SLOT,
                              solver="exact-fallback")]
-    return [_cover_phase(level, f"F{level}", g, h, fam, resolve_slot("pd2"))]
+    return [_cover_phase(level, f"F{level}", g, h, fam, PD2_SLOT)]
 
 
 def _level_handler(unit_cost: bool, k: int, q: int, level: int):

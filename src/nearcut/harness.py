@@ -238,7 +238,10 @@ class RatioReport:
 
     @property
     def violated(self) -> bool:
-        return (not self.feasible) or self.ratio > self.bound
+        # ratio reads 0 against a zero-cost optimum, so any cost above it
+        # is a violation of its own
+        return (not self.feasible or self.ratio > self.bound
+                or self.oracle_cost == 0 < self.algorithm_cost)
 
     def to_json_obj(self) -> dict:
         """Every field by name: Fractions as [num, den], tuples as lists."""
@@ -690,10 +693,16 @@ def _suite_ratios(cfg: dict) -> dict:
                 violations.append(f"{iid}: primal-dual output is not a cover")
 
     for rec in records:
-        if rec.violated:
+        if not rec.violated:
+            continue
+        if not rec.feasible:
+            violations.append(f"{rec.instance_id}: infeasible output")
+        elif rec.oracle_cost == 0:
+            violations.append(f"{rec.instance_id}: cost {rec.algorithm_cost} against "
+                              "a zero-cost optimum")
+        else:
             violations.append(
-                f"{rec.instance_id}: ratio {rec.ratio} exceeds bound {rec.bound}"
-                if rec.feasible else f"{rec.instance_id}: infeasible output")
+                f"{rec.instance_id}: ratio {rec.ratio} exceeds bound {rec.bound}")
     return _suite_report("ratios", cfg, {"records": len(records), **extra_checks},
                          violations, records=[r.to_json_obj() for r in records])
 

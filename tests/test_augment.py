@@ -17,6 +17,7 @@ from nearcut import (
 )
 from nearcut import augment
 from nearcut.augment import _stages
+from nearcut.family_cover import EXACT_SLOT, PD2_SLOT
 from nearcut.harness import exact_augment, make_augment_corpus
 
 from conftest import c4, g_from
@@ -203,8 +204,8 @@ def test_single_level_solver_slot_changes_bound():
     edges = [(0, 1, 0, 1, 0, 1), (1, 2, 0, 1, 0, 1),
              (0, 2, 5, 1, 0, 0), (0, 1, 2, 1, 0, 0), (1, 2, 3, 1, 0, 0)]
     inst = AugmentInstance(Multigraph.from_edges(3, edges), 2)
-    pd = near_min_cuts_cover(inst, single_solver="pd2")
-    ex = near_min_cuts_cover(inst, single_solver="exact")
+    pd = near_min_cuts_cover(inst, single_solver=PD2_SLOT)
+    ex = near_min_cuts_cover(inst, single_solver=EXACT_SLOT)
     assert pd.bound == Fraction(2) and ex.bound == Fraction(1)
     assert ex.cost <= pd.cost
     assert exact_augment(inst).cost == ex.cost

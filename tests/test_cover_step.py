@@ -21,7 +21,7 @@ from typing import Iterable, Optional
 
 import pytest
 
-from nearcut import family_cover, fgc
+from nearcut import augment, family_cover, fgc
 from nearcut.augment import (
     AugmentInstance,
     AugmentResult,
@@ -32,16 +32,18 @@ from nearcut.augment import (
     near_min_cuts_cover,
 )
 from nearcut.cut_structure import SetFamily, decompose_F2_odd, is_laminar, is_uncrossable
-from nearcut.errors import InputError, InvariantError, NearcutError
+from nearcut.errors import InputError, InvariantError, LimitError, NearcutError
 from nearcut.family_cover import (
     EXACT_SLOT,
+    PD2_SLOT,
+    SOLVER_SLOTS,
     Candidate,
     CoverInstance,
     CoverSolution,
     PhaseLog,
     SolverSlot,
     exact_min_cover,
-    resolve_slot,
+    primal_dual_uncrossable_cover,
 )
 from nearcut.fgc import enumerate_Fq, solve_fgc
 from nearcut.harness import make_augment_corpus, make_fgc_corpus, make_flex_corpus
@@ -59,11 +61,18 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
-# References, verbatim apart from the name of the staged cover
+# References, verbatim apart from the name of the staged cover and from
+# where a guarantee is read: slots no longer state one, so each stage
+# takes the guarantee its solver reports, on an empty family too.
+
+
+def reported(slot: SolverSlot, n: int, fam: SetFamily) -> Fraction:
+    """The guarantee ``slot`` reports for an empty family."""
+    return slot.solve(CoverInstance(n, (), fam)).guarantee
 
 
 def reference_near_min_cuts_cover(inst: AugmentInstance,
-                                  single_solver: SolverSlot | str = "pd2") -> AugmentResult:
+                                  single_solver: SolverSlot = PD2_SLOT) -> AugmentResult:
     """Run the staged cover; the result is verified k-connected.
 
     Single-level stages (parity boundaries) go to ``single_solver``,
@@ -71,8 +80,8 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
     uncrossability of pair families are asserted, not assumed.
     """
     inst.validate()
-    single = resolve_slot(single_solver)
-    pair = resolve_slot("pd2")
+    single = single_solver
+    pair = SOLVER_SLOTS["pd2"]
     lam0 = inst.lam0
     k = inst.k
     plan = list(_stages(lam0, k))
@@ -88,7 +97,6 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
         fam = (level_family(g_cur, level) if kind == "pair" else SetFamily(
             g_cur.n, cut_masks(cut_value_array(g_cur, weighted=True) == level)))
         slot = pair if kind == "pair" else single
-        bound += slot.guarantee
         if kind == "single" and level == lam0 and lam0 % 2 == 1 and len(fam):
             ok, wit = is_laminar(fam)
             if not ok:
@@ -100,15 +108,18 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
                 raise InvariantError(
                     "paired-level family is not uncrossable", witness=wit)
         if len(fam) == 0:
-            stages.append(PhaseLog(level, kind, 0, "none", 0, slot.guarantee, ()))
+            guarantee = reported(slot, inst.graph.n, fam)
+            bound += guarantee
+            stages.append(PhaseLog(level, kind, 0, "none", 0, guarantee, ()))
             continue
         cands = tuple(Candidate(i, inst.graph.edges[i].u, inst.graph.edges[i].v,
                                 inst.graph.edges[i].cost)
                       for i in inst.candidate_ids if i not in chosen)
         sol = slot.solve(CoverInstance(inst.graph.n, cands, fam))
+        bound += sol.guarantee
         chosen.update(sol.chosen)
         stages.append(PhaseLog(level, kind, len(fam), sol.method, sol.cost,
-                               slot.guarantee, tuple(sorted(sol.chosen))))
+                               sol.guarantee, tuple(sorted(sol.chosen))))
         target = level + (2 if kind == "pair" else 1)
         g_cur = inst.current_graph(chosen)
         new_conn = min_cut_value(g_cur, weighted=True)
@@ -119,7 +130,8 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
     if plan and not is_k_edge_connected(g_cur, k, weighted=True):
         raise InvariantError("cover finished but the graph is not k-connected")
     cost = sum(inst.graph.edges[i].cost for i in chosen)
-    expected = implemented_ratio_bound(lam0, k, single.guarantee)
+    expected = implemented_ratio_bound(lam0, k, next(
+        (s.guarantee for s in stages if s.name == "single"), Fraction(2)))
     if bound != expected:
         raise InvariantError(f"stage accounting drifted: {bound} != {expected}")
     return AugmentResult(chosen=tuple(sorted(chosen)), cost=cost,
@@ -141,13 +153,13 @@ def _cover_phase(level: int, name: str, g: Multigraph, h: set[int], fam: SetFami
     """Cover ``fam`` from the edges outside ``pool`` (default: H), add the
     chosen edges H lacks, and log them."""
     if not len(fam):
-        return PhaseLog(level, name, 0, "none", 0, slot.guarantee, ())
+        return PhaseLog(level, name, 0, "none", 0, reported(slot, g.n, fam), ())
     cands = _candidates_outside(g, h if pool is None else pool)
     sol = slot.solve(CoverInstance(g.n, cands, fam))
     new_ids = tuple(i for i in sol.chosen if i not in h)
     h.update(new_ids)
     return PhaseLog(level, name, len(fam), solver or sol.method, _added_cost(g, new_ids),
-                    slot.guarantee, new_ids)
+                    sol.guarantee, new_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +204,8 @@ def test_corpus_covers_every_parity_and_some_failures():
 
 
 @pytest.mark.parametrize("single, reference_single", [
-    (None, "pd2"), ("pd2", "pd2"), ("exact", "exact"), (EXACT_SLOT, EXACT_SLOT),
+    (None, PD2_SLOT), (SOLVER_SLOTS["pd2"], PD2_SLOT),
+    (SOLVER_SLOTS["exact"], EXACT_SLOT), (EXACT_SLOT, EXACT_SLOT),
 ], ids=["default", "pd2", "exact", "exact-slot"])
 def test_staged_cover_matches_the_reference(single, reference_single):
     for iid, inst in CORPUS:
@@ -237,7 +250,7 @@ def test_plugged_ring_slot_reaches_augment_single_stages(monkeypatch):
     def three_halves(ci: CoverInstance) -> CoverSolution:
         sol = exact_min_cover(ci)
         return CoverSolution(sol.chosen, sol.cost, "ring-3/2", Fraction(3, 2))
-    plugged = SolverSlot("ring", Fraction(3, 2), three_halves)
+    plugged = SolverSlot("ring", three_halves)
     monkeypatch.setattr(family_cover, "ring_cover_solver", plugged)
     seen = 0
     for iid, inst in CORPUS[:60:2]:
@@ -256,18 +269,37 @@ def test_plugged_ring_slot_reaches_augment_single_stages(monkeypatch):
 def test_slot_default_is_read_at_call_time(monkeypatch):
     inst = next(inst for _iid, inst in CORPUS if inst.lam0 == 1 and inst.k == 3)
     default = near_min_cuts_cover(inst)
-    assert default == near_min_cuts_cover(inst, "pd2")
+    assert default == near_min_cuts_cover(inst, PD2_SLOT)
     monkeypatch.setattr(family_cover, "ring_cover_solver", EXACT_SLOT)
-    assert near_min_cuts_cover(inst) == near_min_cuts_cover(inst, "exact")
+    assert near_min_cuts_cover(inst) == near_min_cuts_cover(inst, EXACT_SLOT)
     assert near_min_cuts_cover(inst).bound == 2 < default.bound
 
 
+def test_single_stages_may_report_different_guarantees():
+    """A solver whose guarantee depends on the run: 1 on its first call,
+    2 after.  Both single stages of lam0 = 1, k = 3 count what they
+    report, and the drift check still holds."""
+    calls = []
+
+    def first_exact(ci: CoverInstance) -> CoverSolution:
+        calls.append(ci)
+        sol = exact_min_cover(ci)
+        return CoverSolution(sol.chosen, sol.cost, "run", Fraction(min(len(calls), 2)))
+    inst = next(inst for _iid, inst in CORPUS if inst.lam0 == 1 and inst.k == 3)
+    res = near_min_cuts_cover(inst, SolverSlot("run", first_exact))
+    assert [s.guarantee for s in res.stages] == [1, 2]
+    assert res.bound == 3 == implemented_ratio_bound(1, 3, Fraction(3, 2))
+
+
 def test_pair_slot_off_its_accounted_guarantee_is_caught(monkeypatch):
-    """The bound sums the stage guarantees; a pd2 slot that advertises
+    """The bound sums the stage guarantees; a pd2 whose solutions report
     anything but the 2 that ``implemented_ratio_bound`` assumes drifts."""
-    pd2 = family_cover.SOLVER_SLOTS["pd2"]
-    monkeypatch.setitem(family_cover.SOLVER_SLOTS, "pd2",
-                        SolverSlot("pd2", Fraction(3), pd2.solve))
+    def three(ci: CoverInstance) -> CoverSolution:
+        sol = primal_dual_uncrossable_cover(ci)
+        return CoverSolution(sol.chosen, sol.cost, sol.method, Fraction(3), sol.duals)
+    off = SolverSlot("pd2", three)
+    monkeypatch.setattr(augment, "PD2_SLOT", off)
+    monkeypatch.setitem(family_cover.SOLVER_SLOTS, "pd2", off)
     inst = next(inst for _iid, inst in CORPUS if inst.lam0 == 2 and inst.k == 4)
     for solve in (near_min_cuts_cover, reference_near_min_cuts_cover):
         with pytest.raises(InvariantError, match="stage accounting drifted: 3 != 2"):
@@ -303,6 +335,37 @@ def test_huge_k_fails_at_the_first_stage(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == ("error: family member crossed by no candidate "
                            "(witness cut nodes [1])\n")
+
+
+def _cycle_instance(k: int, cap: int) -> str:
+    """A 4-cycle base (lam0 = 2) and a candidate 4-cycle at capacity ``cap``."""
+    return (f"4 8 {k} 0\n" + "".join(f"{u} {(u + 1) % 4} 0 1 0 1\n" for u in range(4))
+            + "".join(f"{u} {(u + 1) % 4} 1 {cap} 0 0\n" for u in range(4)))
+
+
+def test_huge_k_walk_is_refused_past_the_stage_limit(tmp_path):
+    """The first stage covers every deficient cut of k = 2^62 + 2, which
+    leaves about 2^61 empty stages to walk: the walk stops past
+    ``MAX_STAGES`` with one error line, under the same memory cap."""
+    path = tmp_path / "huge.txt"
+    path.write_text(_cycle_instance(2 ** 62 + 2, 2 ** 62))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nearcut", "solve", "augment", "--input", str(path)],
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+        env={"PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: raising connectivity from 2 to k = {2 ** 62 + 2} "
+                           f"walks more than {augment.MAX_STAGES} stages\n")
+
+
+def test_stage_limit_counts_every_stage(monkeypatch):
+    monkeypatch.setattr(augment, "MAX_STAGES", 3)
+    at_limit = AugmentInstance(parse_instance(_cycle_instance(8, 6)).graph, 8)
+    assert len(near_min_cuts_cover(at_limit).stages) == 3
+    past = AugmentInstance(parse_instance(_cycle_instance(9, 7)).graph, 9)
+    with pytest.raises(LimitError, match="from 2 to k = 9 walks more than 3 stages"):
+        near_min_cuts_cover(past)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +437,7 @@ def test_kecss_is_the_level_zero_phase():
 def test_stages_carry_the_nodes_of_an_exact_cover():
     seen = 0
     for iid, inst in CORPUS[:80:2]:
-        res = _outcome(near_min_cuts_cover, inst, "exact")
+        res = _outcome(near_min_cuts_cover, inst, EXACT_SLOT)
         if res[0] == "error":
             continue
         for s in res[0]:

@@ -19,7 +19,7 @@ from nearcut import (
     primal_dual_uncrossable_cover,
 )
 from nearcut.errors import BudgetError
-from nearcut.family_cover import SOLVER_SLOTS, resolve_slot
+from nearcut.family_cover import EXACT_SLOT, PD2_SLOT, SOLVER_SLOTS
 from nearcut.multigraph import edge_crosses
 
 from conftest import c4, canonical_subsets, random_multigraph
@@ -313,8 +313,8 @@ def test_cover_instance_refuses_non_integers(u, v, cost):
 
 
 def test_solver_slots():
-    assert resolve_slot("pd2").guarantee == Fraction(2)
-    assert resolve_slot("exact").guarantee == Fraction(1)
-    assert resolve_slot(SOLVER_SLOTS["pd2"]) is SOLVER_SLOTS["pd2"]
-    with pytest.raises(PreconditionError):
-        resolve_slot("nope")
+    assert SOLVER_SLOTS == {"pd2": PD2_SLOT, "exact": EXACT_SLOT}
+    for family in (None, SetFamily(4, ())):
+        inst = chord_instance(family)
+        assert SOLVER_SLOTS["pd2"].solve(inst).guarantee == Fraction(2)
+        assert SOLVER_SLOTS["exact"].solve(inst).guarantee == Fraction(1)

@@ -5,7 +5,9 @@
 check / cover / re-check loop.  ``solve_fgc`` is now the only entry
 point, and one structure table picks the handler of each level.  The
 first versions are copied here verbatim (only the names carry a
-``reference_`` prefix) and every solution, each phase log included,
+``reference_`` prefix, and a guarantee is read from the solution or,
+for an empty family, from what the slot's solver reports on it, since
+slots no longer state one) and every solution, each phase log included,
 must equal theirs; so must the error and witness of a phase that fails
 to clear its family.
 """
@@ -42,7 +44,7 @@ from nearcut import (
     minimal_cover,
     solve_fgc,
 )
-from nearcut.family_cover import Candidate, resolve_slot
+from nearcut.family_cover import SOLVER_SLOTS, Candidate
 from nearcut.fgc import FlexSolution, PhaseLog
 
 
@@ -65,13 +67,18 @@ def _cover_with(slot: SolverSlot, g: Multigraph, h_ids: set[int],
     return slot.solve(inst)
 
 
+def _reported(slot: SolverSlot, g: Multigraph, fam: SetFamily) -> Fraction:
+    """The guarantee ``slot`` reports for an empty family."""
+    return slot.solve(CoverInstance(g.n, (), fam)).guarantee
+
+
 def reference_iterative_cover(inst: FlexInstance, kecss_mode: str = "approx2",
-                              cover_slot: SolverSlot | str = "pd2") -> FlexSolution:
+                              cover_slot: str = "pd2") -> FlexSolution:
     """Seed with a k-edge-connected subgraph, then cover each blocking
     family in turn.  The cover solver falls back to the exact oracle
     when a phase family is not uncrossable."""
     g, k, q = inst.graph, inst.k, inst.q
-    slot = resolve_slot(cover_slot)
+    slot = SOLVER_SLOTS[cover_slot]
     base = kecss(g, k, kecss_mode)
     h: set[int] = set(base.added)
     phases = [PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
@@ -79,16 +86,17 @@ def reference_iterative_cover(inst: FlexInstance, kecss_mode: str = "approx2",
     for level in range(1, q + 1):
         fam = enumerate_Fq(g, h, k, level)
         if len(fam) == 0:
-            phases.append(PhaseLog(level, f"F{level}", 0, "none", 0, slot.guarantee, ()))
+            phases.append(PhaseLog(level, f"F{level}", 0, "none", 0,
+                                   _reported(slot, g, fam), ()))
             continue
         ok, _ = is_uncrossable(fam)
-        use = slot if ok else resolve_slot("exact")
+        use = slot if ok else SOLVER_SLOTS["exact"]
         sol = _cover_with(use, g, h, fam)
         new_ids = tuple(i for i in sol.chosen if i not in h)
         h.update(new_ids)
         phases.append(PhaseLog(level, f"F{level}", len(fam),
                                sol.method if ok else "exact-fallback",
-                               _added_cost(g, new_ids), use.guarantee, new_ids))
+                               _added_cost(g, new_ids), sol.guarantee, new_ids))
         left = enumerate_Fq(g, h, k, level)
         if len(left):
             raise InvariantError(f"phase {level} did not clear its blocking family",
@@ -102,7 +110,7 @@ def reference_iterative_cover(inst: FlexInstance, kecss_mode: str = "approx2",
 
 
 def reference_solve_k1(inst: FlexInstance, kecss_mode: str = "approx2",
-                       single_slot: SolverSlot | str | None = None) -> FlexSolution:
+                       single_slot: SolverSlot | None = None) -> FlexSolution:
     """One cover phase after the spanning step; q must be 1.
 
     The blocking family is asserted laminar for odd k and uncrossable
@@ -112,7 +120,7 @@ def reference_solve_k1(inst: FlexInstance, kecss_mode: str = "approx2",
     if inst.q != 1:
         raise InputError(f"solve_k1 needs q = 1, got q = {inst.q}")
     g, k = inst.graph, inst.k
-    slot = resolve_slot(single_slot) if single_slot is not None else ring_cover_solver
+    slot = single_slot if single_slot is not None else ring_cover_solver
     base = kecss(g, k, kecss_mode)
     h: set[int] = set(base.added)
     phases = [PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
@@ -129,15 +137,15 @@ def reference_solve_k1(inst: FlexInstance, kecss_mode: str = "approx2",
         if not ok:
             raise InvariantError("level-1 family is not uncrossable for even k",
                                  witness=wit)
-        use = resolve_slot("pd2")
+        use = SOLVER_SLOTS["pd2"]
     if len(fam):
         sol = _cover_with(use, g, h, fam)
         new_ids = tuple(i for i in sol.chosen if i not in h)
         h.update(new_ids)
         phases.append(PhaseLog(1, "F1", len(fam), sol.method,
-                               _added_cost(g, new_ids), use.guarantee, new_ids))
+                               _added_cost(g, new_ids), sol.guarantee, new_ids))
     else:
-        phases.append(PhaseLog(1, "F1", 0, "none", 0, use.guarantee, ()))
+        phases.append(PhaseLog(1, "F1", 0, "none", 0, _reported(use, g, fam), ()))
     ok, wit = is_flex_connected(g, h, k, 1)
     if not ok:
         raise InvariantError("solve_k1 produced an infeasible subgraph", witness=wit)
@@ -158,7 +166,7 @@ def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexS
     if inst.q != 2:
         raise InputError(f"solve_k2 needs q = 2, got q = {inst.q}")
     g, k = inst.graph, inst.k
-    pd = resolve_slot("pd2")
+    pd = SOLVER_SLOTS["pd2"]
     base = kecss(g, k, kecss_mode)
     h: set[int] = set(base.added)
     phases = [PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
@@ -180,9 +188,9 @@ def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexS
         new_ids = tuple(i for i in sol.chosen if i not in h)
         h.update(new_ids)
         phases.append(PhaseLog(1, "F1", len(fam1), sol.method,
-                               _added_cost(g, new_ids), slot1.guarantee, new_ids))
+                               _added_cost(g, new_ids), sol.guarantee, new_ids))
     else:
-        phases.append(PhaseLog(1, "F1", 0, "none", 0, slot1.guarantee, ()))
+        phases.append(PhaseLog(1, "F1", 0, "none", 0, _reported(slot1, g, fam1), ()))
 
     ok, wit = is_flex_connected(g, h, k, 1)
     if not ok:
@@ -200,12 +208,13 @@ def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexS
             new_ids = tuple(i for i in sol.chosen if i not in h)
             h.update(new_ids)
             phases.append(PhaseLog(2, "F2", len(fam2), sol.method,
-                                   _added_cost(g, new_ids), pd.guarantee, new_ids))
+                                   _added_cost(g, new_ids), sol.guarantee, new_ids))
         else:
-            phases.append(PhaseLog(2, "F2", 0, "none", 0, pd.guarantee, ()))
+            phases.append(PhaseLog(2, "F2", 0, "none", 0, _reported(pd, g, fam2), ()))
     else:
         if len(fam2) == 0:
-            phases.append(PhaseLog(2, "F2-uncrossable", 0, "none", 0, pd.guarantee, ()))
+            phases.append(PhaseLog(2, "F2-uncrossable", 0, "none", 0,
+                                   _reported(pd, g, fam2), ()))
             phases.append(PhaseLog(2, "F2-symmetric", 0, "none", 0, Fraction(2), ()))
         else:
             split = decompose_F2_odd(g, h, k)
@@ -213,12 +222,14 @@ def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexS
             if len(split.f_prime):
                 sol_p = _cover_with(pd, g, pool_h, split.f_prime)
                 new_p = tuple(i for i in sol_p.chosen if i not in h)
+                guarantee_p = sol_p.guarantee
             else:
                 sol_p, new_p = None, ()
+                guarantee_p = _reported(pd, g, split.f_prime)
             h.update(new_p)
             phases.append(PhaseLog(2, "F2-uncrossable", len(split.f_prime),
                                    sol_p.method if sol_p else "none",
-                                   _added_cost(g, new_p), pd.guarantee, new_p))
+                                   _added_cost(g, new_p), guarantee_p, new_p))
             if len(split.f_dprime):
                 inst2 = CoverInstance(g.n, _candidates_outside(g, pool_h),
                                       split.f_dprime)
@@ -425,7 +436,10 @@ def test_ring_slot_is_read_at_call_time(monkeypatch):
         if len(enumerate_Fq(g, kecss(g, 1).added, 1, 1)):
             break
     inst = FlexInstance(g, 1, 1)
-    plugged = SolverSlot("ring", Fraction(3, 2), family_cover.exact_min_cover)
+    def three_halves(ci: CoverInstance) -> CoverSolution:
+        sol = family_cover.exact_min_cover(ci)
+        return CoverSolution(sol.chosen, sol.cost, sol.method, Fraction(3, 2))
+    plugged = SolverSlot("ring", three_halves)
     monkeypatch.setattr(family_cover, "ring_cover_solver", plugged)
     sol = solve_fgc(inst)
     assert sol.phases[1].guarantee == Fraction(3, 2)
@@ -437,8 +451,8 @@ def test_uncleared_family_reports_its_first_member(monkeypatch, q):
     inst = nonempty_level1_instance(q)
     h = kecss(inst.graph, inst.k).added
     first = enumerate_Fq(inst.graph, h, inst.k, 1).members[0]
-    idle = SolverSlot("pd2", Fraction(2),
-                      lambda ci: CoverSolution((), 0, "idle", Fraction(2)))
+    idle = SolverSlot("pd2", lambda ci: CoverSolution((), 0, "idle", Fraction(2)))
+    monkeypatch.setattr(fgc, "PD2_SLOT", idle)
     monkeypatch.setitem(family_cover.SOLVER_SLOTS, "pd2", idle)
     with pytest.raises(InvariantError) as err:
         solve_fgc(inst)

@@ -3,24 +3,29 @@ import logging
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from nearcut import (
+    AugmentInstance,
+    AugmentResult,
     FlexInstance,
     GenSpec,
     InfeasibleError,
     InputError,
     Instance,
     LimitError,
+    Multigraph,
     generate,
     kecss,
     load_instance,
     run_suite,
     save_instance,
 )
+from nearcut import harness
 from nearcut.cli import main
 from nearcut.harness import exact_fgc, strip_wall_times
 from nearcut.io import instance_to_text
@@ -112,6 +117,31 @@ def test_ratio_suite_records_are_exact():
         num, den = rec["ratio"]
         bnum, bden = rec["bound"]
         assert num * bden <= bnum * den  # exact rational comparison
+
+
+def test_paying_against_a_zero_cost_optimum_is_a_violation(tmp_path, monkeypatch,
+                                                           capsys):
+    """Candidates that cost 0 make the optimum free; a solver that pays 1
+    fails the record, the ratio suite and bench, though its ratio reads 0."""
+    edges = [(0, 1, 0, 1, 0, 1), (1, 2, 0, 1, 0, 1), (0, 2, 0, 1, 0, 0)]
+    inst = AugmentInstance(Multigraph.from_edges(3, edges), 2)
+    monkeypatch.setattr(harness, "near_min_cuts_cover", lambda inst: AugmentResult(
+        chosen=(2,), cost=1, stages=(), bound=Fraction(1), lam0=1))
+    rec = harness.augment_record("free", inst)
+    assert rec.oracle_cost == 0 and rec.algorithm_cost == 1 and rec.violated
+
+    monkeypatch.setattr(harness, "make_augment_corpus",
+                        lambda count, seed: [("free", inst)])
+    rep = run_suite("ratios", {"kind": "augment", "augment_count": 1})
+    assert not rep["pass"]
+    assert rep["violations"] == ["free: cost 1 against a zero-cost optimum"]
+
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    save_instance(Instance(inst.graph, 2, 0), corpus / "free.txt")
+    assert main(["bench", "--corpus", str(corpus)]) == 1
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary == {"instances": 1, "violations": ["free.txt"]}
 
 
 # ---------------------------------------------------------------------------

@@ -43,14 +43,15 @@ def pairs(n: int, max_size: int):
 
 
 @st.composite
-def flex_instances(draw, unit: bool) -> FlexInstance:
-    """n = 3..7, k = 1..3, q = 0..2: ceil((k + q) / 2) random spanning
+def flex_instances(draw, unit: bool, qs=st.integers(0, 2)) -> FlexInstance:
+    """n = 3..7, k = 1..3, q from ``qs``: ceil((k + q) / 2) random spanning
     cycles (so every cut holds k + q edges and the instance is feasible)
     plus up to three random edges, with random unsafe flags and costs
-    1..9 (all 1 when ``unit``)."""
+    1..9 (all 1 when ``unit``).  At q = 3 that is at most 24 edges, within
+    the oracle's limit."""
     n = draw(st.integers(3, 7))
     k = draw(st.integers(1, 3))
-    q = draw(st.integers(0, 2))
+    q = draw(qs)
     ends = []
     for _ in range((k + q + 1) // 2):
         ends += cycle(draw(st.permutations(range(n))))
@@ -103,6 +104,20 @@ def test_property_weighted_fgc_is_feasible_within_its_guarantee(inst):
 @settings(max_examples=100, deadline=None)
 @given(flex_instances(unit=True))
 def test_property_unit_cost_fgc_is_feasible_within_its_guarantee(inst):
+    assert_flex_solution(inst, unit=True)
+
+
+# q = 3 takes the generic plan (pd2, or the exact fallback on a family
+# that is not uncrossable); its exact optimum costs more, so fewer examples.
+@settings(max_examples=80, deadline=None)
+@given(flex_instances(unit=False, qs=st.just(3)))
+def test_property_weighted_fgc_at_q3_is_feasible_within_its_guarantee(inst):
+    assert_flex_solution(inst, unit=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(flex_instances(unit=True, qs=st.just(3)))
+def test_property_unit_cost_fgc_at_q3_is_feasible_within_its_guarantee(inst):
     assert_flex_solution(inst, unit=True)
 
 
