@@ -346,7 +346,9 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
     Requires an uncrossable family (checked, witness reported).  Duals
     are exact rationals; the returned guarantee is 2, and the dual
     certificate behind it is checked by :func:`certify_primal_dual`
-    before the solution is returned.
+    before the solution is returned.  A family with a member that holds
+    node 0 is solved over its ``canonical()`` form, which is uncrossable
+    exactly when it is, so the duals sit on the rooted members.
 
     Member and candidate sets are bitsets over their positions.  The
     members strictly inside member j are precomputed, so j is minimal
@@ -357,6 +359,8 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
     ok, wit = is_uncrossable(inst.family)
     if not ok:
         raise PreconditionError("family is not uncrossable", witness=wit)
+    if any(m & 1 for m in inst.family.members):
+        inst = CoverInstance(inst.n, inst.candidates, inst.family.canonical())
     cands = inst.candidates
     members = inst.family.members
     inside, cand_bits, member_bits = inst.crossings

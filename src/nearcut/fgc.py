@@ -80,6 +80,8 @@ from .multigraph import (
 logger = logging.getLogger(__name__)
 
 DEFAULT_NODE_BUDGET = 5_000_000
+# What the oracle and the solver both say when G itself fails the level.
+NOT_FLEX_CONNECTED = "graph itself is not flex-connected at the requested level"
 
 
 @dataclass(frozen=True)
@@ -256,9 +258,7 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
 
     first_bad = first_violated(all_bits)
     if first_bad is not None:
-        raise InfeasibleError(
-            "graph itself is not flex-connected at the requested level",
-            witness=first_bad << 1)
+        raise InfeasibleError(NOT_FLEX_CONNECTED, witness=first_bad << 1)
 
     def breaks(bits: int, edge: int) -> bool:
         """Whether ``bits`` violates a cut that the edge bit ``edge`` crosses."""
@@ -454,7 +454,8 @@ def solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
     the same for the last level.  A weighted solve at q = 0 is the
     spanning step alone and skips that check: the seed is k-edge-
     connected by construction, and the check would cost about half of
-    such a solve.
+    such a solve.  A level's cover that fails on a G that is not itself
+    (k, q)-flex-connected raises the oracle's error, with G's first bad cut.
     """
     g, k, q = inst.graph, inst.k, inst.q
     if unit_cost and not inst.unit_cost:
@@ -472,7 +473,13 @@ def solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
                 raise InvariantError(
                     f"phase {level - 1} did not clear its blocking family",
                     witness=exc.witness) from exc
-            phases += _level_handler(unit_cost, k, q, level)(g, h, fam, k, level)
+            try:
+                phases += _level_handler(unit_cost, k, q, level)(g, h, fam, k, level)
+            except (InfeasibleError, PreconditionError) as exc:
+                wit = _first_bad_cut(*_flex_arrays(g), k, q)
+                if wit is None:
+                    raise
+                raise InfeasibleError(NOT_FLEX_CONNECTED, witness=wit) from exc
         ok, wit = is_flex_connected(g, h, k, q)
         if not ok:
             raise InvariantError(f"subgraph is not (k={k}, q={q})-flex-connected "

@@ -53,13 +53,12 @@ from .fgc import (
     solve_fgc,
 )
 from .multigraph import (
-    _LIMIT_ENV,
+    EXHAUSTIVE_LIMIT,
     EdgeRecord,
     Multigraph,
     canonical_mask,
     cut_masks,
     cut_value_array,
-    exhaustive_limit,
     is_connected,
     min_cut_value,
     nodes_from_mask,
@@ -94,7 +93,7 @@ def generate(spec: GenSpec) -> Multigraph:
     """Seeded random multigraph, retried until connected.
 
     Every range is checked before the first draw, and ``n_max`` may not
-    exceed :func:`~nearcut.multigraph.exhaustive_limit`.
+    exceed :data:`~nearcut.multigraph.EXHAUSTIVE_LIMIT`.
     """
     if not (1 <= spec.n_min <= spec.n_max):
         raise InputError("bad node count range")
@@ -111,13 +110,12 @@ def generate(spec: GenSpec) -> Multigraph:
         raise LimitError(
             f"up to {worst} edges at n = {spec.n_max} and density {spec.density}, "
             f"over the limit of {MAX_GENERATED_EDGES}")
-    limit = exhaustive_limit()
-    if spec.n_max > limit:
+    if spec.n_max > EXHAUSTIVE_LIMIT:
         # no solver or oracle takes such a graph, and a sparse one can take
         # minutes of retries to come out connected
         raise LimitError(
-            f"generated graphs are limited to n <= {limit} nodes, got n_max = "
-            f"{spec.n_max} (override via {_LIMIT_ENV})")
+            f"generated graphs are limited to n <= {EXHAUSTIVE_LIMIT} nodes, "
+            f"got n_max = {spec.n_max}")
     rng = random.Random(spec.seed)
     whole = int(spec.density)
     frac = spec.density - whole
@@ -237,11 +235,21 @@ class RatioReport:
     wall_ms: int
 
     @property
+    def violation(self) -> Optional[str]:
+        """Why this record breaks its guarantee, or None."""
+        if not self.feasible:
+            return "infeasible output"
+        if self.oracle_cost == 0 < self.algorithm_cost:
+            # ratio reads 0 against a zero-cost optimum, so any cost above
+            # it is a violation of its own
+            return f"cost {self.algorithm_cost} against a zero-cost optimum"
+        if self.ratio > self.bound:
+            return f"ratio {self.ratio} exceeds bound {self.bound}"
+        return None
+
+    @property
     def violated(self) -> bool:
-        # ratio reads 0 against a zero-cost optimum, so any cost above it
-        # is a violation of its own
-        return (not self.feasible or self.ratio > self.bound
-                or self.oracle_cost == 0 < self.algorithm_cost)
+        return self.violation is not None
 
     def to_json_obj(self) -> dict:
         """Every field by name: Fractions as [num, den], tuples as lists."""
@@ -692,17 +700,8 @@ def _suite_ratios(cfg: dict) -> dict:
             if not ok:
                 violations.append(f"{iid}: primal-dual output is not a cover")
 
-    for rec in records:
-        if not rec.violated:
-            continue
-        if not rec.feasible:
-            violations.append(f"{rec.instance_id}: infeasible output")
-        elif rec.oracle_cost == 0:
-            violations.append(f"{rec.instance_id}: cost {rec.algorithm_cost} against "
-                              "a zero-cost optimum")
-        else:
-            violations.append(
-                f"{rec.instance_id}: ratio {rec.ratio} exceeds bound {rec.bound}")
+    violations += [f"{rec.instance_id}: {rec.violation}"
+                   for rec in records if rec.violated]
     return _suite_report("ratios", cfg, {"records": len(records), **extra_checks},
                          violations, records=[r.to_json_obj() for r in records])
 

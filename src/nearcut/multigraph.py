@@ -7,12 +7,11 @@ side of the cut that does not contain node 0.  A graph on ``n`` nodes has
 
 Everything here is integer arithmetic; cut values are exact.  The
 exhaustive engine is the authoritative source of connectivity answers up
-to :func:`exhaustive_limit` nodes and refuses to run above it.
+to :data:`EXHAUSTIVE_LIMIT` nodes and refuses to run above it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -21,37 +20,24 @@ import numpy as np
 
 from .errors import InputError, LimitError
 
-DEFAULT_EXHAUSTIVE_LIMIT = 24
-_LIMIT_ENV = "NEARCUT_EXHAUSTIVE_LIMIT"
+# Node-count ceiling for exhaustive cut enumeration: every table, flex
+# search and generated graph stays at or below it.  A fixed constant, not
+# a setting.
+EXHAUSTIVE_LIMIT = 24
 # Largest cut table one build may allocate: itemsize * 2^(n-1) bytes, so
 # an int32 table of 256 MiB at n = 27 fits and one of 512 MiB at n = 28
 # does not.  A fixed constant, not a setting.
 TABLE_MEMORY_BUDGET = 256 << 20
 
 
-def exhaustive_limit() -> int:
-    """Node-count ceiling for exhaustive cut enumeration (env-overridable)."""
-    raw = os.environ.get(_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_EXHAUSTIVE_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError as exc:
-        raise InputError(f"bad {_LIMIT_ENV} value: {raw!r}") from exc
-    if limit < 1:
-        raise InputError(f"bad {_LIMIT_ENV} value: {raw!r} (must be >= 1)")
-    return limit
-
-
 def check_exhaustive_build(n: int, estimate: int, what: str) -> None:
     """Refuse, before allocating, a table over the cuts of an ``n``-node
     graph that needs about ``estimate`` bytes: :class:`LimitError` above
-    :func:`exhaustive_limit` nodes or above :data:`TABLE_MEMORY_BUDGET`."""
-    limit = exhaustive_limit()
-    if n > limit:
+    :data:`EXHAUSTIVE_LIMIT` nodes or above :data:`TABLE_MEMORY_BUDGET`."""
+    if n > EXHAUSTIVE_LIMIT:
         raise LimitError(
-            f"exhaustive enumeration limited to n <= {limit} nodes, got n = {n} "
-            f"(override via {_LIMIT_ENV})")
+            f"exhaustive enumeration limited to n <= {EXHAUSTIVE_LIMIT} nodes, "
+            f"got n = {n}")
     if estimate > TABLE_MEMORY_BUDGET:
         raise LimitError(
             f"{what} for n = {n} needs about {estimate >> 20} MiB, over the "

@@ -346,7 +346,7 @@ def test_empty_filter_table_is_read_only_zeros(monkeypatch):
         return real(n, estimate, what)
 
     monkeypatch.setattr(mg, "check_exhaustive_build", counting)
-    monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "8")
+    monkeypatch.setattr(mg, "EXHAUSTIVE_LIMIT", 8)
     cut_value_array(Multigraph(8, ()))
     assert builds == [(8, 4 << 7, "cut table")]
     g = Multigraph(9, ())

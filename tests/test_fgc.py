@@ -211,20 +211,21 @@ def cycle_plus_chord(n):
 
 
 def test_flex_search_obeys_the_node_limit(monkeypatch, tmp_path, capsys):
+    import nearcut.multigraph as mg
     from nearcut.cli import main
     from nearcut.io import Instance, save_instance
 
     g = cycle_plus_chord(8)
     path = tmp_path / "cycle.txt"
     save_instance(Instance(g, 2, 0), path)
-    monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "6")
+    monkeypatch.setattr(mg, "EXHAUSTIVE_LIMIT", 6)
     with pytest.raises(LimitError, match="n <= 6 nodes, got n = 8"):
         kecss(g, 2)
     with pytest.raises(LimitError, match="n <= 6 nodes, got n = 8"):
         exact_fgc(FlexInstance(g, 2, 1))
     assert main(["oracle", "fgc", "--input", str(path)]) == 2
     assert "n <= 6 nodes, got n = 8" in capsys.readouterr().err
-    monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "8")
+    monkeypatch.setattr(mg, "EXHAUSTIVE_LIMIT", 8)
     assert kecss(g, 2).cost == 8
 
 
@@ -386,6 +387,27 @@ def test_solve_fgc_dispatch():
     assert solve_fgc(FlexInstance(g, 1, 1)).guarantee == Fraction(4)
     assert solve_fgc(FlexInstance(g, 2, 2)).guarantee == Fraction(6)
     assert solve_fgc(FlexInstance(g, 2, 1), unit_cost=True).guarantee == Fraction(3)
+
+
+@pytest.mark.parametrize("unit_cost, cause", [(False, InfeasibleError),
+                                               (True, PreconditionError)])
+def test_infeasible_level_reports_what_the_oracle_reports(unit_cost, cause):
+    """When G itself misses level q, the failing cover's error gives way to
+    the oracle's, with the same witness cut."""
+    seen = 0
+    for _, inst in make_fgc_corpus(12, 20261102, unit_cost=unit_cost):
+        g, k = inst.graph, inst.k
+        if is_flex_connected(g, range(g.m), k, 3)[0]:
+            continue
+        with pytest.raises(InfeasibleError) as want:
+            minimum_flex_subgraph(g, k, 3)
+        with pytest.raises(InfeasibleError) as got:
+            solve_fgc(FlexInstance(g, k, 3), unit_cost=unit_cost)
+        assert (str(got.value), got.value.witness) == \
+            (str(want.value), want.value.witness)
+        assert type(got.value.__cause__) is cause
+        seen += 1
+    assert seen >= 5
 
 
 @pytest.mark.parametrize("k, q", [(1.5, 0), (True, 0), (2, 0.5), (2.0, 1), (2, False),

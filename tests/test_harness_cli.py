@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -117,6 +118,20 @@ def test_ratio_suite_records_are_exact():
         num, den = rec["ratio"]
         bnum, bden = rec["bound"]
         assert num * bden <= bnum * den  # exact rational comparison
+
+
+def test_one_rule_names_every_ratio_violation():
+    iid, inst = harness.make_augment_corpus(1, 7)[0]
+    rec = harness.augment_record(iid, inst)
+    assert rec.violation is None and not rec.violated
+    over = rec.bound + 1
+    for change, why in [
+            ({"feasible": False}, "infeasible output"),
+            ({"algorithm_cost": 3, "oracle_cost": 0, "ratio": Fraction(0)},
+             "cost 3 against a zero-cost optimum"),
+            ({"ratio": over}, f"ratio {over} exceeds bound {rec.bound}")]:
+        bad = replace(rec, **change)
+        assert bad.violation == why and bad.violated
 
 
 def test_paying_against_a_zero_cost_optimum_is_a_violation(tmp_path, monkeypatch,
@@ -496,17 +511,20 @@ def test_gen_refuses_bad_numbers_before_any_draw(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
-def test_exhaustive_limit_env_raises_the_gen_ceiling(tmp_path, capsys, monkeypatch):
+def test_gen_ceiling_is_fixed_at_the_exhaustive_limit(tmp_path, capsys, monkeypatch):
     out = tmp_path / "g.txt"
     argv = ["gen", "--out", str(out), "--nodes", "25:26", "--density", "0.3"]
     assert main(argv) == 2
     assert "n <= 24" in capsys.readouterr().err
-    with pytest.raises(LimitError, match="NEARCUT_EXHAUSTIVE_LIMIT"):
+    with pytest.raises(LimitError, match="n <= 24 nodes, got n_max = 25"):
         generate(GenSpec(n_min=20, n_max=25))
+    # the old environment override no longer lifts the ceiling
     monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "26")
-    assert main(argv) == 0
-    assert int(out.read_text().split()[0]) in (25, 26)
-    assert generate(GenSpec(n_min=20, n_max=25)).n <= 25
+    assert main(argv) == 2
+    assert "n <= 24" in capsys.readouterr().err
+    with pytest.raises(LimitError, match="n <= 24"):
+        generate(GenSpec(n_min=20, n_max=25))
+    assert not out.exists()
 
 
 def test_generated_edge_limit_is_the_worst_case_count(monkeypatch):

@@ -20,7 +20,6 @@ from nearcut import (
 from nearcut.multigraph import (
     DisjointSets,
     cut_value_array,
-    exhaustive_limit,
     is_connected,
 )
 
@@ -254,24 +253,43 @@ def test_min_cut_matches_enumeration():
 
 
 def test_exhaustive_limit_enforced(monkeypatch):
-    monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "6")
+    import nearcut.multigraph as mg
+
+    monkeypatch.setattr(mg, "EXHAUSTIVE_LIMIT", 6)
     g = g_from(7, [(i, i + 1) for i in range(6)])
     with pytest.raises(LimitError, match="6"):
         min_cut_value(g)
-    monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "8")
+    monkeypatch.setattr(mg, "EXHAUSTIVE_LIMIT", 8)
     assert min_cut_value(g) == 1
+
+
+def test_no_module_reads_the_environment():
+    """Limits are fixed constants: no environment variable changes a run."""
+    import re
+    from pathlib import Path
+
+    import nearcut
+
+    package = Path(nearcut.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            assert not re.search(r"\benviron\b|\bgetenv\b", line), \
+                f"{path.name}:{number} reads the environment: {line.strip()}"
 
 
 def test_table_memory_guard_refuses_before_allocating(monkeypatch, tmp_path, capsys):
     import numpy as np
 
+    import nearcut.multigraph as mg
     from nearcut.cli import main
     from nearcut.io import Instance, save_instance
 
     def no_allocation(*args, **kw):
         raise AssertionError("cut table allocated past the memory guard")
 
-    monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", "30")
+    monkeypatch.setattr(mg, "EXHAUSTIVE_LIMIT", 30)
     monkeypatch.setattr(np, "zeros", no_allocation)
     monkeypatch.setattr(np, "empty", no_allocation)
     cycle = g_from(30, [(i, (i + 1) % 30) for i in range(30)])
@@ -309,15 +327,6 @@ def test_weight_total_at_2_63_is_refused_before_allocating(monkeypatch):
     assert vals.dtype == np.int64
     rec = enumerate_cuts_at_most(g, 1, weighted=True)[0]
     assert int(vals[rec.mask >> 1]) == 1
-
-
-@pytest.mark.parametrize("raw", ["-5", "0", "seven"])
-def test_exhaustive_limit_rejects_bad_values(monkeypatch, raw):
-    monkeypatch.setenv("NEARCUT_EXHAUSTIVE_LIMIT", raw)
-    with pytest.raises(InputError, match="NEARCUT_EXHAUSTIVE_LIMIT"):
-        exhaustive_limit()
-    with pytest.raises(InputError, match="NEARCUT_EXHAUSTIVE_LIMIT"):
-        min_cut_value(c4())
 
 
 def test_subgraph_selects_ids():

@@ -15,7 +15,7 @@ import tracemalloc
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import nearcut.cut_structure as cut_structure
@@ -32,7 +32,13 @@ from nearcut import (
     primal_dual_uncrossable_cover,
 )
 from nearcut.cut_structure import _kernel_sized, _uncrossable_kernel, _uncrossable_loop
-from nearcut.family_cover import Candidate, _crossing_bits, _strict_subsets
+from nearcut.family_cover import (
+    Candidate,
+    _crossing_bits,
+    _strict_subsets,
+    certify_primal_dual,
+    covers,
+)
 
 THRESHOLD = cut_structure._KERNEL_MIN_MEMBERS
 NEVER = 10 ** 9
@@ -233,6 +239,7 @@ def _solve(n: int, members: tuple[int, ...], cands: tuple[Candidate, ...], thres
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32), st.integers(5, 18), st.integers(0, 3),
        st.sampled_from((0.0, 0.3)), st.booleans(), st.booleans())
+@example(seed=84973262, n=5, chords=0, flip=0.3, drop=False, spanning=True)
 def test_pd2_solution_does_not_depend_on_the_threshold(seed, n, chords, flip, drop,
                                                        spanning):
     rng = random.Random(seed)
@@ -248,3 +255,21 @@ def test_pd2_solution_does_not_depend_on_the_threshold(seed, n, chords, flip, dr
     assert _solve(n, fam.members, cands, 0) == loop
     if spanning and not drop:
         assert not isinstance(loop, tuple)   # a real solution was compared
+
+
+def test_pd2_roots_members_that_hold_node_0():
+    # uncrossable up to complement, with members on node 0's side: growing
+    # duals on the members as given ends at cost 25 over a dual sum of 12
+    fam = SetFamily(5, (14, 23, 22, 20, 25, 27, 16, 10, 30, 2))
+    cands = tuple(Candidate(*c) for c in (
+        (0, 4, 1, 9), (1, 1, 3, 6), (2, 3, 0, 7), (3, 0, 2, 9), (4, 2, 4, 8),
+        (5, 2, 4, 6), (6, 0, 1, 4), (8, 0, 4, 6), (9, 3, 0, 3)))
+    assert is_uncrossable(fam)[0]
+    assert any(m & 1 for m in fam.members)
+    sol = primal_dual_uncrossable_cover(CoverInstance(5, cands, fam))
+    rooted = fam.canonical()
+    assert all(not mask & 1 for mask, _ in sol.duals)
+    certify_primal_dual(CoverInstance(5, cands, rooted), sol)
+    chosen = [c for c in cands if c.ident in sol.chosen]
+    assert covers(chosen, fam) == (True, None)
+    assert sol == primal_dual_uncrossable_cover(CoverInstance(5, cands, rooted))
