@@ -4,7 +4,9 @@ An edge covers a set when exactly one endpoint lies inside it.  Three
 solvers share the :class:`CoverInstance` surface:
 
 * :func:`exact_min_cover` - branch-and-bound oracle, provably optimal,
-  used as the denominator of every measured ratio;
+  used as the denominator of every measured ratio.  It and
+  :func:`~nearcut.fgc.minimum_flex_subgraph` are thin callers of the one
+  exact search, :func:`_branch_and_bound`, over bitset requirement rows;
 * :func:`primal_dual_uncrossable_cover` - the classic 2-approximation
   for uncrossable families (uniform dual growth on inclusion-minimal
   violated members, tight-edge additions, reverse delete), which checks
@@ -45,7 +47,7 @@ from .cut_structure import (
     is_symmetric_proper_crossing,
     is_uncrossable,
 )
-from .multigraph import DisjointSets, Multigraph
+from .multigraph import DisjointSets, Multigraph, canonical_mask
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -232,31 +234,183 @@ def covers(candidates: Iterable, family: SetFamily) -> tuple[bool, Optional[int]
 # Exact branch-and-bound
 
 
+def _branch_and_bound(rows: Sequence[int], urows: Sequence[int], k: int, q: int,
+                      costs: Sequence[int], node_budget: int, what: str,
+                      unmet: Callable[[int], Exception],
+                      start: Optional[Callable[[], int]] = None, *,
+                      fewest: bool = False, cheapest_first: bool = False,
+                      singles: Sequence[int] = ()) -> tuple[int, int, int]:
+    """The one exact search: a cheapest set of columns meeting every
+    requirement row, as ``(bitset, cost, nodes explored)``.
+
+    Columns are positions into ``costs`` (non-negative integers), and
+    column sets are bitsets (Python ints, so there is no column limit).
+    A set X meets row i when ``|rows[i] & X| >= k + min(|urows[i] & X|,
+    q)``; ``urows`` is read only at q > 0.  A cover is k = 1, q = 0 with
+    one row per member.  Meeting a row is monotone under adding columns,
+    and the *deficit* ``k + min(|urows[i] & X|, q) - |rows[i] & X|`` of a
+    row never grows as X does.
+
+    * When even every column leaves a row unmet, ``unmet(i)`` of the
+      first such row is raised.
+    * The incumbent is ``start()`` (default: every column), stripped
+      most expensive column first while it stays feasible; a stripped
+      column can only break the rows that hold it, so only those are
+      rechecked.
+    * Per node, one scan lists the rows the included columns leave unmet,
+      with their deficits; it only visits the parent's list.  A row whose
+      deficit exceeds its undecided columns kills the subtree (the
+      included columns sit inside the available ones).  The branching
+      row is the first listed, or with ``fewest`` the first with the
+      fewest undecided columns.  Each undecided column of that row is
+      tried in turn as the first chosen one, in position order or with
+      ``cheapest_first`` in cost order, and each child excludes the
+      columns tried before it, so the subtrees are disjoint.
+    * A node is pruned when a lower bound on the cost still to add
+      reaches the incumbent's margin.  The *disjoint-support bound* adds,
+      over listed rows whose undecided columns are disjoint from those of
+      the rows already counted, the ``deficit`` cheapest of them.  Given
+      ``singles``, rows such that every column lies in at most two of
+      them (the singleton cuts of a graph, whose columns are edges), the
+      *degree bound* sums their cheapest completions and halves the sum,
+      rounded up since costs are integers.  Both bounds walk the columns
+      in cost order and stop as soon as the node is pruned.
+
+    Neither bound changes the answer.  The children of a node, their
+    order and the columns each excludes do not depend on pruning, and a
+    valid bound never cuts off the first optimal leaf in search order
+    while the incumbent is still worse, so that leaf (or the start, when
+    it is already optimal) is returned either way; a stronger bound only
+    lowers the node count.  Past ``node_budget`` nodes the search raises
+    :class:`BudgetError`, naming ``what``.
+    """
+    m = len(costs)
+    all_bits = (1 << m) - 1
+    everyone = range(len(rows))
+
+    def deficit(i: int, bits: int) -> int:
+        need = k - (rows[i] & bits).bit_count()
+        if q:
+            need += min((urows[i] & bits).bit_count(), q)
+        return need
+
+    def violated(among: Iterable[int], bits: int) -> list[tuple[int, int]]:
+        """(row, deficit) of every listed row that ``bits`` leaves unmet."""
+        if q == 0:
+            return [(i, need) for i in among
+                    if (need := k - (rows[i] & bits).bit_count()) > 0]
+        return [(i, need) for i in among if (need := deficit(i, bits)) > 0]
+
+    bad = violated(everyone, all_bits)
+    if bad:
+        raise unmet(bad[0][0])
+
+    def breaks(bits: int, col: int) -> bool:
+        """Whether ``bits`` leaves unmet a row that holds the column bit ``col``."""
+        if q == 0:
+            return any((r & bits).bit_count() < k for r in rows if r & col)
+        return any((r & bits).bit_count() < k + min((u & bits).bit_count(), q)
+                   for r, u in zip(rows, urows) if r & col)
+
+    best_bits = all_bits if start is None else start()
+    for pos in sorted(range(m), key=lambda p: (-costs[p], -p)):
+        trial = best_bits & ~(1 << pos)
+        if trial != best_bits and not breaks(trial, 1 << pos):
+            best_bits = trial
+    best = [sum(costs[p] for p in range(m) if (best_bits >> p) & 1), best_bits]
+    explored = [0]
+
+    sorted_by_cost = sorted(range(m), key=lambda p: (costs[p], p))
+    order = sorted_by_cost if cheapest_first else range(m)
+    degree = [(i, [p for p in sorted_by_cost if (rows[i] >> p) & 1]) for i in singles]
+
+    def pruned(viol: list[tuple[int, int]], included: int, free: int,
+               slack: int) -> bool:
+        """Whether a lower bound on the remaining cost reaches ``slack``."""
+        tot = 0
+        for i, by_cost in degree:
+            need = deficit(i, included)
+            if need <= 0:
+                continue
+            for pos in by_cost:
+                if (free >> pos) & 1:
+                    tot += costs[pos]
+                    need -= 1
+                    if not need:
+                        break
+            if tot >= 2 * slack - 1:
+                return True
+        lb = 0
+        used = 0
+        for i, need in viol:
+            opts = rows[i] & free
+            if opts & used:
+                continue
+            used |= opts
+            for pos in sorted_by_cost:
+                if (opts >> pos) & 1:
+                    lb += costs[pos]
+                    need -= 1
+                    if not need:
+                        break
+            if lb >= slack:
+                return True
+        return False
+
+    def search(included: int, excluded: int, cost_now: int, among: Iterable[int]):
+        explored[0] += 1
+        if explored[0] > node_budget:
+            raise BudgetError(f"{what} exceeded {node_budget} nodes")
+        avail = all_bits & ~excluded
+        free = avail & ~included
+        viol = violated(among, included)
+        target = None
+        best_fanout = None
+        for i, need in viol:
+            fanout = (rows[i] & free).bit_count()
+            short = need - fanout if q == 0 else deficit(i, avail)
+            if short > 0:
+                return
+            if best_fanout is None or (fewest and fanout < best_fanout):
+                best_fanout, target = fanout, i
+        if target is None:
+            if cost_now < best[0]:
+                best[0], best[1] = cost_now, included
+            return
+        if pruned(viol, included, free, best[0] - cost_now):
+            return
+        opts = rows[target] & free
+        child_rows = [i for i, _ in viol]
+        tried = 0
+        for pos in order:
+            if not (opts >> pos) & 1:
+                continue
+            search(included | (1 << pos), excluded | tried, cost_now + costs[pos],
+                   child_rows)
+            tried |= 1 << pos
+
+    search(0, 0, 0, everyone)
+    return best[1], best[0], explored[0]
+
+
 def exact_min_cover(inst: CoverInstance,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> CoverSolution:
-    """Provably optimal cover via element branching.
-
-    Branches on the first uncovered member: some crossing candidate must
-    be chosen, and the subtrees are disjoint by excluding earlier-tried
-    candidates.  The lower bound sums, over greedily chosen members with
-    disjoint candidate sets, the cheapest crossing candidate.  Candidate
-    exploration order is fixed, so equal-cost optima resolve
+    """Provably optimal cover: :func:`_branch_and_bound` at k = 1, q = 0,
+    one row per member (its crossing candidates), starting from a
+    gain-greedy cover.  It branches on the first uncovered member and
+    tries its candidates by position, so equal-cost optima resolve
     deterministically.
     """
     cands = inst.candidates
     members = inst.family.members
     cross = inst.crossings.member_bits  # member -> candidate-position bitmask
-    for mask, bits in zip(members, cross):
-        if bits == 0:
-            raise InfeasibleError("family member crossed by no candidate",
-                                  witness=mask)
     if not members:
         return CoverSolution(chosen=(), cost=0, method="exact", guarantee=Fraction(1))
-
     costs = [c.cost for c in cands]
-    all_bits = (1 << len(cands)) - 1
 
-    def greedy_upper() -> tuple[int, int]:
+    def greedy_start() -> int:
+        """Add the candidate crossing the most uncovered members (cheapest,
+        then first, on ties) until every member is crossed."""
         chosen = 0
         uncovered = list(range(len(members)))
         while uncovered:
@@ -272,67 +426,15 @@ def exact_min_cover(inst: CoverInstance,
                     best_gain, best_pos = key, pos
             chosen |= 1 << best_pos
             uncovered = [mi for mi in uncovered if not (cross[mi] >> best_pos) & 1]
-        # prune to a minimal cover, most expensive first
-        for pos in sorted(range(len(cands)), key=lambda p: (-costs[p], -p)):
-            if not (chosen >> pos) & 1:
-                continue
-            trial = chosen & ~(1 << pos)
-            if all(cross[mi] & trial for mi in range(len(members))):
-                chosen = trial
-        return chosen, sum(costs[p] for p in range(len(cands)) if (chosen >> p) & 1)
+        return chosen
 
-    best_bits, best_cost = greedy_upper()
-    explored = 0
-    sorted_by_cost = sorted(range(len(cands)), key=lambda p: (costs[p], p))
+    def uncrossed(i: int) -> InfeasibleError:
+        return InfeasibleError("family member crossed by no candidate", witness=members[i])
 
-    def lower_bound(chosen: int, avail: int) -> int:
-        used = 0
-        lb = 0
-        for mi in range(len(members)):
-            if cross[mi] & chosen:
-                continue
-            opts = cross[mi] & avail
-            if opts & used:
-                continue
-            lb += next(costs[p] for p in sorted_by_cost if (opts >> p) & 1)
-            used |= opts
-        return lb
-
-    def search(chosen: int, excluded: int, cost_now: int):
-        nonlocal best_bits, best_cost, explored
-        explored += 1
-        if explored > node_budget:
-            raise BudgetError(f"exact cover exceeded {node_budget} nodes")
-        avail = all_bits & ~excluded
-        target = None
-        for mi in range(len(members)):
-            if cross[mi] & chosen:
-                continue
-            if not cross[mi] & avail:
-                return  # member can no longer be covered in this subtree
-            if target is None:
-                target = mi
-        if target is None:
-            if cost_now < best_cost:
-                best_cost, best_bits = cost_now, chosen
-            return
-        if cost_now + lower_bound(chosen, avail) >= best_cost:
-            return
-        opts = cross[target] & avail
-        tried = 0
-        pos = 0
-        rem = opts
-        while rem:
-            if rem & 1:
-                search(chosen | (1 << pos), excluded | tried, cost_now + costs[pos])
-                tried |= 1 << pos
-            rem >>= 1
-            pos += 1
-
-    search(0, 0, 0)
-    chosen_ids = tuple(sorted(cands[p].ident for p in range(len(cands))
-                              if (best_bits >> p) & 1))
-    return CoverSolution(chosen=chosen_ids, cost=best_cost, method="exact",
+    bits, cost, explored = _branch_and_bound(cross, (), 1, 0, costs, node_budget,
+                                             "exact cover", uncrossed, greedy_start)
+    chosen_ids = tuple(sorted(cands[p].ident for p in range(len(cands)) if (bits >> p) & 1))
+    return CoverSolution(chosen=chosen_ids, cost=cost, method="exact",
                          guarantee=Fraction(1), nodes_explored=explored)
 
 
@@ -452,18 +554,24 @@ def certify_primal_dual(inst: CoverInstance, sol: CoverSolution) -> None:
     """Check the dual certificate of a primal-dual cover, in exact rationals.
 
     Raises :class:`InvariantError` unless every dual sits on a family
-    member, every candidate pays at most its cost for the duals of the
-    members it crosses (witness: its endpoints), and ``cost <= 2 * sum
-    of duals`` (witness: the two sides), which is the factor-2 bound of
-    Williamson, Goemans, Mihail and Vazirani (Combinatorica 1995).
+    member or its complement, every candidate pays at most its cost for
+    the duals of the members it crosses (witness: its endpoints), and
+    ``cost <= 2 * sum of duals`` (witness: the two sides), which is the
+    factor-2 bound of Williamson, Goemans, Mihail and Vazirani
+    (Combinatorica 1995).  An edge crosses a set exactly when it crosses
+    the complement, so members are looked up by canonical mask, and a
+    certificate on ``inst.family.canonical()`` (pd2's duals) also
+    certifies against ``inst``.
     """
-    position = {m: j for j, m in enumerate(inst.family.members)}
+    n = inst.n
+    position = {canonical_mask(m, n): j for j, m in enumerate(inst.family.members)}
     denom = math.lcm(*(y.denominator for _, y in sol.duals))
-    scaled = {}  # member position -> dual * denom (an integer)
+    scaled: dict[int, int] = {}  # member position -> dual * denom (an integer)
     for mask, y in sol.duals:
-        if mask not in position:
+        j = position.get(canonical_mask(mask, n))
+        if j is None:
             raise InvariantError("dual on a set outside the family", witness=mask)
-        scaled[position[mask]] = y.numerator * (denom // y.denominator)
+        scaled[j] = scaled.get(j, 0) + y.numerator * (denom // y.denominator)
     cand_bits = inst.crossings.edge_bits
     for c, bits in zip(inst.candidates, cand_bits):
         paid = 0

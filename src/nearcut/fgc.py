@@ -42,7 +42,6 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import (
-    BudgetError,
     InfeasibleError,
     InputError,
     InvariantError,
@@ -66,6 +65,7 @@ from .family_cover import (
     PhaseLog,
     SolverSlot,
     _added_cost,
+    _branch_and_bound,
     _cover_phase,
     cover_symmetric_crossing,
     minimal_cover,
@@ -175,46 +175,18 @@ class ExactSubgraphResult:
 
 def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
                           node_budget: int = DEFAULT_NODE_BUDGET) -> ExactSubgraphResult:
-    """Provably minimum-cost edge set whose subgraph is (k, q)-flex-connected.
+    """Provably minimum-cost edge set whose subgraph is (k, q)-flex-connected:
+    :func:`~nearcut.family_cover._branch_and_bound` over one row per
+    canonical cut, from the whole edge set, branching on the cut with the
+    fewest undecided edges and trying them cheapest first.
 
-    Feasibility is monotone under edge addition, so a subtree dies as
-    soon as even taking every undecided edge fails.  Branching picks a
-    violated cut and tries each undecided crossing edge as the first
-    chosen one.  A node is pruned when either of two lower bounds on
-    the cost still to add reaches the incumbent's margin:
+    Row i holds the edges crossing the canonical cut ``(i + 1) << 1``, and
+    its unsafe row the unsafe ones among them.  The n singleton cuts {v}
+    feed the degree bound: an edge has two endpoints, so the edges added
+    pay each singleton's share at most twice.
 
-    * the *degree bound* sums, over the n singleton cuts {v}, the
-      ``need`` cheapest undecided edges at v, and halves the sum: an
-      edge has two endpoints, so the added edges pay each singleton's
-      share at most twice.  Costs are integers, so the bound rounds up
-      (prune when the sum reaches ``2 * slack - 1``);
-    * the *disjoint-cut bound* adds, over violated cuts with disjoint
-      undecided support, the cheapest completions of their deficits.
-
-    Neither bound changes the answer.  The children of a node, their
-    order and the edges each excludes do not depend on pruning, and a
-    valid bound never cuts off the first optimal leaf in search order
-    while the incumbent is still worse, so that leaf (or the greedy
-    start, when it is already optimal) is returned either way; a
-    stronger bound only lowers ``nodes_explored``.
-
-    Edge sets are bitsets over edge positions (Python ints, so there is
-    no edge-count limit).  ``cross[i]`` holds the edges crossing the
-    canonical cut ``i << 1``.  Per node, one scan lists the cuts that
-    the included edges violate, with their deficits; the deficit never
-    grows as edges are added, so the scan only visits the parent's
-    violated cuts.  That one list serves the whole node: a cut whose
-    deficit exceeds its undecided crossing edges kills the subtree (the
-    included edges sit inside the available ones, so a cut they satisfy
-    needs no check), the cut with the fewest undecided crossing edges
-    becomes the branching target, and both bounds take the ``need``
-    cheapest undecided crossing edges of a cut by walking its edges in
-    cost order, stopping as soon as the node is pruned.  The greedy
-    start strips edges, most expensive first, while the rest stays
-    feasible; it only rechecks the cuts the stripped edge crosses.
-
-    Like a cut table, the crossing lists are refused before they are
-    built above the node limit or the table memory budget
+    Like a cut table, the rows are refused before they are built above the
+    node limit or the table memory budget
     (:func:`~nearcut.multigraph.check_exhaustive_build`).
     """
     if g.n < 2:
@@ -234,127 +206,23 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
     for v in range(1, g.n):
         inc = incident[v]
         cross += [c ^ inc for c in cross]
+    del cross[0]  # row i is the cut (i + 1) << 1
+    ucross = []
     if q:
         unsafe_bits = sum(1 << pos for pos, e in enumerate(g.edges) if e.unsafe)
         ucross = [c & unsafe_bits for c in cross]
-    costs = [e.cost for e in g.edges]
-    all_bits = (1 << m) - 1
+    # rows of the singleton cuts: {0} is the complement of the last row,
+    # and {v} is the cut 1 << v
+    singles = [len(cross) - 1] + [(1 << (v - 1)) - 1 for v in range(1, g.n)]
 
-    def deficit(i: int, bits: int) -> int:
-        need = k - (cross[i] & bits).bit_count()
-        if q:
-            need += min((ucross[i] & bits).bit_count(), q)
-        return need
+    def not_flex(i: int) -> InfeasibleError:
+        return InfeasibleError(NOT_FLEX_CONNECTED, witness=(i + 1) << 1)
 
-    def violated(cuts: Iterable[int], bits: int) -> list[tuple[int, int]]:
-        """(cut, deficit) of every listed cut that ``bits`` violates."""
-        if q == 0:
-            return [(i, need) for i in cuts
-                    if (need := k - (cross[i] & bits).bit_count()) > 0]
-        return [(i, need) for i in cuts if (need := deficit(i, bits)) > 0]
-
-    def first_violated(bits: int) -> Optional[int]:
-        return next((i for i in range(1, len(cross)) if deficit(i, bits) > 0), None)
-
-    first_bad = first_violated(all_bits)
-    if first_bad is not None:
-        raise InfeasibleError(NOT_FLEX_CONNECTED, witness=first_bad << 1)
-
-    def breaks(bits: int, edge: int) -> bool:
-        """Whether ``bits`` violates a cut that the edge bit ``edge`` crosses."""
-        if q == 0:
-            return any((c & bits).bit_count() < k for c in cross if c & edge)
-        return any((c & bits).bit_count() < k + min((u & bits).bit_count(), q)
-                   for c, u in zip(cross, ucross) if c & edge)
-
-    # deterministic greedy upper bound: strip expensive edges first;
-    # best_bits stays feasible, so a removal can only break cuts it crosses
-    best_bits = all_bits
-    for pos in sorted(range(m), key=lambda p: (-costs[p], -p)):
-        trial = best_bits & ~(1 << pos)
-        if not breaks(trial, 1 << pos):
-            best_bits = trial
-    best_cost = sum(costs[p] for p in range(m) if (best_bits >> p) & 1)
-    best = [best_cost, best_bits]
-    explored = [0]
-
-    sorted_by_cost = sorted(range(m), key=lambda p: (costs[p], p))
-    # the singleton cuts {v}, canonical index and incident edges cheapest first
-    singles = [((1 << (g.n - 1)) - 1 if v == 0 else 1 << (v - 1),
-                [p for p in sorted_by_cost if (incident[v] >> p) & 1])
-               for v in range(g.n)]
-
-    def pruned(viol: list[tuple[int, int]], included: int, free: int,
-               slack: int) -> bool:
-        """Whether a lower bound on the remaining cost reaches ``slack``."""
-        # degree bound: each new edge serves two singleton cuts, so half
-        # of the summed cheapest completions is a bound; costs are integers
-        tot = 0
-        for i, by_cost in singles:
-            need = deficit(i, included)
-            if need <= 0:
-                continue
-            for pos in by_cost:
-                if (free >> pos) & 1:
-                    tot += costs[pos]
-                    need -= 1
-                    if not need:
-                        break
-            if tot >= 2 * slack - 1:
-                return True
-        # disjoint-cut bound: violated cuts with disjoint undecided support
-        lb = 0
-        used = 0
-        for i, need in viol:
-            opts = cross[i] & free
-            if opts & used:
-                continue
-            used |= opts
-            for pos in sorted_by_cost:
-                if (opts >> pos) & 1:
-                    lb += costs[pos]
-                    need -= 1
-                    if not need:
-                        break
-            if lb >= slack:
-                return True
-        return False
-
-    def search(included: int, excluded: int, cost_now: int, cuts: Iterable[int]):
-        explored[0] += 1
-        if explored[0] > node_budget:
-            raise BudgetError(f"exact search exceeded {node_budget} nodes")
-        avail = all_bits & ~excluded
-        free = avail & ~included
-        viol = violated(cuts, included)
-        target = None
-        best_fanout = None
-        for i, need in viol:
-            fanout = (cross[i] & free).bit_count()
-            short = need - fanout if q == 0 else deficit(i, avail)
-            if short > 0:
-                return
-            if best_fanout is None or fanout < best_fanout:
-                best_fanout, target = fanout, i
-        if target is None:
-            if cost_now < best[0]:
-                best[0], best[1] = cost_now, included
-            return
-        if pruned(viol, included, free, best[0] - cost_now):
-            return
-        opts = cross[target] & free
-        child_cuts = [i for i, _ in viol]
-        tried = 0
-        for pos in sorted_by_cost:
-            if not (opts >> pos) & 1:
-                continue
-            search(included | (1 << pos), excluded | tried, cost_now + costs[pos],
-                   child_cuts)
-            tried |= 1 << pos
-
-    search(0, 0, 0, range(1, len(cross)))
-    ids = tuple(p for p in range(m) if (best[1] >> p) & 1)
-    return ExactSubgraphResult(edge_ids=ids, cost=best[0], nodes_explored=explored[0])
+    bits, cost, explored = _branch_and_bound(
+        cross, ucross, k, q, [e.cost for e in g.edges], node_budget, "exact search",
+        not_flex, fewest=True, cheapest_first=True, singles=singles)
+    ids = tuple(p for p in range(m) if (bits >> p) & 1)
+    return ExactSubgraphResult(edge_ids=ids, cost=cost, nodes_explored=explored)
 
 
 def kecss(g: Multigraph, k: int, mode: str = "approx2",

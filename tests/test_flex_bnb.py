@@ -1,27 +1,31 @@
-"""The exact branch and bound searches against their first versions.
+"""The exact branch and bound engine against earlier versions of itself.
 
 ``minimum_flex_subgraph`` (the oracle and the kecss seed) and
-``exact_min_cover`` compute their nodes differently from how they were
-first written: one violated-cut list per node, carried down the tree,
-and bounds that walk the edges in cost order.  The first versions are
-copied here verbatim as slow references.
+``exact_min_cover`` are both thin callers of one engine,
+``family_cover._branch_and_bound``: one violated-row list per node,
+carried down the tree, and bounds that walk the columns in cost order.
+The first versions of both searches are copied here verbatim as slow
+references, and so is the flex search as it stood just before it moved
+into the engine.
 
-``exact_min_cover`` keeps the reference's search tree: every result,
-``nodes_explored`` included, must equal the reference's.
+``exact_min_cover`` keeps the first version's search tree: every
+result, ``nodes_explored`` included, must equal the reference's.
 
-``minimum_flex_subgraph`` also prunes with a degree bound the reference
-lacks.  The tree's shape does not depend on pruning, and a valid bound
-never cuts off the first optimal leaf, so the edge set, its cost and the
-witness of an infeasible instance must equal the reference's, while
-``nodes_explored`` may only fall.  Where the reference finishes within a
-node budget, the search finishes within it too, with the same answer.
+``minimum_flex_subgraph`` also prunes with a degree bound the first
+version lacks.  The tree's shape does not depend on pruning, and a valid
+bound never cuts off the first optimal leaf, so the edge set, its cost
+and the witness of an infeasible instance must equal the first
+version's, while ``nodes_explored`` may only fall.  Where the first
+version finishes within a node budget, the search finishes within it
+too, with the same answer.  Against the version with the degree bound,
+every outcome, ``nodes_explored`` included, must be equal.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -42,14 +46,14 @@ from nearcut import (
     minimum_flex_subgraph,
 )
 from nearcut.family_cover import Candidate
-from nearcut.fgc import ExactSubgraphResult
+from nearcut.fgc import NOT_FLEX_CONNECTED, ExactSubgraphResult
 from nearcut.harness import (
     GenSpec,
     generate,
     make_augment_corpus,
     make_uncrossable_cover_corpus,
 )
-from nearcut.multigraph import edge_crosses
+from nearcut.multigraph import check_exhaustive_build, edge_crosses
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +153,150 @@ def reference_minimum_flex_subgraph(g: Multigraph, k: int, q: int,
             tried |= 1 << pos
 
     search(0, 0, 0)
+    ids = tuple(p for p in range(m) if (best[1] >> p) & 1)
+    return ExactSubgraphResult(edge_ids=ids, cost=best[0], nodes_explored=explored[0])
+
+
+def reference_degree_bound_flex_subgraph(g: Multigraph, k: int, q: int,
+                                         node_budget: int = fgc.DEFAULT_NODE_BUDGET) -> ExactSubgraphResult:
+    """The search with the degree bound and the carried violated-cut
+    list, as it stood before it became a caller of the shared engine."""
+    if g.n < 2:
+        return ExactSubgraphResult((), 0, 0)
+    m = g.m
+    # cross and ucross: 2^(n-1) ints of about m bits each, 8 bytes of
+    # list slot plus 24 + 4 * ceil(m / 30) bytes of int object; ucross is
+    # built only at q > 0, but the estimate counts it at every q
+    check_exhaustive_build(g.n, (64 + 8 * -(-m // 30)) << (g.n - 1),
+                           "exact flex search")
+    # adding node v to a side toggles exactly the edges incident to v
+    incident = [0] * g.n
+    for pos, e in enumerate(g.edges):
+        incident[e.u] |= 1 << pos
+        incident[e.v] |= 1 << pos
+    cross = [0]
+    for v in range(1, g.n):
+        inc = incident[v]
+        cross += [c ^ inc for c in cross]
+    if q:
+        unsafe_bits = sum(1 << pos for pos, e in enumerate(g.edges) if e.unsafe)
+        ucross = [c & unsafe_bits for c in cross]
+    costs = [e.cost for e in g.edges]
+    all_bits = (1 << m) - 1
+
+    def deficit(i: int, bits: int) -> int:
+        need = k - (cross[i] & bits).bit_count()
+        if q:
+            need += min((ucross[i] & bits).bit_count(), q)
+        return need
+
+    def violated(cuts: Iterable[int], bits: int) -> list[tuple[int, int]]:
+        """(cut, deficit) of every listed cut that ``bits`` violates."""
+        if q == 0:
+            return [(i, need) for i in cuts
+                    if (need := k - (cross[i] & bits).bit_count()) > 0]
+        return [(i, need) for i in cuts if (need := deficit(i, bits)) > 0]
+
+    def first_violated(bits: int) -> Optional[int]:
+        return next((i for i in range(1, len(cross)) if deficit(i, bits) > 0), None)
+
+    first_bad = first_violated(all_bits)
+    if first_bad is not None:
+        raise InfeasibleError(NOT_FLEX_CONNECTED, witness=first_bad << 1)
+
+    def breaks(bits: int, edge: int) -> bool:
+        """Whether ``bits`` violates a cut that the edge bit ``edge`` crosses."""
+        if q == 0:
+            return any((c & bits).bit_count() < k for c in cross if c & edge)
+        return any((c & bits).bit_count() < k + min((u & bits).bit_count(), q)
+                   for c, u in zip(cross, ucross) if c & edge)
+
+    # deterministic greedy upper bound: strip expensive edges first;
+    # best_bits stays feasible, so a removal can only break cuts it crosses
+    best_bits = all_bits
+    for pos in sorted(range(m), key=lambda p: (-costs[p], -p)):
+        trial = best_bits & ~(1 << pos)
+        if not breaks(trial, 1 << pos):
+            best_bits = trial
+    best_cost = sum(costs[p] for p in range(m) if (best_bits >> p) & 1)
+    best = [best_cost, best_bits]
+    explored = [0]
+
+    sorted_by_cost = sorted(range(m), key=lambda p: (costs[p], p))
+    # the singleton cuts {v}, canonical index and incident edges cheapest first
+    singles = [((1 << (g.n - 1)) - 1 if v == 0 else 1 << (v - 1),
+                [p for p in sorted_by_cost if (incident[v] >> p) & 1])
+               for v in range(g.n)]
+
+    def pruned(viol: list[tuple[int, int]], included: int, free: int,
+               slack: int) -> bool:
+        """Whether a lower bound on the remaining cost reaches ``slack``."""
+        # degree bound: each new edge serves two singleton cuts, so half
+        # of the summed cheapest completions is a bound; costs are integers
+        tot = 0
+        for i, by_cost in singles:
+            need = deficit(i, included)
+            if need <= 0:
+                continue
+            for pos in by_cost:
+                if (free >> pos) & 1:
+                    tot += costs[pos]
+                    need -= 1
+                    if not need:
+                        break
+            if tot >= 2 * slack - 1:
+                return True
+        # disjoint-cut bound: violated cuts with disjoint undecided support
+        lb = 0
+        used = 0
+        for i, need in viol:
+            opts = cross[i] & free
+            if opts & used:
+                continue
+            used |= opts
+            for pos in sorted_by_cost:
+                if (opts >> pos) & 1:
+                    lb += costs[pos]
+                    need -= 1
+                    if not need:
+                        break
+            if lb >= slack:
+                return True
+        return False
+
+    def search(included: int, excluded: int, cost_now: int, cuts: Iterable[int]):
+        explored[0] += 1
+        if explored[0] > node_budget:
+            raise BudgetError(f"exact search exceeded {node_budget} nodes")
+        avail = all_bits & ~excluded
+        free = avail & ~included
+        viol = violated(cuts, included)
+        target = None
+        best_fanout = None
+        for i, need in viol:
+            fanout = (cross[i] & free).bit_count()
+            short = need - fanout if q == 0 else deficit(i, avail)
+            if short > 0:
+                return
+            if best_fanout is None or fanout < best_fanout:
+                best_fanout, target = fanout, i
+        if target is None:
+            if cost_now < best[0]:
+                best[0], best[1] = cost_now, included
+            return
+        if pruned(viol, included, free, best[0] - cost_now):
+            return
+        opts = cross[target] & free
+        child_cuts = [i for i, _ in viol]
+        tried = 0
+        for pos in sorted_by_cost:
+            if not (opts >> pos) & 1:
+                continue
+            search(included | (1 << pos), excluded | tried, cost_now + costs[pos],
+                   child_cuts)
+            tried |= 1 << pos
+
+    search(0, 0, 0, range(1, len(cross)))
     ids = tuple(p for p in range(m) if (best[1] >> p) & 1)
     return ExactSubgraphResult(edge_ids=ids, cost=best[0], nodes_explored=explored[0])
 
@@ -347,6 +495,12 @@ def test_degree_bound_on_the_sixteen_node_kecss():
     assert res.cost == 46
 
 
+def test_flex_search_pins_the_degree_bound_tree_on_seeded_corpus(flex_reference):
+    for g, k, q, _ in flex_reference:
+        assert minimum_flex_subgraph(g, k, q) == \
+            reference_degree_bound_flex_subgraph(g, k, q), (g, k, q)
+
+
 @st.composite
 def flex_cases(draw):
     n = draw(st.integers(2, 6))
@@ -367,6 +521,14 @@ def test_property_flex_search_matches_reference(case):
                                 node_budget=3000))
 
 
+@settings(max_examples=150, deadline=None)
+@given(flex_cases())
+def test_property_flex_search_pins_the_degree_bound_tree(case):
+    g, k, q = case
+    assert outcome(minimum_flex_subgraph, g, k, q, node_budget=3000) == \
+        outcome(reference_degree_bound_flex_subgraph, g, k, q, node_budget=3000)
+
+
 def test_infeasible_witness_is_the_first_violated_cut():
     rng = random.Random(3102)
     seen = 0
@@ -384,18 +546,21 @@ def test_infeasible_witness_is_the_first_violated_cut():
     assert seen > 100
 
 
-def test_budget_stops_after_the_searchs_own_count(flex_reference):
-    picked = 0
-    for g, k, q, _ in flex_reference:
-        got = minimum_flex_subgraph(g, k, q)
+def test_budget_stops_after_the_searchs_own_count(flex_reference, seeded_covers):
+    cases = [(minimum_flex_subgraph, (g, k, q)) for g, k, q, _ in flex_reference]
+    cases += [(exact_min_cover, (inst,)) for inst in seeded_covers]
+    picked = {minimum_flex_subgraph: 0, exact_min_cover: 0}
+    for search, args in cases:
+        got = search(*args)
         n_nodes = got.nodes_explored
         if n_nodes < 2:
             continue
-        picked += 1
-        assert minimum_flex_subgraph(g, k, q, node_budget=n_nodes) == got
+        picked[search] += 1
+        assert search(*args, node_budget=n_nodes) == got
         with pytest.raises(BudgetError):
-            minimum_flex_subgraph(g, k, q, node_budget=n_nodes - 1)
-    assert picked > len(FLEX_CELLS) // 2
+            search(*args, node_budget=n_nodes - 1)
+    assert picked[minimum_flex_subgraph] > len(FLEX_CELLS) // 2
+    assert picked[exact_min_cover] > len(seeded_covers) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -411,15 +576,20 @@ def augment_cover(inst) -> CoverInstance:
     return CoverInstance(g.n, cands, deficient_family(base, inst.k))
 
 
-def test_cover_search_matches_reference_on_seeded_corpora():
+@pytest.fixture(scope="module")
+def seeded_covers() -> list[CoverInstance]:
+    """The augment and uncrossable cover corpora."""
     covers = [augment_cover(inst) for _, inst in make_augment_corpus(40, 3104)]
-    covers += [inst for _, inst in make_uncrossable_cover_corpus(30, 3105)]
+    return covers + [inst for _, inst in make_uncrossable_cover_corpus(30, 3105)]
+
+
+def test_cover_search_matches_reference_on_seeded_corpora(seeded_covers):
     nodes = 0
-    for inst in covers:
+    for inst in seeded_covers:
         got = exact_min_cover(inst)
         assert got == reference_exact_min_cover(inst)
         nodes += got.nodes_explored
-    assert nodes > 10 * len(covers)
+    assert nodes > 10 * len(seeded_covers)
 
 
 @st.composite

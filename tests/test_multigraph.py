@@ -279,6 +279,21 @@ def test_no_module_reads_the_environment():
                 f"{path.name}:{number} reads the environment: {line.strip()}"
 
 
+def test_one_search_raises_the_node_budget():
+    """Both exact searches run on one engine: a second hand-copied branch
+    and bound would bring a second ``raise BudgetError``."""
+    from pathlib import Path
+
+    import nearcut
+
+    package = Path(nearcut.__file__).parent
+    raises = [f"{path.name}:{number}"
+              for path in sorted(package.glob("*.py"))
+              for number, line in enumerate(path.read_text().splitlines(), 1)
+              if "raise BudgetError" in line]
+    assert len(raises) == 1, raises
+
+
 def test_table_memory_guard_refuses_before_allocating(monkeypatch, tmp_path, capsys):
     import numpy as np
 

@@ -10,9 +10,11 @@ the same ``CoverSolution``, the same error.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import tracemalloc
 from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,6 +25,7 @@ import nearcut.family_cover as family_cover
 from nearcut import (
     CoverInstance,
     EdgeRecord,
+    InvariantError,
     Multigraph,
     NearcutError,
     SetFamily,
@@ -37,6 +40,7 @@ from nearcut.family_cover import (
     _crossing_bits,
     _strict_subsets,
     certify_primal_dual,
+    cover_symmetric_crossing,
     covers,
 )
 
@@ -257,13 +261,20 @@ def test_pd2_solution_does_not_depend_on_the_threshold(seed, n, chords, flip, dr
         assert not isinstance(loop, tuple)   # a real solution was compared
 
 
-def test_pd2_roots_members_that_hold_node_0():
-    # uncrossable up to complement, with members on node 0's side: growing
-    # duals on the members as given ends at cost 25 over a dual sum of 12
+def rooting_instance() -> CoverInstance:
+    """Uncrossable up to complement, with members on node 0's side."""
     fam = SetFamily(5, (14, 23, 22, 20, 25, 27, 16, 10, 30, 2))
     cands = tuple(Candidate(*c) for c in (
         (0, 4, 1, 9), (1, 1, 3, 6), (2, 3, 0, 7), (3, 0, 2, 9), (4, 2, 4, 8),
         (5, 2, 4, 6), (6, 0, 1, 4), (8, 0, 4, 6), (9, 3, 0, 3)))
+    return CoverInstance(5, cands, fam)
+
+
+def test_pd2_roots_members_that_hold_node_0():
+    # growing duals on the members as given ends at cost 25 over a dual
+    # sum of 12
+    inst = rooting_instance()
+    cands, fam = inst.candidates, inst.family
     assert is_uncrossable(fam)[0]
     assert any(m & 1 for m in fam.members)
     sol = primal_dual_uncrossable_cover(CoverInstance(5, cands, fam))
@@ -273,3 +284,25 @@ def test_pd2_roots_members_that_hold_node_0():
     chosen = [c for c in cands if c.ident in sol.chosen]
     assert covers(chosen, fam) == (True, None)
     assert sol == primal_dual_uncrossable_cover(CoverInstance(5, cands, rooted))
+
+
+def test_certificates_hold_against_the_instance_passed_in():
+    # an edge crosses a set exactly when it crosses the complement, so the
+    # rooted duals certify against the family as given
+    inst = rooting_instance()
+    sol = primal_dual_uncrossable_cover(inst)
+    assert any(m & 1 for m in inst.family.members)
+    assert not set(mask for mask, _ in sol.duals) <= set(inst.family.members)
+    certify_primal_dual(inst, sol)
+    cycle = Multigraph(5, tuple(EdgeRecord(v, (v + 1) % 5, 1, 1, False)
+                                for v in range(5)))
+    sym = CoverInstance(5, inst.candidates, level_family(cycle, 2).symmetric_closure())
+    assert len(sym.family) and any(m & 1 for m in sym.family.members)
+    certify_primal_dual(sym, cover_symmetric_crossing(sym))
+    # a dual on a set that is no member, on either side, is still refused
+    stray = 0b01100
+    assert not inst.family.contains_cut(stray)
+    bad = dataclasses.replace(sol, duals=sol.duals + ((stray, Fraction(0)),))
+    with pytest.raises(InvariantError, match="outside the family") as err:
+        certify_primal_dual(inst, bad)
+    assert err.value.witness == stray
