@@ -22,9 +22,7 @@ from .multigraph import (
     QuotientResult,
     canonical_mask,
     complement_mask,
-    cut_degree,
     enumerate_cuts_at_most,
-    is_k_edge_connected,
     mask_from_nodes,
     min_cut_value,
     nodes_from_mask,

@@ -84,7 +84,7 @@ class AugmentInstance:
 
     @cached_property
     def lam0(self) -> int:
-        return min_cut_value(self.base_graph, weighted=True)
+        return min_cut_value(self.base_graph)
 
     @property
     def base_ids(self) -> tuple[int, ...]:
@@ -111,7 +111,8 @@ class AugmentInstance:
                         f"candidate edge {i} has capacity {e.capacity} < k - lam0 = {gap}")
 
     def current_graph(self, chosen: set[int] | frozenset[int]) -> Multigraph:
-        """Base edges plus chosen candidates at capacity k - lam0."""
+        """Base edges plus chosen candidates at capacity k - lam0.  Its cut
+        table counts edges, so it does not see those capacities."""
         gap = max(self.k - self.lam0, 1)
         edges = []
         for i, e in enumerate(self.graph.edges):
@@ -132,14 +133,14 @@ class AugmentResult:
 
 
 def deficient_family(g_current: Multigraph, k: int) -> SetFamily:
-    """Canonical cuts of capacity-weighted value < k."""
-    vals = cut_value_array(g_current, weighted=True)
+    """Canonical cuts crossed by fewer than k edges."""
+    vals = cut_value_array(g_current)
     return SetFamily(g_current.n, cut_masks(vals < k))
 
 
 def level_family(g_current: Multigraph, lam: int) -> SetFamily:
-    """Canonical cuts of capacity-weighted value lam or lam+1."""
-    vals = cut_value_array(g_current, weighted=True)
+    """Canonical cuts crossed by lam or lam+1 edges."""
+    vals = cut_value_array(g_current)
     return SetFamily(g_current.n, cut_masks((vals >= lam) & (vals <= lam + 1)))
 
 
@@ -210,7 +211,7 @@ def near_min_cuts_cover(inst: AugmentInstance,
     stages: list[PhaseLog] = []
     # The deficient cuts no chosen candidate crosses yet, with their base
     # values, which are also their current values.
-    vals = cut_value_array(inst.base_graph, weighted=True)
+    vals = cut_value_array(inst.base_graph)
     hit = vals < k
     hit[0] = False   # the empty set, not a cut
     masks, values = np.flatnonzero(hit) << 1, vals[hit]

@@ -18,7 +18,9 @@ class InputError(NearcutError):
 
 
 class LimitError(NearcutError):
-    """Exhaustive enumeration was asked to go beyond the configured node limit."""
+    """A fixed size limit was exceeded: the exhaustive node limit, the cut
+    table memory budget, the augmentation stage count, the generated edge
+    count or the oracle edge limit."""
 
 
 class PreconditionError(NearcutError):

@@ -401,11 +401,11 @@ def exact_min_cover(inst: CoverInstance,
     tries its candidates by position, so equal-cost optima resolve
     deterministically.
     """
-    cands = inst.candidates
     members = inst.family.members
-    cross = inst.crossings.member_bits  # member -> candidate-position bitmask
     if not members:
         return CoverSolution(chosen=(), cost=0, method="exact", guarantee=Fraction(1))
+    cands = inst.candidates
+    cross = inst.crossings.member_bits  # member -> candidate-position bitmask
     costs = [c.cost for c in cands]
 
     def greedy_start() -> int:
@@ -456,8 +456,11 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
     members strictly inside member j are precomputed, so j is minimal
     among the uncovered members when none of those is uncovered, and
     each candidate's ``paid`` (the duals of the members it crosses) is
-    kept up to date as the duals grow.
+    kept up to date as the duals grow.  An empty family returns the empty
+    cover at once.
     """
+    if not inst.family.members:
+        return CoverSolution(chosen=(), cost=0, method="primal-dual", guarantee=Fraction(2))
     ok, wit = is_uncrossable(inst.family)
     if not ok:
         raise PreconditionError("family is not uncrossable", witness=wit)

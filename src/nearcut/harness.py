@@ -352,7 +352,7 @@ def make_uncrossable_cover_corpus(count: int, seed: int) -> list[tuple[str, Cove
             pairs = pairs + pairs[: rng.randint(0, n)]
         pairs += _random_pairs(rng, n, rng.randint(0, 3))
         g = Multigraph.from_edges(n, [(u, v, 0, 1) for (u, v) in pairs])
-        lam = min_cut_value(g, weighted=True)
+        lam = min_cut_value(g)
         if lam < 2 or lam % 2:
             continue
         fam = level_family(g, lam)
@@ -436,7 +436,7 @@ def _near_min_squares(cfg: dict):
     rng = random.Random(cfg["seed"])
     for gi in range(cfg["graphs"]):
         g = _corpus_graph(rng, cfg["n_min"], cfg["n_max"], cfg["m_factor"])
-        lam = min_cut_value(g, weighted=True)
+        lam = min_cut_value(g)
         for a, b in combinations(level_family(g, lam).members, 2):
             if crosses_strongly(a, b, g.n):
                 yield gi, g, a, b, build_square(g, a, b, lam=lam)
@@ -454,7 +454,7 @@ def _suite_squares(cfg: dict) -> dict:
             bad.append(f"solution residuals {sq.formula_residuals()}")
         if any(sq.counting_residuals()):
             bad.append(f"counting residuals {sq.counting_residuals()}")
-        vals = cut_value_array(g, weighted=True)
+        vals = cut_value_array(g)
         da_expect = {int(vals[(a >> 1)]), int(vals[(b >> 1)])}
         if {sq.da, sq.db} != da_expect:
             bad.append(f"cut values drifted: {{{sq.da},{sq.db}}} != {da_expect}")
@@ -498,7 +498,7 @@ def _suite_uncrossable(cfg: dict) -> dict:
     violations: list[str] = []
     for gi in range(graphs):
         g = _corpus_graph(rng, cfg["n_min"], cfg["n_max"], cfg["m_factor"])
-        lam = min_cut_value(g, weighted=True)
+        lam = min_cut_value(g)
         if lam % 2:
             skipped_odd += 1
             continue

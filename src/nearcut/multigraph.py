@@ -79,10 +79,6 @@ def canonical_mask(mask: int, n: int) -> int:
     return complement_mask(mask, n) if mask & 1 else mask
 
 
-def is_proper_subset(mask: int, n: int) -> bool:
-    return 0 < mask < full_mask(n)
-
-
 def edge_crosses(u: int, v: int, mask: int) -> bool:
     return ((mask >> u) & 1) != ((mask >> v) & 1)
 
@@ -108,8 +104,8 @@ class Multigraph:
     """Immutable capacitated multigraph; parallel edges allowed.
 
     Edge identifiers are list positions, which stay stable because the
-    value never mutates.  Derived cut-value tables are cached, read-only,
-    per ``weighted`` flag.  Edges are restricted only by building another
+    value never mutates.  The derived cut-value table is cached, read-only,
+    once per graph.  Edges are restricted only by building another
     graph: :func:`subgraph` for an id set, :attr:`unsafe_graph` for the
     unsafe edges.
     """
@@ -202,26 +198,14 @@ class CutRecord:
 # Cut evaluation
 
 
-def cut_degree(g: Multigraph, mask: int, *, weighted: bool = False) -> int:
-    """Number (or total capacity) of edges crossing the cut."""
-    if not is_proper_subset(mask, g.n):
-        raise InputError(f"cut side must be a non-empty proper subset, got mask {mask:#x}")
-    total = 0
-    for e in g.edges:
-        if edge_crosses(e.u, e.v, mask):
-            total += e.capacity if weighted else 1
-    return total
-
-
-def cut_value_array(g: Multigraph, *, weighted: bool = False) -> np.ndarray:
+def cut_value_array(g: Multigraph) -> np.ndarray:
     """Cut values for every canonical mask, indexed by ``mask >> 1``.
 
     Index 0 corresponds to the empty set and is not a cut; callers must
-    skip it (:func:`cut_masks` does).  The table is read-only and cached
-    on the graph per ``weighted`` flag.  The values count the edges of
-    ``g`` (their capacities when weighted); a table over part of the
-    edges is the table of the graph of those edges, such as
-    ``g.unsafe_graph``.
+    skip it (:func:`cut_masks` does).  The table is int32, read-only and
+    cached on the graph.  The values count the edges of ``g``; capacities
+    do not enter.  A table over part of the edges is the table of the
+    graph of those edges, such as ``g.unsafe_graph``.
 
     Built in place by node doubling over the adjacency matrix ``adj``:
     index bit ``j`` stands for node ``j + 1``, and for each node
@@ -240,34 +224,22 @@ def cut_value_array(g: Multigraph, *, weighted: bool = False) -> np.ndarray:
     are checked all the same).
     Work is O(2^n + n^2).
 
-    Values lie in ``[0, W]``, where ``W`` is the total weight (the edge
-    count when unweighted), so the dtype is int32 when ``W < 2^31``
-    and int64 when ``W < 2^63``; a larger ``W`` raises :class:`LimitError`
-    naming it.  The step ``-2 * adj[v][u]`` need not fit that dtype; it is
-    passed reduced modulo ``2^bits``, the partial sums wrap the same way,
-    and the finished values, which do fit, come out exact.  The step table
-    is doubled out in int64 and cast to the dtype, which reduces it the
-    same way.
-    Memory is the table, ``itemsize * 2^(n-1)`` bytes (32 MiB at n = 24 in
-    int32), plus a step table of at most 24 x 128 entries.  That estimate
-    is checked before anything is allocated: a build above
-    :data:`TABLE_MEMORY_BUDGET` (256 MiB, so n <= 27 in int32) raises
+    Memory is the table, ``4 * 2^(n-1)`` bytes (32 MiB at n = 24), plus a
+    step table of at most 24 x 128 entries.  That estimate is checked
+    before anything is allocated: a build above
+    :data:`TABLE_MEMORY_BUDGET` (256 MiB, so n <= 27) raises
     :class:`LimitError` naming it, whatever the node limit allows.
     """
     cache = g._cut_cache
-    if weighted in cache:
-        return cache[weighted]
-    total = sum(e.capacity for e in g.edges) if weighted else g.m
-    if total >= 1 << 63:
-        raise LimitError(f"cut table values need the total weight {total} below 2^63")
-    dtype = np.dtype(np.int32 if total < 1 << 31 else np.int64)
-    check_exhaustive_build(g.n, dtype.itemsize << (g.n - 1), "cut table")
+    if "table" in cache:
+        return cache["table"]
+    check_exhaustive_build(g.n, 4 << (g.n - 1), "cut table")
     if not g.edges:
-        vals = np.zeros(1 << (g.n - 1), dtype=dtype)
+        vals = np.zeros(1 << (g.n - 1), dtype=np.int32)
     else:
-        vals = _doubling_table(g.n, g.edges, weighted, dtype)
+        vals = _doubling_table(g.n, g.edges)
     vals.flags.writeable = False
-    cache[weighted] = vals
+    cache["table"] = vals
     return vals
 
 
@@ -276,30 +248,25 @@ def cut_value_array(g: Multigraph, *, weighted: bool = False) -> np.ndarray:
 _LOW_NODES = 7
 
 
-def _doubling_table(n: int, edges: Sequence[EdgeRecord], weighted: bool,
-                    dtype: np.dtype) -> np.ndarray:
+def _doubling_table(n: int, edges: Sequence[EdgeRecord]) -> np.ndarray:
     """The writable table of :func:`cut_value_array` for a non-empty edge list."""
-    half_range = 1 << (8 * dtype.itemsize - 1)
     adj = [[0] * n for _ in range(n)]
     for e in edges:
-        w = e.capacity if weighted else 1
-        adj[e.u][e.v] += w
-        adj[e.v][e.u] += w
-    vals = np.empty(1 << (n - 1), dtype=dtype)
+        adj[e.u][e.v] += 1
+        adj[e.v][e.u] += 1
+    vals = np.empty(1 << (n - 1), dtype=np.int32)
     vals[0] = 0
     low = _LOW_NODES if n > _LOW_NODES else 0
     if low:
         # step[v, S] = deg(v) - 2 * w(v, S) for S over nodes 1..low, doubled
-        # out in int64 (wrapping where 2 * adj[v][u] exceeds it) and then
-        # reduced modulo 2^bits by the cast, like the scalar steps below
-        adjm = np.array(adj, dtype=np.int64)
+        # out for all nodes at once
+        adjm = np.array(adj, dtype=np.int32)
         twice = adjm * 2
-        wide = np.empty((n, 1 << low), dtype=np.int64)
-        wide[:, 0] = adjm.sum(axis=1)
+        step = np.empty((n, 1 << low), dtype=np.int32)
+        step[:, 0] = adjm.sum(axis=1)
         for u in range(1, low + 1):
             h = 1 << (u - 1)
-            np.subtract(wide[:, :h], twice[:, u:u + 1], out=wide[:, h:2 * h])
-        step = wide.astype(dtype, copy=False)
+            np.subtract(step[:, :h], twice[:, u:u + 1], out=step[:, h:2 * h])
         # nodes 1..low + 1 index low bits only: one add each
         for v in range(1, min(n, low + 2)):
             half = 1 << (v - 1)
@@ -314,8 +281,7 @@ def _doubling_table(n: int, edges: Sequence[EdgeRecord], weighted: bool,
             dst[0] = sum(row)
         for u in range(low + 1, v):
             h = 1 << (u - 1)
-            step_u = (half_range - 2 * row[u]) % (2 * half_range) - half_range
-            np.add(dst[:h], step_u, out=dst[h:2 * h])
+            np.add(dst[:h], -2 * row[u], out=dst[h:2 * h])
         dst += vals[:half]
     return vals
 
@@ -329,36 +295,26 @@ def cut_masks(hit: np.ndarray) -> tuple[int, ...]:
     return tuple(((np.flatnonzero(hit[1:]) + 1) << 1).tolist())
 
 
-def min_cut_value(g: Multigraph, *, weighted: bool = False) -> int:
+def min_cut_value(g: Multigraph) -> int:
     """Global minimum cut value; 0 when the graph is disconnected."""
     if g.n < 2:
         raise InputError("minimum cut needs at least 2 nodes")
-    vals = cut_value_array(g, weighted=weighted)
-    return int(vals[1:].min())
+    return int(cut_value_array(g)[1:].min())
 
 
-def is_k_edge_connected(g: Multigraph, k: int, *, weighted: bool = False) -> bool:
-    if g.n < 2:
-        return True
-    return min_cut_value(g, weighted=weighted) >= k
-
-
-def enumerate_cuts_at_most(g: Multigraph, threshold: int, *,
-                           weighted: bool = False) -> tuple[CutRecord, ...]:
+def enumerate_cuts_at_most(g: Multigraph, threshold: int) -> tuple[CutRecord, ...]:
     """All canonical cuts with value <= threshold.
 
-    One representative per complement pair, sorted by (value, mask).  Reads
-    the requested table and the unweighted one, which gives each record's
-    ``size``.
+    One representative per complement pair, sorted by (value, mask); each
+    record's ``size`` is its value.
     """
     if g.n < 2:
         return ()
-    vals = cut_value_array(g, weighted=weighted)
-    size_arr = cut_value_array(g)
+    vals = cut_value_array(g)
     hits = np.flatnonzero(vals[1:] <= threshold) + 1
     # hits ascend, so a stable sort on the values gives (value, mask) order
     hits = hits[np.argsort(vals[hits], kind="stable")]
-    return tuple(map(CutRecord, (hits << 1).tolist(), size_arr[hits].tolist()))
+    return tuple(map(CutRecord, (hits << 1).tolist(), vals[hits].tolist()))
 
 
 class DisjointSets:

@@ -76,6 +76,14 @@ def brute_min_cut(g, pred=lambda e: True, weighted=False):
     return min(brute_cut_value(g, s, pred, weighted) for s in canonical_subsets(g.n))
 
 
+def by_capacity(g):
+    """The same graph with each edge repeated ``capacity`` times, as unit
+    capacity copies: its edge-count cut table holds ``g``'s capacitated
+    cut values."""
+    return Multigraph(g.n, tuple(EdgeRecord(e.u, e.v, e.cost, 1, e.unsafe, e.base)
+                                 for e in g.edges for _ in range(e.capacity)))
+
+
 def random_multigraph(rng: random.Random, n, extra=4, unsafe_p=0.0):
     """Connected random multigraph: random tree plus extra duplicatable pairs."""
     pairs = [(rng.randrange(v), v) for v in range(1, n)]

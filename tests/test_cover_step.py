@@ -52,10 +52,11 @@ from nearcut.multigraph import (
     Multigraph,
     cut_masks,
     cut_value_array,
-    is_k_edge_connected,
     min_cut_value,
     subgraph,
 )
+
+from conftest import by_capacity
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -95,7 +96,7 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
 
     for level, kind in plan:
         fam = (level_family(g_cur, level) if kind == "pair" else SetFamily(
-            g_cur.n, cut_masks(cut_value_array(g_cur, weighted=True) == level)))
+            g_cur.n, cut_masks(cut_value_array(g_cur) == level)))
         slot = pair if kind == "pair" else single
         if kind == "single" and level == lam0 and lam0 % 2 == 1 and len(fam):
             ok, wit = is_laminar(fam)
@@ -121,13 +122,13 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
         stages.append(PhaseLog(level, kind, len(fam), sol.method, sol.cost,
                                sol.guarantee, tuple(sorted(sol.chosen))))
         target = level + (2 if kind == "pair" else 1)
-        g_cur = inst.current_graph(chosen)
-        new_conn = min_cut_value(g_cur, weighted=True)
+        g_cur = by_capacity(inst.current_graph(chosen))
+        new_conn = min_cut_value(g_cur)
         if new_conn < min(target, k):
             raise InvariantError(
                 f"stage at level {level} left connectivity {new_conn} < {target}")
 
-    if plan and not is_k_edge_connected(g_cur, k, weighted=True):
+    if plan and min_cut_value(g_cur) < k:
         raise InvariantError("cover finished but the graph is not k-connected")
     cost = sum(inst.graph.edges[i].cost for i in chosen)
     expected = implemented_ratio_bound(lam0, k, next(
@@ -399,8 +400,8 @@ def test_flex_checks_on_every_edge_share_the_graph_tables(monkeypatch):
     import nearcut.cut_structure as cs
     tables = []
 
-    def recording(h, *, weighted=False):
-        out = cut_value_array(h, weighted=weighted)
+    def recording(h):
+        out = cut_value_array(h)
         tables.append(out)
         return out
     monkeypatch.setattr(cs, "cut_value_array", recording)

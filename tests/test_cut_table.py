@@ -42,7 +42,7 @@ from nearcut.multigraph import (
     cut_value_array,
 )
 
-from conftest import EDGE_FILTERS, brute_cut_value, canonical_subsets, restrict
+from conftest import EDGE_FILTERS, brute_cut_value, by_capacity, canonical_subsets, restrict
 
 # the filter map and lookup of the earlier builds below
 FILTERS = EDGE_FILTERS
@@ -65,15 +65,14 @@ def random_flagged_multigraph(rng: random.Random, n: int) -> Multigraph:
     return Multigraph(n, tuple(edges))
 
 
-def assert_table_matches_brute(g, filt, weighted):
+def assert_table_matches_brute(g, filt):
     pred = FILTERS[filt]
-    vals = cut_value_array(restrict(g, filt), weighted=weighted)
+    vals = cut_value_array(restrict(g, filt))
     assert vals.shape == (1 << (g.n - 1),)
     assert int(vals[0]) == 0
     for side in canonical_subsets(g.n):
         mask = mask_from_nodes(side)
-        assert int(vals[mask >> 1]) == brute_cut_value(g, side, pred, weighted), \
-            (filt, weighted, sorted(side))
+        assert int(vals[mask >> 1]) == brute_cut_value(g, side, pred), (filt, sorted(side))
 
 
 # ---------------------------------------------------------------------------
@@ -154,20 +153,19 @@ def inplace_cut_value_array(g: Multigraph, filt: str = "all",
     return vals
 
 
-def assert_table_matches_inplace(g, filt, weighted):
+def assert_table_matches_inplace(g, filt):
     """Same values, dtype and read-only flag as the in-place build."""
-    vals = cut_value_array(restrict(g, filt), weighted=weighted)
-    ref = inplace_cut_value_array(twin(g), filt, weighted)
-    assert vals.dtype == ref.dtype, (filt, weighted)
-    assert vals.tobytes() == ref.tobytes(), (filt, weighted)
+    vals = cut_value_array(restrict(g, filt))
+    ref = inplace_cut_value_array(twin(g), filt)
+    assert vals.dtype == ref.dtype, filt
+    assert vals.tobytes() == ref.tobytes(), filt
     assert not vals.flags.writeable
 
 
-def loop_enumerate_cuts_at_most(g: Multigraph, threshold: int,
-                                weighted: bool = False) -> tuple[CutRecord, ...]:
+def loop_enumerate_cuts_at_most(g: Multigraph, threshold: int) -> tuple[CutRecord, ...]:
     if g.n < 2:
         return ()
-    vals = cut_value_array(g, weighted=weighted)
+    vals = cut_value_array(g)
     size_arr = cut_value_array(g)
     hits = np.nonzero(vals[1:] <= threshold)[0] + 1
     order = sorted(hits.tolist(), key=lambda i: (int(vals[i]), i))
@@ -184,20 +182,14 @@ def twin(g: Multigraph) -> Multigraph:
     return Multigraph(g.n, g.edges)
 
 
-def expected_dtype(g: Multigraph, filt: str, weighted: bool):
-    edges = [e for e in g.edges if FILTERS[filt](e)]
-    total = sum(e.capacity for e in edges) if weighted else len(edges)
-    return np.int32 if total < 2 ** 31 else np.int64
-
-
-def assert_table_matches_parent(g, filt, weighted):
+def assert_table_matches_parent(g, filt):
     h = restrict(g, filt)
-    vals = cut_value_array(h, weighted=weighted)
-    ref = parent_cut_value_array(twin(g), filt, weighted)
-    assert vals.tolist() == ref.tolist(), (filt, weighted)
-    assert vals.dtype == expected_dtype(g, filt, weighted), (filt, weighted)
+    vals = cut_value_array(h)
+    ref = parent_cut_value_array(twin(g), filt)
+    assert vals.tolist() == ref.tolist(), filt
+    assert vals.dtype == np.int32, filt
     assert not vals.flags.writeable
-    assert h._cut_cache[weighted] is vals
+    assert cut_value_array(h) is vals
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +198,12 @@ def assert_table_matches_parent(g, filt, weighted):
 
 def loop_level_family(g, lam):
     wanted = {lam, lam + 1}
-    vals = cut_value_array(g, weighted=True)
+    vals = cut_value_array(g)
     return tuple(i << 1 for i in range(1, len(vals)) if int(vals[i]) in wanted)
 
 
 def loop_deficient_family(g, k):
-    vals = cut_value_array(g, weighted=True)
+    vals = cut_value_array(g)
     return tuple(i << 1 for i in range(1, len(vals)) if int(vals[i]) < k)
 
 
@@ -243,9 +235,8 @@ def test_table_equals_brute_force(n):
     rng = random.Random(100 + n)
     for _ in range(3):
         g = random_flagged_multigraph(rng, n)
-        for weighted in (False, True):
-            for filt in FILTERS:
-                assert_table_matches_brute(g, filt, weighted)
+        for filt in FILTERS:
+            assert_table_matches_brute(g, filt)
 
 
 def random_capacity_multigraph(rng: random.Random, n: int, caps=(1, 5)) -> Multigraph:
@@ -266,30 +257,16 @@ def test_table_equals_parent_build(n):
     graphs = [random_capacity_multigraph(rng, n), random_capacity_multigraph(rng, n),
               random_capacity_multigraph(rng, n, caps=(1, 1))]
     if n >= 2:
-        # one capacity at or above 2^31 makes its weighted tables int64
+        # one capacity at or above 2^31 leaves its tables int32
         heavy = random_capacity_multigraph(rng, n)
         u, v = rng.sample(range(n), 2)
         graphs.append(Multigraph(n, heavy.edges + (EdgeRecord(u, v, 1, 2 ** 31 + 7,
                                                               True, True),)))
     for g in graphs:
         for filt in FILTERS:
-            for weighted in (False, True):
-                assert_table_matches_parent(g, filt, weighted)
+            assert_table_matches_parent(g, filt)
     if n >= 2:
-        assert cut_value_array(graphs[-1], weighted=True).dtype == np.int64
         assert cut_value_array(graphs[-1]).dtype == np.int32
-
-
-@pytest.mark.parametrize("cap, dtype", [(2 ** 30, np.int32), (2 ** 31 - 2, np.int32),
-                                        (2 ** 31 - 1, np.int64), (2 ** 62, np.int64),
-                                        (2 ** 63 - 2, np.int64)])
-def test_table_dtype_boundary(cap, dtype):
-    # total weight cap + 1; the doubling step -2 * cap does not fit the dtype
-    g = Multigraph.from_edges(4, [(1, 2, 1, cap), (2, 3, 1, 1)])
-    vals = cut_value_array(g, weighted=True)
-    assert vals.dtype == dtype
-    assert vals.tolist() == parent_cut_value_array(twin(g), "all", True).tolist()
-    assert_table_matches_brute(g, "all", True)
 
 
 @pytest.mark.parametrize("n", range(1, 15))
@@ -307,36 +284,34 @@ def test_table_equals_inplace_build(n):
                                                               True, True),)))
     for g in graphs:
         for filt in FILTERS:
-            for weighted in (False, True):
-                assert_table_matches_inplace(g, filt, weighted)
+            assert_table_matches_inplace(g, filt)
 
 
 @pytest.mark.parametrize("n", [4, 7, 8, 9, 12])
 @pytest.mark.parametrize("cap", [2 ** 31 - 1, 2 ** 62, 2 ** 63 - 2])
 def test_table_dtype_boundary_matches_inplace_build(n, cap):
-    # total weight cap + 1 in int64; the heavy edge joins two low-bit nodes,
-    # a low-bit and the highest node, or the two highest nodes
+    # a capacity past the int32 range leaves the table int32: it counts
+    # edges.  The heavy edge joins two low-bit nodes, a low-bit and the
+    # highest node, or the two highest nodes
     for u, v in ((1, 2), (2, n - 1), (n - 2, n - 1)):
         g = Multigraph.from_edges(n, [(u, v, 1, cap), (0, n - 1, 1, 1)])
-        assert cut_value_array(g, weighted=True).dtype == np.int64
-        assert_table_matches_inplace(g, "all", True)
-        assert_table_matches_inplace(g, "all", False)
+        assert cut_value_array(g).dtype == np.int32
+        assert_table_matches_inplace(g, "all")
         if n <= 8:
-            assert_table_matches_brute(g, "all", True)
+            assert_table_matches_brute(g, "all")
 
 
 def test_empty_filter_table_is_read_only_zeros(monkeypatch):
     for n in (1, 2, 7, 8, 9, 12):
         g = Multigraph(n, tuple(EdgeRecord(u, u + 1, 1, 3) for u in range(n - 1)))
         h = g.unsafe_graph
-        for weighted in (False, True):
-            vals = cut_value_array(h, weighted=weighted)
-            assert vals.dtype == np.int32 and vals.shape == (1 << (n - 1),)
-            assert not vals.any() and not vals.flags.writeable
-            assert cut_value_array(h, weighted=weighted) is vals
-        assert sorted(h._cut_cache) == [False, True]
+        vals = cut_value_array(h)
+        assert vals.dtype == np.int32 and vals.shape == (1 << (n - 1),)
+        assert not vals.any() and not vals.flags.writeable
+        assert cut_value_array(h) is vals
+        assert len(h._cut_cache) == 1
         assert not g._cut_cache
-        assert_table_matches_inplace(g, "unsafe", False)
+        assert_table_matches_inplace(g, "unsafe")
     import nearcut.multigraph as mg
     builds = []
     real = mg.check_exhaustive_build
@@ -366,16 +341,14 @@ def test_base_graph_table_is_the_base_filter_table():
         inst = AugmentInstance(Multigraph(n, base + cands + (EdgeRecord(0, 1, base=True),)),
                                rng.randint(1, 4))
         lam0 = inst.lam0
-        # lam0 and the staged cover read the one weighted table of the one
-        # base graph
+        # lam0 and the staged cover read the one table of the one base graph
         assert inst.base_graph is inst.base_graph
-        assert list(inst.base_graph._cut_cache) == [True]
-        table = cut_value_array(inst.base_graph, weighted=True)
-        assert list(inst.base_graph._cut_cache) == [True]
+        assert len(inst.base_graph._cut_cache) == 1
+        table = cut_value_array(inst.base_graph)
+        assert len(inst.base_graph._cut_cache) == 1
+        assert table.tolist() == cut_value_array(restrict(inst.graph, "base")).tolist()
         assert table.tolist() == \
-            cut_value_array(restrict(inst.graph, "base"), weighted=True).tolist()
-        assert table.tolist() == \
-            parent_cut_value_array(twin(inst.graph), "base", True).tolist()
+            parent_cut_value_array(twin(inst.graph), "base").tolist()
         assert lam0 == int(table[1:].min())
 
 
@@ -385,12 +358,11 @@ def test_unsafe_graph_table_is_the_unsafe_filter_table():
     rng = random.Random(33)
     for _ in range(40):
         g = random_capacity_multigraph(rng, rng.randint(1, 10))
-        for weighted in (False, True):
-            vals = cut_value_array(g.unsafe_graph, weighted=weighted)
-            ref = parent_cut_value_array(twin(g), "unsafe", weighted)
-            assert vals.tolist() == ref.tolist()
-            assert vals.dtype == expected_dtype(g, "unsafe", weighted)
-        assert sorted(g.unsafe_graph._cut_cache) == [False, True]
+        vals = cut_value_array(g.unsafe_graph)
+        ref = parent_cut_value_array(twin(g), "unsafe")
+        assert vals.tolist() == ref.tolist()
+        assert vals.dtype == np.int32
+        assert len(g.unsafe_graph._cut_cache) == 1
         assert not g._cut_cache
 
 
@@ -402,9 +374,9 @@ def test_cover_builds_one_cut_table(monkeypatch):
     builds = []
     real = mg._doubling_table
 
-    def counting(n, edges, weighted, dtype):
+    def counting(n, edges):
         builds.append(n)
-        return real(n, edges, weighted, dtype)
+        return real(n, edges)
 
     def no_current_graph(self, chosen):
         raise AssertionError("current_graph was called")
@@ -448,7 +420,7 @@ def test_huge_k_and_q_meet_the_table_only_in_comparisons():
                 with pytest.raises(PreconditionError) as err:
                     enumerate_Fq(g, ids, k, q)
                 assert err.value.witness == pre
-        w64 = parent_cut_value_array(twin(g), "all", True)
+        w64 = parent_cut_value_array(twin(g), "all")
         assert deficient_family(g, big).members == cut_masks(w64 < big)
         for lam in (big, 2 ** 31 - 1):
             assert level_family(g, lam).members == \
@@ -461,13 +433,13 @@ def test_huge_k_and_q_meet_the_table_only_in_comparisons():
 
 def test_cached_table_is_read_only():
     g = random_flagged_multigraph(random.Random(3), 6)
-    vals = cut_value_array(g, weighted=True)
-    assert cut_value_array(g, weighted=True) is vals
+    vals = cut_value_array(g)
+    assert cut_value_array(g) is vals
     with pytest.raises(ValueError):
         vals[1] = 0
     with pytest.raises(ValueError):
         vals += 1
-    assert_table_matches_brute(g, "all", True)
+    assert_table_matches_brute(g, "all")
 
 
 def test_cut_masks_skips_the_empty_set():
@@ -485,13 +457,12 @@ def test_enumerate_cuts_at_most_matches_its_loop():
     for _ in range(80):
         g = random_capacity_multigraph(rng, rng.randint(1, 11))
         for filt in FILTERS:
-            h = restrict(g, filt)
-            for weighted in (False, True):
-                vals = cut_value_array(h, weighted=weighted)
+            for h in (restrict(g, filt), restrict(by_capacity(g), filt)):
+                vals = cut_value_array(h)
                 lo, hi = int(vals[1:].min(initial=0)), int(vals.max())
                 for threshold in (-1, 0, lo, lo + 1, (lo + hi) // 2, hi, 2 ** 40):
-                    recs = enumerate_cuts_at_most(h, threshold, weighted=weighted)
-                    assert recs == loop_enumerate_cuts_at_most(h, threshold, weighted)
+                    recs = enumerate_cuts_at_most(h, threshold)
+                    assert recs == loop_enumerate_cuts_at_most(h, threshold)
                     assert all(type(x) is int for r in recs
                                for x in (r.mask, r.size))
                     seen += len(recs)
@@ -522,8 +493,8 @@ def test_min_cut_matches_networkx_stoer_wagner():
                     expected = nx.stoer_wagner(h)[0]
                 else:
                     expected = 0
-                assert min_cut_value(restrict(g, filt), weighted=weighted) == expected, \
-                    (filt, weighted)
+                graph = by_capacity(g) if weighted else g
+                assert min_cut_value(restrict(graph, filt)) == expected, (filt, weighted)
     assert connected > 300
 
 
@@ -535,7 +506,7 @@ def test_level_and_deficient_families_match_loops():
     rng = random.Random(21)
     for _ in range(60):
         g = random_flagged_multigraph(rng, rng.randint(2, 9))
-        lam = min_cut_value(g, weighted=True)
+        lam = min_cut_value(g)
         for level in (lam, lam + 1, lam + 3):
             assert level_family(g, level).members == loop_level_family(g, level)
         for k in (lam, lam + 1, lam + 4):
@@ -606,7 +577,7 @@ def test_enumerate_Fq_builds_one_subgraph(monkeypatch):
 def multigraphs(draw):
     n = draw(st.integers(2, 8))
     node = st.integers(0, n - 1)
-    specs = draw(st.lists(st.tuples(node, node, st.integers(1, 3), st.booleans(),
+    specs = draw(st.lists(st.tuples(node, node, st.integers(1, 4), st.booleans(),
                                     st.booleans()), max_size=3 * n))
     return Multigraph(n, tuple(EdgeRecord(u, v, 1, cap, unsafe, base)
                                for u, v, cap, unsafe, base in specs if u != v))
@@ -616,9 +587,8 @@ def multigraphs(draw):
 @given(multigraphs())
 def test_property_table_and_level_family(g):
     for filt in FILTERS:
-        for weighted in (False, True):
-            assert_table_matches_brute(g, filt, weighted)
-    lam = min_cut_value(g, weighted=True)
+        assert_table_matches_brute(g, filt)
+    lam = min_cut_value(g)
     assert level_family(g, lam).members == loop_level_family(g, lam)
 
 
@@ -637,5 +607,15 @@ def capacity_multigraphs(draw):
 @given(capacity_multigraphs())
 def test_property_table_matches_parent_build(g):
     for filt in FILTERS:
-        for weighted in (False, True):
-            assert_table_matches_parent(g, filt, weighted)
+        assert_table_matches_parent(g, filt)
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs())
+def test_property_by_capacity_table_holds_the_capacitated_values(g):
+    """The table counts edges; the capacitated values are the table of the
+    graph with each edge repeated ``capacity`` times."""
+    vals = cut_value_array(by_capacity(g))
+    for side in canonical_subsets(g.n):
+        assert int(vals[mask_from_nodes(side) >> 1]) == \
+            brute_cut_value(g, side, weighted=True), sorted(side)

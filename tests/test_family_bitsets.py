@@ -339,7 +339,7 @@ def seeded_cover_instances() -> list[CoverInstance]:
                       for i in inst.candidate_ids)
         g = inst.current_graph(set())
         fams = [deficient_family(g, inst.k), level_family(g, inst.lam0),
-                SetFamily(g.n, cut_masks(cut_value_array(g, weighted=True) == inst.lam0))]
+                SetFamily(g.n, cut_masks(cut_value_array(g) == inst.lam0))]
         out += [CoverInstance(g.n, cands, f) for f in fams if len(f)]
     return out
 

@@ -6,6 +6,7 @@ import pytest
 import nearcut.family_cover as family_cover
 from nearcut import (
     CoverInstance,
+    CoverSolution,
     InfeasibleError,
     InvariantError,
     PreconditionError,
@@ -166,6 +167,22 @@ def test_pd_empty_family():
     sol = primal_dual_uncrossable_cover(CoverInstance.build(4, [(0, 1, 1)],
                                                             SetFamily(4, ())))
     assert sol.cost == 0 and sol.chosen == ()
+
+
+def test_empty_family_returns_before_any_crossing_bits(monkeypatch):
+    """An empty family costs nothing: pd2 and the exact cover return the
+    empty cover without an uncrossable scan or crossing bits."""
+    def fail(*args):
+        raise AssertionError("empty family reached a crossing scan")
+
+    monkeypatch.setattr(family_cover, "_crossing_bits", fail)
+    monkeypatch.setattr(family_cover, "is_uncrossable", fail)
+    for inst in (CoverInstance(18, (), SetFamily(18, ())),
+                 CoverInstance.build(4, [(0, 1, 1), (2, 3, 5)], SetFamily(4, ()))):
+        assert primal_dual_uncrossable_cover(inst) == \
+            CoverSolution((), 0, "primal-dual", Fraction(2))
+        assert exact_min_cover(inst) == CoverSolution((), 0, "exact", Fraction(1))
+        assert "crossings" not in vars(inst)
 
 
 def test_pd_rejects_crossing_family():

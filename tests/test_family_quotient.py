@@ -6,7 +6,7 @@ first version, and the shape checks and decompositions that read it,
 are copied here verbatim (only the names carry a ``reference``
 prefix).  Classes, ``class_of`` and every merged edge (endpoints,
 multiplicity, unsafe tally) must equal theirs, and so must every
-decomposition built on them.  The quotient's weighted cut table must
+decomposition built on them.  The quotient's capacitated cut values must
 also agree with the graph's on every cut the quotient keeps whole.
 """
 
@@ -45,7 +45,7 @@ from nearcut.cut_structure import _component_split
 from nearcut.harness import make_flex_corpus
 from nearcut.multigraph import cut_masks
 
-from conftest import EDGE_FILTERS, random_multigraph, restrict
+from conftest import EDGE_FILTERS, by_capacity, random_multigraph, restrict
 
 EdgeFilter = str  # the first version also took callables; no caller passed one
 
@@ -58,12 +58,12 @@ def resolve_filter(filt: EdgeFilter):
     return EDGE_FILTERS[filt]
 
 
-def cut_value_array(g: Multigraph, filt: EdgeFilter = "all", weighted: bool = False):
-    return multigraph.cut_value_array(restrict(g, filt), weighted=weighted)
+def cut_value_array(g: Multigraph, filt: EdgeFilter = "all"):
+    return multigraph.cut_value_array(restrict(g, filt))
 
 
-def min_cut_value(g: Multigraph, filt: EdgeFilter = "all", weighted: bool = False) -> int:
-    return multigraph.min_cut_value(restrict(g, filt), weighted=weighted)
+def min_cut_value(g: Multigraph, filt: EdgeFilter = "all") -> int:
+    return multigraph.min_cut_value(restrict(g, filt))
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +429,10 @@ def assert_same_quotient(qr, ref):
 
 
 def assert_table_agrees(g, qr):
-    """Weighted cut values survive the contraction on every whole-class cut."""
-    vals = cut_value_array(g, "all", True)
-    qvals = cut_value_array(qr.graph, "all", True)
+    """Capacitated cut values survive the contraction on every whole-class
+    cut: the quotient's merged edges carry summed capacities."""
+    vals = cut_value_array(by_capacity(g))
+    qvals = cut_value_array(by_capacity(qr.graph))
     for mask in range(2, 1 << g.n, 2):
         if qr.compatible(mask):
             assert int(qvals[qr.class_mask(mask) >> 1]) == int(vals[mask >> 1])

@@ -46,9 +46,10 @@ from nearcut.multigraph import (
     Multigraph,
     cut_masks,
     cut_value_array,
-    is_k_edge_connected,
     min_cut_value,
 )
+
+from conftest import by_capacity
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
 
     for level, kind in _stages(lam0, k):
         fam = (level_family(g_cur, level) if kind == "pair" else SetFamily(
-            g_cur.n, cut_masks(cut_value_array(g_cur, weighted=True) == level)))
+            g_cur.n, cut_masks(cut_value_array(g_cur) == level)))
         if kind == "single" and level == lam0 and lam0 % 2 == 1 and len(fam):
             ok, wit = is_laminar(fam)
             if not ok:
@@ -98,13 +99,13 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
         if not len(fam):
             continue
         target = level + (2 if kind == "pair" else 1)
-        g_cur = inst.current_graph(h)
-        new_conn = min_cut_value(g_cur, weighted=True)
+        g_cur = by_capacity(inst.current_graph(h))
+        new_conn = min_cut_value(g_cur)
         if new_conn < min(target, k):
             raise InvariantError(
                 f"stage at level {level} left connectivity {new_conn} < {target}")
 
-    if stages and not is_k_edge_connected(g_cur, k, weighted=True):
+    if stages and min_cut_value(g_cur) < k:
         raise InvariantError("cover finished but the graph is not k-connected")
     chosen = tuple(sorted(h - base_ids))
     bound = sum((s.guarantee for s in stages), Fraction(0))

@@ -33,7 +33,6 @@ from nearcut.multigraph import (
     cut_masks,
     cut_value_array,
     full_mask,
-    is_proper_subset,
     min_cut_value,
     nodes_from_mask,
 )
@@ -43,6 +42,10 @@ from conftest import random_multigraph
 
 # ---------------------------------------------------------------------------
 # References: the earlier bodies, verbatim apart from their names
+
+
+def is_proper_subset(mask: int, n: int) -> bool:
+    return 0 < mask < full_mask(n)
 
 
 def reference_check_ground(a: int, b: int, n: int) -> None:
