@@ -111,15 +111,16 @@ class AugmentInstance:
                         f"candidate edge {i} has capacity {e.capacity} < k - lam0 = {gap}")
 
     def current_graph(self, chosen: set[int] | frozenset[int]) -> Multigraph:
-        """Base edges plus chosen candidates at capacity k - lam0.  Its cut
-        table counts edges, so it does not see those capacities."""
+        """Base edges plus each chosen candidate as k - lam0 parallel unit
+        edges, the lift the staged cover counts it as: its cut table gives
+        the connectivity the cover certifies."""
         gap = max(self.k - self.lam0, 1)
         edges = []
         for i, e in enumerate(self.graph.edges):
             if e.base:
                 edges.append(e)
             elif i in chosen:
-                edges.append(EdgeRecord(e.u, e.v, e.cost, gap, e.unsafe, False))
+                edges += [EdgeRecord(e.u, e.v, e.cost, 1, e.unsafe, False)] * gap
         return Multigraph(self.graph.n, tuple(edges))
 
 
@@ -233,7 +234,7 @@ def near_min_cuts_cover(inst: AugmentInstance,
                 raise InvariantError(
                     "paired-level family is not uncrossable", witness=wit)
         stage = _cover_phase(level, kind, g, h, fam,
-                             PD2_SLOT if kind == "pair" else single)
+                             (PD2_SLOT if kind == "pair" else single).solve)
         stages.append(stage)
         if not len(fam):
             continue

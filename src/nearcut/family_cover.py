@@ -32,7 +32,7 @@ instead of built bit by bit in Python loops.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -616,9 +616,7 @@ def cover_symmetric_crossing(inst: CoverInstance) -> CoverSolution:
         raise InvariantError("rooted symmetric proper crossing family is not "
                              "uncrossable", witness=wit)
     sol = primal_dual_uncrossable_cover(CoverInstance(inst.n, inst.candidates, rooted))
-    return CoverSolution(chosen=sol.chosen, cost=sol.cost,
-                         method="symmetric-crossing/primal-dual",
-                         guarantee=Fraction(2), duals=sol.duals)
+    return replace(sol, method="symmetric-crossing/primal-dual")
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +665,9 @@ def minimal_cover(edges: Sequence, family: SetFamily) -> list:
 
 @dataclass(frozen=True)
 class SolverSlot:
-    """A named cover solver.  Its guarantee is the one each of its
-    solutions reports, and phase logs and ratio bounds read it there."""
+    """A named cover solver, for the places a caller picks one: the
+    single-level stages of the augmentation and ``SOLVER_SLOTS``.  Its
+    guarantee is the one each of its solutions reports."""
 
     name: str
     solve: Callable[[CoverInstance], CoverSolution] = field(compare=False)
@@ -715,15 +714,15 @@ def _added_cost(g: Multigraph, new_ids: Iterable[int]) -> int:
 
 
 def _cover_phase(level: int, name: str, g: Multigraph, h: set[int], fam: SetFamily,
-                 slot: SolverSlot, pool: Optional[set[int]] = None,
-                 solver: Optional[str] = None) -> PhaseLog:
+                 solve: Callable[[CoverInstance], CoverSolution],
+                 pool: Optional[set[int]] = None) -> PhaseLog:
     """Cover ``fam`` from the edges of ``g`` outside ``pool`` (default: H),
-    add the chosen edges H lacks, and log them with the guarantee the
-    solution reports.  An empty family needs no candidate: its solve is
-    one trivial call, logged as solver ``"none"``."""
+    add the chosen edges H lacks, and log them with the method and the
+    guarantee the solution reports.  An empty family needs no candidate:
+    its solve is one trivial call, logged as solver ``"none"``."""
     cands = _candidates_outside(g, h if pool is None else pool) if len(fam) else ()
-    sol = slot.solve(CoverInstance(g.n, cands, fam))
+    sol = solve(CoverInstance(g.n, cands, fam))
     new_ids = tuple(i for i in sol.chosen if i not in h)
     h.update(new_ids)
-    return PhaseLog(level, name, len(fam), (solver or sol.method) if len(fam) else "none",
+    return PhaseLog(level, name, len(fam), sol.method if len(fam) else "none",
                     _added_cost(g, new_ids), sol.guarantee, new_ids, sol.nodes_explored)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -60,14 +60,13 @@ from . import family_cover
 from .family_cover import (
     CoverInstance,
     CoverSolution,
-    EXACT_SLOT,
     PD2_SLOT,
     PhaseLog,
-    SolverSlot,
     _added_cost,
     _branch_and_bound,
     _cover_phase,
     cover_symmetric_crossing,
+    exact_min_cover,
     minimal_cover,
 )
 from .multigraph import (
@@ -258,24 +257,23 @@ def _minimal_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
             raise InvariantError(
                 f"phase {level} added {len(ids)} edges > n - 1 = {g.n - 1}")
         return CoverSolution(ids, len(ids), "minimal-cover", Fraction(2, k))
-    slot = SolverSlot("minimal-cover", solve)
-    return [_cover_phase(level, f"F{level}", g, h, fam, slot)]
+    return [_cover_phase(level, f"F{level}", g, h, fam, solve)]
 
 
 def _structured_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
                       level: int) -> list[PhaseLog]:
     """Laminar for odd k (level 1 only), uncrossable for even k."""
     if k % 2:
-        slot = family_cover.ring_cover_solver  # pluggable: read now
+        solve = family_cover.ring_cover_solver.solve  # pluggable: read now
         ok, wit = is_laminar(fam)
         shape = "laminar for odd k"
     else:
-        slot = PD2_SLOT
+        solve = PD2_SLOT.solve
         ok, wit = is_uncrossable(fam)
         shape = "uncrossable for even k"
     if not ok:
         raise InvariantError(f"level-{level} family is not {shape}", witness=wit)
-    return [_cover_phase(level, f"F{level}", g, h, fam, slot)]
+    return [_cover_phase(level, f"F{level}", g, h, fam, solve)]
 
 
 def _split_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
@@ -285,19 +283,21 @@ def _split_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
     parts = (fam, fam)
     if len(fam):
         split = decompose_F2_odd(g, h, k)
+        for note in split.diagnostics:
+            logger.debug("F2 split at level %d: %s", level, note)
         parts = (split.f_prime, split.f_dprime)
     pool = set(h)
-    symmetric = SolverSlot("symmetric", cover_symmetric_crossing)
-    return [_cover_phase(level, "F2-uncrossable", g, h, parts[0], PD2_SLOT, pool),
-            _cover_phase(level, "F2-symmetric", g, h, parts[1], symmetric, pool)]
+    return [_cover_phase(level, "F2-uncrossable", g, h, parts[0], PD2_SLOT.solve, pool),
+            _cover_phase(level, "F2-symmetric", g, h, parts[1], cover_symmetric_crossing,
+                         pool)]
 
 
 def _fallback_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
                     level: int) -> list[PhaseLog]:
     if len(fam) and not is_uncrossable(fam)[0]:
-        return [_cover_phase(level, f"F{level}", g, h, fam, EXACT_SLOT,
-                             solver="exact-fallback")]
-    return [_cover_phase(level, f"F{level}", g, h, fam, PD2_SLOT)]
+        return [_cover_phase(level, f"F{level}", g, h, fam, lambda ci: replace(
+            exact_min_cover(ci), method="exact-fallback"))]
+    return [_cover_phase(level, f"F{level}", g, h, fam, PD2_SLOT.solve)]
 
 
 def _level_handler(unit_cost: bool, k: int, q: int, level: int):
@@ -327,7 +327,7 @@ def solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
     """
     g, k, q = inst.graph, inst.k, inst.q
     if unit_cost and not inst.unit_cost:
-        raise InputError("solve_unit_cost requires every edge cost to be 1")
+        raise InputError("unit_cost (--unit-cost) requires every edge cost to be 1")
     base = kecss(g, k, kecss_mode)
     h = set(base.added)
     phases = [base]

@@ -136,7 +136,7 @@ def test_cover_c4_to_four():
     assert res.chosen == (4, 5)
     assert res.cost == 2
     assert res.bound == 2
-    final = by_capacity(inst.current_graph(set(res.chosen)))
+    final = inst.current_graph(set(res.chosen))
     assert min_cut_value(final) >= 4
     oracle = exact_augment(inst)
     assert oracle.cost == 2
@@ -164,10 +164,35 @@ def test_connectivity_reaches_each_stage_target():
         for log in res.stages:
             chosen.update(log.added)
             reach = min(log.level + (2 if log.name == "pair" else 1), inst.k)
-            conn = min_cut_value(by_capacity(inst.current_graph(chosen)))
+            conn = min_cut_value(inst.current_graph(chosen))
             assert conn >= reach
-        final = by_capacity(inst.current_graph(set(res.chosen)))
+        final = inst.current_graph(set(res.chosen))
         assert min_cut_value(final) >= inst.k
+
+
+def test_current_graph_reads_the_certified_connectivity():
+    """Each chosen candidate counts k - lam0 times in the current graph's
+    cut table, so after every stage its min cut reaches the stage target
+    (capped at k), and k at the end."""
+    stages = 0
+    for iid, inst in make_augment_corpus(40, 20260806):
+        res = near_min_cuts_cover(inst)
+        chosen: set = set()
+        for log in res.stages:
+            chosen.update(log.added)
+            target = log.level + (2 if log.name == "pair" else 1)
+            assert min_cut_value(inst.current_graph(chosen)) >= min(target, inst.k), iid
+            stages += 1
+        assert chosen == set(res.chosen)
+        assert min_cut_value(inst.current_graph(chosen)) >= inst.k, iid
+    assert stages
+
+
+def test_current_graph_lists_a_bought_edge_k_minus_lam0_times():
+    inst = c4_chords_instance(4)
+    g = inst.current_graph({4})
+    assert g.m == 4 + 2 and all(e.capacity == 1 for e in g.edges)
+    assert [(e.u, e.v) for e in g.edges[4:]] == [(0, 2)] * 2
 
 
 def test_infeasible_instance_reports_witness():

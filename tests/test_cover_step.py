@@ -56,8 +56,6 @@ from nearcut.multigraph import (
     subgraph,
 )
 
-from conftest import by_capacity
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -122,7 +120,7 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
         stages.append(PhaseLog(level, kind, len(fam), sol.method, sol.cost,
                                sol.guarantee, tuple(sorted(sol.chosen))))
         target = level + (2 if kind == "pair" else 1)
-        g_cur = by_capacity(inst.current_graph(chosen))
+        g_cur = inst.current_graph(chosen)
         new_conn = min_cut_value(g_cur)
         if new_conn < min(target, k):
             raise InvariantError(
@@ -230,7 +228,7 @@ def test_cover_step_and_pool_match_the_reference():
                     _candidates_outside(g, h_start)
                 h, ref_h = set(h_start), set(h_start)
                 got = _outcome(lambda _i: family_cover._cover_phase(
-                    1, "F", g, h, fam, EXACT_SLOT, pool), inst)
+                    1, "F", g, h, fam, EXACT_SLOT.solve, pool), inst)
                 want = _outcome(lambda _i: _cover_phase(
                     1, "F", g, ref_h, fam, EXACT_SLOT, pool), inst)
                 assert got == want and h == ref_h, iid
@@ -239,7 +237,11 @@ def test_cover_step_and_pool_match_the_reference():
 def test_fgc_phases_match_the_reference_step(monkeypatch):
     insts = [inst for _iid, inst in make_fgc_corpus(24, 20261018)]
     want = [solve_fgc(inst) for inst in insts]
-    monkeypatch.setattr(fgc, "_cover_phase", _cover_phase)
+
+    def reference_step(level, name, g, h, fam, solve, pool=None):
+        """fgc hands the step a solve function; the reference takes a slot."""
+        return _cover_phase(level, name, g, h, fam, SolverSlot("reference", solve), pool)
+    monkeypatch.setattr(fgc, "_cover_phase", reference_step)
     assert [solve_fgc(inst) for inst in insts] == want
 
 

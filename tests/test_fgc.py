@@ -1,3 +1,5 @@
+import dataclasses
+import logging
 import random
 from fractions import Fraction
 
@@ -24,6 +26,7 @@ from nearcut import (
     solve_fgc,
     subgraph,
 )
+from nearcut import fgc as fgc_module
 from nearcut.harness import exact_fgc, make_fgc_corpus, make_flex_corpus
 from nearcut.multigraph import edge_crosses
 
@@ -414,3 +417,29 @@ def test_infeasible_level_reports_what_the_oracle_reports(unit_cost, cause):
 def test_k_and_q_must_be_integers(k, q):
     with pytest.raises(InputError, match="k and q must be integers"):
         FlexInstance(triangle(), k, q)
+
+
+def test_F2_split_diagnostics_reach_the_debug_log(monkeypatch, caplog):
+    """Each diagnostic of the odd-k F2 split is logged at debug level from
+    the solve, and only there: the solution does not change."""
+    split_f2 = fgc_module.decompose_F2_odd
+    calls = []
+
+    def noted(g, h, k):
+        split = split_f2(g, h, k)
+        calls.append(split)
+        return dataclasses.replace(split, diagnostics=split.diagnostics + ("synthetic note",))
+
+    insts = [inst for _iid, inst in make_fgc_corpus(12, 20261019)
+             if inst.k % 2 and inst.q == 2]
+    plain = [solve_fgc(inst) for inst in insts]
+    monkeypatch.setattr(fgc_module, "decompose_F2_odd", noted)
+    with caplog.at_level(logging.WARNING, logger="nearcut"):
+        assert [solve_fgc(inst) for inst in insts] == plain
+    assert calls and not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="nearcut.fgc"):
+        assert solve_fgc(insts[0]) == plain[0]
+    notes = [r.getMessage() for r in caplog.records if r.name == "nearcut.fgc"
+             and r.getMessage().startswith("F2 split")]
+    assert notes == ["F2 split at level 2: synthetic note"]
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)

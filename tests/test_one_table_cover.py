@@ -49,13 +49,11 @@ from nearcut.multigraph import (
     min_cut_value,
 )
 
-from conftest import by_capacity
-
 
 # ---------------------------------------------------------------------------
-# Slow reference (verbatim body, apart from taking slots only and feeding
-# the drift check the guarantee the single stages report, since slots no
-# longer state one)
+# Slow reference (verbatim body, apart from taking slots only, handing the
+# cover step a slot's solve function, and feeding the drift check the
+# guarantee the single stages report, since slots no longer state one)
 
 
 def reference_near_min_cuts_cover(inst: AugmentInstance,
@@ -95,11 +93,11 @@ def reference_near_min_cuts_cover(inst: AugmentInstance,
                 raise InvariantError(
                     "paired-level family is not uncrossable", witness=wit)
         stages.append(_cover_phase(level, kind, inst.graph, h, fam,
-                                   pair if kind == "pair" else single))
+                                   (pair if kind == "pair" else single).solve))
         if not len(fam):
             continue
         target = level + (2 if kind == "pair" else 1)
-        g_cur = by_capacity(inst.current_graph(h))
+        g_cur = inst.current_graph(h)
         new_conn = min_cut_value(g_cur)
         if new_conn < min(target, k):
             raise InvariantError(
