@@ -19,14 +19,12 @@ from .multigraph import (
     CutRecord,
     EdgeRecord,
     Multigraph,
-    QuotientResult,
     canonical_mask,
     complement_mask,
     enumerate_cuts_at_most,
     mask_from_nodes,
     min_cut_value,
     nodes_from_mask,
-    quotient,
     subgraph,
 )
 from .cut_structure import (
@@ -34,6 +32,7 @@ from .cut_structure import (
     DecompositionResult,
     F2Decomposition,
     PartShape,
+    QuotientResult,
     SetFamily,
     Square,
     SquareCase,

@@ -45,18 +45,17 @@ import numpy as np
 
 from .errors import InputError, InvariantError, PreconditionError
 from .multigraph import (
+    DisjointSets,
     Multigraph,
-    QuotientResult,
     canonical_mask,
     complement_mask,
     cut_masks,
     cut_value_array,
+    edge_crosses,
     full_mask,
-    is_connected,
     mask_from_nodes,
     min_cut_value,
     nodes_from_mask,
-    quotient,
     subgraph,
 )
 
@@ -492,26 +491,76 @@ def classify_square(sq: Square) -> SquareCase:
 # Family quotients
 
 
+@dataclass(frozen=True)
+class QuotientResult:
+    """Contraction of a graph by a node partition.
+
+    ``sides`` lists each pair of classes that edges join, as ``(a, b)``
+    with ``a < b`` and in sorted order; ``edge_count`` counts the
+    original edges behind each side and ``unsafe_tally`` the unsafe ones
+    among them.
+    """
+
+    classes: tuple[int, ...]            # class index -> node mask
+    sides: tuple[tuple[int, int], ...]
+    edge_count: tuple[int, ...]         # per side
+    unsafe_tally: tuple[int, ...]       # per side
+
+    def compatible(self, mask: int) -> bool:
+        """True when the node mask splits no class."""
+        for cm in self.classes:
+            inter = mask & cm
+            if inter and inter != cm:
+                return False
+        return True
+
+    def crossing_tallies(self, mask: int) -> tuple[int, ...]:
+        """``unsafe_tally`` of each side crossing a node mask that splits
+        no class; :class:`InputError` when it splits one."""
+        cm = 0
+        for ci, nodes in enumerate(self.classes):
+            inter = mask & nodes
+            if inter:
+                if inter != nodes:
+                    raise InputError("mask splits a quotient class")
+                cm |= 1 << ci
+        return tuple(t for (a, b), t in zip(self.sides, self.unsafe_tally)
+                     if edge_crosses(a, b, cm))
+
+
 def family_quotient(g: Multigraph, fam: SetFamily) -> QuotientResult:
     """Quotient of g by the classes no member of the family separates.
 
     Nodes with equal membership signatures share a class, and classes
-    are numbered in order of their first node.  The merge is
-    :func:`~nearcut.multigraph.quotient`: ``edge_count`` counts the
-    original edges behind each merged edge and ``unsafe_tally`` the
-    unsafe ones among them, which :func:`decompose_F2_odd` reads as red
-    (two or more), blue (one) or black (none).
+    are numbered in order of their first node.  ``edge_count`` counts
+    the original edges behind each side and ``unsafe_tally`` the unsafe
+    ones among them, which :func:`decompose_F2_odd` reads as red (two or
+    more), blue (one) or black (none).
     """
     if len(fam) == 0:
         raise InputError("family_quotient needs a non-empty family")
     if fam.n != g.n:
         raise InputError("family ground set does not match the graph")
-    classes: dict[tuple, int] = {}
+    index: dict[tuple, int] = {}
+    class_of = []
     members = fam.members
     for v in range(g.n):
         sig = tuple((m >> v) & 1 for m in members)
-        classes[sig] = classes.get(sig, 0) | 1 << v
-    return quotient(g, tuple(classes.values()))
+        class_of.append(index.setdefault(sig, len(index)))
+    classes = [0] * len(index)
+    for v, ci in enumerate(class_of):
+        classes[ci] |= 1 << v
+    merged: dict[tuple[int, int], list[int]] = {}
+    for e in g.edges:
+        a, b = sorted((class_of[e.u], class_of[e.v]))
+        if a != b:
+            acc = merged.setdefault((a, b), [0, 0])  # count, unsafe
+            acc[0] += 1
+            acc[1] += e.unsafe
+    sides = tuple(sorted(merged))
+    return QuotientResult(classes=tuple(classes), sides=sides,
+                          edge_count=tuple(merged[s][0] for s in sides),
+                          unsafe_tally=tuple(merged[s][1] for s in sides))
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +575,18 @@ class PartShape(enum.Enum):
 
 
 def _is_single_cycle(qr: QuotientResult) -> bool:
-    qg = qr.graph
-    if qg.m != qg.n or qg.n < 3:
+    n = len(qr.classes)
+    if len(qr.sides) != n or n < 3:
         return False
-    deg = [0] * qg.n
-    for e in qg.edges:
-        deg[e.u] += 1
-        deg[e.v] += 1
+    deg = [0] * n
+    sets = DisjointSets(n)
+    merges = 0
+    for a, b in qr.sides:
+        deg[a] += 1
+        deg[b] += 1
+        merges += sets.union(a, b)
     # connected + all degrees 2 + |E| = |V|  =>  one cycle
-    return all(d == 2 for d in deg) and is_connected(qg)
+    return all(d == 2 for d in deg) and merges == n - 1
 
 
 def _is_cube(qr: QuotientResult) -> bool:
@@ -543,15 +595,14 @@ def _is_cube(qr: QuotientResult) -> bool:
     component has at least six nodes, so the 2-colouring from class 0
     reaches all eight; sides of 4 make the graph K4,4 minus a perfect
     matching, which is the cube."""
-    qg = qr.graph
-    if qg.n != 8 or qg.m != 12:
+    if len(qr.classes) != 8 or len(qr.sides) != 12:
         return False
     if any(c != 1 for c in qr.edge_count):
         return False
     adj = [set() for _ in range(8)]
-    for e in qg.edges:
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
+    for a, b in qr.sides:
+        adj[a].add(b)
+        adj[b].add(a)
     if any(len(s) != 3 for s in adj):
         return False
     side = [0] + [-1] * 7
@@ -570,15 +621,15 @@ def _is_cube(qr: QuotientResult) -> bool:
 def verify_part_shape(qr: QuotientResult, lam: int) -> PartShape:
     """Match a part quotient against the admissible shapes for odd lam.
 
-    Side sizes are merged multiplicities (``qr.edge_count``).  A
-    two-class quotient is the degenerate length-2 cycle whose parallel
-    side edges merged into one edge of multiplicity lam+1; it is
-    reported as CycleUniform.
+    Side sizes are edge counts (``qr.edge_count``).  A two-class
+    quotient is the degenerate length-2 cycle whose two cycle sides
+    merged into one side of lam+1 edges; it is reported as
+    CycleUniform.
     """
     if lam < 1 or lam % 2 == 0:
         raise InputError(f"part shapes are defined for odd lam >= 1, got {lam}")
-    if qr.graph.n == 2:
-        if qr.graph.m == 1 and qr.edge_count[0] == lam + 1:
+    if len(qr.classes) == 2:
+        if len(qr.sides) == 1 and qr.edge_count[0] == lam + 1:
             return PartShape.CYCLE_UNIFORM
         return PartShape.OTHER
     if _is_single_cycle(qr):
@@ -709,7 +760,7 @@ def decompose_plus_cuts(g: Multigraph, lam: int) -> DecompositionResult:
         if shape is PartShape.OTHER:
             diagnostics.append(
                 f"part with {len(members)} members has unrecognized quotient shape "
-                f"({qr.graph.n} classes, {qr.graph.m} edges)")
+                f"({len(qr.classes)} classes, {len(qr.sides)} edges)")
         parts.append(CutPart(members=SetFamily(g.n, members), quotient=qr,
                              shape=shape))
 
@@ -763,11 +814,11 @@ def decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) -> F2Decompo
     """Split the (k+1)-cuts carrying >= 2 unsafe edges, k odd.
 
     A member goes to the uncrossable side when some containing part
-    (with a non-degenerate quotient) has a red merged edge across it, one
+    (with a non-degenerate quotient) has a red side across it, one
     whose ``unsafe_tally`` is two or more, or when it strongly crosses no
     (k+1)-cut at all; the rest, closed under complement, form the
     symmetric proper crossing side.  A member of that side is expected to
-    cross exactly two blue merged edges (tally one) in some part;
+    cross exactly two blue sides (tally one) in some part;
     otherwise a diagnostic names it.  Deciding each member on its own can
     leave the meet or join of a strongly crossing symmetric-side pair on
     the uncrossable side; while the symmetric check fails on such a pair,
@@ -797,7 +848,7 @@ def decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) -> F2Decompo
     rest = []
     for mask in f2:
         containing = [p for p, ms in zip(decomp.parts, part_members) if mask in ms]
-        informative = [p for p in containing if p.quotient.graph.n >= 3]
+        informative = [p for p in containing if len(p.quotient.classes) >= 3]
         if not informative:
             # strongly crosses nothing: safe on the uncrossable side
             prime.append(mask)

@@ -19,8 +19,8 @@ class InputError(NearcutError):
 
 class LimitError(NearcutError):
     """A fixed size limit was exceeded: the exhaustive node limit, the cut
-    table memory budget, the augmentation stage count, the generated edge
-    count or the oracle edge limit."""
+    table memory budget, the augmentation stage count, the flex level count,
+    the generated edge count or the oracle edge limit."""
 
 
 class PreconditionError(NearcutError):

@@ -28,8 +28,9 @@ reads it:
     weighted  >= 3  any    uncrossable decides    pd2, else exact
                                                   ("exact-fallback") -> F{L}
 
-A weighted solve at q = 0 is the spanning step alone.  Each cover phase
-logs the guarantee its solution reports, guarantees compose additively,
+A weighted solve at q = 0 is the spanning step alone, and any solve at q
+above :data:`MAX_LEVELS` is refused with :class:`LimitError`.  Each cover
+phase logs the guarantee its solution reports, guarantees compose additively,
 and every structural claim is asserted at runtime.
 """
 
@@ -45,6 +46,7 @@ from .errors import (
     InfeasibleError,
     InputError,
     InvariantError,
+    LimitError,
     PreconditionError,
 )
 from .cut_structure import (
@@ -77,6 +79,11 @@ from .multigraph import (
 )
 
 logger = logging.getLogger(__name__)
+
+# Most levels one solve may walk: each level is one phase, so a huge q
+# would walk for hours.  A fixed constant, not a setting, equal to
+# ``augment.MAX_STAGES``.
+MAX_LEVELS = 10_000
 
 DEFAULT_NODE_BUDGET = 5_000_000
 # What the oracle and the solver both say when G itself fails the level.
@@ -134,7 +141,7 @@ def flex_connected_by_removal(g: Multigraph, edge_ids: Iterable[int], k: int,
     if h.n < 2:
         return True
     unsafe_pos = [i for i, e in enumerate(h.edges) if e.unsafe]
-    for r in range(0, q + 1):
+    for r in range(min(q, len(unsafe_pos)) + 1):
         for drop in itertools.combinations(unsafe_pos, r):
             keep = [i for i in range(h.m) if i not in drop]
             if min_cut_value(subgraph(h, keep)) < k:
@@ -324,10 +331,14 @@ def solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
     connected by construction, and the check would cost about half of
     such a solve.  A level's cover that fails on a G that is not itself
     (k, q)-flex-connected raises the oracle's error, with G's first bad cut.
+    A q above :data:`MAX_LEVELS` is refused with :class:`LimitError`
+    before the spanning step.
     """
     g, k, q = inst.graph, inst.k, inst.q
     if unit_cost and not inst.unit_cost:
         raise InputError("unit_cost (--unit-cost) requires every edge cost to be 1")
+    if q > MAX_LEVELS:
+        raise LimitError(f"q = {q} walks more than {MAX_LEVELS} levels")
     base = kecss(g, k, kecss_mode)
     h = set(base.added)
     phases = [base]

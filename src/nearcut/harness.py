@@ -553,7 +553,7 @@ def _suite_c1(cfg: dict) -> dict:
                         f"{_mask_nodes(wit[0])}/{_mask_nodes(wit[1])}")
             else:
                 try:
-                    split = decompose_F2_odd(g, range(g.m), k)
+                    decompose_F2_odd(g, range(g.m), k)
                     decompositions += 1
                 except NearcutError as exc:
                     violations.append(f"{gid}: decomposition failed: {exc}")

@@ -345,88 +345,3 @@ def is_connected(g: Multigraph) -> bool:
     sets = DisjointSets(g.n)
     merges = sum(sets.union(e.u, e.v) for e in g.edges)
     return merges == g.n - 1
-
-
-# ---------------------------------------------------------------------------
-# Quotients
-
-
-@dataclass(frozen=True)
-class QuotientResult:
-    """Contraction of a graph by a node partition.
-
-    ``graph`` has one node per class and one merged edge per class pair
-    (capacity and cost summed).  ``unsafe_tally`` preserves, per merged
-    edge, how many of the original edges were unsafe.
-    """
-
-    graph: Multigraph
-    classes: tuple[int, ...]       # class index -> node mask
-    class_of: tuple[int, ...]      # node -> class index
-    unsafe_tally: tuple[int, ...]  # per merged edge
-    edge_count: tuple[int, ...]    # original edge multiplicity per merged edge
-
-    def compatible(self, mask: int) -> bool:
-        """True when the node mask splits no class."""
-        for cm in self.classes:
-            inter = mask & cm
-            if inter and inter != cm:
-                return False
-        return True
-
-    def class_mask(self, mask: int) -> int:
-        """Class-index bitmask of a node mask that splits no class."""
-        out = 0
-        for ci, cm in enumerate(self.classes):
-            if mask & cm:
-                if (mask & cm) != cm:
-                    raise InputError("mask splits a quotient class")
-                out |= 1 << ci
-        return out
-
-    def crossing_tallies(self, mask: int) -> tuple[int, ...]:
-        """``unsafe_tally`` of each merged edge crossing a compatible node mask."""
-        cm = self.class_mask(mask)
-        return tuple(t for e, t in zip(self.graph.edges, self.unsafe_tally)
-                     if edge_crosses(e.u, e.v, cm))
-
-
-def quotient(g: Multigraph, partition: Sequence[int]) -> QuotientResult:
-    """Shrink each partition class to a node, merging parallel edges."""
-    seen = 0
-    for mask in partition:
-        if mask == 0:
-            raise InputError("partition classes must be non-empty")
-        if mask & seen:
-            raise InputError("partition classes overlap")
-        seen |= mask
-    if seen != full_mask(g.n):
-        raise InputError("partition does not cover all nodes")
-    classes = tuple(int(mask) for mask in partition)
-    class_of = [0] * g.n
-    for ci, mask in enumerate(classes):
-        for v in nodes_from_mask(mask):
-            class_of[v] = ci
-    merged: dict[tuple[int, int], list[int]] = {}
-    for e in g.edges:
-        ca, cb = class_of[e.u], class_of[e.v]
-        if ca == cb:
-            continue
-        key = (min(ca, cb), max(ca, cb))
-        acc = merged.setdefault(key, [0, 0, 0, 0])  # cap, cost, unsafe, count
-        acc[0] += e.capacity
-        acc[1] += e.cost
-        acc[2] += 1 if e.unsafe else 0
-        acc[3] += 1
-    edges = []
-    tallies = []
-    counts = []
-    for (ca, cb) in sorted(merged):
-        cap, cost, tally, count = merged[(ca, cb)]
-        edges.append(EdgeRecord(ca, cb, cost=cost, capacity=cap,
-                                unsafe=tally > 0, base=False))
-        tallies.append(tally)
-        counts.append(count)
-    qg = Multigraph(len(classes), tuple(edges))
-    return QuotientResult(graph=qg, classes=classes, class_of=tuple(class_of),
-                          unsafe_tally=tuple(tallies), edge_count=tuple(counts))

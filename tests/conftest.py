@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from nearcut import EdgeRecord, Multigraph, subgraph
+from nearcut import EdgeRecord, Multigraph, SetFamily, family_quotient, subgraph
 
 # The edge filters the cut-table readers once took by name.  A table over
 # the edges a filter selects is the table of the graph of those edges.
@@ -45,6 +45,11 @@ def k4():
 
 def triangle():
     return g_from(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def singleton_quotient(g):
+    """The quotient of ``g`` by its singleton family: class v is node v."""
+    return family_quotient(g, SetFamily(g.n, tuple(1 << v for v in range(g.n))))
 
 
 def proper_subsets(n):

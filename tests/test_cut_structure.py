@@ -25,13 +25,12 @@ from nearcut import (
     mask_from_nodes,
     min_cut_value,
     nodes_from_mask,
-    quotient,
     verify_part_shape,
 )
 from nearcut.harness import make_flex_corpus
 from nearcut.multigraph import canonical_mask, cut_value_array
 
-from conftest import c4, canonical_subsets, g_from, k4, random_multigraph
+from conftest import c4, canonical_subsets, g_from, k4, random_multigraph, singleton_quotient
 
 
 def m(*nodes):
@@ -236,13 +235,13 @@ def test_family_quotient_examples():
     g = c4()
     fam = SetFamily(4, tuple(r.mask for r in enumerate_cuts_at_most(g, 2)))
     qr = family_quotient(g, fam)
-    assert qr.graph.n == 4  # every node pair separated by some 2-cut
-    assert sorted((e.u, e.v, c) for e, c in zip(qr.graph.edges, qr.edge_count)) == \
-        [(0, 1, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1)]
+    assert len(qr.classes) == 4  # every node pair separated by some 2-cut
+    assert list(zip(qr.sides, qr.edge_count)) == \
+        [((0, 1), 1), ((0, 3), 1), ((1, 2), 1), ((2, 3), 1)]
 
     qr = family_quotient(g, SetFamily.from_sets(4, [[3]]))
-    assert qr.graph.n == 2
-    assert list(zip(qr.edge_count, qr.unsafe_tally)) == [(2, 0)]
+    assert len(qr.classes) == 2
+    assert list(zip(qr.sides, qr.edge_count, qr.unsafe_tally)) == [((0, 1), 2, 0)]
 
     with pytest.raises(InputError):
         family_quotient(g, SetFamily(4, ()))
@@ -251,8 +250,8 @@ def test_family_quotient_examples():
 def cycle_quotient(caps):
     """Cycle quotient whose i-th side merges caps[i] parallel edges."""
     n = len(caps)
-    g = g_from(n, [(i, (i + 1) % n) for i in range(n) for _ in range(caps[i])])
-    return quotient(g, [1 << i for i in range(n)])
+    return singleton_quotient(
+        g_from(n, [(i, (i + 1) % n) for i in range(n) for _ in range(caps[i])]))
 
 
 def test_verify_part_shape_examples():
@@ -275,17 +274,17 @@ def test_verify_part_shape_cube():
 
 
 def reference_is_cube(qr) -> bool:
-    """The backtracking cube check, verbatim, that a bipartiteness test
-    replaced."""
-    qg = qr.graph
-    if qg.n != 8 or qg.m != 12:
+    """The backtracking cube check that a bipartiteness test replaced,
+    verbatim but for reading the quotient's ``sides`` where it read the
+    edges of a merged graph."""
+    if len(qr.classes) != 8 or len(qr.sides) != 12:
         return False
     if any(c != 1 for c in qr.edge_count):
         return False
     adj = [set() for _ in range(8)]
-    for e in qg.edges:
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
+    for a, b in qr.sides:
+        adj[a].add(b)
+        adj[b].add(a)
     if any(len(s) != 3 for s in adj):
         return False
     target = [set(j for j in range(8) if (i ^ j).bit_count() == 1) for i in range(8)]
@@ -316,22 +315,21 @@ def test_cube_check_matches_the_backtracking_reference():
     nx = pytest.importorskip("networkx")
     from nearcut.cut_structure import _is_cube
 
-    def singleton_quotient(graph):
-        g = g_from(8, sorted(tuple(sorted(e)) for e in graph.edges))
-        return quotient(g, [1 << v for v in range(8)])
+    def nx_quotient(graph):
+        return singleton_quotient(g_from(8, sorted(tuple(sorted(e)) for e in graph.edges)))
 
     graphs = [nx.random_regular_graph(3, 8, seed=s) for s in range(400)]
     graphs += [nx.gnm_random_graph(8, 12, seed=s) for s in range(100)]
     verdicts = []
     for graph in graphs:
-        qr = singleton_quotient(graph)
+        qr = nx_quotient(graph)
         verdicts.append(_is_cube(qr))
         assert verdicts[-1] == reference_is_cube(qr), sorted(graph.edges)
     assert 0 < sum(verdicts) < len(verdicts)
-    wagner = singleton_quotient(nx.circulant_graph(8, [1, 4]))
+    wagner = nx_quotient(nx.circulant_graph(8, [1, 4]))
     assert not _is_cube(wagner) and not reference_is_cube(wagner)
     assert verify_part_shape(wagner, 3) is PartShape.OTHER
-    cube = singleton_quotient(nx.convert_node_labels_to_integers(nx.hypercube_graph(3)))
+    cube = nx_quotient(nx.convert_node_labels_to_integers(nx.hypercube_graph(3)))
     assert _is_cube(cube) and verify_part_shape(cube, 3) is PartShape.CUBE
 
 

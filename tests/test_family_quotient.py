@@ -1,13 +1,13 @@
 """Family quotients against the private contraction they replaced.
 
 ``family_quotient`` once merged edges into its own ``QuotientGraph``;
-it now hands its signature partition to ``multigraph.quotient``.  The
-first version, and the shape checks and decompositions that read it,
-are copied here verbatim (only the names carry a ``reference``
-prefix).  Classes, ``class_of`` and every merged edge (endpoints,
-multiplicity, unsafe tally) must equal theirs, and so must every
-decomposition built on them.  The quotient's capacitated cut values must
-also agree with the graph's on every cut the quotient keeps whole.
+it now lists the class pairs edges join (``sides``) with their edge
+counts and unsafe tallies.  The first version, and the shape checks and
+decompositions that read it, are copied here verbatim (only the names
+carry a ``reference`` prefix).  Classes and every side (endpoints, edge
+count, unsafe tally) must equal theirs, and so must every decomposition
+built on them.  The graph's cut values must also agree with the summed
+edge counts of the crossing sides on every cut the quotient keeps whole.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from nearcut import (
     Multigraph,
     PartShape,
     PreconditionError,
+    QuotientResult,
     SetFamily,
     complement_mask,
     decompose_F2_odd,
@@ -45,7 +46,7 @@ from nearcut.cut_structure import _component_split
 from nearcut.harness import make_flex_corpus
 from nearcut.multigraph import cut_masks
 
-from conftest import EDGE_FILTERS, by_capacity, random_multigraph, restrict
+from conftest import EDGE_FILTERS, random_multigraph, restrict
 
 EdgeFilter = str  # the first version also took callables; no caller passed one
 
@@ -413,29 +414,31 @@ def reference_decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) ->
 
 
 def assert_same_quotient(qr, ref):
+    assert type(qr) is QuotientResult
     assert qr.classes == ref.classes
-    assert qr.class_of == ref.class_of
-    assert qr.graph.n == ref.n_classes
-    assert [(e.u, e.v, count, tally) for e, count, tally
-            in zip(qr.graph.edges, qr.edge_count, qr.unsafe_tally)] == \
-        [(e.a, e.b, e.capacity, e.unsafe_tally) for e in ref.edges]
+    assert len(qr.classes) == ref.n_classes
+    assert qr.sides == tuple((e.a, e.b) for e in ref.edges)
+    assert qr.edge_count == tuple(e.capacity for e in ref.edges)
+    assert qr.unsafe_tally == tuple(e.unsafe_tally for e in ref.edges)
     for mask in range(2, 1 << len(ref.class_of), 2):  # canonical masks
         ok = ref.compatible(mask)
         assert qr.compatible(mask) == ok
         if ok:
-            assert qr.class_mask(mask) == ref.class_mask(mask)
             assert qr.crossing_tallies(mask) == \
                 tuple(e.unsafe_tally for e in ref.crossing_edges(mask))
 
 
-def assert_table_agrees(g, qr):
-    """Capacitated cut values survive the contraction on every whole-class
-    cut: the quotient's merged edges carry summed capacities."""
-    vals = cut_value_array(by_capacity(g))
-    qvals = cut_value_array(by_capacity(qr.graph))
+def assert_cut_values_survive(g, qr):
+    """On every cut the quotient keeps whole, the graph's table (which
+    counts edges, whatever their capacities) holds the summed
+    ``edge_count`` of the sides crossing it."""
+    vals = cut_value_array(g)
     for mask in range(2, 1 << g.n, 2):
         if qr.compatible(mask):
-            assert int(qvals[qr.class_mask(mask) >> 1]) == int(vals[mask >> 1])
+            cm = sum(1 << ci for ci, nodes in enumerate(qr.classes) if mask & nodes)
+            assert int(vals[mask >> 1]) == sum(
+                count for (a, b), count in zip(qr.sides, qr.edge_count)
+                if (cm >> a ^ cm >> b) & 1)
 
 
 def assert_same_decomposition(res, ref):
@@ -485,7 +488,7 @@ def test_family_quotient_matches_reference_on_seeded_corpus():
             g, fam = flagged_graph(rng, n), random_family(rng, n)
             qr = family_quotient(g, fam)
             assert_same_quotient(qr, reference_family_quotient(g, fam))
-            assert_table_agrees(g, qr)
+            assert_cut_values_survive(g, qr)
 
 
 @st.composite
@@ -508,15 +511,37 @@ def test_family_quotient_matches_reference_property(case):
     g, fam = case
     qr = family_quotient(g, fam)
     assert_same_quotient(qr, reference_family_quotient(g, fam))
-    assert_table_agrees(g, qr)
+    assert_cut_values_survive(g, qr)
 
 
-def test_class_mask_rejects_a_split_class():
+def test_crossing_tallies_rejects_a_split_class():
     g = Multigraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     qr = family_quotient(g, SetFamily(4, (0b0110,)))
     assert not qr.compatible(0b0010)
-    with pytest.raises(InputError):
-        qr.class_mask(0b0010)
+    with pytest.raises(InputError, match="mask splits a quotient class"):
+        qr.crossing_tallies(0b0010)
+
+
+def test_family_quotient_is_the_only_quotient():
+    """One quotient: ``multigraph`` builds none, a ``QuotientResult`` holds
+    classes and sides and no merged graph, and ``family_quotient`` is the
+    only function in the package that constructs one."""
+    import ast
+    from pathlib import Path
+
+    import nearcut
+
+    assert not hasattr(multigraph, "quotient")
+    assert [f.name for f in fields(QuotientResult)] == \
+        ["classes", "sides", "edge_count", "unsafe_tally"]
+    builders = []
+    for path in sorted(Path(nearcut.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                builders += [f"{path.stem}.{fn.name}" for call in ast.walk(fn)
+                             if isinstance(call, ast.Call)
+                             and getattr(call.func, "id", None) == "QuotientResult"]
+    assert builders == ["cut_structure.family_quotient"], builders
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +573,7 @@ def test_f2_split_matches_reference_on_odd_k_flex_graphs():
         assert_same_decomposition(got.decomposition, ref.decomposition)
         sides["prime"] += len(got.f_prime)
         sides["dprime"] += len(got.f_dprime)
-        sides["parts"] += sum(p.quotient.graph.n >= 3 for p in got.decomposition.parts)
+        sides["parts"] += sum(len(p.quotient.classes) >= 3 for p in got.decomposition.parts)
     assert all(sides.values()), sides  # both sides and real parts were exercised
 
 

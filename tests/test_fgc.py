@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,22 @@ def test_removal_formulation_agrees():
         q = rng.randint(0, 2)
         per_cut, _ = is_flex_connected(g, ids, k, q)
         assert per_cut == flex_connected_by_removal(g, ids, k, q)
+
+
+def test_removal_check_drops_no_more_than_the_unsafe_edges():
+    """Past |U| there is nothing more to drop, so a huge q answers at once,
+    and as q = |U| does."""
+    rng = random.Random(5)
+    graphs = [unsafe_triangle()] + [
+        random_multigraph(rng, rng.randint(3, 6), extra=5, unsafe_p=0.4)
+        for _ in range(10)]
+    for g in graphs:
+        unsafe = sum(e.unsafe for e in g.edges)
+        for k in (1, 2):
+            start = time.perf_counter()
+            huge = flex_connected_by_removal(g, range(g.m), k, 10 ** 9)
+            assert time.perf_counter() - start < 1.0
+            assert huge == flex_connected_by_removal(g, range(g.m), k, unsafe)
 
 
 @st.composite
@@ -389,6 +406,32 @@ def test_solve_fgc_dispatch():
     assert solve_fgc(FlexInstance(g, 1, 1)).guarantee == Fraction(4)
     assert solve_fgc(FlexInstance(g, 2, 2)).guarantee == Fraction(6)
     assert solve_fgc(FlexInstance(g, 2, 1), unit_cost=True).guarantee == Fraction(3)
+
+
+def test_solve_fgc_refuses_q_past_the_level_limit(monkeypatch):
+    monkeypatch.setattr(fgc_module, "MAX_LEVELS", 2)
+    assert len(solve_fgc(FlexInstance(unit_k4(), 2, 2)).phases) == 3
+
+    def no_kecss(*args, **kw):
+        raise AssertionError("the spanning step ran past the level limit")
+
+    monkeypatch.setattr(fgc_module, "kecss", no_kecss)
+    for unit_cost in (False, True):
+        with pytest.raises(LimitError, match="q = 3 walks more than 2 levels"):
+            solve_fgc(FlexInstance(unit_k4(), 2, 3), unit_cost=unit_cost)
+
+
+def test_cli_refuses_a_huge_q_with_one_error_line(tmp_path, capsys):
+    from nearcut.cli import main
+    from nearcut.io import Instance, save_instance
+
+    path = tmp_path / "k4.txt"
+    save_instance(Instance(unit_k4(), 2, 0), path)
+    assert main(["solve", "fgc", "--input", str(path), "--q", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: q = 1000000000 walks more than "
+                            f"{fgc_module.MAX_LEVELS} levels\n")
 
 
 @pytest.mark.parametrize("unit_cost, cause", [(False, InfeasibleError),

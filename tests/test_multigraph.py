@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,12 +8,13 @@ from nearcut import (
     InputError,
     LimitError,
     Multigraph,
+    SetFamily,
     canonical_mask,
     enumerate_cuts_at_most,
+    family_quotient,
     mask_from_nodes,
     min_cut_value,
     nodes_from_mask,
-    quotient,
     subgraph,
 )
 from nearcut.multigraph import (
@@ -28,6 +30,7 @@ from conftest import (
     canonical_subsets,
     g_from,
     random_multigraph,
+    singleton_quotient,
 )
 
 
@@ -157,62 +160,50 @@ def test_cut_record_caches_survive_copy():
 
 
 def test_quotient_identity_is_isomorphic():
-    g = c4()
-    qr = quotient(g, [1 << v for v in range(4)])
-    assert qr.graph.n == 4
-    got = sorted((min(e.u, e.v), max(e.u, e.v), e.capacity) for e in qr.graph.edges)
-    assert got == [(0, 1, 1), (0, 3, 1), (1, 2, 1), (2, 3, 1)]
+    qr = singleton_quotient(c4())
+    assert qr.classes == (1, 2, 4, 8)
+    assert list(zip(qr.sides, qr.edge_count)) == \
+        [((0, 1), 1), ((0, 3), 1), ((1, 2), 1), ((2, 3), 1)]
 
 
 def test_quotient_pair_classes():
-    qr = quotient(c4(), [mask_from_nodes([0, 1]), mask_from_nodes([2, 3])])
-    assert qr.graph.n == 2
-    assert [(e.u, e.v, e.capacity) for e in qr.graph.edges] == [(0, 1, 2)]
+    qr = family_quotient(c4(), SetFamily(4, (mask_from_nodes([2, 3]),)))
+    assert qr.classes == (mask_from_nodes([0, 1]), mask_from_nodes([2, 3]))
+    assert qr.sides == ((0, 1),)
+    assert qr.edge_count == (2,)
     assert qr.unsafe_tally == (0,)
 
 
-def test_quotient_single_class():
-    qr = quotient(c4(), [mask_from_nodes(range(4))])
-    assert qr.graph.n == 1 and qr.graph.m == 0
-
-
-def test_quotient_rejects_bad_partitions():
-    with pytest.raises(InputError):
-        quotient(c4(), [mask_from_nodes([0, 1]), mask_from_nodes([1, 2, 3])])
-    with pytest.raises(InputError):
-        quotient(c4(), [mask_from_nodes([0, 1])])
-
-
 def test_quotient_capacity_conservation():
+    """A cut's value, its edge count whatever the capacities, survives
+    the two-class quotient of its side."""
     rng = random.Random(7)
     for _ in range(30):
         g = random_multigraph(rng, rng.randint(4, 8), extra=6)
-        n = g.n
-        split = rng.randint(1, (1 << (n - 1)) - 1) << 1
-        part = [split, split ^ ((1 << n) - 1)]
-        qr = quotient(g, part)
-        boundary = brute_cut_value(g, nodes_from_mask(split), weighted=True)
-        assert sum(e.capacity for e in qr.graph.edges) == boundary
+        g = Multigraph(g.n, tuple(replace(e, capacity=rng.randint(1, 3))
+                                  for e in g.edges))
+        split = rng.randint(1, (1 << (g.n - 1)) - 1) << 1
+        qr = family_quotient(g, SetFamily(g.n, (split,)))
+        assert len(qr.classes) == 2
+        assert sum(qr.edge_count) == brute_cut_value(g, nodes_from_mask(split))
 
 
 def test_quotient_conservation_general_partitions():
     rng = random.Random(19)
-    for _ in range(20):
-        g = random_multigraph(rng, rng.randint(4, 9), extra=8)
+    checked = 0
+    while checked < 20:
+        g = random_multigraph(rng, rng.randint(4, 9), extra=8, unsafe_p=0.4)
         labels = [rng.randrange(3) for _ in range(g.n)]
         part = [mask_from_nodes(v for v in range(g.n) if labels[v] == c)
-                for c in range(3) if c in labels]
-        qr = quotient(g, part)
-        class_of = {}
-        for ci, mask in enumerate(part):
-            for v in nodes_from_mask(mask):
-                class_of[v] = ci
-        direct = sum(e.capacity for e in g.edges
-                     if class_of[e.u] != class_of[e.v])
-        assert sum(e.capacity for e in qr.graph.edges) == direct
-        direct_unsafe = sum(1 for e in g.edges
-                            if e.unsafe and class_of[e.u] != class_of[e.v])
-        assert sum(qr.unsafe_tally) == direct_unsafe
+                for c in sorted(set(labels), key=labels.index)]
+        if len(part) < 2:
+            continue
+        checked += 1
+        qr = family_quotient(g, SetFamily(g.n, tuple(part)))
+        assert qr.classes == tuple(part)
+        crossing = [e for e in g.edges if labels[e.u] != labels[e.v]]
+        assert sum(qr.edge_count) == len(crossing)
+        assert sum(qr.unsafe_tally) == sum(e.unsafe for e in crossing)
 
 
 def test_is_k_edge_connected_examples():

@@ -24,7 +24,6 @@ from nearcut import (
     generate,
     kecss,
     parse_instance,
-    quotient,
     save_instance,
     subgraph,
 )
@@ -66,11 +65,6 @@ def test_subgraph_edge_id_out_of_range():
     for bad in (4, -1):
         with pytest.raises(InputError, match=f"edge id {bad} out of range"):
             subgraph(g, [0, bad])
-
-
-def test_quotient_class_must_be_non_empty():
-    with pytest.raises(InputError, match="partition classes must be non-empty"):
-        quotient(c4(), [0b0011, 0, 0b1100])
 
 
 # ---------------------------------------------------------------------------
