@@ -24,10 +24,12 @@ the cuts left.
 
 Pair stages go to the primal-dual cover (pd2, guarantee 2), single-level
 stages to ``family_cover.ring_cover_solver`` unless another slot is given,
-and every stage runs FGC's cover step.  Each stage logs the guarantee its
-cover solution reports; the end-to-end bound is their sum, checked against
-:func:`implemented_ratio_bound`.  A walk of more than :data:`MAX_STAGES`
-stages is refused with :class:`LimitError`.
+and every stage runs FGC's cover step.  A stage that finds no cover raises
+its :class:`InfeasibleError` with the exact oracle's witness, the first
+deficient cut of the base graph that no candidate crosses.  Each stage
+logs the guarantee its cover solution reports; the end-to-end bound is
+their sum, checked against :func:`implemented_ratio_bound`.  A walk of
+more than :data:`MAX_STAGES` stages is refused with :class:`LimitError`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import family_cover
-from .errors import InputError, InvariantError, LimitError
+from .errors import InfeasibleError, InputError, InvariantError, LimitError
 from .cut_structure import SetFamily, is_laminar, is_uncrossable
 from .family_cover import PD2_SLOT, PhaseLog, SolverSlot, _added_cost, _cover_phase
 from .multigraph import (
@@ -216,6 +218,7 @@ def near_min_cuts_cover(inst: AugmentInstance,
     hit = vals < k
     hit[0] = False   # the empty set, not a cut
     masks, values = np.flatnonzero(hit) << 1, vals[hit]
+    deficient = masks, values
 
     for count, (level, kind) in enumerate(_stages(lam0, k), 1):
         if count > MAX_STAGES:
@@ -233,8 +236,16 @@ def near_min_cuts_cover(inst: AugmentInstance,
             if not ok:
                 raise InvariantError(
                     "paired-level family is not uncrossable", witness=wit)
-        stage = _cover_phase(level, kind, g, h, fam,
-                             (PD2_SLOT if kind == "pair" else single).solve)
+        try:
+            stage = _cover_phase(level, kind, g, h, fam,
+                                 (PD2_SLOT if kind == "pair" else single).solve)
+        except InfeasibleError as exc:
+            # the stage's first uncrossed member need not be the first
+            # deficient cut that no candidate crosses, the oracle's witness
+            stranded = _uncrossed(g, inst.candidate_ids, *deficient)[0]
+            if not len(stranded):
+                raise
+            raise InfeasibleError(str(exc), witness=int(stranded[0])) from exc
         stages.append(stage)
         if not len(fam):
             continue

@@ -28,10 +28,14 @@ reads it:
     weighted  >= 3  any    uncrossable decides    pd2, else exact
                                                   ("exact-fallback") -> F{L}
 
-A weighted solve at q = 0 is the spanning step alone, and any solve at q
-above :data:`MAX_LEVELS` is refused with :class:`LimitError`.  Each cover
-phase logs the guarantee its solution reports, guarantees compose additively,
-and every structural claim is asserted at runtime.
+A solve at q = 0 is the spanning step alone, at unit and weighted cost
+alike, and any solve at q above :data:`MAX_LEVELS` is refused with
+:class:`LimitError`.  Each solve has one failure boundary around the
+spanning step and every level: when one of them finds no cover, the solve
+raises what the exact oracle raises, :data:`NOT_FLEX_CONNECTED` with G's
+first cut that breaks the (k, q) rule.  Each cover phase logs the
+guarantee its solution reports, guarantees compose additively, and every
+structural claim is asserted at runtime.
 """
 
 from __future__ import annotations
@@ -104,6 +108,15 @@ class FlexInstance:
             raise InputError(f"k must be >= 1, got {self.k}")
         if self.q < 0:
             raise InputError(f"q must be >= 0, got {self.q}")
+        # the flex rule counts edges: a capacity or a base flag would be
+        # read by nothing, so it is refused rather than ignored
+        for i, e in enumerate(self.graph.edges):
+            if e.capacity != 1:
+                raise InputError(f"edge {i} has capacity {e.capacity}; flex "
+                                 "connectivity takes unit capacities only")
+            if e.base:
+                raise InputError(f"edge {i} is a base edge; base edges belong "
+                                 "to augmentation instances")
 
     @property
     def unit_cost(self) -> bool:
@@ -325,40 +338,42 @@ def solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
 
     ``enumerate_Fq`` at level L first checks that H is (k, L-1)-flex-
     connected, which is exactly "phase L-1 cleared its family" (the
-    first bad cut is the first member left over); the final check does
-    the same for the last level.  A weighted solve at q = 0 is the
-    spanning step alone and skips that check: the seed is k-edge-
-    connected by construction, and the check would cost about half of
-    such a solve.  A level's cover that fails on a G that is not itself
-    (k, q)-flex-connected raises the oracle's error, with G's first bad cut.
-    A q above :data:`MAX_LEVELS` is refused with :class:`LimitError`
-    before the spanning step.
+    first bad cut is the first member left over; phase 0 is the kecss
+    seed); the final check does the same for the last level.  A solve at
+    q = 0, unit or weighted, is the spanning step alone and skips that
+    check: the seed is k-edge-connected by construction, and the check
+    would cost about half of such a solve.
+
+    One handler encloses the spanning step and the whole level walk.  A
+    step that finds no cover (:class:`InfeasibleError` or
+    :class:`PreconditionError`) makes it read G's first cut that breaks
+    the (k, q) rule, and raise the oracle's error with that cut as the
+    witness; when G itself passes, the original error stands.  G's tables
+    are built only then.  A q above :data:`MAX_LEVELS` is refused with
+    :class:`LimitError` before the spanning step.
     """
     g, k, q = inst.graph, inst.k, inst.q
     if unit_cost and not inst.unit_cost:
         raise InputError("unit_cost (--unit-cost) requires every edge cost to be 1")
     if q > MAX_LEVELS:
         raise LimitError(f"q = {q} walks more than {MAX_LEVELS} levels")
-    base = kecss(g, k, kecss_mode)
-    h = set(base.added)
-    phases = [base]
-    if q or unit_cost:
+    try:
+        phases = [kecss(g, k, kecss_mode)]
+        h = set(phases[0].added)
         for level in range(1, q + 1):
             try:
                 fam = enumerate_Fq(g, h, k, level)
             except PreconditionError as exc:
-                if level == 1:
-                    raise
                 raise InvariantError(
                     f"phase {level - 1} did not clear its blocking family",
                     witness=exc.witness) from exc
-            try:
-                phases += _level_handler(unit_cost, k, q, level)(g, h, fam, k, level)
-            except (InfeasibleError, PreconditionError) as exc:
-                wit = _first_bad_cut(*_flex_arrays(g), k, q)
-                if wit is None:
-                    raise
-                raise InfeasibleError(NOT_FLEX_CONNECTED, witness=wit) from exc
+            phases += _level_handler(unit_cost, k, q, level)(g, h, fam, k, level)
+    except (InfeasibleError, PreconditionError) as exc:
+        wit = _first_bad_cut(*_flex_arrays(g), k, q)
+        if wit is None:
+            raise
+        raise InfeasibleError(NOT_FLEX_CONNECTED, witness=wit) from exc
+    if q:
         ok, wit = is_flex_connected(g, h, k, q)
         if not ok:
             raise InvariantError(f"subgraph is not (k={k}, q={q})-flex-connected "

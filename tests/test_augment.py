@@ -204,6 +204,28 @@ def test_infeasible_instance_reports_witness():
     assert err.value.witness == m(2)
 
 
+# base path 0-1-2-3 (lam0 = 1), k = 3; the lone candidate 0-2 crosses
+# neither {1} nor {3}, and {1} is the first of them
+PATH_AUGMENT_TEXT = ("4 4 3 0\n0 1 0 1 0 1\n1 2 0 1 0 1\n2 3 0 1 0 1\n"
+                     "0 2 5 2 0 0\n")
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_infeasible_stage_reports_the_oracle_witness(command, tmp_path, capsys):
+    """The first stage's first uncrossed member is {3}, but the staged
+    cover names the first deficient cut no candidate crosses, as the
+    oracle does."""
+    from nearcut.cli import main
+
+    path = tmp_path / "path.txt"
+    path.write_text(PATH_AUGMENT_TEXT)
+    assert main([command, "augment", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: family member crossed by no candidate "
+                            "(witness cut nodes [1])\n")
+
+
 def test_validation_errors():
     # non-unit base capacity
     edges = [(0, 1, 0, 2, 0, 1), (1, 2, 0, 1, 0, 1), (0, 2, 1, 1, 0, 0)]

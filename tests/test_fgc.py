@@ -455,6 +455,79 @@ def test_infeasible_level_reports_what_the_oracle_reports(unit_cost, cause):
     assert seen >= 5
 
 
+# node 3 is isolated, and the unsafe edge 0-1 alone crosses the cut {1}
+ISOLATED_NODE_TEXT = "4 2 1 1\n0 1 1 1 1 0\n0 2 1 1 0 0\n"
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+def test_infeasible_seed_reports_the_oracle_witness(command, tmp_path, capsys):
+    """The spanning step fails on node 3 first, but the solve names G's
+    first cut that breaks the (1, 1) rule, as the oracle does."""
+    from nearcut.cli import main
+
+    path = tmp_path / "isolated.txt"
+    path.write_text(ISOLATED_NODE_TEXT)
+    assert main([command, "fgc", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: graph itself is not flex-connected at the "
+                            "requested level (witness cut nodes [1])\n")
+
+
+@st.composite
+def sparse_flex_instances(draw):
+    """n = 2..6 nodes, some of them possibly isolated, up to 10 random
+    edges, k = 1..3 and q = 0..3, at unit or weighted cost."""
+    n = draw(st.integers(2, 6))
+    unit = draw(st.booleans())
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    specs = draw(st.lists(st.tuples(pair, st.integers(1, 9), st.booleans()),
+                          max_size=10))
+    g = Multigraph(n, tuple(EdgeRecord(u, v, 1 if unit else cost, 1, unsafe)
+                            for (u, v), cost, unsafe in specs))
+    return FlexInstance(g, draw(st.integers(1, 3)), draw(st.integers(0, 3))), unit
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_flex_instances())
+def test_property_solver_fails_like_the_oracle(case):
+    """Where the exact search finds G infeasible, the solve raises the same
+    message and witness, whichever step failed first; elsewhere it returns
+    a (k, q)-flex-connected subgraph."""
+    inst, unit = case
+    g, k, q = inst.graph, inst.k, inst.q
+    try:
+        minimum_flex_subgraph(g, k, q)
+    except InfeasibleError as want:
+        with pytest.raises(InfeasibleError) as got:
+            solve_fgc(inst, unit_cost=unit)
+        assert (str(got.value), got.value.witness) == (str(want), want.witness)
+        return
+    sol = solve_fgc(inst, unit_cost=unit)
+    assert is_flex_connected(g, sol.edge_ids, k, q)[0]
+
+
+def test_solve_fgc_has_one_failure_boundary():
+    """One ``except`` answers infeasibility in ``solve_fgc``, and its
+    ``try`` holds the spanning step; no level-1 fork is left."""
+    import ast
+    import inspect
+    import textwrap
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fgc_module.solve_fgc)))
+    handlers = [(node, h) for node in ast.walk(tree) if isinstance(node, ast.Try)
+                for h in node.handlers
+                if h.type is not None and "InfeasibleError" in ast.unparse(h.type)]
+    assert len(handlers) == 1, [ast.unparse(h.type) for _, h in handlers]
+    guarded = "\n".join(ast.unparse(stmt) for stmt in handlers[0][0].body)
+    assert "kecss(" in guarded
+    level_one = [ast.unparse(node) for node in ast.walk(tree)
+                 if isinstance(node, ast.Compare)
+                 and ast.unparse(node).replace(" ", "") in ("level==1", "1==level")]
+    assert not level_one, level_one
+
+
 @pytest.mark.parametrize("k, q", [(1.5, 0), (True, 0), (2, 0.5), (2.0, 1), (2, False),
                                   ("2", 0), (2, None)])
 def test_k_and_q_must_be_integers(k, q):

@@ -8,7 +8,8 @@ rescanned its whole table with ``level_family``; that body is copied here
 verbatim as the slow reference.  Results, stage logs, error types, error
 text and witnesses must be equal, on generated corpora, on hypothesis
 instances over every (lam0, k) parity and under a lossy single-level
-solver that leaves its stage short.
+solver that leaves its stage short; only an infeasible instance's witness
+is the exact oracle's, the first deficient cut that no candidate crosses.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from nearcut.augment import (
     near_min_cuts_cover,
 )
 from nearcut.cut_structure import SetFamily, is_laminar, is_uncrossable
-from nearcut.errors import InvariantError, NearcutError
+from nearcut.errors import InfeasibleError, InvariantError, NearcutError
 from nearcut.family_cover import (
     EXACT_SLOT,
     PD2_SLOT,
@@ -40,7 +41,7 @@ from nearcut.family_cover import (
     _cover_phase,
     exact_min_cover,
 )
-from nearcut.harness import make_augment_corpus
+from nearcut.harness import exact_augment, make_augment_corpus
 from nearcut.multigraph import (
     EdgeRecord,
     Multigraph,
@@ -141,9 +142,22 @@ def outcome(solve, inst: AugmentInstance, single=None):
         return (type(exc), str(exc), exc.witness)
 
 
+def oracle_outcome(inst: AugmentInstance):
+    """What ``exact_augment`` gives, in the form of :func:`outcome`."""
+    return outcome(lambda fresh_inst, _single: exact_augment(fresh_inst), inst)
+
+
 def assert_matches_reference(inst: AugmentInstance, single=None):
+    """Equal to the reference, except that an infeasible instance names the
+    oracle's witness, where the reference named the failing stage's first
+    uncrossed member."""
     got = outcome(near_min_cuts_cover, inst, single)
-    assert got == outcome(reference_near_min_cuts_cover, inst, single)
+    want = outcome(reference_near_min_cuts_cover, inst, single)
+    if isinstance(want, tuple) and want[0] is InfeasibleError:
+        oracle = oracle_outcome(inst)
+        assert oracle[:2] == want[:2]
+        want = oracle
+    assert got == want
     return got
 
 
@@ -216,3 +230,19 @@ def augment_instances(draw) -> AugmentInstance:
 @given(augment_instances(), st.sampled_from([None, EXACT_SLOT, LOSSY]))
 def test_property_matches_the_reference(inst, single):
     assert_matches_reference(inst, single)
+
+
+@settings(max_examples=300, deadline=None)
+@given(augment_instances())
+def test_property_infeasible_cover_fails_like_the_oracle(inst):
+    """With the first candidates gone, where the oracle finds no cover the
+    staged cover raises the same message and witness; elsewhere it
+    succeeds."""
+    inst = without_first_candidates(inst)
+    want = oracle_outcome(inst)
+    got = outcome(near_min_cuts_cover, inst)
+    if isinstance(want, tuple):
+        assert want[0] is InfeasibleError
+        assert got == want
+    else:
+        assert isinstance(got, AugmentResult)

@@ -131,6 +131,30 @@ def test_flex_instance_bounds():
         FlexInstance(g, 1, -1)
 
 
+@pytest.mark.parametrize("edge, fragment", [
+    (EdgeRecord(0, 2, 1, 3), "edge 3 has capacity 3; flex connectivity takes "
+                             "unit capacities only"),
+    (EdgeRecord(0, 2, 1, 1, False, True), "edge 3 is a base edge; base edges "
+                                          "belong to augmentation instances"),
+], ids=["capacity", "base"])
+def test_flex_instance_refuses_what_the_flex_rule_ignores(edge, fragment):
+    g = Multigraph(3, triangle().edges + (edge,))
+    with pytest.raises(InputError, match=fragment):
+        FlexInstance(g, 2, 0)
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize("edge_line, fragment", [
+    ("0 1 1 3 0 0", "edge 0 has capacity 3"),
+    ("0 1 1 1 0 1", "edge 0 is a base edge"),
+], ids=["capacity", "base"])
+def test_cli_fgc_refuses_capacities_and_base_flags(command, edge_line, fragment,
+                                                   tmp_path, capsys):
+    path = tmp_path / "c4.txt"
+    path.write_text(C4_TEXT.replace("0 1 1 1 0 0", edge_line))
+    _cli_refuses([command, "fgc", "--input", str(path)], capsys, fragment)
+
+
 def test_kecss_unknown_mode():
     with pytest.raises(InputError, match="unknown kecss mode 'greedy'"):
         kecss(triangle(), 1, "greedy")
