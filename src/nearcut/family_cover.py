@@ -10,7 +10,9 @@ solvers share the :class:`CoverInstance` surface:
 * :func:`primal_dual_uncrossable_cover` - the classic 2-approximation
   for uncrossable families (uniform dual growth on inclusion-minimal
   violated members, tight-edge additions, reverse delete), which checks
-  its own dual certificate before returning;
+  its own dual certificate before returning; its reverse delete is
+  :func:`minimal_cover`'s, one linear pass over the chosen edges whose
+  output is asserted a forest;
 * :func:`cover_symmetric_crossing` - covers a symmetric proper crossing
   family by rooting it away from node 0 and handing the rooted family,
   which is then uncrossable (asserted), to the primal-dual solver.
@@ -35,6 +37,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -405,27 +408,20 @@ def exact_min_cover(inst: CoverInstance,
     if not members:
         return CoverSolution(chosen=(), cost=0, method="exact", guarantee=Fraction(1))
     cands = inst.candidates
-    cross = inst.crossings.member_bits  # member -> candidate-position bitmask
+    cross, edge_bits = inst.crossings.member_bits, inst.crossings.edge_bits
     costs = [c.cost for c in cands]
 
     def greedy_start() -> int:
         """Add the candidate crossing the most uncovered members (cheapest,
-        then first, on ties) until every member is crossed."""
+        then first, on ties) until every member is crossed; the search
+        calls it only once every member has a crossing candidate."""
         chosen = 0
-        uncovered = list(range(len(members)))
+        uncovered = (1 << len(members)) - 1
         while uncovered:
-            best_pos, best_gain = -1, (-1, 0, 0)
-            for pos in range(len(cands)):
-                if (chosen >> pos) & 1:
-                    continue
-                gain = sum(1 for mi in uncovered if (cross[mi] >> pos) & 1)
-                if gain == 0:
-                    continue
-                key = (gain, -costs[pos], -pos)
-                if key > best_gain:
-                    best_gain, best_pos = key, pos
-            chosen |= 1 << best_pos
-            uncovered = [mi for mi in uncovered if not (cross[mi] >> best_pos) & 1]
+            pos = max(range(len(cands)), key=lambda p: (
+                (edge_bits[p] & uncovered).bit_count(), -costs[p], -p))
+            chosen |= 1 << pos
+            uncovered &= ~edge_bits[pos]
         return chosen
 
     def uncrossed(i: int) -> InfeasibleError:
@@ -456,8 +452,10 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
     members strictly inside member j are precomputed, so j is minimal
     among the uncovered members when none of those is uncovered, and
     each candidate's ``paid`` (the duals of the members it crosses) is
-    kept up to date as the duals grow.  An empty family returns the empty
-    cover at once.
+    kept up to date as the duals grow.  The chosen edges are pruned in
+    reverse order of addition by :func:`minimal_cover`'s pass,
+    :func:`_reverse_delete`, so the cover returned is a forest (asserted).
+    An empty family returns the empty cover at once.
     """
     if not inst.family.members:
         return CoverSolution(chosen=(), cost=0, method="primal-dual", guarantee=Fraction(2))
@@ -483,7 +481,6 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
     duals: dict[int, int] = {}    # member position -> dual * denom
     paid = [0] * len(cands)       # candidate position -> paid * denom
     chosen_order: list[int] = []  # candidate positions in addition order
-    chosen_set: set[int] = set()
     covered = 0
 
     while True:
@@ -507,8 +504,7 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
         slack_b = active_b = ident_b = 0
         growing = []  # (pos, active sets crossed)
         for p, c in enumerate(cands):
-            if p in chosen_set:
-                continue
+            # a chosen candidate crosses no uncovered member: never active
             active = (cand_bits[p] & minimal_bits).bit_count()
             if not active:
                 continue
@@ -533,18 +529,14 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
         if delta:
             for p, active in growing:
                 paid[p] += delta * active
-        chosen_set.add(pos)
         chosen_order.append(pos)
         covered |= cand_bits[pos]
 
-    # reverse delete
-    for pos in reversed(chosen_order):
-        trial = chosen_set - {pos}
-        if _first_uncovered((cand_bits[p] for p in trial), len(members)) is None:
-            chosen_set = trial
-
-    chosen_ids = tuple(sorted(cands[p].ident for p in chosen_set))
-    cost = sum(cands[p].cost for p in chosen_set)
+    kept = list(compress(chosen_order, _reverse_delete(
+        [cand_bits[p] for p in chosen_order],
+        [(cands[p].u, cands[p].v) for p in chosen_order], inst.n)))
+    chosen_ids = tuple(sorted(cands[p].ident for p in kept))
+    cost = sum(cands[p].cost for p in kept)
     dual_items = tuple(sorted((members[j], Fraction(y, denom))
                               for j, y in duals.items()))
     sol = CoverSolution(chosen=chosen_ids, cost=cost, method="primal-dual",
@@ -627,8 +619,9 @@ def minimal_cover(edges: Sequence, family: SetFamily) -> list:
     """Prune a cover to an inclusion-minimal one (drops later edges first).
 
     The result still covers the family, removing any remaining edge
-    uncovers some member, and it is always a forest; the forest property
-    is asserted because it is a theorem, not a heuristic.
+    uncovers some member, and it is always a forest; the prune is
+    :func:`_reverse_delete`, the primal-dual cover's too, which asserts
+    the forest property because it is a theorem, not a heuristic.
     """
     pairs = _pairs(edges, family.n)
     members = family.members
@@ -638,8 +631,20 @@ def minimal_cover(edges: Sequence, family: SetFamily) -> list:
         raise PreconditionError("edge set does not cover the family",
                                 witness=members[j])
 
-    # An edge goes when every member it crosses has another kept edge:
-    # the edges before it (all still kept) or the kept ones after it.
+    return list(compress(edges, _reverse_delete(crossing, pairs, family.n)))
+
+
+def _reverse_delete(crossing: Sequence[int], pairs: Sequence[tuple[int, int]],
+                    n: int) -> list[bool]:
+    """Which edges of a cover an inclusion-minimal subcover keeps, trying
+    the last edge first; ``crossing`` holds each edge's member bitset.
+
+    One pass: an edge goes when every member it crosses has another kept
+    edge, among the edges before it (all still kept) or the kept ones
+    after it.  Each kept edge then crosses a member no other kept edge
+    crosses, and a cycle crosses every set an even number of times, so
+    the kept edges form a forest; that theorem is asserted.
+    """
     before = [0]
     for bits in crossing:
         before.append(before[-1] | bits)
@@ -650,13 +655,11 @@ def minimal_cover(edges: Sequence, family: SetFamily) -> list:
             kept_after |= crossing[idx]
         else:
             keep[idx] = False
-    result = [edges[i] for i in range(len(edges)) if keep[i]]
-
-    sets = DisjointSets(family.n)
+    sets = DisjointSets(n)
     for i, kept in enumerate(keep):
         if kept and not sets.union(*pairs[i]):
             raise InvariantError("minimal cover contains a cycle", witness=pairs[i])
-    return result
+    return keep
 
 
 # ---------------------------------------------------------------------------

@@ -138,8 +138,6 @@ class FlexSolution:
 def is_flex_connected(g: Multigraph, edge_ids: Iterable[int], k: int,
                       q: int) -> tuple[bool, Optional[int]]:
     """Per-cut check of d(S) >= k + min(d_U(S), q); witness = first bad cut."""
-    if g.n < 2:
-        return True, None
     wit = _first_bad_cut(*_flex_arrays(subgraph(g, edge_ids)), k, q)
     return (True, None) if wit is None else (False, wit)
 
@@ -268,14 +266,11 @@ def kecss(g: Multigraph, k: int, mode: str = "approx2",
 
 def _minimal_level(g: Multigraph, h: set[int], fam: SetFamily, k: int,
                    level: int) -> list[PhaseLog]:
-    """Unit cost: an inclusion-minimal cover is a forest, so at most n-1
-    edges against opt >= kn/2, a 2/k fraction of the optimum."""
+    """Unit cost: an inclusion-minimal cover is a forest (asserted by
+    :func:`~nearcut.family_cover.minimal_cover`), so at most n-1 edges
+    against opt >= kn/2, a 2/k fraction of the optimum."""
     def solve(inst: CoverInstance) -> CoverSolution:
-        pruned = minimal_cover(inst.candidates, inst.family)
-        ids = tuple(sorted(c.ident for c in pruned))
-        if len(ids) > g.n - 1:
-            raise InvariantError(
-                f"phase {level} added {len(ids)} edges > n - 1 = {g.n - 1}")
+        ids = tuple(sorted(c.ident for c in minimal_cover(inst.candidates, inst.family)))
         return CoverSolution(ids, len(ids), "minimal-cover", Fraction(2, k))
     return [_cover_phase(level, f"F{level}", g, h, fam, solve)]
 

@@ -308,8 +308,6 @@ def enumerate_cuts_at_most(g: Multigraph, threshold: int) -> tuple[CutRecord, ..
     One representative per complement pair, sorted by (value, mask); each
     record's ``size`` is its value.
     """
-    if g.n < 2:
-        return ()
     vals = cut_value_array(g)
     hits = np.flatnonzero(vals[1:] <= threshold) + 1
     # hits ascend, so a stable sort on the values gives (value, mask) order

@@ -17,7 +17,7 @@ from nearcut import (
 )
 from nearcut import augment
 from nearcut.augment import _stages
-from nearcut.family_cover import EXACT_SLOT, PD2_SLOT
+from nearcut.family_cover import EXACT_SLOT, PD2_SLOT, SolverSlot
 from nearcut.harness import exact_augment, make_augment_corpus
 
 from conftest import by_capacity, c4, g_from
@@ -271,3 +271,19 @@ def test_exact_augment_examples():
 def test_target_must_be_an_integer(k):
     with pytest.raises(InputError, match="target connectivity must be an integer"):
         AugmentInstance(c4_chords_instance().graph, k)
+
+
+def test_stage_error_stands_when_no_deficient_cut_is_stranded(monkeypatch):
+    """When every deficient cut has a crossing candidate, a stage's
+    InfeasibleError is not the oracle's answer: it is re-raised unchanged."""
+    inst = next(inst for _iid, inst in make_augment_corpus(24, 20261020)
+                if any(kind == "pair" for _, kind in _stages(inst.lam0, inst.k)))
+    err = InfeasibleError("synthetic refusal", witness=6)
+
+    def refuse(ci):
+        raise err
+
+    monkeypatch.setattr(augment, "PD2_SLOT", SolverSlot("pd2", refuse))
+    with pytest.raises(InfeasibleError) as info:
+        near_min_cuts_cover(inst)
+    assert info.value is err

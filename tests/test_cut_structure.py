@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -271,6 +272,16 @@ def test_verify_part_shape_cube():
     qr = family_quotient(g, fam)
     assert verify_part_shape(qr, 3) is PartShape.CUBE
     assert verify_part_shape(qr, 5) is PartShape.OTHER
+    # the same sides, one of them two parallel edges: not the cube
+    heavy = dataclasses.replace(qr, edge_count=(2,) + qr.edge_count[1:])
+    assert verify_part_shape(heavy, 3) is PartShape.OTHER
+
+
+def test_two_class_quotient_needs_a_side_of_lam_plus_one_edges():
+    qr = family_quotient(c4(), SetFamily.from_sets(4, [[3]]))
+    assert len(qr.classes) == 2 and qr.edge_count == (2,)
+    assert verify_part_shape(qr, 1) is PartShape.CYCLE_UNIFORM
+    assert verify_part_shape(qr, 3) is PartShape.OTHER
 
 
 def reference_is_cube(qr) -> bool:

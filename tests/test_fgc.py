@@ -28,6 +28,7 @@ from nearcut import (
     subgraph,
 )
 from nearcut import fgc as fgc_module
+from nearcut.family_cover import SolverSlot
 from nearcut.harness import exact_fgc, make_fgc_corpus, make_flex_corpus
 from nearcut.multigraph import edge_crosses
 
@@ -559,3 +560,29 @@ def test_F2_split_diagnostics_reach_the_debug_log(monkeypatch, caplog):
              and r.getMessage().startswith("F2 split")]
     assert notes == ["F2 split at level 2: synthetic note"]
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
+
+
+def test_one_node_graph_checks_its_edge_ids():
+    """A 1-node graph has no cut, so it is flex-connected, but an edge id
+    it lacks is refused as on any other graph."""
+    g = Multigraph(1, ())
+    assert is_flex_connected(g, [], 1, 0) == (True, None)
+    with pytest.raises(InputError, match="edge id 5 out of range"):
+        is_flex_connected(g, [5], 1, 0)
+
+
+def test_failure_boundary_keeps_the_error_when_g_passes(monkeypatch):
+    """When G itself meets the (k, q) rule, a level's InfeasibleError is
+    not the oracle's answer: it is re-raised unchanged."""
+    inst = next(inst for _iid, inst in make_fgc_corpus(24, 20261020)
+                if inst.k % 2 == 0 and inst.q >= 1)
+    assert is_flex_connected(inst.graph, range(inst.graph.m), inst.k, inst.q)[0]
+    err = InfeasibleError("synthetic refusal", witness=6)
+
+    def refuse(ci):
+        raise err
+
+    monkeypatch.setattr(fgc_module, "PD2_SLOT", SolverSlot("pd2", refuse))
+    with pytest.raises(InfeasibleError) as info:
+        solve_fgc(inst)
+    assert info.value is err

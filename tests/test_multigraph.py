@@ -127,6 +127,13 @@ def test_min_cut_needs_two_nodes():
         min_cut_value(Multigraph(1, ()))
 
 
+def test_one_node_graph_is_connected_and_has_no_cut():
+    """A 1-node cut table holds only the empty set, so no guard is needed."""
+    g = Multigraph(1, ())
+    assert is_connected(g)
+    assert enumerate_cuts_at_most(g, 5) == ()
+
+
 def test_enumerate_cuts_c4():
     recs = enumerate_cuts_at_most(c4(), 2)
     got = {frozenset(r.nodes()) for r in recs}
