@@ -47,6 +47,7 @@ from .errors import InfeasibleError, InputError, InvariantError, LimitError
 from .cut_structure import SetFamily, is_laminar, is_uncrossable
 from .family_cover import PD2_SLOT, PhaseLog, SolverSlot, _added_cost, _cover_phase
 from .multigraph import (
+    MAX_GENERATED_EDGES,
     EdgeRecord,
     Multigraph,
     cut_masks,
@@ -115,8 +116,16 @@ class AugmentInstance:
     def current_graph(self, chosen: set[int] | frozenset[int]) -> Multigraph:
         """Base edges plus each chosen candidate as k - lam0 parallel unit
         edges, the lift the staged cover counts it as: its cut table gives
-        the connectivity the cover certifies."""
+        the connectivity the cover certifies.  A graph of more than
+        :data:`~nearcut.multigraph.MAX_GENERATED_EDGES` edges is refused
+        with :class:`LimitError` before any edge is listed."""
         gap = max(self.k - self.lam0, 1)
+        bought = sum(1 for i in self.candidate_ids if i in chosen)
+        count = len(self.base_ids) + gap * bought
+        if count > MAX_GENERATED_EDGES:
+            raise LimitError(
+                f"current graph with {bought} bought edges at k - lam0 = {gap} "
+                f"lists {count} edges, over the limit of {MAX_GENERATED_EDGES}")
         edges = []
         for i, e in enumerate(self.graph.edges):
             if e.base:
@@ -215,9 +224,8 @@ def near_min_cuts_cover(inst: AugmentInstance,
     # The deficient cuts no chosen candidate crosses yet, with their base
     # values, which are also their current values.
     vals = cut_value_array(inst.base_graph)
-    hit = vals < k
-    hit[0] = False   # the empty set, not a cut
-    masks, values = np.flatnonzero(hit) << 1, vals[hit]
+    idx = np.flatnonzero(vals[1:] < k) + 1   # index 0, the empty set, is no cut
+    masks, values = idx << 1, vals[idx]
     deficient = masks, values
 
     for count, (level, kind) in enumerate(_stages(lam0, k), 1):

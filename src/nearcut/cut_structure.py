@@ -23,9 +23,12 @@ members, with the corners computed inline as bitmask operations and
 membership looked up in a set cached on the family: the set of members
 for the symmetric test, the set of canonical masks (membership up to
 complement) for the others.  A family of ``_KERNEL_MIN_MEMBERS`` or more
-members whose masks fit int64 is scanned for uncrossability by a numpy
-kernel instead, in row blocks of the pair matrix, with the same verdict
-and witness; below that size the loop costs less.  A family never
+members on at most :data:`~nearcut.multigraph.EXHAUSTIVE_LIMIT` nodes is
+scanned for uncrossability by a numpy kernel instead, in row blocks of
+the pair matrix, with the same verdict and witness; it looks members up
+in a table of one bit per canonical mask.  Below that size the loop
+costs less.  A family already found laminar is uncrossable without a
+scan, since no two of its members cross strongly.  A family never
 changes, so each verdict and its witness (the first failing pair in
 member order) is computed once and cached on the family; a caller's
 assertion and a solver's precondition check of the same family share
@@ -45,6 +48,7 @@ import numpy as np
 
 from .errors import InputError, InvariantError, PreconditionError
 from .multigraph import (
+    EXHAUSTIVE_LIMIT,
     DisjointSets,
     Multigraph,
     canonical_mask,
@@ -66,7 +70,9 @@ from .multigraph import (
 # fit int64, goes to the numpy kernels; a smaller one stays on the Python
 # loops.  The crossover is measured: on {lam, lam+1}-cut families the scan
 # loop was about 15% faster at 42 members and the kernel about 25% faster
-# at 53 (2 vCPUs, Python 3.11, numpy 2.4).
+# at 53 (2 vCPUs, Python 3.11, numpy 2.4).  The uncrossable scan takes
+# its kernel only up to EXHAUSTIVE_LIMIT nodes, where its bit table over
+# the canonical masks is at most 1 MiB.
 _KERNEL_MIN_MEMBERS = 48
 _KERNEL_MAX_N = 62
 # Pair matrices are cut into row blocks of about this many entries (one
@@ -233,7 +239,10 @@ def _scan_laminar(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
 
 
 def _scan_uncrossable(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]]:
-    if _kernel_sized(fam.n, len(fam)):
+    # in a laminar family no pair crosses strongly
+    if fam._verdicts.get("laminar") == (True, None):
+        return True, None
+    if _kernel_sized(fam.n, len(fam)) and fam.n <= EXHAUSTIVE_LIMIT:
         return _uncrossable_kernel(fam)
     return _uncrossable_loop(fam)
 
@@ -268,20 +277,22 @@ def _uncrossable_kernel(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]
     A pair's verdict does not change when either member is replaced by
     its complement (the four corners only permute), so the kernel works
     on canonical members.  Their corners C1, C2, C4 and their union (the
-    complement of C3) all avoid node 0, so each is looked up as it is with
-    ``searchsorted`` in the sorted canonical masks, and no union is the
-    whole ground set.  Row i of a block meets the members from i + 1 on.
+    complement of C3) all avoid node 0, so each is looked up as it is,
+    and no union is the whole ground set.  The lookup reads a table of
+    one bit per canonical mask x (x is even): bit ``(x >> 1) & 7`` of byte
+    ``x >> 4``, ``2^(n-4)`` bytes in all (one byte below n = 4, 1 MiB at
+    n = 24).  Row i of a block meets the members from i + 1 on.
     A pair below the block's diagonal repeats a pair of an earlier row,
     which row-major order reaches first, so the first failure found is
     the loop's witness.
     """
     fm = full_mask(fam.n)
     ms = np.array([m ^ fm if m & 1 else m for m in fam.members], dtype=np.int64)
-    canon = np.array(sorted(fam.canonical_set), dtype=np.int64)
-    last = len(canon) - 1
+    table = np.zeros(1 << max(fam.n - 4, 0), dtype=np.uint8)
+    np.bitwise_or.at(table, ms >> 4, np.left_shift(1, (ms >> 1) & 7).astype(np.uint8))
 
     def present(x: np.ndarray) -> np.ndarray:
-        return canon[np.minimum(np.searchsorted(canon, x), last)] == x
+        return (table[x >> 4] >> ((x >> 1) & 7)) & 1
 
     count = len(ms)
     rows = max(1, _KERNEL_BLOCK // max(count, 1))
@@ -294,12 +305,12 @@ def _uncrossable_kernel(fam: SetFamily) -> tuple[bool, Optional[tuple[int, int]]
         if not len(idx):
             continue
         meet = c1.ravel()[idx]
-        fail = ~(present(meet) & present((a | b).ravel()[idx]))
+        fail = (present(meet) & present((a | b).ravel()[idx])) == 0
         if not fail.any():
             continue
         idx, meet = idx[fail], meet[fail]
         r, c = np.divmod(idx, b.shape[1])
-        fail = ~(present(a[r, 0] ^ meet) & present(b[0, c] ^ meet))
+        fail = (present(a[r, 0] ^ meet) & present(b[0, c] ^ meet)) == 0
         if fail.any():
             k = int(np.argmax(fail))
             return False, (fam.members[i0 + int(r[k])], fam.members[i0 + 1 + int(c[k])])

@@ -50,7 +50,7 @@ from .cut_structure import (
     is_symmetric_proper_crossing,
     is_uncrossable,
 )
-from .multigraph import DisjointSets, Multigraph, canonical_mask
+from .multigraph import DisjointSets, Multigraph, full_mask
 
 DEFAULT_NODE_BUDGET = 2_000_000
 
@@ -474,6 +474,8 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
 
     everyone = (1 << len(members)) - 1
     strict_subsets = _strict_subsets(members, inside)
+    costs = [c.cost for c in cands]
+    idents = [c.ident for c in cands]
 
     # Duals and payments are exact rationals kept as integers over one
     # shared denominator, which grows only when a step needs it.
@@ -503,17 +505,18 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
         pos = -1
         slack_b = active_b = ident_b = 0
         growing = []  # (pos, active sets crossed)
-        for p, c in enumerate(cands):
+        for p, bits in enumerate(cand_bits):
             # a chosen candidate crosses no uncovered member: never active
-            active = (cand_bits[p] & minimal_bits).bit_count()
-            if not active:
+            hit = bits & minimal_bits
+            if not hit:
                 continue
-            slack = c.cost * denom - paid[p]
+            active = hit.bit_count()
+            slack = costs[p] * denom - paid[p]
             if slack < 0:
                 raise InvariantError("negative slack during dual growth")
             growing.append((p, active))
-            if pos < 0 or (slack * active_b, c.ident) < (slack_b * active, ident_b):
-                pos, slack_b, active_b, ident_b = p, slack, active, c.ident
+            if pos < 0 or (slack * active_b, idents[p]) < (slack_b * active, ident_b):
+                pos, slack_b, active_b, ident_b = p, slack, active, idents[p]
         if pos < 0:
             raise InfeasibleError("no candidate crosses an active set",
                                   witness=members[minimal[0]])
@@ -558,21 +561,25 @@ def certify_primal_dual(inst: CoverInstance, sol: CoverSolution) -> None:
     certificate on ``inst.family.canonical()`` (pd2's duals) also
     certifies against ``inst``.
     """
-    n = inst.n
-    position = {canonical_mask(m, n): j for j, m in enumerate(inst.family.members)}
+    fm = full_mask(inst.n)
+    position = {m ^ fm if m & 1 else m: j for j, m in enumerate(inst.family.members)}
     denom = math.lcm(*(y.denominator for _, y in sol.duals))
     scaled: dict[int, int] = {}  # member position -> dual * denom (an integer)
     for mask, y in sol.duals:
-        j = position.get(canonical_mask(mask, n))
+        j = position.get(mask ^ fm if mask & 1 else mask)
         if j is None:
             raise InvariantError("dual on a set outside the family", witness=mask)
         scaled[j] = scaled.get(j, 0) + y.numerator * (denom // y.denominator)
+    dual_mask = sum(1 << j for j in scaled)
     cand_bits = inst.crossings.edge_bits
     for c, bits in zip(inst.candidates, cand_bits):
+        # only the members with a dual that the candidate crosses
         paid = 0
-        for j, y in scaled.items():
-            if bits >> j & 1:
-                paid += y
+        rest = bits & dual_mask
+        while rest:
+            low = rest & -rest
+            paid += scaled[low.bit_length() - 1]
+            rest ^= low
         if paid > c.cost * denom:
             raise InvariantError(
                 f"candidate {c.ident} pays {Fraction(paid, denom)} > cost {c.cost}",

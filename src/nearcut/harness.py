@@ -54,6 +54,7 @@ from .fgc import (
 )
 from .multigraph import (
     EXHAUSTIVE_LIMIT,
+    MAX_GENERATED_EDGES,
     EdgeRecord,
     Multigraph,
     canonical_mask,
@@ -65,9 +66,6 @@ from .multigraph import (
 )
 
 DEFAULT_ORACLE_EDGE_LIMIT = 24
-# Most edges one generated graph may have: C(n_max, 2) * ceil(density), the
-# worst case, is refused above it.  A fixed constant, not a setting.
-MAX_GENERATED_EDGES = 10 ** 6
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,11 @@ EXHAUSTIVE_LIMIT = 24
 # an int32 table of 256 MiB at n = 27 fits and one of 512 MiB at n = 28
 # does not.  A fixed constant, not a setting.
 TABLE_MEMORY_BUDGET = 256 << 20
+# Most edges one built graph may list: a generated graph whose worst case,
+# C(n_max, 2) * ceil(density), exceeds it is refused, and so is the
+# current graph of an augmentation that would list more.  A fixed
+# constant, not a setting.
+MAX_GENERATED_EDGES = 10 ** 6
 
 
 def check_exhaustive_build(n: int, estimate: int, what: str) -> None:

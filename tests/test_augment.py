@@ -7,6 +7,7 @@ from nearcut import (
     AugmentInstance,
     InfeasibleError,
     InputError,
+    LimitError,
     Multigraph,
     deficient_family,
     implemented_ratio_bound,
@@ -193,6 +194,17 @@ def test_current_graph_lists_a_bought_edge_k_minus_lam0_times():
     g = inst.current_graph({4})
     assert g.m == 4 + 2 and all(e.capacity == 1 for e in g.edges)
     assert [(e.u, e.v) for e in g.edges[4:]] == [(0, 2)] * 2
+
+
+def test_current_graph_refuses_more_edges_than_the_limit():
+    # two bought edges at k - lam0 = 10^6 would list 2,000,004 edges
+    inst = c4_chords_instance(10 ** 6 + 2)
+    assert inst.lam0 == 2
+    with pytest.raises(LimitError, match="lists 2000004 edges, over the limit of 1000000"):
+        inst.current_graph({4, 5})
+    with pytest.raises(LimitError, match="lists 1000004 edges"):
+        inst.current_graph({5})
+    assert inst.current_graph({0, 1}).m == 4    # base ids buy nothing
 
 
 def test_infeasible_instance_reports_witness():

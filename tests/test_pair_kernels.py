@@ -2,7 +2,8 @@
 
 A family with at least ``cut_structure._KERNEL_MIN_MEMBERS`` members, on
 a ground set whose masks fit int64, takes a numpy kernel in three places:
-the uncrossable scan, the crossing bitsets of a cover instance, and the
+the uncrossable scan (only up to the 24-node exhaustive limit, where its
+bit table stays small), the crossing bitsets of a cover instance, and the
 strict-subset bitsets of the primal-dual cover.  Each kernel must give
 exactly what the loop gives: the same verdict and witness, the same bits,
 the same ``CoverSolution``, the same error.
@@ -29,6 +30,7 @@ from nearcut import (
     Multigraph,
     NearcutError,
     SetFamily,
+    is_laminar,
     is_uncrossable,
     level_family,
     min_cut_value,
@@ -194,6 +196,88 @@ def test_kernel_temporaries_stay_within_a_block():
         assert got[0] is verdict
         assert peak < 4 << 20, peak
     assert _uncrossable_loop(wide) == _uncrossable_kernel(wide)
+
+
+def intervals(n: int) -> SetFamily:
+    """Every run of consecutive nodes in 1..n-1: uncrossable, since two
+    strongly crossing runs meet in a run and join in one."""
+    return SetFamily(n, tuple(((1 << (j + 1)) - 1) ^ ((1 << i) - 1)
+                              for i in range(1, n) for j in range(i, n)))
+
+
+def test_scan_kernel_reads_the_top_canonical_mask_at_24_nodes():
+    # the top canonical mask (1 << 24) - 2, node 0's complement, sits in
+    # the last bit of the table's last byte
+    top = (1 << 24) - 2
+    rng = random.Random(24)
+    runs = intervals(24)
+    assert top in runs.members
+    families = [runs, variant(runs, rng, 0.3, False)]
+    families += [variant(runs, rng, 0.0, True) for _ in range(3)]
+    families += [SetFamily(24, random_family(24, rng, 200).members + (side,))
+                 for side in (top, 1)]
+    verdicts = []
+    for fam in families:
+        assert fam.contains_cut(top)
+        got = _uncrossable_kernel(fam)
+        assert got == _uncrossable_loop(fam)
+        verdicts.append(got[0])
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_scan_kernel_on_one_byte_tables(n):
+    # below five nodes the canonical masks all fit one byte of the table
+    canon = range(2, 1 << n, 2)
+    fm = (1 << n) - 1
+    verdicts = set()
+    for pick in range(1, 1 << len(canon)):
+        members = [m for i, m in enumerate(canon) if pick >> i & 1]
+        for flip in (0, pick):
+            fam = SetFamily(n, tuple(m ^ fm if flip >> i & 1 else m
+                                     for i, m in enumerate(members)))
+            got = _uncrossable_kernel(fam)
+            assert got == _uncrossable_loop(fam)
+            verdicts.add(got[0])
+    assert verdicts == ({True, False} if n == 4 else {True})
+
+
+def test_scan_kernel_stops_at_the_exhaustive_limit(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the uncrossable kernel ran")
+
+    for n in (25, 40, 62):
+        runs = intervals(n)
+        # without {1} and {2}, the runs {1, 2} and {2, 3} keep neither
+        # their meet nor {1}
+        failing = variant(SetFamily(n, tuple(m for m in runs.members if m not in (2, 4))),
+                          random.Random(n), 0.3, False)
+        expected = [_uncrossable_loop(runs), _uncrossable_loop(failing)]
+        monkeypatch.setattr(cut_structure, "_uncrossable_kernel", refuse)
+        assert len(failing) >= THRESHOLD and _kernel_sized(n, len(failing))
+        assert [is_uncrossable(runs), is_uncrossable(failing)] == expected
+        assert expected[0] == (True, None) and not expected[1][0]
+        monkeypatch.undo()
+
+
+def test_laminar_families_are_uncrossable_without_a_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an uncrossable scan ran")
+
+    chain = SetFamily(20, tuple((1 << (i + 1)) - 2 for i in range(1, 19)))
+    # 29 singletons and 27 nested runs from node 1: laminar, past the
+    # kernel size
+    wide = SetFamily(30, tuple(1 << v for v in range(1, 30))
+                     + tuple((1 << (i + 1)) - 2 for i in range(2, 29)))
+    crossing = intervals(8)
+    assert len(wide) >= THRESHOLD
+    for fam in (chain, wide, crossing):
+        is_laminar(fam)
+    monkeypatch.setattr(cut_structure, "_uncrossable_loop", refuse)
+    monkeypatch.setattr(cut_structure, "_uncrossable_kernel", refuse)
+    assert is_uncrossable(chain) == is_uncrossable(wide) == (True, None)
+    with pytest.raises(AssertionError, match="an uncrossable scan ran"):
+        is_uncrossable(crossing)     # not laminar: scanned
 
 
 # ---------------------------------------------------------------------------
