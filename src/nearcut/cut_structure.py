@@ -413,51 +413,67 @@ _DIHEDRAL = (
 )
 
 
+# The two labelings that start at each corner, one per direction around
+# the cycle.  Only a labeling that starts at a minimum-degree corner can
+# satisfy d1 <= d2, d3, d4, so build_square tries no other.
+_LABELINGS_FROM = tuple(tuple(p for p in _DIHEDRAL if p[0] == c) for c in range(4))
+
+
 def build_square(g: Multigraph, a_mask: int, b_mask: int,
                  lam: Optional[int] = None) -> Square:
     """Build the normalized square of two strongly crossing cuts.
 
-    Capacities are edge counts.  Normalization picks, among the eight
-    structure-preserving corner labelings, those satisfying
-    d1 <= d2,d3,d4, d2 <= d4 and (a >= b when d1 == d2), breaking ties
-    by the smallest (degrees, diagonals, sides, corners) tuple.
+    Capacities are edge counts, read from the graph's cut table as
+    e(Ci, Cj) = (d(Ci) + d(Cj) - d(Ci | Cj)) / 2, so a graph above
+    :data:`~nearcut.multigraph.EXHAUSTIVE_LIMIT` nodes raises
+    :class:`~nearcut.errors.LimitError`, even when ``lam`` is given.
+    Normalization picks, among the eight structure-preserving corner
+    labelings, those satisfying d1 <= d2,d3,d4, d2 <= d4 and (a >= b
+    when d1 == d2), breaking ties by the smallest (degrees, diagonals,
+    sides, corners) tuple.
     """
     corners = corner_masks(a_mask, b_mask, g.n)
     if not all(corners):
         raise InputError("build_square requires strongly crossing sets")
-    _, c2, c3, c4 = corners
-    # each node lies in exactly one corner; C1 is index 0
-    where = [(c2 >> v & 1) + 2 * (c3 >> v & 1) + 3 * (c4 >> v & 1)
-             for v in range(g.n)]
-    mat = [[0] * 4 for _ in range(4)]
-    for e in g.edges:
-        cu, cv = where[e.u], where[e.v]
-        if cu == cv:
-            continue
-        mat[cu][cv] += 1
-        mat[cv][cu] += 1
-    deg = [sum(mat[i]) for i in range(4)]
+    c1, c2, c3, c4 = corners
+    c13 = c1 | c3
+    item = cut_value_array(g).item
+    fm = (1 << g.n) - 1
+    # d(C1..C4), then d(C1|C2) = dA, d(C1|C4) = dB and d(C1|C3), each at
+    # its canonical index; the other three unions are their complements
+    d1 = item((c1 ^ fm if c1 & 1 else c1) >> 1)
+    d2 = item((c2 ^ fm if c2 & 1 else c2) >> 1)
+    d3 = item((c3 ^ fm if c3 & 1 else c3) >> 1)
+    d4 = item((c4 ^ fm if c4 & 1 else c4) >> 1)
+    d12 = item((a_mask ^ fm if a_mask & 1 else a_mask) >> 1)
+    d14 = item((b_mask ^ fm if b_mask & 1 else b_mask) >> 1)
+    d13 = item((c13 ^ fm if c13 & 1 else c13) >> 1)
+    e12, e13, e14 = (d1 + d2 - d12) >> 1, (d1 + d3 - d13) >> 1, (d1 + d4 - d14) >> 1
+    e23, e24, e34 = (d2 + d3 - d14) >> 1, (d2 + d4 - d13) >> 1, (d3 + d4 - d12) >> 1
+    mat = ((0, e12, e13, e14), (e12, 0, e23, e24),
+           (e13, e23, 0, e34), (e14, e24, e34, 0))
+    deg = (d1, d2, d3, d4)
 
+    low = min(deg)
     best = None
-    for p in _DIHEDRAL:
-        d = (deg[p[0]], deg[p[1]], deg[p[2]], deg[p[3]])
-        if not (d[0] <= d[1] and d[0] <= d[2] and d[0] <= d[3] and d[1] <= d[3]):
+    for c in range(4):
+        if deg[c] != low:
             continue
-        diag_a = mat[p[1]][p[3]]
-        diag_b = mat[p[0]][p[2]]
-        if d[0] == d[1] and diag_a < diag_b:
-            continue
-        sz = mat[p[0]][p[1]]
-        sy = mat[p[1]][p[2]]
-        sw = mat[p[2]][p[3]]
-        sx = mat[p[3]][p[0]]
-        key = (d, (diag_a, diag_b), (sx, sy, sz, sw),
-               tuple(corners[p[i]] for i in range(4)))
-        if best is None or key < best[0]:
-            best = (key, p, d, diag_a, diag_b, sx, sy, sz, sw)
+        for p0, p1, p2, p3 in _LABELINGS_FROM[c]:
+            if deg[p1] > deg[p3]:
+                continue
+            diag_a = mat[p1][p3]
+            diag_b = mat[p0][p2]
+            if low == deg[p1] and diag_a < diag_b:
+                continue
+            key = ((low, deg[p1], deg[p2], deg[p3]), (diag_a, diag_b),
+                   (mat[p3][p0], mat[p1][p2], mat[p0][p1], mat[p2][p3]),
+                   (corners[p0], corners[p1], corners[p2], corners[p3]))
+            if best is None or key < best:
+                best = key
     if best is None:
         raise InvariantError("no corner labeling satisfies the normalization rules")
-    _, p, d, diag_a, diag_b, sx, sy, sz, sw = best
+    d, (diag_a, diag_b), (sx, sy, sz, sw), labeled = best
     da = sx + sy + diag_a + diag_b
     db = sz + sw + diag_a + diag_b
     alpha = da + d[0] - d[1]
@@ -465,7 +481,7 @@ def build_square(g: Multigraph, a_mask: int, b_mask: int,
         raise InvariantError(f"alpha = {alpha} is odd; counting identity violated")
     if lam is None:
         lam = min_cut_value(g)
-    return Square(corners=tuple(corners[p[i]] for i in range(4)), degrees=d,
+    return Square(corners=labeled, degrees=d,
                   x=sx, y=sy, z=sz, w=sw, a=diag_a, b=diag_b,
                   da=da, db=db, alpha=alpha, lam=lam)
 
@@ -539,33 +555,49 @@ class QuotientResult:
                      if edge_crosses(a, b, cm))
 
 
+def _classes(members: Iterable[int], n: int) -> list[int]:
+    """The node masks that no member separates, in order of their lowest
+    node: each member splits every class it cuts in two."""
+    classes = [(1 << n) - 1]
+    for m in members:
+        if len(classes) == n:
+            break
+        out = []
+        for c in classes:
+            inter = c & m
+            if inter and inter != c:
+                out += (inter, c ^ inter)
+            else:
+                out.append(c)
+        classes = out
+    return sorted(classes, key=lambda c: c & -c)
+
+
 def family_quotient(g: Multigraph, fam: SetFamily) -> QuotientResult:
     """Quotient of g by the classes no member of the family separates.
 
-    Nodes with equal membership signatures share a class, and classes
-    are numbered in order of their first node.  ``edge_count`` counts
-    the original edges behind each side and ``unsafe_tally`` the unsafe
-    ones among them, which :func:`decompose_F2_odd` reads as red (two or
-    more), blue (one) or black (none).
+    Nodes that every member puts on the same side share a class, and
+    classes are numbered in order of their first node.  ``edge_count``
+    counts the original edges behind each side and ``unsafe_tally`` the
+    unsafe ones among them, which :func:`decompose_F2_odd` reads as red
+    (two or more), blue (one) or black (none).
     """
     if len(fam) == 0:
         raise InputError("family_quotient needs a non-empty family")
     if fam.n != g.n:
         raise InputError("family ground set does not match the graph")
-    index: dict[tuple, int] = {}
-    class_of = []
-    members = fam.members
-    for v in range(g.n):
-        sig = tuple((m >> v) & 1 for m in members)
-        class_of.append(index.setdefault(sig, len(index)))
-    classes = [0] * len(index)
-    for v, ci in enumerate(class_of):
-        classes[ci] |= 1 << v
+    classes = _classes(fam.members, g.n)
+    class_of = [0] * g.n
+    for ci, c in enumerate(classes):
+        while c:
+            low = c & -c
+            class_of[low.bit_length() - 1] = ci
+            c ^= low
     merged: dict[tuple[int, int], list[int]] = {}
     for e in g.edges:
-        a, b = sorted((class_of[e.u], class_of[e.v]))
+        a, b = class_of[e.u], class_of[e.v]
         if a != b:
-            acc = merged.setdefault((a, b), [0, 0])  # count, unsafe
+            acc = merged.setdefault((a, b) if a < b else (b, a), [0, 0])  # count, unsafe
             acc[0] += 1
             acc[1] += e.unsafe
     sides = tuple(sorted(merged))
@@ -682,6 +714,18 @@ class DecompositionResult:
         return Counter(m for part in self.parts for m in part.members.members)
 
 
+def _holders(masks: tuple[int, ...], n: int) -> list[int]:
+    """``out[v]`` is the bitset of the masks holding node v (bit j for
+    ``masks[j]``)."""
+    out = [0] * n
+    for j, m in enumerate(masks):
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= 1 << j
+            m ^= low
+    return out
+
+
 def _component_split(masks: tuple[int, ...], n: int) -> list[list[int]]:
     """Connected components of the strong-crossing graph on the masks.
 
@@ -691,12 +735,7 @@ def _component_split(masks: tuple[int, ...], n: int) -> list[list[int]]:
     operations, and a breadth-first search over them finds each
     component.
     """
-    inside = [0] * n
-    for j, m in enumerate(masks):
-        while m:
-            low = m & -m
-            inside[low.bit_length() - 1] |= 1 << j
-            m ^= low
+    inside = _holders(masks, n)
     everyone = (1 << len(masks)) - 1
 
     def crossing(a: int) -> int:
@@ -736,6 +775,11 @@ def decompose_plus_cuts(g: Multigraph, lam: int) -> DecompositionResult:
     part is then widened to every (lam+1)-cut compatible with the group
     quotient, and parts subsumed by a larger part are dropped.  Shape
     verification failures are reported as diagnostics, never raised.
+
+    Widening needs only the group's classes: a cut is compatible when
+    for every class it holds all of it or none, read off the per-node
+    bitsets of the (lam+1)-cuts.  The quotient itself is built for the
+    parts kept.
     """
     if lam < 1 or lam % 2 == 0:
         raise InputError(f"decomposition is defined for odd lam >= 1, got {lam}")
@@ -746,36 +790,48 @@ def decompose_plus_cuts(g: Multigraph, lam: int) -> DecompositionResult:
     if not plus:
         return DecompositionResult(lam=lam, parts=(), diagnostics=())
 
-    groups = _component_split(plus, g.n)
-    raw: list[tuple[tuple[int, ...], QuotientResult]] = []
-    for group in groups:
-        qr = family_quotient(g, SetFamily(g.n, tuple(group)))
-        widened = tuple(m for m in plus if qr.compatible(m))
-        raw.append((widened, qr))
+    inside = _holders(plus, g.n)
+    everyone = (1 << len(plus)) - 1
+    raw: list[tuple[tuple[int, ...], int]] = []
+    for group in _component_split(plus, g.n):
+        # a cut splits a class when some node of it holds the cut and
+        # another does not
+        split = 0
+        for c in _classes(group, g.n):
+            first = inside[(c & -c).bit_length() - 1]
+            while c:
+                low = c & -c
+                split |= inside[low.bit_length() - 1] ^ first
+                c ^= low
+        bits = compatible = everyone & ~split
+        widened = []
+        while bits:
+            low = bits & -bits
+            widened.append(plus[low.bit_length() - 1])
+            bits ^= low
+        raw.append((tuple(widened), compatible))
 
-    # Absorb parts whose member set is contained in a larger part.
+    # Absorb parts whose member set is contained in a larger part.  A
+    # part's members split no class of its group, so they have the
+    # group's quotient.
     raw.sort(key=lambda item: (-len(item[0]), item[0]))
-    kept: list[tuple[tuple[int, ...], QuotientResult]] = []
-    kept_sets: list[frozenset] = []
-    for members, qr in raw:
-        mset = frozenset(members)
-        if any(mset <= other for other in kept_sets):
-            continue
-        kept.append((members, qr))
-        kept_sets.append(mset)
-
+    kept_bits: list[int] = []
     diagnostics: list[str] = []
     parts = []
-    for members, qr in kept:
+    for members, bits in raw:
+        if any(not bits & ~other for other in kept_bits):
+            continue
+        kept_bits.append(bits)
+        fam = SetFamily(g.n, members)
+        qr = family_quotient(g, fam)
         shape = verify_part_shape(qr, lam)
         if shape is PartShape.OTHER:
             diagnostics.append(
                 f"part with {len(members)} members has unrecognized quotient shape "
                 f"({len(qr.classes)} classes, {len(qr.sides)} edges)")
-        parts.append(CutPart(members=SetFamily(g.n, members), quotient=qr,
-                             shape=shape))
+        parts.append(CutPart(members=fam, quotient=qr, shape=shape))
 
-    coverage = Counter(m for members, _qr in kept for m in members)
+    coverage = Counter(m for part in parts for m in part.members.members)
     for mask, count in coverage.items():
         if count > 2:
             diagnostics.append(

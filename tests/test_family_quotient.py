@@ -41,6 +41,7 @@ from nearcut import (
     nodes_from_mask,
     subgraph,
 )
+import nearcut.cut_structure as cut_structure
 from nearcut import multigraph
 from nearcut.cut_structure import _component_split
 from nearcut.harness import make_flex_corpus
@@ -606,3 +607,60 @@ def test_plus_cut_decomposition_matches_reference():
         else:
             assert got == ref
     assert {PartShape.CYCLE_UNIFORM, PartShape.OTHER} <= shapes, shapes
+
+
+@st.composite
+def odd_lam_graphs(draw):
+    """(lam, g) for lam in {1, 3}: a cycle on 3..9 nodes whose edges come
+    in (lam + 1) / 2 or (lam + 3) / 2 parallel copies, so that its
+    (lam + 1)-cuts include pairs of its lightest edges, plus random chords,
+    some of them unsafe."""
+    lam = draw(st.sampled_from([1, 3]), label="lam")
+    n = draw(st.integers(3, 9), label="n")
+    order = draw(st.permutations(range(n)), label="cycle")
+    copies = draw(st.lists(st.integers((lam + 1) // 2, (lam + 3) // 2),
+                          min_size=n, max_size=n),
+                  label="copies")
+    pairs = [(order[i], order[(i + 1) % n]) for i in range(n) for _ in range(copies[i])]
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=n // 2), label="chords")
+    pairs += [(u, v) for u, v in chords if u != v]
+    unsafe = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)),
+                  label="unsafe")
+    return lam, Multigraph(n, tuple(EdgeRecord(u, v, 0, 1, bad, False)
+                                    for (u, v), bad in zip(pairs, unsafe)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_lam_graphs())
+def test_property_plus_cut_decomposition_matches_reference(case):
+    """Widening on per-node bitsets, with quotients built only for the
+    parts kept, equals the reference's quotient per group."""
+    lam, g = case
+    got = outcome(decompose_plus_cuts, g, lam)
+    ref = outcome(reference_decompose_plus_cuts, g, lam)
+    if isinstance(got, DecompositionResult):
+        assert_same_decomposition(got, ref)
+    else:
+        assert got == ref
+
+
+def test_decomposition_builds_one_quotient_per_part(monkeypatch):
+    """A group absorbed into a larger part costs no quotient."""
+    built = []
+    real = cut_structure.family_quotient
+
+    def counted(g, fam):
+        built.append(fam)
+        return real(g, fam)
+
+    monkeypatch.setattr(cut_structure, "family_quotient", counted)
+    groups = parts = 0
+    for k, g in odd_k_flex_graphs():
+        built.clear()
+        res = decompose_plus_cuts(g, k)
+        assert built == [p.members for p in res.parts]
+        plus = cut_masks(multigraph.cut_value_array(g) == k + 1)
+        groups += len(_component_split(plus, g.n)) if plus else 0
+        parts += len(res.parts)
+    assert groups > parts > 0, (groups, parts)  # some groups were absorbed

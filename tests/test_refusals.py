@@ -19,6 +19,7 @@ from nearcut import (
     Instance,
     Multigraph,
     SetFamily,
+    build_square,
     decompose_plus_cuts,
     family_quotient,
     generate,
@@ -28,7 +29,8 @@ from nearcut import (
     subgraph,
 )
 from nearcut.cli import main
-from nearcut.errors import InputError, PreconditionError
+from nearcut.errors import InputError, LimitError, PreconditionError
+from nearcut.multigraph import EXHAUSTIVE_LIMIT
 from nearcut.family_cover import Candidate, CoverInstance
 
 from conftest import c4, g_from, triangle
@@ -91,6 +93,15 @@ def test_family_quotient_ground_set_must_match():
 def test_plus_cut_decomposition_needs_odd_lam(lam):
     with pytest.raises(InputError, match=f"odd lam >= 1, got {lam}"):
         decompose_plus_cuts(c4(), lam)
+
+
+def test_square_above_the_node_limit():
+    """A square's capacities come from the cut table, so a graph above
+    the limit is refused even when lam is given."""
+    n = EXHAUSTIVE_LIMIT + 1
+    g = Multigraph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    with pytest.raises(LimitError, match=f"n <= {EXHAUSTIVE_LIMIT} nodes, got n = {n}"):
+        build_square(g, 0b0011, 0b0110, lam=2)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ raised ``InputError`` the library must raise ``InputError`` too.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Optional
 
@@ -210,6 +211,61 @@ def test_property_pairs_match_the_references(data):
         g = Multigraph.from_edges(n, [(u, v) for u, v in pairs if u != v])
     lam = None if n >= 2 and data.draw(st.booleans(), label="table lam") else 5
     assert_pair_matches(g, a, b, n, lam)
+
+
+@st.composite
+def corner_graphs(draw):
+    """A multigraph on 4..9 nodes and two strongly crossing sets of it.
+
+    Each node lies in one of four corners, each corner holding at least
+    one node, and each pair of corners is joined by a drawn number of
+    parallel edges between one node of each.  In a tied draw all four
+    sides get one count and both diagonals another, so every corner has
+    the same degree, a == b, and only the corner tuple picks the
+    labeling.  Extra edges come in parallel pairs, and in a tied draw
+    stay inside a corner.
+    """
+    n = draw(st.integers(4, 9), label="n")
+    order = draw(st.permutations(range(n)), label="order")
+    rest = draw(st.lists(st.integers(0, 3), min_size=n - 4, max_size=n - 4),
+                label="corner of the other nodes")
+    corner_of = dict(zip(order, [0, 1, 2, 3] + rest))
+    nodes = [[v for v in range(n) if corner_of[v] == c] for c in range(4)]
+    tied = draw(st.booleans(), label="tied")
+    if tied:
+        side = draw(st.integers(1, 3), label="side")
+        diag = draw(st.integers(0, 3), label="diagonal")
+        counts = {(0, 1): side, (1, 2): side, (2, 3): side, (0, 3): side,
+                  (0, 2): diag, (1, 3): diag}
+    else:
+        counts = {pair: draw(st.integers(0, 3), label=f"count {pair}")
+                  for pair in itertools.combinations(range(4), 2)}
+    pairs = []
+    for (i, j), count in counts.items():
+        u = draw(st.sampled_from(nodes[i]))
+        v = draw(st.sampled_from(nodes[j]))
+        pairs += [(u, v)] * count
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n), label="extra")
+    pairs += [(u, v) for u, v in extra
+              if u != v and not (tied and corner_of[u] != corner_of[v])] * 2
+    g = Multigraph.from_edges(n, pairs)
+    a = sum(1 << v for v in nodes[0] + nodes[1])
+    b = sum(1 << v for v in nodes[0] + nodes[3])
+    fm = full_mask(n)
+    a, b = draw(st.sampled_from([(a, b), (b, a), (fm ^ a, b), (a, fm ^ b)]),
+                label="pair")
+    lam = draw(st.sampled_from([None, 0, 3]), label="lam")
+    return g, a, b, lam
+
+
+@settings(max_examples=400, deadline=None)
+@given(corner_graphs())
+def test_property_square_labeling_matches_the_reference(case):
+    """The square read from the cut table, labeled from a minimum-degree
+    corner, equals the edge walk over all eight labelings."""
+    g, a, b, lam = case
+    assert build_square(g, a, b, lam) == reference_build_square(g, a, b, lam)
 
 
 def test_component_split_matches_the_reference_on_the_decompose_suite(monkeypatch):
