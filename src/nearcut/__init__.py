@@ -38,7 +38,6 @@ from .cut_structure import (
     SquareCase,
     build_square,
     classify_square,
-    crosses,
     crosses_strongly,
     decompose_F2_odd,
     decompose_plus_cuts,

@@ -23,8 +23,8 @@ each stage's family, its connectivity check and the final k-check from
 the cuts left.
 
 Pair stages go to the primal-dual cover (pd2, guarantee 2), single-level
-stages to ``family_cover.ring_cover_solver`` unless another slot is given,
-and every stage runs FGC's cover step.  A stage that finds no cover raises
+stages to ``family_cover.ring_cover_solver`` as it is at call time, and
+every stage runs FGC's cover step.  A stage that finds no cover raises
 its :class:`InfeasibleError` with the exact oracle's witness, the first
 deficient cut of the base graph that no candidate crosses.  Each stage
 logs the guarantee its cover solution reports; the end-to-end bound is
@@ -45,7 +45,7 @@ import numpy as np
 from . import family_cover
 from .errors import InfeasibleError, InputError, InvariantError, LimitError
 from .cut_structure import SetFamily, is_laminar, is_uncrossable
-from .family_cover import PD2_SLOT, PhaseLog, SolverSlot, _added_cost, _cover_phase
+from .family_cover import PD2_SLOT, PhaseLog, _added_cost, _cover_phase
 from .multigraph import (
     MAX_GENERATED_EDGES,
     EdgeRecord,
@@ -200,21 +200,20 @@ def _uncrossed(g: Multigraph, added: Iterable[int], masks: np.ndarray,
     return masks[keep], values[keep]
 
 
-def near_min_cuts_cover(inst: AugmentInstance,
-                        single_solver: SolverSlot | None = None) -> AugmentResult:
+def near_min_cuts_cover(inst: AugmentInstance) -> AugmentResult:
     """Run the staged cover; the result is verified k-connected.
 
     Single-level stages (parity boundaries) go to the slot
-    ``single_solver``, by default ``family_cover.ring_cover_solver`` as it
-    is at call time, {lam, lam+1} stages to pd2.  Laminarity of odd
-    boundary families and uncrossability of pair families are asserted,
-    not assumed.  Each stage logs the guarantee its solution reports.
+    ``family_cover.ring_cover_solver`` as it is at call time, {lam, lam+1}
+    stages to pd2.  Laminarity of odd boundary families and
+    uncrossability of pair families are asserted, not assumed.  Each
+    stage logs the guarantee its solution reports.
 
     The only cut table read is the base graph's, the one that gave lam0
     (see the module docstring for why that suffices).
     """
     inst.validate()
-    single = family_cover.ring_cover_solver if single_solver is None else single_solver
+    single = family_cover.ring_cover_solver
     lam0 = inst.lam0
     k = inst.k
     g = inst.graph

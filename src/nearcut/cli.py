@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .errors import InputError, InvariantError, NearcutError
 from .augment import AugmentInstance, near_min_cuts_cover
-from .family_cover import SOLVER_SLOTS
 from .fgc import FlexInstance, is_flex_connected, solve_fgc
 from .harness import (
     _SUITES,
@@ -79,7 +78,7 @@ def _cmd_solve_augment(args) -> int:
     inst = _load(args)
     aug = AugmentInstance(inst.graph, inst.k)
     t0 = time.perf_counter()
-    res = near_min_cuts_cover(aug, SOLVER_SLOTS.get(args.single_level_solver))
+    res = near_min_cuts_cover(aug)
     report = {
         "kind": "augment",
         "input": str(args.input),
@@ -104,7 +103,7 @@ def _cmd_solve_fgc(args) -> int:
     inst = _load(args)
     flex = FlexInstance(inst.graph, inst.k, inst.q)
     t0 = time.perf_counter()
-    sol = solve_fgc(flex, kecss_mode=args.kecss, unit_cost=args.unit_cost)
+    sol = solve_fgc(flex, unit_cost=args.unit_cost)
     feasible, _ = is_flex_connected(inst.graph, sol.edge_ids, inst.k, inst.q)
     report = {
         "kind": "fgc",
@@ -229,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sa = solve_sub.add_parser("augment")
     p_sa.add_argument("--input", required=True)
     p_sa.add_argument("--k", type=int)
-    p_sa.add_argument("--single-level-solver", choices=sorted(SOLVER_SLOTS),
-                      default=None, dest="single_level_solver")
     p_sa.add_argument("--out")
     p_sa.set_defaults(func=_cmd_solve_augment)
     p_sf = solve_sub.add_parser("fgc")
@@ -238,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sf.add_argument("--k", type=int)
     p_sf.add_argument("--q", type=int)
     p_sf.add_argument("--unit-cost", action="store_true", dest="unit_cost")
-    p_sf.add_argument("--kecss", choices=("exact", "approx2"), default="approx2")
     p_sf.add_argument("--out")
     p_sf.set_defaults(func=_cmd_solve_fgc)
 

@@ -102,12 +102,6 @@ def corner_masks(a: int, b: int, n: int) -> tuple[int, int, int, int]:
     return (a & b, a & ~b, fm ^ (a | b), b & ~a)
 
 
-def crosses(a: int, b: int, n: int) -> bool:
-    """Weak crossing: A&B and V-(A|B) both non-empty."""
-    c1, _, c3, _ = corner_masks(a, b, n)
-    return c1 != 0 and c3 != 0
-
-
 def crosses_strongly(a: int, b: int, n: int) -> bool:
     """All four corner sets non-empty."""
     return all(corner_masks(a, b, n))
@@ -533,14 +527,6 @@ class QuotientResult:
     edge_count: tuple[int, ...]         # per side
     unsafe_tally: tuple[int, ...]       # per side
 
-    def compatible(self, mask: int) -> bool:
-        """True when the node mask splits no class."""
-        for cm in self.classes:
-            inter = mask & cm
-            if inter and inter != cm:
-                return False
-        return True
-
     def crossing_tallies(self, mask: int) -> tuple[int, ...]:
         """``unsafe_tally`` of each side crossing a node mask that splits
         no class; :class:`InputError` when it splits one."""
@@ -726,16 +712,15 @@ def _holders(masks: tuple[int, ...], n: int) -> list[int]:
     return out
 
 
-def _component_split(masks: tuple[int, ...], n: int) -> list[list[int]]:
+def _component_split(masks: tuple[int, ...], inside: list[int]) -> list[list[int]]:
     """Connected components of the strong-crossing graph on the masks.
 
-    ``inside[v]`` is the bitset of the masks holding node v.  Mask B
-    strongly crosses A when it meets A, leaves A, and neither holds all
-    of A nor all of V - A, so the masks crossing A come from 2n bitset
-    operations, and a breadth-first search over them finds each
-    component.
+    ``inside`` is ``_holders(masks, n)``: ``inside[v]`` is the bitset of
+    the masks holding node v.  Mask B strongly crosses A when it meets A,
+    leaves A, and neither holds all of A nor all of V - A, so the masks
+    crossing A come from 2n bitset operations, and a breadth-first search
+    over them finds each component.
     """
-    inside = _holders(masks, n)
     everyone = (1 << len(masks)) - 1
 
     def crossing(a: int) -> int:
@@ -793,7 +778,7 @@ def decompose_plus_cuts(g: Multigraph, lam: int) -> DecompositionResult:
     inside = _holders(plus, g.n)
     everyone = (1 << len(plus)) - 1
     raw: list[tuple[tuple[int, ...], int]] = []
-    for group in _component_split(plus, g.n):
+    for group in _component_split(plus, inside):
         # a cut splits a class when some node of it holds the cut and
         # another does not
         split = 0

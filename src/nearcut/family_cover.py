@@ -675,22 +675,26 @@ def _reverse_delete(crossing: Sequence[int], pairs: Sequence[tuple[int, int]],
 
 @dataclass(frozen=True)
 class SolverSlot:
-    """A named cover solver, for the places a caller picks one: the
-    single-level stages of the augmentation and ``SOLVER_SLOTS``.  Its
-    guarantee is the one each of its solutions reports."""
+    """A named cover solver.  Its guarantee is the one each of its
+    solutions reports."""
 
     name: str
     solve: Callable[[CoverInstance], CoverSolution] = field(compare=False)
 
 
+# The named slots.  No solve picks a slot by name: each family's structure
+# fixes its cover.  ``perfbench/tracing.py`` (``SLOT_NAMES``) swaps each
+# slot for a traced twin, and ``tests/test_benchmark_names.py`` checks
+# that these names resolve.
 PD2_SLOT = SolverSlot("pd2", primal_dual_uncrossable_cover)
 EXACT_SLOT = SolverSlot("exact", exact_min_cover)
 
 SOLVER_SLOTS: dict[str, SolverSlot] = {s.name: s for s in (PD2_SLOT, EXACT_SLOT)}
 
-# Default slot for single-level (laminar / ring-like) families.  A sharper
-# solver can be plugged here; the guarantee its solutions report reaches
-# every phase log and bound downstream.
+# The one pluggable slot: single-level (laminar / ring-like) families,
+# read at call time by both staged solvers.  A sharper solver can be
+# plugged here; the guarantee its solutions report reaches every phase
+# log and bound downstream.
 ring_cover_solver: SolverSlot = PD2_SLOT
 
 

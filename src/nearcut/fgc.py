@@ -35,7 +35,10 @@ spanning step and every level: when one of them finds no cover, the solve
 raises what the exact oracle raises, :data:`NOT_FLEX_CONNECTED` with G's
 first cut that breaks the (k, q) rule.  Each cover phase logs the
 guarantee its solution reports, guarantees compose additively, and every
-structural claim is asserted at runtime.
+structural claim is asserted at runtime.  A solve reads nothing but its
+instance and ``unit_cost``: the spanning step always logs solver
+``approx2`` with guarantee 2 (:func:`kecss`), and the table picks every
+cover after it.
 """
 
 from __future__ import annotations
@@ -242,21 +245,18 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
     return ExactSubgraphResult(edge_ids=ids, cost=cost, nodes_explored=explored)
 
 
-def kecss(g: Multigraph, k: int, mode: str = "approx2",
+def kecss(g: Multigraph, k: int, *,
           node_budget: int = DEFAULT_NODE_BUDGET) -> PhaseLog:
-    """k-edge-connected spanning subgraph, logged as phase 0 ("kecss"):
-    ``solver`` is the mode and ``added`` the chosen edge ids.
+    """k-edge-connected spanning subgraph, logged as phase 0 ("kecss")
+    with solver ``"approx2"``, guarantee 2 and ``added`` the chosen edge
+    ids.
 
-    Both modes run the exact engine at desk scale; ``approx2`` merely
-    accounts for it with the conservative factor-2 guarantee so that
-    downstream ratio bounds stay honest when a true 2-approximation is
-    plugged in instead.
+    The step runs the exact search at desk scale and accounts for it with
+    the factor 2 of a 2-approximation, so the ratio bounds downstream stay
+    the ones a polynomial kecss step would give.
     """
-    if mode not in ("exact", "approx2"):
-        raise InputError(f"unknown kecss mode {mode!r}")
     res = minimum_flex_subgraph(g, k, 0, node_budget)
-    guarantee = Fraction(1) if mode == "exact" else Fraction(2)
-    return PhaseLog(0, "kecss", 0, mode, res.cost, guarantee, res.edge_ids,
+    return PhaseLog(0, "kecss", 0, "approx2", res.cost, Fraction(2), res.edge_ids,
                     res.nodes_explored)
 
 
@@ -324,8 +324,7 @@ def _level_handler(unit_cost: bool, k: int, q: int, level: int):
     return _split_level if k % 2 and level == 2 else _structured_level
 
 
-def solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
-              unit_cost: bool = False) -> FlexSolution:
+def solve_fgc(inst: FlexInstance, unit_cost: bool = False) -> FlexSolution:
     """Seed H with a k-edge-connected spanning subgraph, then cover the
     blocking family of each level in turn, as the structure table says.
     ``unit_cost`` selects the minimal-cover rows and raises
@@ -353,7 +352,7 @@ def solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
     if q > MAX_LEVELS:
         raise LimitError(f"q = {q} walks more than {MAX_LEVELS} levels")
     try:
-        phases = [kecss(g, k, kecss_mode)]
+        phases = [kecss(g, k)]
         h = set(phases[0].added)
         for level in range(1, q + 1):
             try:

@@ -624,37 +624,41 @@ def _suite_forest(cfg: dict) -> dict:
     return _suite_report("forest", cfg, {"pairs": checked}, violations)
 
 
+def _ratio_record(iid: str, kind: str, g: Multigraph, k: int, q: int, solve, oracle,
+                  describe) -> RatioReport:
+    """Run ``solve()`` and then ``oracle()``, timed together, and rate the
+    solution's cost against the optimum's; a zero-cost optimum rates 0.
+    ``describe(solution)`` gives the fields that depend on the problem:
+    ``lam0``, ``bound``, ``kecss_ratio``, ``feasible`` and ``stage_costs``."""
+    t0 = time.perf_counter()
+    sol = solve()
+    opt = oracle()
+    wall = int((time.perf_counter() - t0) * 1000)
+    ratio = Fraction(sol.cost, opt.cost) if opt.cost else Fraction(0)
+    return RatioReport(
+        instance_id=iid, kind=kind, n=g.n, m=g.m, k=k, q=q,
+        algorithm_cost=sol.cost, oracle_cost=opt.cost, ratio=ratio,
+        oracle_nodes=opt.nodes_explored, wall_ms=wall, **describe(sol))
+
+
 def augment_record(iid: str, inst: AugmentInstance) -> RatioReport:
     """Solve one augmentation instance and rate it against the oracle."""
-    t0 = time.perf_counter()
-    res = near_min_cuts_cover(inst)
-    oracle = exact_augment(inst)
-    wall = int((time.perf_counter() - t0) * 1000)
-    ratio = Fraction(res.cost, oracle.cost) if oracle.cost else Fraction(0)
-    return RatioReport(
-        instance_id=iid, kind="augment", n=inst.graph.n, m=inst.graph.m,
-        k=inst.k, q=0, lam0=res.lam0, algorithm_cost=res.cost,
-        oracle_cost=oracle.cost, ratio=ratio, bound=res.bound,
-        kecss_ratio=None, feasible=True,
-        stage_costs=tuple(s.cost for s in res.stages),
-        oracle_nodes=oracle.nodes_explored, wall_ms=wall)
+    return _ratio_record(
+        iid, "augment", inst.graph, inst.k, 0, lambda: near_min_cuts_cover(inst),
+        lambda: exact_augment(inst),
+        lambda res: dict(lam0=res.lam0, bound=res.bound, kecss_ratio=None,
+                         feasible=True, stage_costs=tuple(s.cost for s in res.stages)))
 
 
 def fgc_record(iid: str, inst: FlexInstance, unit: bool) -> RatioReport:
     """Solve one flex instance and rate it against the oracle."""
-    t0 = time.perf_counter()
-    sol = solve_fgc(inst, unit_cost=unit)
-    oracle = exact_fgc(inst)
-    wall = int((time.perf_counter() - t0) * 1000)
-    feas, _ = is_flex_connected(inst.graph, sol.edge_ids, inst.k, inst.q)
-    ratio = Fraction(sol.cost, oracle.cost) if oracle.cost else Fraction(0)
-    return RatioReport(
-        instance_id=iid, kind="fgc-unit" if unit else "fgc",
-        n=inst.graph.n, m=inst.graph.m, k=inst.k, q=inst.q, lam0=None,
-        algorithm_cost=sol.cost, oracle_cost=oracle.cost, ratio=ratio,
-        bound=sol.guarantee, kecss_ratio=sol.phases[0].guarantee,
-        feasible=feas, stage_costs=tuple(p.cost for p in sol.phases),
-        oracle_nodes=oracle.nodes_explored, wall_ms=wall)
+    return _ratio_record(
+        iid, "fgc-unit" if unit else "fgc", inst.graph, inst.k, inst.q,
+        lambda: solve_fgc(inst, unit_cost=unit), lambda: exact_fgc(inst),
+        lambda sol: dict(
+            lam0=None, bound=sol.guarantee, kecss_ratio=sol.phases[0].guarantee,
+            feasible=is_flex_connected(inst.graph, sol.edge_ids, inst.k, inst.q)[0],
+            stage_costs=tuple(p.cost for p in sol.phases)))
 
 
 def _run_augment_records(count: int, seed: int) -> list[RatioReport]:

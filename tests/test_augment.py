@@ -16,9 +16,9 @@ from nearcut import (
     min_cut_value,
     near_min_cuts_cover,
 )
-from nearcut import augment
+from nearcut import augment, family_cover
 from nearcut.augment import _stages
-from nearcut.family_cover import EXACT_SLOT, PD2_SLOT, SolverSlot
+from nearcut.family_cover import EXACT_SLOT, SolverSlot
 from nearcut.harness import exact_augment, make_augment_corpus
 
 from conftest import by_capacity, c4, g_from
@@ -258,12 +258,13 @@ def test_validation_errors():
 # oracle
 
 
-def test_single_level_solver_slot_changes_bound():
+def test_single_level_solver_slot_changes_bound(monkeypatch):
     edges = [(0, 1, 0, 1, 0, 1), (1, 2, 0, 1, 0, 1),
              (0, 2, 5, 1, 0, 0), (0, 1, 2, 1, 0, 0), (1, 2, 3, 1, 0, 0)]
     inst = AugmentInstance(Multigraph.from_edges(3, edges), 2)
-    pd = near_min_cuts_cover(inst, single_solver=PD2_SLOT)
-    ex = near_min_cuts_cover(inst, single_solver=EXACT_SLOT)
+    pd = near_min_cuts_cover(inst)
+    monkeypatch.setattr(family_cover, "ring_cover_solver", EXACT_SLOT)
+    ex = near_min_cuts_cover(inst)
     assert pd.bound == Fraction(2) and ex.bound == Fraction(1)
     assert ex.cost <= pd.cost
     assert exact_augment(inst).cost == ex.cost

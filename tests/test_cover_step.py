@@ -2,11 +2,12 @@
 
 ``near_min_cuts_cover`` runs each stage through ``family_cover._cover_phase``,
 the step ``solve_fgc`` runs for its phases, and reads
-``family_cover.ring_cover_solver`` for its single-level stages unless a
-``single_solver`` is given.  The staged cover, the cover step and the
-candidate pool as they stood before that sharing are kept below verbatim
-as references; the shared code must give identical results, stage logs,
-bounds and errors on the augmentation corpus.
+``family_cover.ring_cover_solver`` for its single-level stages at call
+time; a test picks another single-level solver by plugging it there.
+The staged cover, the cover step and the candidate pool as they stood
+before that sharing are kept below verbatim as references; the shared
+code must give identical results, stage logs, bounds and errors on the
+augmentation corpus.
 """
 
 from __future__ import annotations
@@ -206,9 +207,11 @@ def test_corpus_covers_every_parity_and_some_failures():
     (None, PD2_SLOT), (SOLVER_SLOTS["pd2"], PD2_SLOT),
     (SOLVER_SLOTS["exact"], EXACT_SLOT), (EXACT_SLOT, EXACT_SLOT),
 ], ids=["default", "pd2", "exact", "exact-slot"])
-def test_staged_cover_matches_the_reference(single, reference_single):
+def test_staged_cover_matches_the_reference(single, reference_single, monkeypatch):
+    if single is not None:
+        monkeypatch.setattr(family_cover, "ring_cover_solver", single)
     for iid, inst in CORPUS:
-        got = _outcome(near_min_cuts_cover, inst, single)
+        got = _outcome(near_min_cuts_cover, inst)
         assert got == _outcome(reference_near_min_cuts_cover, inst,
                                reference_single), iid
 
@@ -272,13 +275,13 @@ def test_plugged_ring_slot_reaches_augment_single_stages(monkeypatch):
 def test_slot_default_is_read_at_call_time(monkeypatch):
     inst = next(inst for _iid, inst in CORPUS if inst.lam0 == 1 and inst.k == 3)
     default = near_min_cuts_cover(inst)
-    assert default == near_min_cuts_cover(inst, PD2_SLOT)
+    assert default == reference_near_min_cuts_cover(inst, PD2_SLOT)
     monkeypatch.setattr(family_cover, "ring_cover_solver", EXACT_SLOT)
-    assert near_min_cuts_cover(inst) == near_min_cuts_cover(inst, EXACT_SLOT)
+    assert near_min_cuts_cover(inst) == reference_near_min_cuts_cover(inst, EXACT_SLOT)
     assert near_min_cuts_cover(inst).bound == 2 < default.bound
 
 
-def test_single_stages_may_report_different_guarantees():
+def test_single_stages_may_report_different_guarantees(monkeypatch):
     """A solver whose guarantee depends on the run: 1 on its first call,
     2 after.  Both single stages of lam0 = 1, k = 3 count what they
     report, and the drift check still holds."""
@@ -289,7 +292,8 @@ def test_single_stages_may_report_different_guarantees():
         sol = exact_min_cover(ci)
         return CoverSolution(sol.chosen, sol.cost, "run", Fraction(min(len(calls), 2)))
     inst = next(inst for _iid, inst in CORPUS if inst.lam0 == 1 and inst.k == 3)
-    res = near_min_cuts_cover(inst, SolverSlot("run", first_exact))
+    monkeypatch.setattr(family_cover, "ring_cover_solver", SolverSlot("run", first_exact))
+    res = near_min_cuts_cover(inst)
     assert [s.guarantee for s in res.stages] == [1, 2]
     assert res.bound == 3 == implemented_ratio_bound(1, 3, Fraction(3, 2))
 
@@ -309,10 +313,22 @@ def test_pair_slot_off_its_accounted_guarantee_is_caught(monkeypatch):
             solve(inst)
 
 
-def test_cli_single_level_solver_defaults_to_the_slot():
-    from nearcut.cli import build_parser
+def test_cli_single_level_solver_defaults_to_the_slot(monkeypatch, tmp_path, capsys):
+    """``solve augment`` has no solver option: its single-level stages run
+    the slot plugged at call time."""
+    from nearcut.cli import build_parser, main
     args = build_parser().parse_args(["solve", "augment", "--input", "x"])
-    assert args.single_level_solver is None
+    assert not hasattr(args, "single_level_solver")
+    path = tmp_path / "aug.txt"
+    path.write_text("3 5 2 0\n0 1 0 1 0 1\n1 2 0 1 0 1\n"
+                    "0 2 5 1 0 0\n0 1 2 1 0 0\n1 2 3 1 0 0\n")
+    solvers = {}
+    for slot in (PD2_SLOT, EXACT_SLOT):
+        monkeypatch.setattr(family_cover, "ring_cover_solver", slot)
+        assert main(["solve", "augment", "--input", str(path)]) == 0
+        stages = json.loads(capsys.readouterr().out)["stages"]
+        solvers[slot.name] = [s["solver"] for s in stages if s["kind"] == "single"]
+    assert solvers == {"pd2": ["primal-dual"], "exact": ["exact"]}
 
 
 # ---------------------------------------------------------------------------
@@ -428,19 +444,19 @@ def test_kecss_is_the_level_zero_phase():
     for _iid, inst in make_fgc_corpus(12, 20261019):
         g, k = inst.graph, inst.k
         search = fgc.minimum_flex_subgraph(g, k, 0)
-        for mode, guarantee in (("approx2", 2), ("exact", 1)):
-            base = fgc.kecss(g, k, mode)
-            assert base == PhaseLog(0, "kecss", 0, mode, search.cost, guarantee,
-                                    search.edge_ids)
-            assert base.nodes_explored == search.nodes_explored > 0
-            first = solve_fgc(inst, mode).phases[0]
-            assert first == base and first.nodes_explored == base.nodes_explored
+        base = fgc.kecss(g, k)
+        assert base == PhaseLog(0, "kecss", 0, "approx2", search.cost, 2,
+                                search.edge_ids)
+        assert base.nodes_explored == search.nodes_explored > 0
+        first = solve_fgc(inst).phases[0]
+        assert first == base and first.nodes_explored == base.nodes_explored
 
 
-def test_stages_carry_the_nodes_of_an_exact_cover():
+def test_stages_carry_the_nodes_of_an_exact_cover(monkeypatch):
+    monkeypatch.setattr(family_cover, "ring_cover_solver", EXACT_SLOT)
     seen = 0
     for iid, inst in CORPUS[:80:2]:
-        res = _outcome(near_min_cuts_cover, inst, EXACT_SLOT)
+        res = _outcome(near_min_cuts_cover, inst)
         if res[0] == "error":
             continue
         for s in res[0]:

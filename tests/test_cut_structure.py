@@ -13,7 +13,6 @@ from nearcut import (
     SquareCase,
     build_square,
     classify_square,
-    crosses,
     crosses_strongly,
     decompose_F2_odd,
     decompose_plus_cuts,
@@ -45,19 +44,15 @@ def m(*nodes):
 def test_crossing_examples():
     # {0,1} and {1,2} cross with all four corners non-empty
     assert crosses_strongly(m(0, 1), m(1, 2), 4)
-    assert crosses(m(0, 1), m(1, 2), 4)
-    # one set inside the other: never strongly crossing, but the weak
-    # condition (shared node + uncovered node) still holds
+    # one set inside the other: never strongly crossing
     assert not crosses_strongly(m(0), m(0, 1), 4)
-    assert crosses(m(0), m(0, 1), 4)
-    # disjoint sets covering everything: neither
-    assert not crosses(m(0, 1), m(2, 3), 4)
+    # disjoint sets covering everything: not crossing
     assert not crosses_strongly(m(0, 1), m(2, 3), 4)
 
 
 def test_crossing_rejects_bad_input():
     with pytest.raises(InputError):
-        crosses(0, m(1), 4)
+        crosses_strongly(0, m(1), 4)
     with pytest.raises(InputError):
         crosses_strongly(m(0, 1), m(0, 1, 2, 3), 4)
 

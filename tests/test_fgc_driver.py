@@ -7,7 +7,8 @@ point, and one structure table picks the handler of each level.  The
 first versions are copied here verbatim (only the names carry a
 ``reference_`` prefix, and a guarantee is read from the solution or,
 for an empty family, from what the slot's solver reports on it, since
-slots no longer state one) and every solution, each phase log included,
+slots no longer state one; and they take no kecss mode, since the
+spanning step has one) and every solution, each phase log included,
 must equal theirs; so must the error and witness of a phase that fails
 to clear its family.
 """
@@ -72,14 +73,14 @@ def _reported(slot: SolverSlot, g: Multigraph, fam: SetFamily) -> Fraction:
     return slot.solve(CoverInstance(g.n, (), fam)).guarantee
 
 
-def reference_iterative_cover(inst: FlexInstance, kecss_mode: str = "approx2",
+def reference_iterative_cover(inst: FlexInstance,
                               cover_slot: str = "pd2") -> FlexSolution:
     """Seed with a k-edge-connected subgraph, then cover each blocking
     family in turn.  The cover solver falls back to the exact oracle
     when a phase family is not uncrossable."""
     g, k, q = inst.graph, inst.k, inst.q
     slot = SOLVER_SLOTS[cover_slot]
-    base = kecss(g, k, kecss_mode)
+    base = kecss(g, k)
     h: set[int] = set(base.added)
     phases = [PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
                        base.added)]
@@ -109,7 +110,7 @@ def reference_iterative_cover(inst: FlexInstance, kecss_mode: str = "approx2",
                         guarantee=sum((p.guarantee for p in phases), Fraction(0)))
 
 
-def reference_solve_k1(inst: FlexInstance, kecss_mode: str = "approx2",
+def reference_solve_k1(inst: FlexInstance,
                        single_slot: SolverSlot | None = None) -> FlexSolution:
     """One cover phase after the spanning step; q must be 1.
 
@@ -121,7 +122,7 @@ def reference_solve_k1(inst: FlexInstance, kecss_mode: str = "approx2",
         raise InputError(f"solve_k1 needs q = 1, got q = {inst.q}")
     g, k = inst.graph, inst.k
     slot = single_slot if single_slot is not None else ring_cover_solver
-    base = kecss(g, k, kecss_mode)
+    base = kecss(g, k)
     h: set[int] = set(base.added)
     phases = [PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
                        base.added)]
@@ -154,7 +155,7 @@ def reference_solve_k1(inst: FlexInstance, kecss_mode: str = "approx2",
                         sum((p.guarantee for p in phases), Fraction(0)))
 
 
-def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexSolution:
+def reference_solve_k2(inst: FlexInstance) -> FlexSolution:
     """Two cover phases; q must be 2.
 
     For even k both blocking families are uncrossable.  For odd k the
@@ -167,7 +168,7 @@ def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexS
         raise InputError(f"solve_k2 needs q = 2, got q = {inst.q}")
     g, k = inst.graph, inst.k
     pd = SOLVER_SLOTS["pd2"]
-    base = kecss(g, k, kecss_mode)
+    base = kecss(g, k)
     h: set[int] = set(base.added)
     phases = [PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
                        base.added)]
@@ -250,7 +251,7 @@ def reference_solve_k2(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexS
                         sum((p.guarantee for p in phases), Fraction(0)))
 
 
-def reference_solve_unit_cost(inst: FlexInstance, kecss_mode: str = "approx2") -> FlexSolution:
+def reference_solve_unit_cost(inst: FlexInstance) -> FlexSolution:
     """Unit costs: min-size spanning step, then inclusion-minimal covers.
 
     Each phase prunes an arbitrary feasible cover down to a forest, so
@@ -260,7 +261,7 @@ def reference_solve_unit_cost(inst: FlexInstance, kecss_mode: str = "approx2") -
     g, k, q = inst.graph, inst.k, inst.q
     if not inst.unit_cost:
         raise InputError("solve_unit_cost requires every edge cost to be 1")
-    base = kecss(g, k, kecss_mode)
+    base = kecss(g, k)
     h: set[int] = set(base.added)
     phases = [PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
                        base.added)]
@@ -292,23 +293,22 @@ def reference_solve_unit_cost(inst: FlexInstance, kecss_mode: str = "approx2") -
                         base.guarantee + Fraction(2 * q, k))
 
 
-def reference_solve_fgc(inst: FlexInstance, kecss_mode: str = "approx2",
-                        unit_cost: bool = False) -> FlexSolution:
+def reference_solve_fgc(inst: FlexInstance, unit_cost: bool = False) -> FlexSolution:
     """Dispatch: q = 0 is the spanning step alone, q = 1 and q = 2 use the
     structure-aware solvers, anything else the generic iteration."""
     if unit_cost:
-        return reference_solve_unit_cost(inst, kecss_mode)
+        return reference_solve_unit_cost(inst)
     if inst.q == 0:
-        base = kecss(inst.graph, inst.k, kecss_mode)
+        base = kecss(inst.graph, inst.k)
         phase = PhaseLog(0, "kecss", 0, base.solver, base.cost, base.guarantee,
                          base.added)
         return FlexSolution(tuple(sorted(base.added)), base.cost, (phase,),
                             base.guarantee)
     if inst.q == 1:
-        return reference_solve_k1(inst, kecss_mode)
+        return reference_solve_k1(inst)
     if inst.q == 2:
-        return reference_solve_k2(inst, kecss_mode)
-    return reference_iterative_cover(inst, kecss_mode)
+        return reference_solve_k2(inst)
+    return reference_iterative_cover(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,6 @@ def flex_graph(rng: random.Random, n: int, k: int, q: int, unit: bool) -> Multig
 
 CELLS = [(k, q, n, unit) for k in (1, 2, 3, 4) for q in (0, 1, 2, 3)
          for n in (5, 6, 7) for unit in (False, True)]
-MODES = ("approx2", "exact")
 
 
 def outcome(solve, *args, **kwargs):
@@ -360,8 +359,8 @@ def solver_pairs(unit: bool):
 
 @pytest.fixture
 def memo_search(monkeypatch):
-    """One kecss search per graph, shared by the driver, the references and
-    both kecss modes: the seed step is not what differs between them, and
+    """One kecss search per graph, shared by the driver and the references:
+    the seed step is not what differs between them, and
     its branch and bound has its own reference test in
     ``test_flex_bnb.py``."""
     memo = {}
@@ -379,13 +378,11 @@ def test_driver_matches_reference_on_seeded_corpus(memo_search):
     compared = set()
     for k, q, n, unit in CELLS:
         inst = FlexInstance(flex_graph(rng, n, k, q, unit), k, q)
-        for mode in MODES:
-            for name, new, ref, kwargs in solver_pairs(unit):
-                got = outcome(new, inst, mode, **kwargs)
-                assert isinstance(got, FlexSolution), (name, k, q, n, unit, mode)
-                assert got == outcome(ref, inst, mode, **kwargs), \
-                    (name, k, q, n, unit, mode)
-                compared.add((name, q))
+        for name, new, ref, kwargs in solver_pairs(unit):
+            got = outcome(new, inst, **kwargs)
+            assert isinstance(got, FlexSolution), (name, k, q, n, unit)
+            assert got == outcome(ref, inst, **kwargs), (name, k, q, n, unit)
+            compared.add((name, q))
     # both cost models ran at every level count
     assert len(compared) == 2 * 4
 
@@ -465,7 +462,7 @@ def test_uncleared_family_reports_its_first_member(monkeypatch, q):
 def test_seed_that_is_not_k_connected_raises_like_the_reference(monkeypatch):
     insts = [nonempty_level1_instance(q) for q in (2, 3)]
     empty = PhaseLog(0, "kecss", 0, "approx2", 0, Fraction(2), ())
-    monkeypatch.setattr(fgc, "kecss", lambda g, k, mode="approx2": empty)
+    monkeypatch.setattr(fgc, "kecss", lambda g, k: empty)
     monkeypatch.setattr(sys.modules[__name__], "kecss", fgc.kecss)
     for inst in insts:
         # the seed is phase 0: its leftover cut is an uncleared family

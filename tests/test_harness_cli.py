@@ -71,7 +71,7 @@ def test_generate_bad_capacity_spec():
 
 def test_exact_fgc_no_unsafe_equals_kecss():
     g = g_from(4, [(u, v, 2) for u in range(4) for v in range(u + 1, 4)])
-    assert exact_fgc(FlexInstance(g, 2, 2)).cost == kecss(g, 2, "exact").cost
+    assert exact_fgc(FlexInstance(g, 2, 2)).cost == kecss(g, 2).cost
 
 
 def test_exact_fgc_triangle_frozen():
@@ -368,16 +368,29 @@ def test_cli_gen_json_format(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["feasible"]
 
 
-def test_cli_augment_single_level_solver_flag(tmp_path, capsys):
-    inst = Instance(g_from(3, [(0, 1, 0, 1, 0, 1), (1, 2, 0, 1, 0, 1),
-                               (0, 2, 5, 1, 0, 0), (0, 1, 2, 1, 0, 0),
-                               (1, 2, 3, 1, 0, 0)]), 2, 0)
-    path = tmp_path / "aug.txt"
-    save_instance(inst, path)
-    assert main(["solve", "augment", "--input", str(path),
-                 "--single-level-solver", "exact"]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["bound"] == [1, 1]
+def _refused_option(tmp_path, problem: str, option: list[str]) -> None:
+    """``solve PROBLEM`` given a solver option it does not take exits 2
+    with argparse's usage and one error line, and no traceback."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nearcut", "solve", problem, "--input", "x", *option],
+        capture_output=True, text=True, timeout=60, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("usage: nearcut ")
+    assert [line for line in lines if "error" in line] == [
+        f"nearcut: error: unrecognized arguments: {' '.join(option)}"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_augment_single_level_solver_flag(tmp_path):
+    _refused_option(tmp_path, "augment", ["--single-level-solver", "exact"])
+
+
+def test_cli_fgc_kecss_flag(tmp_path):
+    _refused_option(tmp_path, "fgc", ["--kecss", "exact"])
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):

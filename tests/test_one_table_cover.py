@@ -52,23 +52,22 @@ from nearcut.multigraph import (
 
 
 # ---------------------------------------------------------------------------
-# Slow reference (verbatim body, apart from taking slots only, handing the
-# cover step a slot's solve function, and feeding the drift check the
-# guarantee the single stages report, since slots no longer state one)
+# Slow reference (verbatim body, apart from reading the single-level slot
+# only from ``family_cover.ring_cover_solver``, handing the cover step a
+# slot's solve function, and feeding the drift check the guarantee the
+# single stages report, since slots no longer state one)
 
 
-def reference_near_min_cuts_cover(inst: AugmentInstance,
-                                  single_solver: SolverSlot | None = None) -> AugmentResult:
+def reference_near_min_cuts_cover(inst: AugmentInstance) -> AugmentResult:
     """Run the staged cover; the result is verified k-connected.
 
-    Single-level stages (parity boundaries) go to ``single_solver``, by
-    default ``family_cover.ring_cover_solver`` as it is at call time,
-    {lam, lam+1} stages to pd2.  Laminarity of odd boundary families and
+    Single-level stages (parity boundaries) go to
+    ``family_cover.ring_cover_solver`` as it is at call time, {lam, lam+1}
+    stages to pd2.  Laminarity of odd boundary families and
     uncrossability of pair families are asserted, not assumed.
     """
     inst.validate()
-    single = (family_cover.ring_cover_solver if single_solver is None
-              else single_solver)
+    single = family_cover.ring_cover_solver
     pair = PD2_SLOT
     lam0 = inst.lam0
     k = inst.k
@@ -134,17 +133,23 @@ def without_first_candidates(inst: AugmentInstance) -> AugmentInstance:
                                                  if i not in drop)), inst.k)
 
 
-def outcome(solve, inst: AugmentInstance, single=None):
-    """The result, or the error's type, text and witness."""
+def outcome(solve, inst: AugmentInstance, single: SolverSlot | None = None):
+    """The result, or the error's type, text and witness; ``single``, when
+    given, is plugged into ``family_cover.ring_cover_solver`` for the call."""
+    saved = family_cover.ring_cover_solver
+    if single is not None:
+        family_cover.ring_cover_solver = single
     try:
-        return solve(fresh(inst), single)
+        return solve(fresh(inst))
     except NearcutError as exc:
         return (type(exc), str(exc), exc.witness)
+    finally:
+        family_cover.ring_cover_solver = saved
 
 
 def oracle_outcome(inst: AugmentInstance):
     """What ``exact_augment`` gives, in the form of :func:`outcome`."""
-    return outcome(lambda fresh_inst, _single: exact_augment(fresh_inst), inst)
+    return outcome(exact_augment, inst)
 
 
 def assert_matches_reference(inst: AugmentInstance, single=None):

@@ -59,13 +59,7 @@ def _cases() -> dict[str, list[list[str]]]:
         "gen-text": [GEN + ["--out", "{root}/gen.txt"]],
         "gen-json": [GEN + ["--format", "json", "--out", "{root}/gen.json"]],
         "solve-augment": [["solve", "augment", "--input", p] for p in aug],
-        "solve-augment-exact": [["solve", "augment", "--input", p,
-                                 "--single-level-solver", "exact"] for p in aug],
-        "solve-augment-pd2": [["solve", "augment", "--input", p,
-                               "--single-level-solver", "pd2"] for p in aug],
         "solve-fgc": [["solve", "fgc", "--input", p] for p in fgc],
-        "solve-fgc-kecss-exact": [["solve", "fgc", "--input", p, "--kecss", "exact"]
-                                  for p in fgc],
         "solve-fgc-q3": [["solve", "fgc", "--input", p, "--q", "3"] for p in fgc],
         "solve-fgc-unit-cost": [["solve", "fgc", "--input", p, "--unit-cost"]
                                 for p in unit],

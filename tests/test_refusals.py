@@ -167,8 +167,12 @@ def test_cli_fgc_refuses_capacities_and_base_flags(command, edge_line, fragment,
 
 
 def test_kecss_unknown_mode():
-    with pytest.raises(InputError, match="unknown kecss mode 'greedy'"):
-        kecss(triangle(), 1, "greedy")
+    """kecss takes no mode, and its budget is keyword-only: a mode passed
+    as a third argument is refused at the call, before any search."""
+    for mode in ("greedy", "exact"):
+        with pytest.raises(TypeError, match=r"kecss\(\) takes 2 positional "
+                                            "arguments but 3 were given"):
+            kecss(triangle(), 1, mode)
 
 
 def test_augment_target_must_be_positive():

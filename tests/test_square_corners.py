@@ -1,8 +1,8 @@
 """One corner computation against the crossing helpers it replaced.
 
 ``corner_masks`` now validates its pair and is the only place corners are
-computed: ``crosses``, ``crosses_strongly``, ``build_square`` and the pair
-loops read it.  The earlier bodies, which validated through a separate
+computed: ``crosses_strongly``, ``build_square`` and the pair loops read
+it.  The earlier bodies, which validated through a separate
 ground-set check and computed the corners of every square twice, are
 copied here verbatim as references (renamed ``reference_*``).  Every
 verdict, corner tuple and ``Square`` must equal theirs, and wherever they
@@ -25,7 +25,6 @@ from nearcut.cut_structure import (
     Square,
     build_square,
     corner_masks,
-    crosses,
     crosses_strongly,
 )
 from nearcut.harness import _SUITE_DEFAULTS, _corpus_graph, _near_min_squares, run_suite
@@ -57,12 +56,6 @@ def reference_check_ground(a: int, b: int, n: int) -> None:
         raise InputError("set mask outside the ground set")
     if not is_proper_subset(a, n) or not is_proper_subset(b, n):
         raise InputError("crossing is defined for non-empty proper subsets")
-
-
-def reference_crosses(a: int, b: int, n: int) -> bool:
-    """Weak crossing: A&B and V-(A|B) both non-empty."""
-    reference_check_ground(a, b, n)
-    return (a & b) != 0 and (a | b) != full_mask(n)
 
 
 def reference_crosses_strongly(a: int, b: int, n: int) -> bool:
@@ -176,8 +169,7 @@ def outcome(fn, *args):
 
 
 def assert_pair_matches(g: Optional[Multigraph], a: int, b: int, n: int, lam) -> None:
-    for got_fn, want_fn in ((crosses, reference_crosses),
-                            (crosses_strongly, reference_crosses_strongly),
+    for got_fn, want_fn in ((crosses_strongly, reference_crosses_strongly),
                             (corner_masks, reference_corners)):
         assert outcome(got_fn, a, b, n) == outcome(want_fn, a, b, n), (got_fn, a, b, n)
     if g is not None:
@@ -272,9 +264,11 @@ def test_component_split_matches_the_reference_on_the_decompose_suite(monkeypatc
     split = cut_structure._component_split
     seen = []
 
-    def checked(masks, n):
-        got = split(masks, n)
-        assert got == reference_component_split(masks, n)
+    def checked(masks, inside):
+        # the caller's per-node bitsets are the holders of these masks
+        assert inside == cut_structure._holders(masks, len(inside))
+        got = split(masks, inside)
+        assert got == reference_component_split(masks, len(inside))
         seen.append(len(got))
         return got
 
