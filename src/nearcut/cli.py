@@ -103,7 +103,7 @@ def _cmd_solve_fgc(args) -> int:
     inst = _load(args)
     flex = FlexInstance(inst.graph, inst.k, inst.q)
     t0 = time.perf_counter()
-    sol = solve_fgc(flex, unit_cost=args.unit_cost)
+    sol = solve_fgc(flex)
     feasible, _ = is_flex_connected(inst.graph, sol.edge_ids, inst.k, inst.q)
     report = {
         "kind": "fgc",
@@ -166,8 +166,7 @@ def _cmd_bench(args) -> int:
             if any(e.base for e in inst.graph.edges):
                 rec = augment_record(path.name, AugmentInstance(inst.graph, inst.k))
             else:
-                rec = fgc_record(path.name, FlexInstance(inst.graph, inst.k, inst.q),
-                                 args.unit_cost)
+                rec = fgc_record(path.name, FlexInstance(inst.graph, inst.k, inst.q))
         except InvariantError:
             raise
         except NearcutError as exc:
@@ -234,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sf.add_argument("--input", required=True)
     p_sf.add_argument("--k", type=int)
     p_sf.add_argument("--q", type=int)
-    p_sf.add_argument("--unit-cost", action="store_true", dest="unit_cost")
     p_sf.add_argument("--out")
     p_sf.set_defaults(func=_cmd_solve_fgc)
 
@@ -252,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="solve + oracle over a corpus dir")
     p_bench.add_argument("--corpus", required=True)
     p_bench.add_argument("--out")
-    p_bench.add_argument("--unit-cost", action="store_true", dest="unit_cost")
     p_bench.set_defaults(func=_cmd_bench)
 
     return parser

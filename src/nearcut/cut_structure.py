@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Optional
 
@@ -135,6 +135,8 @@ class SetFamily:
     members: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.n) is not int or self.n < 1:
+            raise InputError(f"ground set size must be an integer >= 1, got {self.n!r}")
         members = tuple(self.members)
         if not all(type(m) is int for m in members):
             members = tuple(_member(m) for m in members)
@@ -816,13 +818,12 @@ def decompose_plus_cuts(g: Multigraph, lam: int) -> DecompositionResult:
                 f"({len(qr.classes)} classes, {len(qr.sides)} edges)")
         parts.append(CutPart(members=fam, quotient=qr, shape=shape))
 
-    coverage = Counter(m for part in parts for m in part.members.members)
-    for mask, count in coverage.items():
+    result = DecompositionResult(lam=lam, parts=tuple(parts), diagnostics=())
+    for mask, count in result.coverage().items():
         if count > 2:
             diagnostics.append(
                 f"cut {nodes_from_mask(mask)} appears in {count} parts (> 2)")
-    return DecompositionResult(lam=lam, parts=tuple(parts),
-                               diagnostics=tuple(diagnostics))
+    return replace(result, diagnostics=tuple(diagnostics))
 
 
 # ---------------------------------------------------------------------------

@@ -396,13 +396,12 @@ def _branch_and_bound(rows: Sequence[int], urows: Sequence[int], k: int, q: int,
     return best[1], best[0], explored[0]
 
 
-def exact_min_cover(inst: CoverInstance,
-                    node_budget: int = DEFAULT_NODE_BUDGET) -> CoverSolution:
+def exact_min_cover(inst: CoverInstance) -> CoverSolution:
     """Provably optimal cover: :func:`_branch_and_bound` at k = 1, q = 0,
     one row per member (its crossing candidates), starting from a
-    gain-greedy cover.  It branches on the first uncovered member and
-    tries its candidates by position, so equal-cost optima resolve
-    deterministically.
+    gain-greedy cover, within :data:`DEFAULT_NODE_BUDGET` nodes.  It
+    branches on the first uncovered member and tries its candidates by
+    position, so equal-cost optima resolve deterministically.
     """
     members = inst.family.members
     if not members:
@@ -427,8 +426,8 @@ def exact_min_cover(inst: CoverInstance,
     def uncrossed(i: int) -> InfeasibleError:
         return InfeasibleError("family member crossed by no candidate", witness=members[i])
 
-    bits, cost, explored = _branch_and_bound(cross, (), 1, 0, costs, node_budget,
-                                             "exact cover", uncrossed, greedy_start)
+    bits, cost, explored = _branch_and_bound(
+        cross, (), 1, 0, costs, DEFAULT_NODE_BUDGET, "exact cover", uncrossed, greedy_start)
     chosen_ids = tuple(sorted(cands[p].ident for p in range(len(cands)) if (bits >> p) & 1))
     return CoverSolution(chosen=chosen_ids, cost=cost, method="exact",
                          guarantee=Fraction(1), nodes_explored=explored)

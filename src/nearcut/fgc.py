@@ -15,17 +15,17 @@ table, one row per ``(costs, q, level)`` as :func:`_level_handler`
 reads it:
 
     costs     q     level  check                  cover -> phase
-    unit      any   any    none                   minimal cover, <= n-1 edges,
+    all 1     any   any    none                   minimal cover, <= n-1 edges,
                                                   guarantee 2/k -> F{L}
-    weighted  1, 2  1      laminar (odd k),       ring_cover_solver (odd k),
+    other     1, 2  1      laminar (odd k),       ring_cover_solver (odd k),
                            uncrossable (even k)   pd2 (even k) -> F1
-    weighted  2     2      uncrossable (even k)   pd2 -> F2
-    weighted  2     2      decompose_F2_odd       pd2 -> F2-uncrossable, then the
+    other     2     2      uncrossable (even k)   pd2 -> F2
+    other     2     2      decompose_F2_odd       pd2 -> F2-uncrossable, then the
                            (odd k; skipped when   symmetric crossing cover,
                            F2 is empty)           guarantee 2 -> F2-symmetric;
                                                   both from the edges outside
                                                   H before the phase
-    weighted  >= 3  any    uncrossable decides    pd2, else exact
+    other     >= 3  any    uncrossable decides    pd2, else exact
                                                   ("exact-fallback") -> F{L}
 
 A solve at q = 0 is the spanning step alone, at unit and weighted cost
@@ -36,9 +36,9 @@ raises what the exact oracle raises, :data:`NOT_FLEX_CONNECTED` with G's
 first cut that breaks the (k, q) rule.  Each cover phase logs the
 guarantee its solution reports, guarantees compose additively, and every
 structural claim is asserted at runtime.  A solve reads nothing but its
-instance and ``unit_cost``: the spanning step always logs solver
-``approx2`` with guarantee 2 (:func:`kecss`), and the table picks every
-cover after it.
+instance: the spanning step always logs solver ``approx2`` with
+guarantee 2 (:func:`kecss`), the edge costs pick the table's rows, and
+each search reads its module's ``DEFAULT_NODE_BUDGET`` at call time.
 """
 
 from __future__ import annotations
@@ -97,6 +97,16 @@ DEFAULT_NODE_BUDGET = 5_000_000
 NOT_FLEX_CONNECTED = "graph itself is not flex-connected at the requested level"
 
 
+def _check_rule(k: int, q: int) -> None:
+    """Refuse a (k, q) for which the flex rule is not defined."""
+    if type(k) is not int or type(q) is not int:
+        raise InputError(f"k and q must be integers, got k = {k!r}, q = {q!r}")
+    if k < 1:
+        raise InputError(f"k must be >= 1, got {k}")
+    if q < 0:
+        raise InputError(f"q must be >= 0, got {q}")
+
+
 @dataclass(frozen=True)
 class FlexInstance:
     graph: Multigraph
@@ -104,13 +114,7 @@ class FlexInstance:
     q: int
 
     def __post_init__(self):
-        if type(self.k) is not int or type(self.q) is not int:
-            raise InputError(f"k and q must be integers, got k = {self.k!r}, "
-                             f"q = {self.q!r}")
-        if self.k < 1:
-            raise InputError(f"k must be >= 1, got {self.k}")
-        if self.q < 0:
-            raise InputError(f"q must be >= 0, got {self.q}")
+        _check_rule(self.k, self.q)
         # the flex rule counts edges: a capacity or a base flag would be
         # read by nothing, so it is refused rather than ignored
         for i, e in enumerate(self.graph.edges):
@@ -141,6 +145,7 @@ class FlexSolution:
 def is_flex_connected(g: Multigraph, edge_ids: Iterable[int], k: int,
                       q: int) -> tuple[bool, Optional[int]]:
     """Per-cut check of d(S) >= k + min(d_U(S), q); witness = first bad cut."""
+    _check_rule(k, q)
     wit = _first_bad_cut(*_flex_arrays(subgraph(g, edge_ids)), k, q)
     return (True, None) if wit is None else (False, wit)
 
@@ -150,6 +155,7 @@ def flex_connected_by_removal(g: Multigraph, edge_ids: Iterable[int], k: int,
     """Independent formulation: H minus any <= q unsafe edges stays
     k-edge-connected.  Kept separate from the per-cut check so the two
     can be compared against each other."""
+    _check_rule(k, q)
     ids = sorted(set(edge_ids))
     h = subgraph(g, ids)
     if h.n < 2:
@@ -169,6 +175,7 @@ def enumerate_Fq(g: Multigraph, edge_ids: Iterable[int], k: int,
 
     Requires H to be (k, q-1)-flex-connected already.
     """
+    _check_rule(k, q)
     if q < 1:
         raise InputError(f"blocking families are defined for q >= 1, got {q}")
     d_arr, u_arr = _flex_arrays(subgraph(g, edge_ids))
@@ -193,8 +200,7 @@ class ExactSubgraphResult:
     nodes_explored: int
 
 
-def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
-                          node_budget: int = DEFAULT_NODE_BUDGET) -> ExactSubgraphResult:
+def minimum_flex_subgraph(g: Multigraph, k: int, q: int) -> ExactSubgraphResult:
     """Provably minimum-cost edge set whose subgraph is (k, q)-flex-connected:
     :func:`~nearcut.family_cover._branch_and_bound` over one row per
     canonical cut, from the whole edge set, branching on the cut with the
@@ -209,6 +215,7 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
     node limit or the table memory budget
     (:func:`~nearcut.multigraph.check_exhaustive_build`).
     """
+    _check_rule(k, q)
     if g.n < 2:
         return ExactSubgraphResult((), 0, 0)
     m = g.m
@@ -239,14 +246,13 @@ def minimum_flex_subgraph(g: Multigraph, k: int, q: int,
         return InfeasibleError(NOT_FLEX_CONNECTED, witness=(i + 1) << 1)
 
     bits, cost, explored = _branch_and_bound(
-        cross, ucross, k, q, [e.cost for e in g.edges], node_budget, "exact search",
-        not_flex, fewest=True, cheapest_first=True, singles=singles)
+        cross, ucross, k, q, [e.cost for e in g.edges], DEFAULT_NODE_BUDGET,
+        "exact search", not_flex, fewest=True, cheapest_first=True, singles=singles)
     ids = tuple(p for p in range(m) if (bits >> p) & 1)
     return ExactSubgraphResult(edge_ids=ids, cost=cost, nodes_explored=explored)
 
 
-def kecss(g: Multigraph, k: int, *,
-          node_budget: int = DEFAULT_NODE_BUDGET) -> PhaseLog:
+def kecss(g: Multigraph, k: int) -> PhaseLog:
     """k-edge-connected spanning subgraph, logged as phase 0 ("kecss")
     with solver ``"approx2"``, guarantee 2 and ``added`` the chosen edge
     ids.
@@ -255,7 +261,7 @@ def kecss(g: Multigraph, k: int, *,
     the factor 2 of a 2-approximation, so the ratio bounds downstream stay
     the ones a polynomial kecss step would give.
     """
-    res = minimum_flex_subgraph(g, k, 0, node_budget)
+    res = minimum_flex_subgraph(g, k, 0)
     return PhaseLog(0, "kecss", 0, "approx2", res.cost, Fraction(2), res.edge_ids,
                     res.nodes_explored)
 
@@ -324,11 +330,13 @@ def _level_handler(unit_cost: bool, k: int, q: int, level: int):
     return _split_level if k % 2 and level == 2 else _structured_level
 
 
+# ``unit_cost`` selects nothing: the edge costs pick the rows.  It stays
+# because ``perfbench/workloads.py`` (the ratio-small op) passes it.
 def solve_fgc(inst: FlexInstance, unit_cost: bool = False) -> FlexSolution:
     """Seed H with a k-edge-connected spanning subgraph, then cover the
-    blocking family of each level in turn, as the structure table says.
-    ``unit_cost`` selects the minimal-cover rows and raises
-    :class:`InputError` unless every edge cost is 1.
+    blocking family of each level in turn, as the structure table says:
+    the minimal-cover rows exactly when every edge costs 1.  A true
+    ``unit_cost`` only checks that claim, with :class:`InputError`.
 
     ``enumerate_Fq`` at level L first checks that H is (k, L-1)-flex-
     connected, which is exactly "phase L-1 cleared its family" (the
@@ -346,9 +354,9 @@ def solve_fgc(inst: FlexInstance, unit_cost: bool = False) -> FlexSolution:
     are built only then.  A q above :data:`MAX_LEVELS` is refused with
     :class:`LimitError` before the spanning step.
     """
-    g, k, q = inst.graph, inst.k, inst.q
-    if unit_cost and not inst.unit_cost:
-        raise InputError("unit_cost (--unit-cost) requires every edge cost to be 1")
+    g, k, q, unit = inst.graph, inst.k, inst.q, inst.unit_cost
+    if unit_cost and not unit:
+        raise InputError("unit_cost requires every edge cost to be 1")
     if q > MAX_LEVELS:
         raise LimitError(f"q = {q} walks more than {MAX_LEVELS} levels")
     try:
@@ -361,7 +369,7 @@ def solve_fgc(inst: FlexInstance, unit_cost: bool = False) -> FlexSolution:
                 raise InvariantError(
                     f"phase {level - 1} did not clear its blocking family",
                     witness=exc.witness) from exc
-            phases += _level_handler(unit_cost, k, q, level)(g, h, fam, k, level)
+            phases += _level_handler(unit, k, q, level)(g, h, fam, k, level)
     except (InfeasibleError, PreconditionError) as exc:
         wit = _first_bad_cut(*_flex_arrays(g), k, q)
         if wit is None:

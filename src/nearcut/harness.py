@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from . import family_cover, fgc
 from .errors import InputError, LimitError, NearcutError
 from .augment import (
     AugmentInstance,
@@ -174,25 +173,21 @@ def _corpus_graph(rng: random.Random, n_min: int, n_max: int,
 # Oracles
 
 
-def exact_fgc(inst: FlexInstance,
-              edge_limit: int = DEFAULT_ORACLE_EDGE_LIMIT,
-              node_budget: int = fgc.DEFAULT_NODE_BUDGET) -> ExactSubgraphResult:
+def exact_fgc(inst: FlexInstance) -> ExactSubgraphResult:
     """Minimum-cost flex-connected subgraph by branch and bound."""
-    if inst.graph.m > edge_limit:
-        raise LimitError(
-            f"oracle limited to {edge_limit} edges, instance has {inst.graph.m}")
-    return minimum_flex_subgraph(inst.graph, inst.k, inst.q, node_budget)
+    if inst.graph.m > DEFAULT_ORACLE_EDGE_LIMIT:
+        raise LimitError(f"oracle limited to {DEFAULT_ORACLE_EDGE_LIMIT} edges, "
+                         f"instance has {inst.graph.m}")
+    return minimum_flex_subgraph(inst.graph, inst.k, inst.q)
 
 
-def exact_augment(inst: AugmentInstance,
-                  node_budget: int = family_cover.DEFAULT_NODE_BUDGET):
+def exact_augment(inst: AugmentInstance):
     """Optimal candidate set: covering the base graph's deficient cuts is
     exactly feasibility, since each candidate closes any single deficit."""
     inst.validate()
     fam = deficient_family(inst.base_graph, inst.k)
     cands = _candidates_outside(inst.graph, set(inst.base_ids))
-    return exact_min_cover(CoverInstance(inst.graph.n, cands, fam),
-                           node_budget=node_budget)
+    return exact_min_cover(CoverInstance(inst.graph.n, cands, fam))
 
 
 # ---------------------------------------------------------------------------
@@ -650,11 +645,11 @@ def augment_record(iid: str, inst: AugmentInstance) -> RatioReport:
                          feasible=True, stage_costs=tuple(s.cost for s in res.stages)))
 
 
-def fgc_record(iid: str, inst: FlexInstance, unit: bool) -> RatioReport:
+def fgc_record(iid: str, inst: FlexInstance) -> RatioReport:
     """Solve one flex instance and rate it against the oracle."""
     return _ratio_record(
-        iid, "fgc-unit" if unit else "fgc", inst.graph, inst.k, inst.q,
-        lambda: solve_fgc(inst, unit_cost=unit), lambda: exact_fgc(inst),
+        iid, "fgc-unit" if inst.unit_cost else "fgc", inst.graph, inst.k, inst.q,
+        lambda: solve_fgc(inst), lambda: exact_fgc(inst),
         lambda sol: dict(
             lam0=None, bound=sol.guarantee, kecss_ratio=sol.phases[0].guarantee,
             feasible=is_flex_connected(inst.graph, sol.edge_ids, inst.k, inst.q)[0],
@@ -666,7 +661,7 @@ def _run_augment_records(count: int, seed: int) -> list[RatioReport]:
 
 
 def _run_fgc_records(count: int, seed: int, unit: bool) -> list[RatioReport]:
-    return [fgc_record(iid, inst, unit)
+    return [fgc_record(iid, inst)
             for iid, inst in make_fgc_corpus(count, seed, unit_cost=unit)]
 
 

@@ -87,14 +87,15 @@ def test_exact_infeasible_witness():
     assert err.value.witness == m(1)
 
 
-def test_exact_budget_error():
+def test_exact_budget_error(monkeypatch):
+    monkeypatch.setattr(family_cover, "DEFAULT_NODE_BUDGET", 3)
     rng = random.Random(3)
     g = random_multigraph(rng, 7, extra=8)
     fam = SetFamily(7, tuple(mask_from_nodes(s) for s in canonical_subsets(7)
                              if len(s) <= 2))
     pairs = [(u, v, rng.randint(1, 9)) for u in range(7) for v in range(u + 1, 7)]
     with pytest.raises(BudgetError):
-        exact_min_cover(CoverInstance.build(7, pairs, fam), node_budget=3)
+        exact_min_cover(CoverInstance.build(7, pairs, fam))
 
 
 def test_exact_matches_brute_force():

@@ -194,12 +194,13 @@ def test_minimum_flex_subgraph_triangle():
     assert res.cost == 2 and res.edge_ids == (1, 2)
 
 
-def test_minimum_flex_subgraph_budget():
+def test_minimum_flex_subgraph_budget(monkeypatch):
     # at k = 2 the degree bound closes unit K4 at the root; a spanning
     # tree (k = 1) still needs a search below it
     assert minimum_flex_subgraph(unit_k4(), 1, 0).nodes_explored >= 2
+    monkeypatch.setattr(fgc_module, "DEFAULT_NODE_BUDGET", 1)
     with pytest.raises(BudgetError):
-        minimum_flex_subgraph(unit_k4(), 1, 0, node_budget=1)
+        minimum_flex_subgraph(unit_k4(), 1, 0)
 
 
 def test_exact_fgc_matches_brute_force():
@@ -396,15 +397,54 @@ def test_solve_unit_cost_bounds():
 def test_solve_unit_cost_rejects_weighted():
     g = g_from(3, [(0, 1, 2), (1, 2, 1), (0, 2, 1)])
     for q in (0, 1):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="unit_cost requires every edge cost to be 1"):
             solve_fgc(FlexInstance(g, 1, q), unit_cost=True)
 
 
+@st.composite
+def unit_flex_instances(draw):
+    """n = 3..7, k = 1..4, q = 0..3 at all-1 costs: (k + q + 1) // 2 random
+    spanning cycles, so G is (k, q)-flex-connected, plus up to two chords."""
+    n, k, q = draw(st.integers(3, 7)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    pairs = []
+    for _ in range((k + q + 1) // 2):
+        order = draw(st.permutations(range(n)))
+        pairs += [(order[i], order[(i + 1) % n]) for i in range(n)]
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    pairs += draw(st.lists(pair, max_size=2))
+    unsafe = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = tuple(EdgeRecord(u, v, 1, 1, flag) for (u, v), flag in zip(pairs, unsafe))
+    return FlexInstance(Multigraph(n, edges), k, q), draw(st.integers(0, len(edges) - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_flex_instances())
+def test_property_edge_costs_pick_the_rows(case):
+    """All-1 costs take the minimal-cover rows with or without ``unit_cost``;
+    one edge raised to cost 2 takes the weighted rows."""
+    inst, raised = case
+    sol = solve_fgc(inst)
+    assert sol == solve_fgc(inst, unit_cost=True)
+    assert {p.solver for p in sol.phases[1:]} <= {"minimal-cover", "none"}
+    edges = list(inst.graph.edges)
+    edges[raised] = dataclasses.replace(edges[raised], cost=2)
+    weighted = FlexInstance(Multigraph(inst.graph.n, tuple(edges)), inst.k, inst.q)
+    assert all(p.solver != "minimal-cover" for p in solve_fgc(weighted).phases)
+
+
 def test_solve_fgc_dispatch():
-    g = g_from(4, [(u, v, 1) for u in range(4) for v in range(u + 1, 4)])
-    assert solve_fgc(FlexInstance(g, 2, 0)).guarantee == Fraction(2)
-    assert solve_fgc(FlexInstance(g, 1, 1)).guarantee == Fraction(4)
-    assert solve_fgc(FlexInstance(g, 2, 2)).guarantee == Fraction(6)
+    """All-1 costs take the minimal-cover rows (2/k a level), any other
+    costs the weighted ones (2 a level), with or without ``unit_cost``."""
+    g = unit_k4()
+    weighted = g_from(4, [(0, 1, 2)] + [(u, v, 1) for u in range(4)
+                                        for v in range(u + 1, 4)][1:])
+    for graph in (g, weighted):
+        assert solve_fgc(FlexInstance(graph, 2, 0)).guarantee == Fraction(2)
+        assert solve_fgc(FlexInstance(graph, 1, 1)).guarantee == Fraction(4)
+    assert solve_fgc(FlexInstance(g, 2, 2)).guarantee == Fraction(4)
+    assert solve_fgc(FlexInstance(weighted, 2, 2)).guarantee == Fraction(6)
+    assert solve_fgc(FlexInstance(g, 2, 1)).guarantee == Fraction(3)
     assert solve_fgc(FlexInstance(g, 2, 1), unit_cost=True).guarantee == Fraction(3)
 
 

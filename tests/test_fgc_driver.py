@@ -7,8 +7,9 @@ point, and one structure table picks the handler of each level.  The
 first versions are copied here verbatim (only the names carry a
 ``reference_`` prefix, and a guarantee is read from the solution or,
 for an empty family, from what the slot's solver reports on it, since
-slots no longer state one; and they take no kecss mode, since the
-spanning step has one) and every solution, each phase log included,
+slots no longer state one; they take no kecss mode, since the spanning
+step has one; and the dispatch picks the unit-cost solver whenever every
+edge costs 1, as the structure table does) and every solution, each phase log included,
 must equal theirs; so must the error and witness of a phase that fails
 to clear its family.
 """
@@ -296,7 +297,7 @@ def reference_solve_unit_cost(inst: FlexInstance) -> FlexSolution:
 def reference_solve_fgc(inst: FlexInstance, unit_cost: bool = False) -> FlexSolution:
     """Dispatch: q = 0 is the spanning step alone, q = 1 and q = 2 use the
     structure-aware solvers, anything else the generic iteration."""
-    if unit_cost:
+    if unit_cost or inst.unit_cost:
         return reference_solve_unit_cost(inst)
     if inst.q == 0:
         base = kecss(inst.graph, inst.k)
@@ -366,9 +367,9 @@ def memo_search(monkeypatch):
     memo = {}
     search = fgc.minimum_flex_subgraph
 
-    def cached(g, k, q, node_budget=fgc.DEFAULT_NODE_BUDGET):
+    def cached(g, k, q):
         if (g, k, q) not in memo:
-            memo[g, k, q] = search(g, k, q, node_budget)
+            memo[g, k, q] = search(g, k, q)
         return memo[g, k, q]
     monkeypatch.setattr(fgc, "minimum_flex_subgraph", cached)
 
@@ -481,6 +482,6 @@ def test_weighted_unit_cost_solve_is_refused_like_the_reference():
         solve_fgc(inst, unit_cost=True)
     with pytest.raises(InputError):
         reference_solve_fgc(inst, unit_cost=True)
-    # the message names the option; the reference named its own function,
+    # the message names the keyword; the reference named its own function,
     # which no longer exists
-    assert str(err.value) == "unit_cost (--unit-cost) requires every edge cost to be 1"
+    assert str(err.value) == "unit_cost requires every edge cost to be 1"

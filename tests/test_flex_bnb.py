@@ -419,6 +419,17 @@ def outcome(search, *args, **kw):
         return "budget", None
 
 
+def with_budget(search, nodes: int):
+    """``search`` run with its module's node budget constant set to ``nodes``."""
+    module = fgc if search is minimum_flex_subgraph else family_cover
+
+    def run(*args):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, "DEFAULT_NODE_BUDGET", nodes)
+            return search(*args)
+    return run
+
+
 def random_cycle(rng: random.Random, n: int) -> list[tuple[int, int]]:
     order = list(range(n))
     rng.shuffle(order)
@@ -491,7 +502,7 @@ def test_degree_bound_on_the_sixteen_node_kecss():
     # without the degree bound this k = 2 spanning step took 288,369 nodes
     g = generate(GenSpec(n_min=16, n_max=16, density=0.5, unsafe_p=0.3,
                          cost_min=1, cost_max=9, seed=18))
-    res = minimum_flex_subgraph(g, 2, 0, node_budget=20_000)
+    res = with_budget(minimum_flex_subgraph, 20_000)(g, 2, 0)
     assert res.cost == 46
 
 
@@ -516,7 +527,7 @@ def flex_cases(draw):
 @given(flex_cases())
 def test_property_flex_search_matches_reference(case):
     g, k, q = case
-    assert same_outcome(outcome(minimum_flex_subgraph, g, k, q, node_budget=3000),
+    assert same_outcome(outcome(with_budget(minimum_flex_subgraph, 3000), g, k, q),
                         outcome(reference_minimum_flex_subgraph, g, k, q,
                                 node_budget=3000))
 
@@ -525,7 +536,7 @@ def test_property_flex_search_matches_reference(case):
 @given(flex_cases())
 def test_property_flex_search_pins_the_degree_bound_tree(case):
     g, k, q = case
-    assert outcome(minimum_flex_subgraph, g, k, q, node_budget=3000) == \
+    assert outcome(with_budget(minimum_flex_subgraph, 3000), g, k, q) == \
         outcome(reference_degree_bound_flex_subgraph, g, k, q, node_budget=3000)
 
 
@@ -547,6 +558,9 @@ def test_infeasible_witness_is_the_first_violated_cut():
 
 
 def test_budget_stops_after_the_searchs_own_count(flex_reference, seeded_covers):
+    """With its module's budget constant set to N, a search that needs N
+    nodes finishes with its answer, and one that needs more raises
+    :class:`BudgetError` naming N."""
     cases = [(minimum_flex_subgraph, (g, k, q)) for g, k, q, _ in flex_reference]
     cases += [(exact_min_cover, (inst,)) for inst in seeded_covers]
     picked = {minimum_flex_subgraph: 0, exact_min_cover: 0}
@@ -556,9 +570,9 @@ def test_budget_stops_after_the_searchs_own_count(flex_reference, seeded_covers)
         if n_nodes < 2:
             continue
         picked[search] += 1
-        assert search(*args, node_budget=n_nodes) == got
-        with pytest.raises(BudgetError):
-            search(*args, node_budget=n_nodes - 1)
+        assert with_budget(search, n_nodes)(*args) == got
+        with pytest.raises(BudgetError, match=f"exceeded {n_nodes - 1} nodes"):
+            with_budget(search, n_nodes - 1)(*args)
     assert picked[minimum_flex_subgraph] > len(FLEX_CELLS) // 2
     assert picked[exact_min_cover] > len(seeded_covers) // 2
 
@@ -606,5 +620,5 @@ def cover_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(cover_cases())
 def test_property_cover_search_matches_reference(inst):
-    assert outcome(exact_min_cover, inst, node_budget=3000) == \
+    assert outcome(with_budget(exact_min_cover, 3000), inst) == \
         outcome(reference_exact_min_cover, inst, node_budget=3000)

@@ -86,11 +86,13 @@ def test_exact_fgc_infeasible_k():
         exact_fgc(FlexInstance(g, 2, 0))
 
 
-def test_exact_fgc_edge_limit():
+def test_exact_fgc_edge_limit(monkeypatch):
     g = g_from(4, [(0, 1, 1)] * 5 + [(1, 2, 1)] * 5 + [(2, 3, 1)] * 5
                + [(3, 0, 1)] * 5)
-    with pytest.raises(LimitError):
-        exact_fgc(FlexInstance(g, 2, 0), edge_limit=10)
+    assert exact_fgc(FlexInstance(g, 2, 0)).cost == 4
+    monkeypatch.setattr(harness, "DEFAULT_ORACLE_EDGE_LIMIT", 10)
+    with pytest.raises(LimitError, match="oracle limited to 10 edges, instance has 20"):
+        exact_fgc(FlexInstance(g, 2, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +277,7 @@ def test_cli_bench_invariant_failure_still_aborts(tmp_path, monkeypatch, capsys)
     import nearcut.cli as cli
     from nearcut import InvariantError
 
-    def broken(iid, inst, unit):
+    def broken(iid, inst):
         raise InvariantError("synthetic")
 
     monkeypatch.setattr(cli, "fgc_record", broken)
@@ -327,17 +329,21 @@ def test_cli_log_level_keeps_stdout_byte_identical(tmp_path):
 
 
 def test_cli_bench_unit_cost_record_kind(tmp_path):
-    # the same solve as the unit records of ``verify --suite ratios``
+    # the edge costs pick the record kind: all-1 costs give the same solve
+    # as the unit records of ``verify --suite ratios``
     corpus = tmp_path / "corpus"
     corpus.mkdir()
-    main(["gen", "--out", str(corpus / "01.txt"), "--nodes", "5",
-          "--density", "1.0", "--seed", "3", "--k", "2", "--q", "1",
-          "--unsafe-p", "0.4"])
+    for name, cost in (("01.txt", "1:1"), ("02.txt", "1:9")):
+        main(["gen", "--out", str(corpus / name), "--nodes", "5", "--cost", cost,
+              "--density", "1.0", "--seed", "3", "--k", "2", "--q", "1",
+              "--unsafe-p", "0.4"])
     out = tmp_path / "bench.json"
-    assert main(["bench", "--corpus", str(corpus), "--unit-cost",
-                 "--out", str(out)]) == 0
+    assert main(["bench", "--corpus", str(corpus), "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert [r["kind"] for r in rep["records"]] == ["fgc-unit"]
+    assert [r["kind"] for r in rep["records"]] == ["fgc-unit", "fgc"]
+    inst = load_instance(corpus / "01.txt")
+    want = harness.fgc_record("01.txt", FlexInstance(inst.graph, inst.k, inst.q))
+    assert strip_wall_times(rep["records"][0]) == strip_wall_times(want.to_json_obj())
 
 
 def test_cli_missing_file_is_usage_error(capsys):
@@ -368,12 +374,12 @@ def test_cli_gen_json_format(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["feasible"]
 
 
-def _refused_option(tmp_path, problem: str, option: list[str]) -> None:
-    """``solve PROBLEM`` given a solver option it does not take exits 2
-    with argparse's usage and one error line, and no traceback."""
+def _refused_option(tmp_path, command: list[str], option: list[str]) -> None:
+    """``command`` given an option it does not take exits 2 with
+    argparse's usage and one error line, and no traceback."""
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "nearcut", "solve", problem, "--input", "x", *option],
+        [sys.executable, "-m", "nearcut", *command, *option],
         capture_output=True, text=True, timeout=60, cwd=tmp_path,
         env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 2
@@ -386,11 +392,56 @@ def _refused_option(tmp_path, problem: str, option: list[str]) -> None:
 
 
 def test_cli_augment_single_level_solver_flag(tmp_path):
-    _refused_option(tmp_path, "augment", ["--single-level-solver", "exact"])
+    _refused_option(tmp_path, ["solve", "augment", "--input", "x"],
+                    ["--single-level-solver", "exact"])
 
 
 def test_cli_fgc_kecss_flag(tmp_path):
-    _refused_option(tmp_path, "fgc", ["--kecss", "exact"])
+    _refused_option(tmp_path, ["solve", "fgc", "--input", "x"], ["--kecss", "exact"])
+
+
+def test_cli_fgc_unit_cost_flag(tmp_path):
+    _refused_option(tmp_path, ["solve", "fgc", "--input", "x"], ["--unit-cost"])
+
+
+def test_cli_bench_unit_cost_flag(tmp_path):
+    _refused_option(tmp_path, ["bench", "--corpus", "x"], ["--unit-cost"])
+
+
+def test_no_entry_point_takes_a_search_limit_or_a_row_choice():
+    """The search limits are module constants and the edge costs pick the
+    unit-cost rows: no callable exported by ``nearcut`` takes
+    ``node_budget`` or ``edge_limit``, and no command offers ``--unit-cost``."""
+    import argparse
+    import inspect
+
+    import nearcut
+    from nearcut.cli import build_parser
+
+    checked, takers = set(), []
+    for name, obj in vars(nearcut).items():
+        if name.startswith("_") or inspect.ismodule(obj) or not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        checked.add(name)
+        takers += [f"{name}({p})" for p in ("node_budget", "edge_limit") if p in params]
+    assert takers == []
+    assert {"kecss", "minimum_flex_subgraph", "exact_min_cover", "exact_fgc",
+            "exact_augment", "solve_fgc"} <= checked
+
+    def options(parser):
+        for action in parser._actions:
+            yield from action.option_strings
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from options(sub)
+
+    offered = set(options(build_parser()))
+    assert {"--input", "--corpus", "--q"} <= offered
+    assert "--unit-cost" not in offered
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):

@@ -61,8 +61,7 @@ def _cases() -> dict[str, list[list[str]]]:
         "solve-augment": [["solve", "augment", "--input", p] for p in aug],
         "solve-fgc": [["solve", "fgc", "--input", p] for p in fgc],
         "solve-fgc-q3": [["solve", "fgc", "--input", p, "--q", "3"] for p in fgc],
-        "solve-fgc-unit-cost": [["solve", "fgc", "--input", p, "--unit-cost"]
-                                for p in unit],
+        "solve-fgc-unit-cost": [["solve", "fgc", "--input", p] for p in unit],
         "oracle-augment": [["oracle", "augment", "--input", p] for p in aug],
         "oracle-fgc": [["oracle", "fgc", "--input", p] for p in fgc],
         "bench": [["bench", "--corpus", "{root}/bench"]],

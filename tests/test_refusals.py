@@ -21,9 +21,13 @@ from nearcut import (
     SetFamily,
     build_square,
     decompose_plus_cuts,
+    enumerate_Fq,
     family_quotient,
+    flex_connected_by_removal,
     generate,
+    is_flex_connected,
     kecss,
+    minimum_flex_subgraph,
     parse_instance,
     save_instance,
     subgraph,
@@ -77,6 +81,13 @@ def test_subgraph_edge_id_out_of_range():
 def test_family_member_must_be_a_proper_subset(member):
     with pytest.raises(InputError, match="not a non-empty proper subset"):
         SetFamily(4, (0b0010, member))
+
+
+@pytest.mark.parametrize("n", [-1, 0, 2.0, True, "4"])
+def test_family_ground_set_size_must_be_a_positive_int(n):
+    with pytest.raises(InputError, match="ground set size must be an integer >= 1, "
+                                         f"got {n!r}"):
+        SetFamily(n, (1,))
 
 
 def test_family_members_must_be_distinct():
@@ -142,6 +153,20 @@ def test_flex_instance_bounds():
         FlexInstance(g, 1, -1)
 
 
+@pytest.mark.parametrize("call, fragment", [
+    (lambda g: minimum_flex_subgraph(g, -1, 0), "k must be >= 1, got -1"),
+    (lambda g: kecss(g, 0), "k must be >= 1, got 0"),
+    (lambda g: is_flex_connected(g, range(g.m), 2, -1), "q must be >= 0, got -1"),
+    (lambda g: flex_connected_by_removal(g, range(g.m), 0, 1), "k must be >= 1, got 0"),
+    (lambda g: enumerate_Fq(g, range(g.m), 2.0, 1), "k and q must be integers"),
+    (lambda g: enumerate_Fq(g, range(g.m), 1, 0), "defined for q >= 1, got 0"),
+], ids=["minimum_flex_subgraph", "kecss", "is_flex_connected",
+        "flex_connected_by_removal", "enumerate_Fq", "enumerate_Fq-level-0"])
+def test_flex_functions_refuse_an_undefined_rule(call, fragment):
+    with pytest.raises(InputError, match=fragment):
+        call(triangle())
+
+
 @pytest.mark.parametrize("edge, fragment", [
     (EdgeRecord(0, 2, 1, 3), "edge 3 has capacity 3; flex connectivity takes "
                              "unit capacities only"),
@@ -167,8 +192,8 @@ def test_cli_fgc_refuses_capacities_and_base_flags(command, edge_line, fragment,
 
 
 def test_kecss_unknown_mode():
-    """kecss takes no mode, and its budget is keyword-only: a mode passed
-    as a third argument is refused at the call, before any search."""
+    """kecss takes no mode and no budget: a mode passed as a third
+    argument is refused at the call, before any search."""
     for mode in ("greedy", "exact"):
         with pytest.raises(TypeError, match=r"kecss\(\) takes 2 positional "
                                             "arguments but 3 were given"):
@@ -182,12 +207,18 @@ def test_augment_target_must_be_positive():
 
 
 def test_cli_unit_cost_refuses_a_weighted_file(tmp_path, capsys):
+    """``solve fgc`` has no ``--unit-cost``: the costs pick the rows, so a
+    weighted file solves on its own and the option is a usage error."""
     path = tmp_path / "weighted.txt"
     path.write_text(C4_TEXT.replace("0 1 1 1 0 0", "0 1 2 1 0 0"))
-    assert main(["solve", "fgc", "--input", str(path), "--unit-cost"]) == 2
+    assert main(["solve", "fgc", "--input", str(path)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "fgc", "--input", str(path), "--unit-cost"])
+    assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: unit_cost (--unit-cost) requires every edge cost to be 1\n"
+    assert err.splitlines()[-1] == "nearcut: error: unrecognized arguments: --unit-cost"
 
 
 # ---------------------------------------------------------------------------
