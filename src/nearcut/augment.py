@@ -34,7 +34,6 @@ more than :data:`MAX_STAGES` stages is refused with :class:`LimitError`.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -54,8 +53,6 @@ from .multigraph import (
     cut_value_array,
     min_cut_value,
 )
-
-logger = logging.getLogger(__name__)
 
 # Most stages one augmentation may walk, two levels each: past it a huge k
 # would walk for minutes after the last deficient cut is covered.  A fixed

@@ -26,9 +26,8 @@ since an edge with both ends inside toggles twice.  The solvers,
 "minimal violated members", slacks and coverage are a few integer
 operations per member or candidate, and every precondition is still
 checkable at runtime.  For a family at or above the kernel size of
-:mod:`~nearcut.cut_structure`, the same bitsets, and the primal-dual
-cover's strict-subset bitsets, are packed from numpy bit matrices
-instead of built bit by bit in Python loops.
+:mod:`~nearcut.cut_structure`, the same bitsets are packed from numpy
+bit matrices instead of built bit by bit in Python loops.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ import numpy as np
 
 from .errors import BudgetError, InfeasibleError, InvariantError, PreconditionError
 from .cut_structure import (
-    _KERNEL_BLOCK,
     SetFamily,
     _kernel_sized,
     is_symmetric_proper_crossing,
@@ -110,7 +108,6 @@ class CoverSolution:
 class Crossings(NamedTuple):
     """Crossing bitsets of one family and one edge list (positions)."""
 
-    inside: list[int]        # node -> members containing it
     edge_bits: list[int]     # edge -> members it crosses
     member_bits: list[int]   # member -> edges crossing it
 
@@ -141,7 +138,7 @@ def _crossing_bits(n: int, members: Sequence[int],
             m ^= low
         member_bits.append(acc)
     edge_bits = [inside[u] ^ inside[v] for u, v in edges]
-    return Crossings(inside, edge_bits, member_bits)
+    return Crossings(edge_bits, member_bits)
 
 
 def _crossing_kernel(n: int, members: Sequence[int],
@@ -157,7 +154,7 @@ def _crossing_kernel(n: int, members: Sequence[int],
     ends = np.array(edges, dtype=np.intp).reshape(-1, 2)
     member_bits = _bit_rows(held[:, ends[:, 0]] ^ held[:, ends[:, 1]])
     edge_bits = [inside[u] ^ inside[v] for u, v in edges]
-    return Crossings(inside, edge_bits, member_bits)
+    return Crossings(edge_bits, member_bits)
 
 
 def _bit_rows(bits: np.ndarray) -> list[int]:
@@ -172,33 +169,6 @@ def _bit_rows(bits: np.ndarray) -> list[int]:
     buf = packed.tobytes()
     return [int.from_bytes(buf[i:i + width], "little")
             for i in range(0, len(buf), width)]
-
-
-def _strict_subsets(members: Sequence[int], inside: Sequence[int]) -> list[int]:
-    """Member j -> bitset of the members strictly inside member j."""
-    count = len(members)
-    if _kernel_sized(len(inside), count):
-        ms = np.array(members, dtype=np.int64)
-        rows = max(1, _KERNEL_BLOCK // max(count, 1))
-        out: list[int] = []
-        for j0 in range(0, count, rows):
-            block = ms[j0:j0 + rows, None]
-            within = (ms & ~block) == 0     # [j, i]: member i inside member j
-            r = np.arange(len(block))
-            within[r, j0 + r] = False
-            out += _bit_rows(within)
-        return out
-    everyone = (1 << count) - 1
-    out = []
-    for j, m in enumerate(members):
-        outside = 0  # members with a node outside m
-        rest = ~m & ((1 << len(inside)) - 1)
-        while rest:
-            low = rest & -rest
-            outside |= inside[low.bit_length() - 1]
-            rest ^= low
-        out.append(everyone & ~outside & ~(1 << j))
-    return out
 
 
 def _pairs(edges: Iterable, n: int) -> list[tuple[int, int]]:
@@ -448,13 +418,19 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
     exactly when it is, so the duals sit on the rooted members.
 
     Member and candidate sets are bitsets over their positions.  The
-    members strictly inside member j are precomputed, so j is minimal
-    among the uncovered members when none of those is uncovered, and
-    each candidate's ``paid`` (the duals of the members it crosses) is
-    kept up to date as the duals grow.  The chosen edges are pruned in
-    reverse order of addition by :func:`minimal_cover`'s pass,
-    :func:`_reverse_delete`, so the cover returned is a forest (asserted).
-    An empty family returns the empty cover at once.
+    uncovered members are kept in (size, position) order, and one scan
+    per step finds the minimal ones: a member is minimal when it holds
+    none of the minimal members met before it, since an uncovered member
+    strictly inside it is smaller and holds a minimal one.  The minimal
+    members are pairwise disjoint (asserted, witness: the member): two
+    that overlap avoid node 0, so they cross strongly, and uncrossability
+    puts their meet or a difference in the family, an uncovered member
+    strictly inside one of them.  Each candidate's ``paid`` (the duals of
+    the members it crosses) is kept up to date as the duals grow.  The
+    chosen edges are pruned in reverse order of addition by
+    :func:`minimal_cover`'s pass, :func:`_reverse_delete`, so the cover
+    returned is a forest (asserted).  An empty family returns the empty
+    cover at once.
     """
     if not inst.family.members:
         return CoverSolution(chosen=(), cost=0, method="primal-dual", guarantee=Fraction(2))
@@ -465,14 +441,12 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
         inst = CoverInstance(inst.n, inst.candidates, inst.family.canonical())
     cands = inst.candidates
     members = inst.family.members
-    inside, cand_bits, member_bits = inst.crossings
+    cand_bits, member_bits = inst.crossings
     for mask, bits in zip(members, member_bits):
         if not bits:
             raise InfeasibleError("family member crossed by no candidate",
                                   witness=mask)
 
-    everyone = (1 << len(members)) - 1
-    strict_subsets = _strict_subsets(members, inside)
     costs = [c.cost for c in cands]
     idents = [c.ident for c in cands]
 
@@ -482,22 +456,33 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
     duals: dict[int, int] = {}    # member position -> dual * denom
     paid = [0] * len(cands)       # candidate position -> paid * denom
     chosen_order: list[int] = []  # candidate positions in addition order
-    covered = 0
+    holder = [0] * inst.n         # node -> the minimal member holding it
+    # the uncovered members as (position, mask), smallest first; the sort
+    # is stable, so equal sizes stay in position order
+    uncovered = sorted(enumerate(members), key=lambda jm: jm[1].bit_count())
 
-    while True:
-        uncovered = everyone & ~covered
-        if not uncovered:
-            break
+    while uncovered:
         minimal = []
-        minimal_bits = 0
-        rest = uncovered
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            if not strict_subsets[j] & uncovered:
-                minimal.append(j)
-                minimal_bits |= low
-            rest ^= low
+        union = 0
+        for j, m in uncovered:
+            if overlap := m & union:
+                # in an uncrossable family every minimal member m meets
+                # lies inside m, so the holder of one shared node is tried
+                # before the rest
+                first = holder[(overlap & -overlap).bit_length() - 1]
+                if not first & ~m or any(not members[i] & ~m for i in minimal):
+                    continue
+                raise InvariantError("minimal uncovered members of an uncrossable "
+                                     "family overlap", witness=m)
+            minimal.append(j)
+            union |= m
+            rest = m
+            while rest:
+                low = rest & -rest
+                holder[low.bit_length() - 1] = m
+                rest ^= low
+        minimal.sort()
+        minimal_bits = sum(1 << j for j in minimal)
         # uniform growth: find the candidate whose slack/(active sets crossed)
         # is smallest, with ident as tie-break; slack_b / active_b is the
         # best delta so far, compared by cross-multiplication
@@ -532,7 +517,8 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
             for p, active in growing:
                 paid[p] += delta * active
         chosen_order.append(pos)
-        covered |= cand_bits[pos]
+        crossed = cand_bits[pos]
+        uncovered = [(j, m) for j, m in uncovered if not crossed >> j & 1]
 
     kept = list(compress(chosen_order, _reverse_delete(
         [cand_bits[p] for p in chosen_order],

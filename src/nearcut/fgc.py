@@ -156,8 +156,7 @@ def flex_connected_by_removal(g: Multigraph, edge_ids: Iterable[int], k: int,
     k-edge-connected.  Kept separate from the per-cut check so the two
     can be compared against each other."""
     _check_rule(k, q)
-    ids = sorted(set(edge_ids))
-    h = subgraph(g, ids)
+    h = subgraph(g, edge_ids)
     if h.n < 2:
         return True
     unsafe_pos = [i for i, e in enumerate(h.edges) if e.unsafe]

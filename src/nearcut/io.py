@@ -106,10 +106,15 @@ def parse_instance(text: str) -> Instance:
 
 
 def load_instance(path) -> Instance:
+    """Parse the UTF-8 instance file at ``path``; a file that cannot be
+    read or decoded is an :class:`InputError` naming the path."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({exc.reason} "
+                         f"at byte {exc.start})") from exc
     return parse_instance(text)
 
 

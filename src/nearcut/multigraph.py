@@ -177,8 +177,15 @@ class Multigraph:
 
 def subgraph(g: Multigraph, edge_ids: Iterable[int]) -> Multigraph:
     """Same node set, edges restricted to the given ids (in id order);
-    all ids give ``g`` itself, cached cut tables included."""
-    ids = sorted(set(edge_ids))
+    all ids give ``g`` itself, cached cut tables included.  An id must be
+    an int or a numpy integer, never a bool."""
+    ids = list(edge_ids)
+    if any(type(i) is not int for i in ids):
+        for i in ids:
+            if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
+                raise InputError(f"edge id {i!r} is not an integer")
+        ids = map(int, ids)
+    ids = sorted(set(ids))
     for i in ids:
         if not (0 <= i < g.m):
             raise InputError(f"edge id {i} out of range")

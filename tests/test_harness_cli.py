@@ -351,6 +351,34 @@ def test_cli_missing_file_is_usage_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["solve", "fgc"], ["oracle", "fgc"],
+                                     ["solve", "augment"]])
+def test_cli_non_utf8_file_is_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main(command + ["--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: not UTF-8 text")
+    assert "Traceback" not in err
+
+
+def test_cli_bench_reports_a_non_utf8_file_and_goes_on(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "00.txt").write_bytes(b"\xff\xfe\x00")
+    main(["gen", "--out", str(corpus / "01.txt"), "--nodes", "5",
+          "--density", "1.0", "--cost", "1:4", "--seed", "1", "--k", "2", "--q", "0"])
+    out = tmp_path / "bench.json"
+    assert main(["bench", "--corpus", str(corpus), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: 00.txt: cannot read ")
+    rep = json.loads(out.read_text())
+    assert [r["instance_id"] for r in rep["records"]] == ["01.txt"]
+    (entry,) = rep["summary"]["errors"]
+    assert entry["instance_id"] == "00.txt"
+    assert entry["error"].startswith(f"cannot read {corpus / '00.txt'}: not UTF-8 text")
+    assert entry["witness_nodes"] is None
+
+
 def test_cli_error_names_the_witness_cut(tmp_path, capsys):
     # two triangles joined by one bridge: k = 2 exceeds the min cut, and
     # the bridge cut {3, 4, 5} is the only one below it

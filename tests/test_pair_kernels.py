@@ -1,21 +1,24 @@
 """The numpy pair kernels against the Python loops they stand in for.
 
 A family with at least ``cut_structure._KERNEL_MIN_MEMBERS`` members, on
-a ground set whose masks fit int64, takes a numpy kernel in three places:
+a ground set whose masks fit int64, takes a numpy kernel in two places:
 the uncrossable scan (only up to the 24-node exhaustive limit, where its
-bit table stays small), the crossing bitsets of a cover instance, and the
-strict-subset bitsets of the primal-dual cover.  Each kernel must give
-exactly what the loop gives: the same verdict and witness, the same bits,
-the same ``CoverSolution``, the same error.
+bit table stays small) and the crossing bitsets of a cover instance.
+Each kernel must give exactly what the loop gives: the same verdict and
+witness, the same bits, the same ``CoverSolution``, the same error.  The
+primal-dual cover's scan for minimal uncovered members is checked
+against the strict-subset table it replaced.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,10 +28,13 @@ import nearcut.cut_structure as cut_structure
 import nearcut.family_cover as family_cover
 from nearcut import (
     CoverInstance,
+    CoverSolution,
     EdgeRecord,
+    InfeasibleError,
     InvariantError,
     Multigraph,
     NearcutError,
+    PreconditionError,
     SetFamily,
     is_laminar,
     is_uncrossable,
@@ -40,11 +46,12 @@ from nearcut.cut_structure import _kernel_sized, _uncrossable_kernel, _uncrossab
 from nearcut.family_cover import (
     Candidate,
     _crossing_bits,
-    _strict_subsets,
+    _reverse_delete,
     certify_primal_dual,
     cover_symmetric_crossing,
     covers,
 )
+from nearcut.harness import make_uncrossable_cover_corpus
 
 THRESHOLD = cut_structure._KERNEL_MIN_MEMBERS
 NEVER = 10 ** 9
@@ -281,7 +288,7 @@ def test_laminar_families_are_uncrossable_without_a_scan(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Crossing bitsets and strict subsets
+# Crossing bitsets
 
 
 @settings(max_examples=80, deadline=None)
@@ -290,11 +297,8 @@ def test_crossing_kernel_matches_the_loop_bit_for_bit(fam, seed, count):
     edges = random_edges(fam.n, random.Random(seed), count)
     with kernel_threshold(NEVER):
         loop = _crossing_bits(fam.n, fam.members, edges)
-        loop_subsets = _strict_subsets(fam.members, loop.inside)
     kernel = family_cover._crossing_kernel(fam.n, fam.members, edges)
     assert kernel == loop
-    with kernel_threshold(0):
-        assert _strict_subsets(fam.members, kernel.inside) == loop_subsets
 
 
 @pytest.mark.parametrize("size", [0, 1, 7, 8, 9])
@@ -304,10 +308,8 @@ def test_crossing_kernel_on_tiny_and_empty_input(size):
     for edges in ([], random_edges(6, rng, 9)):
         with kernel_threshold(NEVER):
             loop = _crossing_bits(6, fam.members, edges)
-            loop_subsets = _strict_subsets(fam.members, loop.inside)
         with kernel_threshold(0):
             assert _crossing_bits(6, fam.members, edges) == loop
-            assert _strict_subsets(fam.members, loop.inside) == loop_subsets
 
 
 # ---------------------------------------------------------------------------
@@ -390,3 +392,154 @@ def test_certificates_hold_against_the_instance_passed_in():
     with pytest.raises(InvariantError, match="outside the family") as err:
         certify_primal_dual(inst, bad)
     assert err.value.witness == stray
+
+
+# ---------------------------------------------------------------------------
+# The minimal-member scan against the strict-subset table
+
+
+def strict_subset_pd2(inst: CoverInstance) -> CoverSolution:
+    """pd2 with its former minimality test: member j is minimal among the
+    uncovered members when no member strictly inside it is uncovered,
+    read off a table of the members strictly inside each member."""
+    if not inst.family.members:
+        return CoverSolution(chosen=(), cost=0, method="primal-dual", guarantee=Fraction(2))
+    ok, wit = family_cover.is_uncrossable(inst.family)
+    if not ok:
+        raise PreconditionError("family is not uncrossable", witness=wit)
+    if any(m & 1 for m in inst.family.members):
+        inst = CoverInstance(inst.n, inst.candidates, inst.family.canonical())
+    cands = inst.candidates
+    members = inst.family.members
+    cand_bits, member_bits = inst.crossings
+    for mask, bits in zip(members, member_bits):
+        if not bits:
+            raise InfeasibleError("family member crossed by no candidate", witness=mask)
+    everyone = (1 << len(members)) - 1
+    strict_subsets = [sum(1 << i for i, b in enumerate(members) if b != m and not b & ~m)
+                      for m in members]
+    costs = [c.cost for c in cands]
+    idents = [c.ident for c in cands]
+    denom = 1
+    duals: dict[int, int] = {}
+    paid = [0] * len(cands)
+    chosen_order: list[int] = []
+    covered = 0
+    while uncovered := everyone & ~covered:
+        minimal = [j for j in range(len(members))
+                   if (uncovered >> j) & 1 and not strict_subsets[j] & uncovered]
+        minimal_bits = sum(1 << j for j in minimal)
+        pos = -1
+        slack_b = active_b = ident_b = 0
+        growing = []
+        for p, bits in enumerate(cand_bits):
+            hit = bits & minimal_bits
+            if not hit:
+                continue
+            active = hit.bit_count()
+            slack = costs[p] * denom - paid[p]
+            if slack < 0:
+                raise InvariantError("negative slack during dual growth")
+            growing.append((p, active))
+            if pos < 0 or (slack * active_b, idents[p]) < (slack_b * active, ident_b):
+                pos, slack_b, active_b, ident_b = p, slack, active, idents[p]
+        if pos < 0:
+            raise InfeasibleError("no candidate crosses an active set",
+                                  witness=members[minimal[0]])
+        g = math.gcd(slack_b, active_b)
+        scale = active_b // g
+        if scale > 1:
+            denom *= scale
+            paid = [x * scale for x in paid]
+            duals = {j: y * scale for j, y in duals.items()}
+        delta = slack_b // g
+        for j in minimal:
+            duals[j] = duals.get(j, 0) + delta
+        for p, active in growing:
+            paid[p] += delta * active
+        chosen_order.append(pos)
+        covered |= cand_bits[pos]
+    kept = list(compress(chosen_order, _reverse_delete(
+        [cand_bits[p] for p in chosen_order],
+        [(cands[p].u, cands[p].v) for p in chosen_order], inst.n)))
+    sol = CoverSolution(
+        chosen=tuple(sorted(cands[p].ident for p in kept)),
+        cost=sum(cands[p].cost for p in kept), method="primal-dual",
+        guarantee=Fraction(2),
+        duals=tuple(sorted((members[j], Fraction(y, denom)) for j, y in duals.items())))
+    certify_primal_dual(inst, sol)
+    return sol
+
+
+def outcome(solve, inst: CoverInstance):
+    """The solution, or the error as (type, message, witness), on a fresh
+    instance (no cached bitsets)."""
+    try:
+        return solve(CoverInstance(inst.n, inst.candidates, inst.family))
+    except NearcutError as exc:
+        return type(exc), str(exc), exc.witness
+
+
+def cycle_candidates(n: int, rng: random.Random) -> tuple[Candidate, ...]:
+    """A spanning cycle, which crosses every cut, plus up to n random
+    edges, at random costs."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    pairs = [(perm[i], perm[(i + 1) % n]) for i in range(n)] + random_edges(n, rng, n)
+    return tuple(Candidate(i, u, v, rng.randint(0, 9))
+                 for i, (u, v) in enumerate(pairs) if u != v)
+
+
+@st.composite
+def small_families(draw) -> SetFamily:
+    """{lam, lam+1}-cut families below the kernel size."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    fam = near_min_family(draw(st.integers(4, 9)), rng, draw(st.integers(0, 3)), 0)
+    fam = variant(fam, rng, draw(st.sampled_from((0.0, 0.3))), draw(st.booleans()))
+    assume(0 < len(fam) < THRESHOLD)
+    return fam
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(small_families(), kernel_families()), st.integers(0, 2 ** 32))
+def test_pd2_scan_matches_the_strict_subset_table(fam, seed):
+    inst = CoverInstance(fam.n, cycle_candidates(fam.n, random.Random(seed)), fam)
+    assert outcome(primal_dual_uncrossable_cover, inst) == outcome(strict_subset_pd2, inst)
+
+
+def test_pd2_scan_matches_the_table_on_both_sides_of_the_kernel_size():
+    rng = random.Random(33)
+    sizes = []
+    for n in range(5, 21):
+        fam = variant(near_min_family(n, rng, rng.randint(0, 2), 0), rng, 0.3, False)
+        inst = CoverInstance(n, cycle_candidates(n, rng), fam)
+        got = outcome(primal_dual_uncrossable_cover, inst)
+        assert got == outcome(strict_subset_pd2, inst)
+        if isinstance(got, CoverSolution):
+            sizes.append(len(fam))
+    assert min(sizes) < THRESHOLD <= max(sizes)
+
+
+def test_pd2_scan_matches_the_table_on_the_uncrossable_corpus():
+    for _, inst in make_uncrossable_cover_corpus(60, 3303):
+        got = outcome(primal_dual_uncrossable_cover, inst)
+        assert isinstance(got, CoverSolution)
+        assert got == outcome(strict_subset_pd2, inst)
+
+
+def test_overlapping_minimal_members_are_an_invariant_error(monkeypatch):
+    # {1, 2} and {2, 3} cross strongly, so no uncrossable family holds both
+    # without their meet or differences; let the family past the check
+    monkeypatch.setattr(family_cover, "is_uncrossable", lambda fam: (True, None))
+    cands = (Candidate(0, 0, 1, 1), Candidate(1, 0, 3, 1))
+    crossing = CoverInstance(4, cands, SetFamily(4, (0b0110, 0b1100)))
+    with pytest.raises(InvariantError, match="overlap") as err:
+        primal_dual_uncrossable_cover(crossing)
+    assert err.value.witness == 0b1100
+    # {2, 3, 4} crosses the minimal {1, 2} but holds the minimal {4}: not
+    # minimal, so not refused, and the table agrees
+    fam = SetFamily(5, (0b10000, 0b00110, 0b11100))
+    inst = CoverInstance(5, tuple(Candidate(v, 0, v, 1) for v in range(1, 5)), fam)
+    got = outcome(primal_dual_uncrossable_cover, inst)
+    assert isinstance(got, CoverSolution)
+    assert got == outcome(strict_subset_pd2, inst)

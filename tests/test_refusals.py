@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from nearcut import (
@@ -71,6 +72,24 @@ def test_subgraph_edge_id_out_of_range():
     for bad in (4, -1):
         with pytest.raises(InputError, match=f"edge id {bad} out of range"):
             subgraph(g, [0, bad])
+
+
+@pytest.mark.parametrize("bad", [1.0, True, False, "1", None, np.bool_(True)])
+def test_subgraph_edge_id_must_be_an_integer(bad):
+    g = c4()
+    for call in (lambda: subgraph(g, [0, bad]),
+                 lambda: is_flex_connected(g, [0, bad], 1, 0),
+                 lambda: flex_connected_by_removal(g, [0, bad], 1, 0)):
+        with pytest.raises(InputError, match=f"edge id {bad!r} is not an integer"):
+            call()
+
+
+def test_subgraph_takes_numpy_integer_ids():
+    g = c4()
+    ids = np.array([2, 0], dtype=np.int64)
+    assert subgraph(g, ids) == subgraph(g, [0, 2])
+    assert subgraph(g, [np.int32(3), np.uint8(1)]).edges == (g.edges[1], g.edges[3])
+    assert subgraph(g, np.arange(4)) is g
 
 
 # ---------------------------------------------------------------------------
