@@ -38,7 +38,6 @@ one pass.
 from __future__ import annotations
 
 import enum
-import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -51,8 +50,8 @@ from .multigraph import (
     EXHAUSTIVE_LIMIT,
     DisjointSets,
     Multigraph,
+    as_int,
     canonical_mask,
-    complement_mask,
     cut_masks,
     cut_value_array,
     edge_crosses,
@@ -111,24 +110,14 @@ def crosses_strongly(a: int, b: int, n: int) -> bool:
 # Set families
 
 
-def _member(m) -> int:
-    """A member as a Python int; numpy integers pass, anything else (a
-    bool, a float, a string) raises :class:`InputError` naming it."""
-    if not isinstance(m, bool):
-        try:
-            return operator.index(m)
-        except TypeError:
-            pass
-    raise InputError(f"family member {m!r} is not an integer")
-
-
 @dataclass(frozen=True)
 class SetFamily:
     """Explicit list of node subsets over a ground set of size n.
 
     Members are stored as given (an orientation-sensitive family keeps
-    both sides); `canonical()` collapses complement pairs onto the side
-    avoiding node 0.
+    both sides).  Two sets are cached on first use: :attr:`member_set`
+    (the members) and :attr:`canonical_set` (each member's side avoiding
+    node 0); `canonical()` and `symmetric_closure()` are read off them.
     """
 
     n: int
@@ -139,7 +128,7 @@ class SetFamily:
             raise InputError(f"ground set size must be an integer >= 1, got {self.n!r}")
         members = tuple(self.members)
         if not all(type(m) is int for m in members):
-            members = tuple(_member(m) for m in members)
+            members = tuple(as_int(m, "family member") for m in members)
         object.__setattr__(self, "members", members)
         fm = full_mask(self.n)
         seen = set()
@@ -176,24 +165,14 @@ class SetFamily:
         return canonical_mask(mask, self.n) in self.canonical_set
 
     def canonical(self) -> "SetFamily":
-        out = []
-        seen = set()
-        for m in self.members:
-            c = canonical_mask(m, self.n)
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-        return SetFamily(self.n, tuple(sorted(out)))
+        """One side avoiding node 0 per complement pair: :attr:`canonical_set`, sorted."""
+        return SetFamily(self.n, tuple(sorted(self.canonical_set)))
 
     def symmetric_closure(self) -> "SetFamily":
-        out = list(self.members)
-        seen = set(out)
-        for m in self.members:
-            c = complement_mask(m, self.n)
-            if c not in seen:
-                seen.add(c)
-                out.append(c)
-        return SetFamily(self.n, tuple(out))
+        """The members, then in member order each complement not in :attr:`member_set`."""
+        fm = full_mask(self.n)
+        return SetFamily(self.n, self.members + tuple(
+            m ^ fm for m in self.members if m ^ fm not in self.member_set))
 
 
 def _once(fam: SetFamily, key: str, scan) -> tuple:
@@ -896,11 +875,10 @@ def decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) -> F2Decompo
     decomp = decompose_plus_cuts(h, k)
     diagnostics = list(decomp.diagnostics)
 
-    part_members = [frozenset(p.members.members) for p in decomp.parts]
     prime = []
     rest = []
     for mask in f2:
-        containing = [p for p, ms in zip(decomp.parts, part_members) if mask in ms]
+        containing = [p for p in decomp.parts if mask in p.members.member_set]
         informative = [p for p in containing if len(p.quotient.classes) >= 3]
         if not informative:
             # strongly crosses nothing: safe on the uncrossable side
@@ -945,10 +923,8 @@ def decompose_F2_odd(g: Multigraph, h_edges: Iterable[int], k: int) -> F2Decompo
     ok, wit = is_uncrossable(f_prime)
     if not ok:
         raise InvariantError("uncrossable side failed its structure check", witness=wit)
-    covered = set(f_prime.members)
-    for m in f_dprime.members:
-        covered.add(m)
-        covered.add(complement_mask(m, g.n))
+    # the symmetric side is closed under complement (asserted above)
+    covered = f_prime.member_set | f_dprime.member_set
     for mask in f2:
         if mask not in covered:
             raise InvariantError("decomposition lost a family member",

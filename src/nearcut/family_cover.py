@@ -419,13 +419,13 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
 
     Member and candidate sets are bitsets over their positions.  The
     uncovered members are kept in (size, position) order, and one scan
-    per step finds the minimal ones: a member is minimal when it holds
-    none of the minimal members met before it, since an uncovered member
-    strictly inside it is smaller and holds a minimal one.  The minimal
-    members are pairwise disjoint (asserted, witness: the member): two
-    that overlap avoid node 0, so they cross strongly, and uncrossability
-    puts their meet or a difference in the family, an uncovered member
-    strictly inside one of them.  Each candidate's ``paid`` (the duals of
+    per step finds the minimal ones: a member is minimal when it meets
+    none met before it; one that meets one must hold it (asserted,
+    witness: the member).  Else it and that minimal f, both avoiding node
+    0, cross strongly, and uncrossability puts f & m or f - m in the
+    family: an uncovered member strictly inside f, so f was not minimal.
+    So the minimal members are pairwise disjoint, and each is crossed by
+    a candidate (asserted).  Each candidate's ``paid`` (the duals of
     the members it crosses) is kept up to date as the duals grow.  The
     chosen edges are pruned in reverse order of addition by
     :func:`minimal_cover`'s pass, :func:`_reverse_delete`, so the cover
@@ -467,13 +467,12 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
         for j, m in uncovered:
             if overlap := m & union:
                 # in an uncrossable family every minimal member m meets
-                # lies inside m, so the holder of one shared node is tried
-                # before the rest
+                # lies inside m: checked on the holder of one shared node
                 first = holder[(overlap & -overlap).bit_length() - 1]
-                if not first & ~m or any(not members[i] & ~m for i in minimal):
-                    continue
-                raise InvariantError("minimal uncovered members of an uncrossable "
-                                     "family overlap", witness=m)
+                if first & ~m:
+                    raise InvariantError("minimal uncovered members of an uncrossable "
+                                         "family overlap", witness=m)
+                continue
             minimal.append(j)
             union |= m
             rest = m
@@ -481,7 +480,6 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
                 low = rest & -rest
                 holder[low.bit_length() - 1] = m
                 rest ^= low
-        minimal.sort()
         minimal_bits = sum(1 << j for j in minimal)
         # uniform growth: find the candidate whose slack/(active sets crossed)
         # is smallest, with ident as tie-break; slack_b / active_b is the
@@ -502,8 +500,8 @@ def primal_dual_uncrossable_cover(inst: CoverInstance) -> CoverSolution:
             if pos < 0 or (slack * active_b, idents[p]) < (slack_b * active, ident_b):
                 pos, slack_b, active_b, ident_b = p, slack, active, idents[p]
         if pos < 0:
-            raise InfeasibleError("no candidate crosses an active set",
-                                  witness=members[minimal[0]])
+            raise InvariantError("no candidate crosses a minimal uncovered member",
+                                 witness=members[minimal[0]])
         g = math.gcd(slack_b, active_b)
         scale = active_b // g
         if scale > 1:

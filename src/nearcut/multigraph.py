@@ -12,6 +12,7 @@ to :data:`EXHAUSTIVE_LIMIT` nodes and refuses to run above it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -53,9 +54,25 @@ def check_exhaustive_build(n: int, estimate: int, what: str) -> None:
 # Node-mask helpers
 
 
+def as_int(x, what: str) -> int:
+    """``x`` as a Python int: numpy integers pass, and anything else (a
+    bool, a float, a string) raises :class:`InputError` naming ``what``."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise InputError(f"{what} {x!r} is not an integer")
+
+
 def mask_from_nodes(nodes: Iterable[int]) -> int:
+    """Bitmask of a node set; a node that is negative or not an integer
+    (see :func:`as_int`) raises :class:`InputError`."""
     m = 0
     for v in nodes:
+        v = as_int(v, "node")
+        if v < 0:
+            raise InputError(f"node {v} is negative")
         m |= 1 << v
     return m
 
@@ -142,21 +159,23 @@ class Multigraph:
                 raise InputError(f"edge {i} has non-integer capacity: {e}")
             if e.capacity < 1:
                 raise InputError(f"edge {i} has non-positive capacity: {e}")
+            if type(e.unsafe) is not bool or type(e.base) is not bool:
+                raise InputError(f"edge {i} has a flag that is not a bool: {e}")
 
     @classmethod
     def from_edges(cls, n: int, specs: Iterable) -> "Multigraph":
-        """Build from (u, v[, cost[, capacity[, unsafe[, base]]]]) tuples."""
+        """Build from (u, v[, cost[, capacity[, unsafe[, base]]]]) tuples; a
+        flag must be 0, 1, False or True (:class:`InputError` otherwise)."""
         edges = []
-        for spec in specs:
+        for i, spec in enumerate(specs):
             if isinstance(spec, EdgeRecord):
                 edges.append(spec)
                 continue
             u, v, *rest = spec
-            cost = rest[0] if len(rest) > 0 else 0
-            cap = rest[1] if len(rest) > 1 else 1
-            unsafe = bool(rest[2]) if len(rest) > 2 else False
-            base = bool(rest[3]) if len(rest) > 3 else False
-            edges.append(EdgeRecord(u, v, cost, cap, unsafe, base))
+            cost, cap, unsafe, base = (*rest, *(0, 1, False, False)[len(rest):])[:4]
+            if any(type(f) not in (int, bool) or f not in (0, 1) for f in (unsafe, base)):
+                raise InputError(f"edge {i} flags must be 0, 1, False or True: {spec!r}")
+            edges.append(EdgeRecord(u, v, cost, cap, bool(unsafe), bool(base)))
         return cls(n, tuple(edges))
 
     @property
@@ -181,10 +200,7 @@ def subgraph(g: Multigraph, edge_ids: Iterable[int]) -> Multigraph:
     an int or a numpy integer, never a bool."""
     ids = list(edge_ids)
     if any(type(i) is not int for i in ids):
-        for i in ids:
-            if isinstance(i, (bool, np.bool_)) or not isinstance(i, (int, np.integer)):
-                raise InputError(f"edge id {i!r} is not an integer")
-        ids = map(int, ids)
+        ids = [as_int(i, "edge id") for i in ids]
     ids = sorted(set(ids))
     for i in ids:
         if not (0 <= i < g.m):

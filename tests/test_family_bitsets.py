@@ -56,6 +56,7 @@ from nearcut.harness import (
 )
 from nearcut.multigraph import (
     DisjointSets,
+    canonical_mask,
     complement_mask,
     cut_masks,
     cut_value_array,
@@ -413,6 +414,49 @@ def test_predicates_match_reference_hypothesis(data):
     assert_predicates_match(fam)
     assert_predicates_match(fam.symmetric_closure())
     assert_predicates_match(fam.canonical())
+
+
+def reference_canonical(fam: SetFamily) -> SetFamily:
+    out = []
+    seen = set()
+    for m in fam.members:
+        c = canonical_mask(m, fam.n)
+        if c not in seen:
+            seen.add(c)
+            out.append(c)
+    return SetFamily(fam.n, tuple(sorted(out)))
+
+
+def reference_symmetric_closure(fam: SetFamily) -> SetFamily:
+    out = list(fam.members)
+    seen = set(out)
+    for m in fam.members:
+        c = complement_mask(m, fam.n)
+        if c not in seen:
+            seen.add(c)
+            out.append(c)
+    return SetFamily(fam.n, tuple(out))
+
+
+@st.composite
+def families_with_complement_pairs(draw) -> SetFamily:
+    """Random members (about half hold node 0), then the complements of
+    some of them, each placed at a random position."""
+    n = draw(st.integers(2, 7))
+    fm = (1 << n) - 1
+    masks = draw(st.lists(st.integers(1, fm - 1), max_size=12, unique=True))
+    picked = draw(st.lists(st.sampled_from(masks), unique=True)) if masks else []
+    for m in picked:
+        if m ^ fm not in masks:
+            masks.insert(draw(st.integers(0, len(masks))), m ^ fm)
+    return SetFamily(n, tuple(masks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(families_with_complement_pairs())
+def test_canonical_and_closure_match_their_loops(fam):
+    assert fam.canonical().members == reference_canonical(fam).members
+    assert fam.symmetric_closure().members == reference_symmetric_closure(fam).members
 
 
 def test_verdict_is_cached_per_family():

@@ -536,10 +536,11 @@ def test_overlapping_minimal_members_are_an_invariant_error(monkeypatch):
     with pytest.raises(InvariantError, match="overlap") as err:
         primal_dual_uncrossable_cover(crossing)
     assert err.value.witness == 0b1100
-    # {2, 3, 4} crosses the minimal {1, 2} but holds the minimal {4}: not
-    # minimal, so not refused, and the table agrees
+    # {2, 3, 4} meets the minimal {1, 2} without holding it: the family is
+    # not uncrossable, and pd2 refuses it even though {2, 3, 4} holds the
+    # minimal {4} as well
     fam = SetFamily(5, (0b10000, 0b00110, 0b11100))
     inst = CoverInstance(5, tuple(Candidate(v, 0, v, 1) for v in range(1, 5)), fam)
-    got = outcome(primal_dual_uncrossable_cover, inst)
-    assert isinstance(got, CoverSolution)
-    assert got == outcome(strict_subset_pd2, inst)
+    with pytest.raises(InvariantError, match="overlap") as err:
+        primal_dual_uncrossable_cover(inst)
+    assert err.value.witness == 0b11100

@@ -8,6 +8,7 @@ one ``error:`` line on stderr, nothing on stdout and no traceback.
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -67,6 +68,29 @@ def test_graph_edges_must_be_edge_records():
         Multigraph(2, (EdgeRecord(0, 1, 1, 1, False, False), (0, 1, 1, 1, False, False)))
 
 
+@pytest.mark.parametrize("field", ["unsafe", "base"])
+@pytest.mark.parametrize("flag", [0, 1, 2, 1.0, "False", None, np.bool_(True)])
+def test_graph_edge_flags_must_be_bools(field, flag):
+    edge = EdgeRecord(0, 1, 1, 1, **{field: flag})
+    with pytest.raises(InputError, match="edge 1 has a flag that is not a bool"):
+        Multigraph(2, (EdgeRecord(0, 1), edge))
+
+
+@pytest.mark.parametrize("flag", [2, -1, 1.0, "False", "1", None, np.int64(1),
+                                  np.bool_(True)])
+def test_from_edges_flags_must_be_0_1_false_or_true(flag):
+    for spec in ((0, 1, 1, 1, flag), (0, 1, 1, 1, False, flag)):
+        with pytest.raises(InputError, match="edge 1 flags must be 0, 1, False or True"):
+            Multigraph.from_edges(2, [(0, 1), spec])
+
+
+def test_from_edges_reads_0_and_1_as_flags():
+    g = Multigraph.from_edges(3, [(0, 1, 1, 1, 1, 0), (1, 2, 1, 1, True, 1), (0, 2)])
+    assert [(e.unsafe, e.base) for e in g.edges] == [(True, False), (True, True),
+                                                     (False, False)]
+    assert all(type(f) is bool for e in g.edges for f in (e.unsafe, e.base))
+
+
 def test_subgraph_edge_id_out_of_range():
     g = c4()
     for bad in (4, -1):
@@ -107,6 +131,22 @@ def test_family_ground_set_size_must_be_a_positive_int(n):
     with pytest.raises(InputError, match="ground set size must be an integer >= 1, "
                                          f"got {n!r}"):
         SetFamily(n, (1,))
+
+
+def test_family_from_sets_refuses_a_negative_node():
+    with pytest.raises(InputError, match="node -1 is negative"):
+        SetFamily.from_sets(4, [[1], [2, -1]])
+
+
+@pytest.mark.parametrize("node", [True, 1.0, "1", None, np.bool_(False)])
+def test_family_from_sets_refuses_a_node_that_is_not_an_integer(node):
+    with pytest.raises(InputError, match=re.escape(f"node {node!r} is not an integer")):
+        SetFamily.from_sets(4, [[1], [2, node]])
+
+
+def test_family_from_sets_takes_numpy_integer_nodes():
+    fam = SetFamily.from_sets(4, [[np.int64(1), np.uint8(2)], np.array([3])])
+    assert fam == SetFamily(4, (0b0110, 0b1000))
 
 
 def test_family_members_must_be_distinct():
