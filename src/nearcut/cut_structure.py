@@ -141,7 +141,19 @@ class SetFamily:
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetFamily":
-        return cls(n, tuple(mask_from_nodes(s) for s in sets))
+        """Members given as node collections.  A node that is not an
+        integer, is negative or lies outside ``range(n)`` raises
+        :class:`InputError` naming it, before its set's mask is built."""
+        masks = []
+        for j, s in enumerate(sets):
+            nodes = [as_int(v, "node") for v in s]
+            if type(n) is int:  # any other n is refused by the constructor
+                for v in nodes:
+                    if v >= n:
+                        raise InputError(f"node {v} of set {j} lies outside "
+                                         f"the ground set range({n})")
+            masks.append(mask_from_nodes(nodes))
+        return cls(n, tuple(masks))
 
     def __len__(self) -> int:
         return len(self.members)

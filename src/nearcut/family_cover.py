@@ -230,15 +230,17 @@ def _branch_and_bound(rows: Sequence[int], urows: Sequence[int], k: int, q: int,
       most expensive column first while it stays feasible; a stripped
       column can only break the rows that hold it, so only those are
       rechecked.
-    * Per node, one scan lists the rows the included columns leave unmet,
-      with their deficits; it only visits the parent's list.  A row whose
-      deficit exceeds its undecided columns kills the subtree (the
-      included columns sit inside the available ones).  The branching
-      row is the first listed, or with ``fewest`` the first with the
-      fewest undecided columns.  Each undecided column of that row is
-      tried in turn as the first chosen one, in position order or with
-      ``cheapest_first`` in cost order, and each child excludes the
-      columns tried before it, so the subtrees are disjoint.
+    * Per node, one pass over the parent's list of unmet rows finds each
+      row's deficit, tests the kill and keeps the branching row, and
+      lists the indices of the rows the included columns leave unmet; the
+      children take that list.  A row whose deficit exceeds its undecided
+      columns kills the subtree (the included columns sit inside the
+      available ones).  The branching row is the first listed, or with
+      ``fewest`` the first with the fewest undecided columns.  Each
+      undecided column of that row is tried in turn as the first chosen
+      one, in position order or with ``cheapest_first`` in cost order,
+      and each child excludes the columns tried before it, so the
+      subtrees are disjoint.
     * A node is pruned when a lower bound on the cost still to add
       reaches the incumbent's margin.  The *disjoint-support bound* adds,
       over listed rows whose undecided columns are disjoint from those of
@@ -247,7 +249,10 @@ def _branch_and_bound(rows: Sequence[int], urows: Sequence[int], k: int, q: int,
       them (the singleton cuts of a graph, whose columns are edges), the
       *degree bound* sums their cheapest completions and halves the sum,
       rounded up since costs are integers.  Both bounds walk the columns
-      in cost order and stop as soon as the node is pruned.
+      in cost order and stop as soon as the node is pruned.  The disjoint
+      bound finds the deficit of only the rows it counts, and stops once
+      their columns cover every undecided one: each later row would meet
+      them, so it adds nothing.
 
     Neither bound changes the answer.  The children of a node, their
     order and the columns each excludes do not depend on pruning, and a
@@ -267,16 +272,9 @@ def _branch_and_bound(rows: Sequence[int], urows: Sequence[int], k: int, q: int,
             need += min((urows[i] & bits).bit_count(), q)
         return need
 
-    def violated(among: Iterable[int], bits: int) -> list[tuple[int, int]]:
-        """(row, deficit) of every listed row that ``bits`` leaves unmet."""
-        if q == 0:
-            return [(i, need) for i in among
-                    if (need := k - (rows[i] & bits).bit_count()) > 0]
-        return [(i, need) for i in among if (need := deficit(i, bits)) > 0]
-
-    bad = violated(everyone, all_bits)
-    if bad:
-        raise unmet(bad[0][0])
+    for i in everyone:
+        if deficit(i, all_bits) > 0:
+            raise unmet(i)
 
     def breaks(bits: int, col: int) -> bool:
         """Whether ``bits`` leaves unmet a row that holds the column bit ``col``."""
@@ -293,21 +291,24 @@ def _branch_and_bound(rows: Sequence[int], urows: Sequence[int], k: int, q: int,
     best = [sum(costs[p] for p in range(m) if (best_bits >> p) & 1), best_bits]
     explored = [0]
 
-    sorted_by_cost = sorted(range(m), key=lambda p: (costs[p], p))
-    order = sorted_by_cost if cheapest_first else range(m)
-    degree = [(i, [p for p in sorted_by_cost if (rows[i] >> p) & 1]) for i in singles]
+    # columns as (bit, cost) pairs: in cost order, and in branching order
+    by_cost = [(1 << p, costs[p]) for p in sorted(range(m), key=lambda p: (costs[p], p))]
+    order = by_cost if cheapest_first else [(1 << p, costs[p]) for p in range(m)]
+    degree = [(rows[i], urows[i] if q else 0,
+               [(bit, c) for bit, c in by_cost if rows[i] & bit]) for i in singles]
 
-    def pruned(viol: list[tuple[int, int]], included: int, free: int,
-               slack: int) -> bool:
+    def pruned(viol: list[int], included: int, free: int, slack: int) -> bool:
         """Whether a lower bound on the remaining cost reaches ``slack``."""
         tot = 0
-        for i, by_cost in degree:
-            need = deficit(i, included)
+        for r, u, cols in degree:
+            need = k - (r & included).bit_count()
+            if q:
+                need += min((u & included).bit_count(), q)
             if need <= 0:
                 continue
-            for pos in by_cost:
-                if (free >> pos) & 1:
-                    tot += costs[pos]
+            for bit, c in cols:
+                if free & bit:
+                    tot += c
                     need -= 1
                     if not need:
                         break
@@ -315,19 +316,24 @@ def _branch_and_bound(rows: Sequence[int], urows: Sequence[int], k: int, q: int,
                 return True
         lb = 0
         used = 0
-        for i, need in viol:
+        for i in viol:
             opts = rows[i] & free
             if opts & used:
                 continue
             used |= opts
-            for pos in sorted_by_cost:
-                if (opts >> pos) & 1:
-                    lb += costs[pos]
+            need = deficit(i, included)
+            for bit, c in by_cost:
+                if opts & bit:
+                    lb += c
                     need -= 1
                     if not need:
                         break
             if lb >= slack:
                 return True
+            if used == free:
+                # every later row meets ``used`` (none is empty: it would
+                # have killed the node), so none adds to the bound
+                return False
         return False
 
     def search(included: int, excluded: int, cost_now: int, among: Iterable[int]):
@@ -336,16 +342,29 @@ def _branch_and_bound(rows: Sequence[int], urows: Sequence[int], k: int, q: int,
             raise BudgetError(f"{what} exceeded {node_budget} nodes")
         avail = all_bits & ~excluded
         free = avail & ~included
-        viol = violated(among, included)
+        viol = []
         target = None
-        best_fanout = None
-        for i, need in viol:
-            fanout = (rows[i] & free).bit_count()
-            short = need - fanout if q == 0 else deficit(i, avail)
-            if short > 0:
-                return
-            if best_fanout is None or (fewest and fanout < best_fanout):
+        best_fanout = m + 1
+        for i in among:
+            r = rows[i]
+            need = k - (r & included).bit_count()
+            if q:
+                u = urows[i]
+                need += min((u & included).bit_count(), q)
+                if need <= 0:
+                    continue
+                if k + min((u & avail).bit_count(), q) > (r & avail).bit_count():
+                    return
+                fanout = (r & free).bit_count()
+            else:
+                if need <= 0:
+                    continue
+                fanout = (r & free).bit_count()
+                if need > fanout:
+                    return
+            if target is None or (fewest and fanout < best_fanout):
                 best_fanout, target = fanout, i
+            viol.append(i)
         if target is None:
             if cost_now < best[0]:
                 best[0], best[1] = cost_now, included
@@ -353,14 +372,11 @@ def _branch_and_bound(rows: Sequence[int], urows: Sequence[int], k: int, q: int,
         if pruned(viol, included, free, best[0] - cost_now):
             return
         opts = rows[target] & free
-        child_rows = [i for i, _ in viol]
         tried = 0
-        for pos in order:
-            if not (opts >> pos) & 1:
-                continue
-            search(included | (1 << pos), excluded | tried, cost_now + costs[pos],
-                   child_rows)
-            tried |= 1 << pos
+        for bit, c in order:
+            if opts & bit:
+                search(included | bit, excluded | tried, cost_now + c, viol)
+                tried |= bit
 
     search(0, 0, 0, everyone)
     return best[1], best[0], explored[0]

@@ -165,13 +165,16 @@ class Multigraph:
     @classmethod
     def from_edges(cls, n: int, specs: Iterable) -> "Multigraph":
         """Build from (u, v[, cost[, capacity[, unsafe[, base]]]]) tuples; a
-        flag must be 0, 1, False or True (:class:`InputError` otherwise)."""
+        flag must be 0, 1, False or True, and a spec has at most six fields
+        (:class:`InputError` naming the edge otherwise)."""
         edges = []
         for i, spec in enumerate(specs):
             if isinstance(spec, EdgeRecord):
                 edges.append(spec)
                 continue
             u, v, *rest = spec
+            if len(rest) > 4:
+                raise InputError(f"edge {i} has more than six fields: {spec!r}")
             cost, cap, unsafe, base = (*rest, *(0, 1, False, False)[len(rest):])[:4]
             if any(type(f) not in (int, bool) or f not in (0, 1) for f in (unsafe, base)):
                 raise InputError(f"edge {i} flags must be 0, 1, False or True: {spec!r}")
@@ -246,10 +249,11 @@ def cut_value_array(g: Multigraph) -> np.ndarray:
     ``n x 128`` step table, doubled out for all nodes at once: node
     ``v <= 8`` fills its upper half with a single add, and node ``v > 8``
     copies its row and doubles only over nodes 8..v-1, about
-    ``7 + 2n + (n - 8)^2 / 2`` numpy calls in all; below n = 8 the step
-    table would cost more calls than it saves.  A graph without edges
-    gives a table of zeros, built without doubling (the limits below
-    are checked all the same).
+    ``7 + 2n + (n - 8)^2 / 2`` numpy calls in all.  Below n = 8 (at most
+    64 entries) the same doubling runs on Python lists, converted to
+    int32 once: numpy calls on slices that short cost more than the
+    arithmetic they do.  A graph without edges gives a table of zeros,
+    built without doubling (the limits below are checked all the same).
     Work is O(2^n + n^2).
 
     Memory is the table, ``4 * 2^(n-1)`` bytes (32 MiB at n = 24), plus a
@@ -277,37 +281,44 @@ _LOW_NODES = 7
 
 
 def _doubling_table(n: int, edges: Sequence[EdgeRecord]) -> np.ndarray:
-    """The writable table of :func:`cut_value_array` for a non-empty edge list."""
+    """The writable table of :func:`cut_value_array` for a non-empty edge
+    list: built on Python lists below n = 8, in place with numpy from n = 8 on."""
     adj = [[0] * n for _ in range(n)]
     for e in edges:
         adj[e.u][e.v] += 1
         adj[e.v][e.u] += 1
+    if n <= _LOW_NODES:
+        # at most 64 entries: the same doubling on Python lists, converted once
+        table = [0]
+        for v in range(1, n):
+            row = adj[v]
+            up = [sum(row)]
+            for u in range(1, v):
+                twice = 2 * row[u]
+                up += [x - twice for x in up]
+            table += [a + b for a, b in zip(up, table)]
+        return np.array(table, dtype=np.int32)
     vals = np.empty(1 << (n - 1), dtype=np.int32)
     vals[0] = 0
-    low = _LOW_NODES if n > _LOW_NODES else 0
-    if low:
-        # step[v, S] = deg(v) - 2 * w(v, S) for S over nodes 1..low, doubled
-        # out for all nodes at once
-        adjm = np.array(adj, dtype=np.int32)
-        twice = adjm * 2
-        step = np.empty((n, 1 << low), dtype=np.int32)
-        step[:, 0] = adjm.sum(axis=1)
-        for u in range(1, low + 1):
-            h = 1 << (u - 1)
-            np.subtract(step[:, :h], twice[:, u:u + 1], out=step[:, h:2 * h])
-        # nodes 1..low + 1 index low bits only: one add each
-        for v in range(1, min(n, low + 2)):
-            half = 1 << (v - 1)
-            np.add(step[v, :half], vals[:half], out=vals[half:2 * half])
-    for v in range(low + 2 if low else 1, n):
+    # step[v, S] = deg(v) - 2 * w(v, S) for S over nodes 1.._LOW_NODES,
+    # doubled out for all nodes at once
+    adjm = np.array(adj, dtype=np.int32)
+    twice = adjm * 2
+    step = np.empty((n, 1 << _LOW_NODES), dtype=np.int32)
+    step[:, 0] = adjm.sum(axis=1)
+    for u in range(1, _LOW_NODES + 1):
+        h = 1 << (u - 1)
+        np.subtract(step[:, :h], twice[:, u:u + 1], out=step[:, h:2 * h])
+    # nodes 1.._LOW_NODES + 1 index low bits only: one add each
+    for v in range(1, min(n, _LOW_NODES + 2)):
+        half = 1 << (v - 1)
+        np.add(step[v, :half], vals[:half], out=vals[half:2 * half])
+    for v in range(_LOW_NODES + 2, n):
         half = 1 << (v - 1)
         row = adj[v]
         dst = vals[half:2 * half]
-        if low:
-            dst[:1 << low] = step[v]
-        else:
-            dst[0] = sum(row)
-        for u in range(low + 1, v):
+        dst[:1 << _LOW_NODES] = step[v]
+        for u in range(_LOW_NODES + 1, v):
             h = 1 << (u - 1)
             np.add(dst[:h], -2 * row[u], out=dst[h:2 * h])
         dst += vals[:half]

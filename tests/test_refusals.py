@@ -84,6 +84,15 @@ def test_from_edges_flags_must_be_0_1_false_or_true(flag):
             Multigraph.from_edges(2, [(0, 1), spec])
 
 
+@pytest.mark.parametrize("spec", [(0, 1, 1, 1, False, False, "junk", 7),
+                                  (0, 1, 1, 1, 0, 0, 0)])
+def test_from_edges_refuses_a_spec_with_more_than_six_fields(spec):
+    with pytest.raises(InputError,
+                       match=re.escape(f"edge 1 has more than six fields: {spec!r}")):
+        Multigraph.from_edges(2, [(0, 1), spec])
+    assert Multigraph.from_edges(2, [spec[:6]]).edges == (EdgeRecord(0, 1, 1, 1),)
+
+
 def test_from_edges_reads_0_and_1_as_flags():
     g = Multigraph.from_edges(3, [(0, 1, 1, 1, 1, 0), (1, 2, 1, 1, True, 1), (0, 2)])
     assert [(e.unsafe, e.base) for e in g.edges] == [(True, False), (True, True),
@@ -136,6 +145,13 @@ def test_family_ground_set_size_must_be_a_positive_int(n):
 def test_family_from_sets_refuses_a_negative_node():
     with pytest.raises(InputError, match="node -1 is negative"):
         SetFamily.from_sets(4, [[1], [2, -1]])
+
+
+@pytest.mark.parametrize("node", [3, 5, np.int64(4), 10 ** 12])
+def test_family_from_sets_names_a_node_outside_the_ground_set(node):
+    with pytest.raises(InputError, match=re.escape(f"node {int(node)} of set 1 lies "
+                                                   "outside the ground set range(3)")):
+        SetFamily.from_sets(3, [[2], [1, node]])
 
 
 @pytest.mark.parametrize("node", [True, 1.0, "1", None, np.bool_(False)])
